@@ -266,7 +266,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override control.seed from the config")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="cap worker threads (default: available cores)")
+                         help="accepted for compatibility; has no effect "
+                              "(batch solves run single-threaded)")
         cmd.add_argument("--out", default="out", help="output directory")
         if name == "solve":
             cmd.add_argument("--control", default=None,

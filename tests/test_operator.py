@@ -79,21 +79,24 @@ class TestIntegralOperator:
         lambda: diagonal_semigroup([-1.0, 0.5, -3.0]),
         lambda: heat_semigroup(4),
         lambda: dense_semigroup([[0.0, 1.0], [-1.0, -0.2]], 3.0, 0.5),
+        lambda: heat_semigroup(64),
     ])
     def test_matches_brute_force_oracle(self, make_sg, rng):
         sg = make_sg()
         dim = sg.dim
+        # two cells per mode: heat(64) gets n_t = 128, stiff at lambda h = -48
+        n_t = max(7, 2 * dim)
         fields = [bilinear_field(rng.standard_normal((dim, dim)) * 0.5),
                   constant_field(rng.standard_normal(dim))]
         xi0 = StateVector(rng.standard_normal(dim))
-        x = random_trajectory(rng, 7, dim, T=1.5)
-        u = Control(1.5, rng.standard_normal((2, 7)))
+        x = random_trajectory(rng, n_t, dim, T=1.5)
+        u = Control(1.5, rng.standard_normal((2, n_t)))
         fast = integral_operator(x, u, xi0, fields, sg)
         slow = oracle_operator(x, u, xi0, fields, sg)
         assert np.allclose(fast.states, slow.states, atol=1e-12)
 
-    def test_blockwise_scan_matches_oracle_on_long_grid(self, rng):
-        # n_t far above the kernel block size exercises the carry recursion
+    def test_scan_matches_oracle_on_long_grid(self, rng):
+        # 13 doubling passes; n_t + 1 = 4100 is not a power of two
         sg = diagonal_semigroup([-0.7])
         fields = [bilinear_field([[1.0]])]
         xi0 = StateVector([1.0])

@@ -7,13 +7,19 @@ from mildsolve import (
     CertificateRadiusError,
     Control,
     StateVector,
+    VectorField,
     bilinear_field,
     bind_operator,
     certify_hidden_contraction,
     certify_omega_contraction,
+    constant_field,
+    constant_trajectory,
     cutoff_field,
+    dense_semigroup,
     diagonal_semigroup,
     gronwall_radius,
+    heat_semigroup,
+    integral_operator,
     iterate_differences,
     lp_norm,
     omega_norm_distance,
@@ -35,6 +41,14 @@ def scalar_bilinear_truth(xi0, a, u):
     w = np.concatenate([[0.0], np.cumsum(u.values[0] * h)])
     t = np.linspace(0.0, u.horizon_T, u.n_t + 1)
     return xi0 * np.exp(a * t + w)
+
+
+def counted(f, rows):
+    """The field f, recording how many states each evaluation receives."""
+    def eval_fn(t, x):
+        rows.append(len(x))
+        return f(t, x)
+    return VectorField(eval_fn, f.lipschitz_L, f.growth_alpha, f.growth_beta)
 
 
 class TestPicardSolve:
@@ -72,6 +86,27 @@ class TestPicardSolve:
         with pytest.raises(CertificateRadiusError):
             picard_solve(StateVector([1.0]), constant_control(2.0, 16),
                          [bilinear_field([[1.0]])], sg, cert)
+
+    def test_non_finite_iterate_rejected(self):
+        # the field turns NaN once the state passes 1.5, which u = 1 reaches
+        sg = diagonal_semigroup([0.0])
+        f = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0)
+        cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            picard_solve(StateVector([1.0]), constant_control(1.0, 64), [f], sg, cert)
+        controls = [constant_control(0.1, 64), constant_control(1.0, 64)]
+        with pytest.raises(RuntimeError, match="control #1: .*finite"):
+            solve_batch(StateVector([1.0]), controls, [f], sg, cert)
+
+    def test_application_cap_fails_before_iterating(self):
+        # N ~ e * 5e4: the first hidden window alone, 2N - 1, passes the cap
+        rows = []
+        f = counted(bilinear_field([[1.0]]), rows)
+        cert = certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(RuntimeError, match="application cap"):
+            picard_solve(StateVector([1.0]), constant_control(1.0, 16), [f],
+                         diagonal_semigroup([0.0]), cert)
+        assert rows == []
 
     def test_invalid_tolerance(self):
         sg = diagonal_semigroup([0.0])
@@ -245,16 +280,46 @@ def test_solution_operator_local_lipschitz():
 
 
 def test_solve_batch_matches_sequential_and_orders_by_index():
-    sg = diagonal_semigroup([0.0])
-    f = bilinear_field([[1.0]])
-    xi0 = StateVector([1.0])
-    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
-    controls = sample_ball(1.0, 1.0, 1.0, 1, 64, 8, seed=30)
-    seq = [picard_solve(xi0, u, [f], sg, cert) for u in controls]
-    par = solve_batch(xi0, controls, [f], sg, cert, threads=4)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.trajectory.states, b.trajectory.states)
-        assert a.iterations == b.iterations
+    scalar = (diagonal_semigroup([0.0]), StateVector([1.0]), [bilinear_field([[1.0]])],
+              certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
+              sample_ball(1.0, 1.0, 1.0, 1, 64, 8, seed=30))
+    # driven from rest by a constant channel, so the stop index follows |u|.
+    # heat n = 64 on the hidden route, 20 controls: more than one chunk
+    heat = (heat_semigroup(64), StateVector(np.zeros(64)),
+            [bilinear_field(np.eye(64)), constant_field(np.full(64, 0.1))],
+            certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
+            sample_ball(1.0, 1.0, 1.0, 2, 128, 19, seed=31))
+    # -I + skew generator: e^{At} = e^{-t} x orthogonal, class (1, 0) exactly
+    skew = np.random.default_rng(32).standard_normal((8, 8))
+    dense = (dense_semigroup(-np.eye(8) + skew - skew.T, 1.0, 0.0), StateVector(np.zeros(8)),
+             [bilinear_field(np.eye(8)), constant_field(np.full(8, 0.1))],
+             certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0),
+             sample_ball(2.0, 1.0, 1.0, 2, 128, 11, seed=33))
+    for sg, xi0, fields, cert, controls in (scalar, heat, dense):
+        if sg.dim > 1:  # a zero control and a spread of stop indices
+            controls = [u.scaled(0.25 ** (i % 4)) for i, u in enumerate(controls)]
+            controls.insert(3, controls[0].scaled(0.0))
+        seq = [picard_solve(xi0, u, fields, sg, cert) for u in controls]
+        rows = []
+        par = solve_batch(xi0, controls, [counted(fields[0], rows)] + fields[1:], sg, cert,
+                          threads=4)
+        assert len(par) == len(controls)
+        # F runs on each control exactly as often as its stop index needs,
+        # and at least through the first step's window of 2N - 1
+        window = 2 * cert.N - 1 if cert.mode == "hidden" else 1
+        assert sum(rows) == controls[0].n_t * sum(max(r.iterations, window) for r in par)
+        if sg.dim > 1:
+            assert len({r.iterations for r in par}) >= 4
+        for u, a, b in zip(controls, seq, par):
+            assert np.array_equal(a.trajectory.states, b.trajectory.states)
+            assert np.array_equal(a.iterate_gaps, b.iterate_gaps)
+            assert a.iterations == b.iterations
+            assert a.a_posteriori_bound == b.a_posteriori_bound
+            # the result is the iterate at the control's own stop index
+            x = constant_trajectory(xi0, u.horizon_T, u.n_t)
+            for _ in range(b.iterations):
+                x = integral_operator(x, u, xi0, fields, sg)
+            assert np.array_equal(x.states, b.trajectory.states)
 
 
 def test_solve_batch_attaches_control_index_on_error():
