@@ -20,6 +20,7 @@ from .operator import (
     ContractionCertificate,
     TrajectoryGrid,
     bind_operator,
+    certify,
     certify_hidden_contraction,
     certify_omega_contraction,
     constant_trajectory,
@@ -67,7 +68,6 @@ from .reachset import (
     compactness_diagnostic,
     convolution_compactness_check,
     counterexample_report,
-    default_certificate,
     field_value_cloud,
     gamma_approximation,
     sample_reachset,

@@ -4,8 +4,9 @@ Every subcommand reads one YAML config (--config), draws all randomness from
 explicit seeds and writes machine-readable CSV/JSON into the output directory
 (--out, overridden by the MILDSOLVE_OUT environment variable).  Outputs are
 byte-identical across re-runs except for the timestamp inside the metadata
-key.  Exit codes: 0 success, 2 config error, 3 numeric/certification
-failure, 4 verification failure.
+key.  ``--threads`` is accepted for compatibility and has no effect.  Exit
+codes: 0 success, 2 config error (including a control outside the
+certificate radius), 3 numeric/certification failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .controls import control_from_csv, control_to_csv, lp_norm, sample_ball
-from .operator import (
-    ContractionCertificate,
-    certify_hidden_contraction,
-    certify_omega_contraction,
-)
+from .operator import ContractionCertificate, certify
 from .reachset import (
     VerificationError,
     compactness_diagnostic,
@@ -67,37 +64,12 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def build_certificate(cfg: RunConfig) -> ContractionCertificate:
-    """Certificate for the configured system and control ball.
-
-    p = 1 forces the hidden route; p > 1 defaults to the omega route with a
-    hidden fallback (L^1 mass coarsened through the Hoelder bound
-    |u|_1 <= T^{1/q} |u|_p) if the weighted-norm search overflows.
-    """
+    """Certificate for the configured system and control ball (see `certify`)."""
     sg = cfg.build_semigroup()
-    fields = cfg.build_fields(sg.dim)
-    l_bound = max(f.lipschitz_L for f in fields)
-    p, r, t_end = cfg.p, cfg.radius, cfg.horizon_T
-    mode = cfg.solver.get("certificate_mode", "auto")
-    target = float(cfg.solver.get("target_rate", 0.5))
-
-    def hidden() -> ContractionCertificate:
-        if p == 1:
-            return certify_hidden_contraction(r, sg.class_M, sg.class_mu,
-                                              l_bound, t_end, p=p)
-        q = p / (p - 1.0) if not np.isinf(p) else 1.0
-        return certify_hidden_contraction(r, sg.class_M, sg.class_mu, l_bound,
-                                          t_end, p=p,
-                                          l1_bound=r * t_end ** (1.0 / q))
-
-    if mode == "hidden" or (mode == "auto" and p == 1):
-        return hidden()
-    if mode == "omega" and p == 1:
-        raise ConfigError("omega certificates require p > 1")
-    try:
-        return certify_omega_contraction(p, r, sg.class_M, sg.class_mu,
-                                         l_bound, t_end, target_C=target)
-    except (OverflowError, FloatingPointError):
-        return hidden()
+    l_bound = max(f.lipschitz_L for f in cfg.build_fields(sg.dim))
+    return certify(cfg.p, cfg.radius, sg.class_M, sg.class_mu, l_bound, cfg.horizon_T,
+                   mode=cfg.solver.get("certificate_mode", "auto"),
+                   target_C=float(cfg.solver.get("target_rate", 0.5)))
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, args) -> int:
@@ -120,11 +92,6 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
     else:
         u = sample_ball(cfg.p, cfg.radius, cfg.horizon_T, len(fields),
                         cfg.n_t, 1, args.seed if args.seed is not None else cfg.seed)[0]
-    norm_u = lp_norm(u, cert.p)
-    if norm_u > cert.radius_r * (1.0 + 1e-12):
-        raise ConfigError(
-            f"control norm {norm_u:.6g} exceeds certificate radius {cert.radius_r:.6g}")
-
     result = picard_solve(xi0, u, fields, sg, cert, tol=cfg.tol)
     traj = result.trajectory
     rows = [[repr(float(t))] + [repr(float(v)) for v in state]
@@ -137,7 +104,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
         "iterate_gaps": result.iterate_gaps,
         "a_posteriori_bound": result.a_posteriori_bound,
         "certificate": cert.to_dict(),
-        "control_lp_norm": norm_u,
+        "control_lp_norm": lp_norm(u, cert.p),
         "metadata": _metadata(cfg),
     })
     print(f"solved in {result.iterations} applications "
@@ -157,7 +124,6 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
         xi0_scale=float(diag.get("xi0_scale", 0.02)),
         cloud_budget=int(diag.get("cloud_budget", 4000)),
         tol=float(diag.get("tol", 1e-4)),
-        threads=args.threads,
     )
     _write_csv(out_dir / "diagnostic.csv",
                ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
@@ -199,8 +165,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     cert = build_certificate(cfg)
     seed = args.seed if args.seed is not None else cfg.seed
     sample = sample_reachset(xi0, cfg.p, cfg.radius, cfg.horizon_T, cfg.count,
-                             seed, fields, sg, cert, cfg.n_t, tol=cfg.tol,
-                             threads=args.threads)
+                             seed, fields, sg, cert, cfg.n_t, tol=cfg.tol)
     cloud = field_value_cloud(sample, fields)
     eps = float(cfg.gamma.get("eps", 0.1))
     lag_grid = np.linspace(0.0, cfg.horizon_T, cfg.n_t + 1)
@@ -281,14 +246,13 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
         return _COMMANDS[args.command](cfg, out_dir, args)
-    except ConfigError as exc:
+    except (ConfigError, CertificateRadiusError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (CertificateRadiusError, OverflowError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except RuntimeError as exc:

@@ -95,20 +95,6 @@ def cloud_to_csv(cloud: PointCloud, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def distance_matrix(a: PointCloud, b: PointCloud, chunk: int = 256) -> np.ndarray:
-    """Full cross-distance matrix between two clouds of the same kind."""
-    if a.metric_kind != b.metric_kind or a.norm_kind != b.norm_kind:
-        raise ValueError("clouds must share metric and norm kind")
-    out = np.empty((a.size, b.size))
-    for lo in range(0, a.size, chunk):
-        hi = min(lo + chunk, a.size)
-        block = vector_norm(a.points[lo:hi, None] - b.points[None], a.norm_kind)
-        if a.metric_kind == "sup_norm":
-            block = block.max(axis=-1)
-        out[lo:hi] = block
-    return out
-
-
 @dataclass(frozen=True)
 class NetReport:
     """Result of a covering computation over one cloud.
@@ -142,20 +128,31 @@ def _dedup_indices(cloud: PointCloud) -> np.ndarray:
     return np.sort(first)
 
 
-def _separated_subset_size(cloud: PointCloud, indices: Sequence[int], s: float) -> int:
+def _nearest(cloud: PointCloud, centers: np.ndarray,
+             min_dist: np.ndarray | None = None) -> np.ndarray:
+    """Distance from every cloud point to its nearest center, as a running
+    minimum updated in place (started at infinity when `min_dist` is None)."""
+    if min_dist is None:
+        min_dist = np.full(cloud.size, np.inf)
+    for c in centers:
+        np.minimum(min_dist, cloud.distances_to(c), out=min_dist)
+    return min_dist
+
+
+def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]:
+    """Index-order greedy s-separated subset of `indices`.
+
+    A point joins iff its distance to every chosen point is >= s.  Distances
+    are symmetric bit for bit (`vector_norm` takes abs first), so the running
+    minimum over the chosen points decides exactly that test.
+    """
+    min_dist = np.full(cloud.size, np.inf)
     chosen: list[int] = []
     for i in indices:
-        q = cloud.points[i]
-        if not chosen:
-            chosen.append(i)
-            continue
-        sub = cloud.points[np.array(chosen)]
-        d = vector_norm(sub - q, cloud.norm_kind)
-        if cloud.metric_kind == "sup_norm":
-            d = d.max(axis=-1)
-        if d.min() >= s:
-            chosen.append(i)
-    return len(chosen)
+        if min_dist[i] >= s:
+            chosen.append(int(i))
+            _nearest(cloud, cloud.points[i:i + 1], min_dist)
+    return chosen
 
 
 def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
@@ -170,13 +167,7 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    candidates = _dedup_indices(cloud)
-    min_dist = np.full(cloud.size, np.inf)
-    net: list[int] = []
-    for i in candidates:
-        if min_dist[i] >= epsilon:
-            net.append(int(i))
-            min_dist = np.minimum(min_dist, cloud.distances_to(cloud.points[i]))
+    net = _separated(cloud, _dedup_indices(cloud), epsilon)
     return NetReport(epsilon, net, len(net), len(net))
 
 
@@ -192,13 +183,13 @@ def fps_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
     if cloud.size == 0:
         raise ValueError("empty cloud")
     net = [0]
-    min_dist = cloud.distances_to(cloud.points[0])
+    min_dist = _nearest(cloud, cloud.points[:1])
     while True:
         far = int(np.argmax(min_dist))
         if min_dist[far] <= epsilon:
             break
         net.append(far)
-        min_dist = np.minimum(min_dist, cloud.distances_to(cloud.points[far]))
+        _nearest(cloud, cloud.points[far:far + 1], min_dist)
     return NetReport(epsilon, net, len(net), len(net))
 
 
@@ -229,8 +220,7 @@ def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
         center_idx = int(inside[np.argmax(values[inside])])
         net.append(center_idx)
         covered_up_to = values[center_idx] + epsilon
-    return NetReport(epsilon, net, len(net),
-                     _separated_subset_size(cloud, net, epsilon))
+    return NetReport(epsilon, net, len(net), len(_separated(cloud, net, epsilon)))
 
 
 def covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
@@ -246,15 +236,16 @@ def packing_number(cloud: PointCloud, s: float) -> int:
         raise ValueError("s must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    return _separated_subset_size(cloud, range(cloud.size), s)
+    return len(_separated(cloud, range(cloud.size), s))
 
 
 def hausdorff_distance(k1: PointCloud, k2: PointCloud) -> float:
     """Exact Hausdorff distance max of the two directed max-min distances."""
     if k1.size == 0 or k2.size == 0:
         raise ValueError("Hausdorff distance needs nonempty clouds")
-    d = distance_matrix(k1, k2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    if k1.metric_kind != k2.metric_kind or k1.norm_kind != k2.norm_kind:
+        raise ValueError("clouds must share metric and norm kind")
+    return float(max(_nearest(k1, k2.points).max(), _nearest(k2, k1.points).max()))
 
 
 def evaluation_set(trajectories: Sequence[TrajectoryGrid]) -> PointCloud:
@@ -275,10 +266,7 @@ def verify_coverage(points: PointCloud, centers: np.ndarray, epsilon: float,
     """Brute-force check that every cloud point is within epsilon of a center."""
     center_cloud = PointCloud(centers, points.metric_kind, points.norm_kind,
                               horizon_T=points.horizon_T)
-    min_dist = np.full(points.size, np.inf)
-    for c in center_cloud.points:
-        min_dist = np.minimum(min_dist, points.distances_to(c))
-    return bool(np.all(min_dist <= epsilon + slack))
+    return bool(np.all(_nearest(points, center_cloud.points) <= epsilon + slack))
 
 
 def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
@@ -293,10 +281,7 @@ def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
     cloud = trajectory_cloud(trajectories)
     half = epsilon / 2.0
     reps = np.array(sorted(s_net.net_indices))
-    min_dist = np.full(cloud.size, np.inf)
-    for i in reps:
-        min_dist = np.minimum(min_dist, cloud.distances_to(cloud.points[i]))
-    if np.any(min_dist > half + 1e-12):
+    if not verify_coverage(cloud, cloud.points[reps], half):
         raise ValueError("input net is not a valid eps/2-net of the trajectories")
 
     n_pts = trajectories[0].n_t + 1
@@ -310,7 +295,7 @@ def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
     centers = ev.points[np.array(ev_indices)]
     if not verify_coverage(ev, centers, epsilon):
         raise AssertionError("transferred net failed coverage verification")
-    packing = _separated_subset_size(ev, ev_indices, epsilon)
+    packing = len(_separated(ev, ev_indices, epsilon))
     return NetReport(epsilon, ev_indices, len(ev_indices), packing)
 
 
@@ -383,14 +368,15 @@ def collection_union_nets(family: Sequence[PointCloud],
     if not verify_coverage(union, centers, epsilon):
         raise AssertionError("union net failed coverage verification")
     union_report = NetReport(epsilon, union_indices, len(union_indices),
-                             _separated_subset_size(union, union_indices, epsilon))
+                             len(_separated(union, union_indices, epsilon)))
 
     # if direction: subsets of a union eps-net form a Hausdorff eps-net
     base = greedy_net(union, epsilon)
-    base_pts = union.points[np.array(base.net_indices)]
+    base_cloud = PointCloud(union.points[np.array(base.net_indices)], union.metric_kind,
+                            union.norm_kind)
     subsets = []
     for k in family:
-        min_d = np.stack([k.distances_to(c) for c in base_pts]).min(axis=1)
+        min_d = _nearest(base_cloud, k.points)
         chosen = tuple(int(base.net_indices[i]) for i in np.nonzero(min_d <= epsilon)[0])
         if not chosen:
             raise AssertionError("union net left a family member uncovered")

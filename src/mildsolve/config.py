@@ -104,16 +104,27 @@ class RunConfig:
             mode = self.solver.get("certificate_mode", "auto")
             if mode not in ("auto", "omega", "hidden"):
                 raise ConfigError("solver.certificate_mode must be auto/omega/hidden")
+            if mode == "omega" and self.p == 1:
+                raise ConfigError("omega certificates require p > 1")
+            if not 0.0 < float(self.solver.get("target_rate", 0.5)) < 1.0:
+                raise ConfigError("solver.target_rate must lie in (0, 1)")
         diag = self.diagnostic
         if diag:
-            dims = diag.get("dims", [])
-            if dims != sorted(set(dims)):
-                raise ConfigError("diagnostic.dims must be strictly increasing")
-            ladder = diag.get("eps_ladder", [])
+            dims = diag.get("dims", [16, 32, 64])
+            if not dims or dims != sorted(set(dims)):
+                raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
+            ladder = diag.get("eps_ladder", [0.1, 0.05, 0.02])
             if any(e <= 0 for e in ladder):
                 raise ConfigError("diagnostic.eps_ladder entries must be > 0")
-            if sorted(set(ladder), reverse=True) != list(ladder):
-                raise ConfigError("diagnostic.eps_ladder must be strictly decreasing")
+            if not ladder or sorted(set(ladder), reverse=True) != list(ladder):
+                raise ConfigError(
+                    "diagnostic.eps_ladder must be nonempty and strictly decreasing")
+        spikes = self.counterexample
+        if spikes:
+            n_max, n_t = int(spikes.get("n_max", 128)), int(spikes.get("n_t", 1024))
+            if n_max < 1 or n_t < 1 or n_t % (1 << (n_max.bit_length() - 1)):
+                raise ConfigError("counterexample.n_t must be a positive multiple of "
+                                  "the largest power of two <= n_max")
 
     # -- typed accessors ---------------------------------------------------
 

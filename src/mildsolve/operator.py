@@ -15,6 +15,8 @@ Two contraction routes are certified:
 * hidden-contraction route (any p, used for p = 1): smallest N with
   ``(M e^{mu T} L r)^N / N! < 1``, turned into a genuine contraction by the
   renormed metric d'.
+
+`certify` is the one policy that chooses between them.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def semigroup_step(sg: Semigroup, h: float) -> np.ndarray:
     return sg.matrix_exp(h).T
 
 
-def _act(step: np.ndarray, y: np.ndarray) -> np.ndarray:
+def semigroup_act(step: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row states y times E from `semigroup_step`: e^{At} applied to each row."""
     return y * step if step.ndim == 1 else y @ step
 
 
@@ -110,10 +113,10 @@ def semigroup_scan(step: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     d, power = 1, step
     while d < y.shape[1]:
-        y[:, d:] += _act(power, y[:, :-d])
+        y[:, d:] += semigroup_act(power, y[:, :-d])
         d *= 2
         if d < y.shape[1]:
-            power = _act(power, power)
+            power = semigroup_act(power, power)
     return y
 
 
@@ -156,7 +159,7 @@ class BatchOperator:
         y = np.zeros(states.shape)
         for i, f in enumerate(self.fields):
             y[:, 1:] += values[:, i, :, None] * f(cell_times, cell_states).reshape(y[:, 1:].shape)
-        y[:, 1:] = _act(self.step, self.h * y[:, 1:])
+        y[:, 1:] = semigroup_act(self.step, self.h * y[:, 1:])
         semigroup_scan(self.step, y)
         y += self.orbit.states
         return y
@@ -307,15 +310,45 @@ def certify_hidden_contraction(r: float, M: float, mu: float, L_bound: float,
     if base == 0.0:
         return ContractionCertificate("hidden", 0.0, r, p, M, mu, L_bound, T,
                                       N=1, l1_mass=mass)
-    n = 1
-    while n * math.log(base) - math.lgamma(n + 1) >= 0.0:
-        n += 1
+    log_base = math.log(base)
+
+    def holds(n: int) -> bool:  # concave in n and 0 at n = 0: {n : holds} is 0..N-1
+        return n * log_base - math.lgamma(n + 1) >= 0.0
+
+    lo, n = 0, 1
+    while holds(n):
+        lo, n = n, 2 * n
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        lo, n = (mid, n) if holds(mid) else (lo, mid)
     if n <= 170:
         rate = base ** n / math.factorial(n)
     else:
-        rate = math.exp(n * math.log(base) - math.lgamma(n + 1))
+        rate = math.exp(n * log_base - math.lgamma(n + 1))
     return ContractionCertificate("hidden", rate, r, p, M, mu, L_bound, T,
                                   N=n, l1_mass=mass)
+
+
+def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,
+            mode: str = "auto", target_C: float = 0.5) -> ContractionCertificate:
+    """Certificate for the control ball |u|_p <= r: the one selection policy.
+
+    Mode "hidden", or "auto" with p = 1, takes the hidden route; otherwise the
+    omega route, falling back to hidden if the weighted-norm search overflows.
+    For p > 1 the hidden route spends the Hoelder L^1-mass bound
+    |u|_1 <= T^{1/q} |u|_p.
+    """
+    def hidden() -> ContractionCertificate:
+        q = math.inf if p == 1 else 1.0 if math.isinf(p) else p / (p - 1.0)
+        return certify_hidden_contraction(r, M, mu, L_bound, T, p=p,
+                                          l1_bound=r * T ** (1.0 / q))
+
+    if mode == "hidden" or (mode == "auto" and p == 1):
+        return hidden()
+    try:
+        return certify_omega_contraction(p, r, M, mu, L_bound, T, target_C=target_C)
+    except (OverflowError, FloatingPointError):
+        return hidden()
 
 
 def hidden_step_lipschitz(cert: ContractionCertificate) -> float:

@@ -35,9 +35,10 @@ from .compactness import (
 from .controls import lp_norm, sample_ball, spike_control
 from .operator import (
     ContractionCertificate,
-    certify_hidden_contraction,
-    certify_omega_contraction,
+    certify,
     integral_operator,
+    semigroup_act,
+    semigroup_step,
 )
 from .solver import gronwall_radius, picard_solve, solve_batch
 from .spaces import (
@@ -77,23 +78,15 @@ class ReachSetSample:
                 raise ValueError("trajectory does not start at xi0")
 
 
-def default_certificate(p: float, r: float, M: float, mu: float, L_bound: float,
-                        T: float, target_C: float = 0.5) -> ContractionCertificate:
-    """Hidden certificate for p = 1, omega certificate otherwise."""
-    if p == 1:
-        return certify_hidden_contraction(r, M, mu, L_bound, T, p=1.0)
-    return certify_omega_contraction(p, r, M, mu, L_bound, T, target_C=target_C)
-
-
 def sample_reachset(xi0: StateVector, p: float, r: float, T: float, count: int,
                     seed: int, fields: Sequence[VectorField], sg: Semigroup,
-                    cert: ContractionCertificate, n_t: int, tol: float = 1e-8,
-                    threads: int | None = None) -> ReachSetSample:
+                    cert: ContractionCertificate, n_t: int,
+                    tol: float = 1e-8) -> ReachSetSample:
     """Draw `count` ball controls, solve each, and collect all grid states."""
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
-    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol, threads=threads)
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
     trajectories = [res.trajectory for res in results]
     return ReachSetSample(xi0, p, r, T, controls, trajectories,
                           evaluation_set(trajectories))
@@ -128,8 +121,8 @@ def _sphere_sample(center: np.ndarray, radius: float, count: int,
 def compactness_diagnostic(dims: Sequence[int], eps_ladder: Sequence[float],
                            p: float, r: float, T: float, count: int, seed: int,
                            n_t: int = 128, xi0_scale: float = 0.02,
-                           cloud_budget: int = 4000, tol: float = 1e-4,
-                           threads: int | None = None) -> DiagnosticReport:
+                           cloud_budget: int = 4000,
+                           tol: float = 1e-4) -> DiagnosticReport:
     """Covering numbers of reach-set samples vs ambient-sphere samples.
 
     For each truncation dimension n a heat-type system (eigenvalues -k^2,
@@ -141,18 +134,17 @@ def compactness_diagnostic(dims: Sequence[int], eps_ladder: Sequence[float],
     """
     dims = list(dims)
     eps_ladder = list(eps_ladder)
-    if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly increasing")
-    if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
+    if not dims or any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
+        raise ValueError("dims must be nonempty and strictly increasing")
+    if not eps_ladder or any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
+        raise ValueError("eps ladder must be nonempty and strictly decreasing")
 
     rows = []
     for dim in dims:
         sg, b_field, xi0 = _heat_system(dim, xi0_scale)
-        cert = default_certificate(p, r, M=1.0, mu=0.0,
-                                   L_bound=b_field.lipschitz_L, T=T)
+        cert = certify(p, r, M=1.0, mu=0.0, L_bound=b_field.lipschitz_L, T=T)
         sample = sample_reachset(xi0, p, r, T, count, seed, [b_field], sg,
-                                 cert, n_t, tol=tol, threads=threads)
+                                 cert, n_t, tol=tol)
         cloud = sample.endpoints
         rng = np.random.default_rng(seed + 7919 * dim)
         if cloud.size > cloud_budget:
@@ -207,7 +199,7 @@ def counterexample_report(n_max: int, n_t: int, separation: float = 0.5,
     sg = diagonal_semigroup([0.0])
     f_const = constant_field([1.0])
     xi0 = StateVector([0.0], 2)
-    cert = certify_hidden_contraction(1.0, 1.0, 0.0, f_const.lipschitz_L, 1.0)
+    cert = certify(1.0, 1.0, 1.0, 0.0, f_const.lipschitz_L, 1.0)
 
     trajectories = []
     worst = 0.0
@@ -288,12 +280,6 @@ class GammaTable:
         }
 
 
-def _gamma_apply(sg: Semigroup, t: float, states: np.ndarray) -> np.ndarray:
-    if sg.is_diagonal:
-        return np.exp(sg.eigenvalues * t) * states
-    return states @ sg.matrix_exp(t).T
-
-
 def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
                          delta: float, rng: np.random.Generator,
                          sample_count: int) -> float:
@@ -310,7 +296,7 @@ def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
     dts = np.clip(ts + rng.uniform(-delta, delta, size=sample_count), 0.0, T)
     worst = 0.0
     for t, td, a, b in zip(ts, dts, base, other):
-        diff = _gamma_apply(sg, td, b) - _gamma_apply(sg, t, a)
+        diff = semigroup_act(semigroup_step(sg, td), b) - semigroup_act(semigroup_step(sg, t), a)
         worst = max(worst, float(vector_norm(diff, cloud.norm_kind)))
     return worst
 
@@ -367,7 +353,7 @@ def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
         n_cells += 1
     net = greedy_net(K, delta)
     centers = K.points[np.array(net.net_indices)]
-    values = np.stack([_gamma_apply(sg, i * T / n_cells, centers)
+    values = np.stack([semigroup_act(semigroup_step(sg, i * T / n_cells), centers)
                        for i in range(1, n_cells + 1)])
     return GammaTable(T, eps, delta, n_cells, centers, values, K.norm_kind,
                       np.inf, 0)
@@ -380,7 +366,7 @@ def _verify_gamma(sg: Semigroup, K: PointCloud, table: GammaTable,
         raise VerificationError("net construction left cloud points uncovered")
     worst = 0.0
     for t in times:
-        truth = _gamma_apply(sg, float(t), K.points)
+        truth = semigroup_act(semigroup_step(sg, float(t)), K.points)
         approx = table.values[int(table.time_cell(t)) - 1, j - 1]
         worst = max(worst, float(vector_norm(truth - approx, K.norm_kind).max()))
     return worst, len(times) * K.size

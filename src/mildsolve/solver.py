@@ -158,13 +158,11 @@ def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
 
 def solve_batch(xi0: StateVector, controls: Sequence[Control],
                 fields: Sequence[VectorField], sg: Semigroup,
-                cert: ContractionCertificate, tol: float = 1e-8,
-                threads: int | None = None) -> list[SolveResult]:
+                cert: ContractionCertificate, tol: float = 1e-8) -> list[SolveResult]:
     """`picard_solve` for every control, iterated together in one scan.
 
     Results are in input order and equal the single-control ones.  A failed
-    check raises RuntimeError with the control's index.  `threads` is
-    accepted for compatibility and has no effect: batches run single-threaded.
+    check raises RuntimeError with the control's index.
     """
     return _solve(xi0, list(controls), fields, sg, cert, tol,
                   lambda i, error: RuntimeError(f"solve failed for control #{i}: {error}"))

@@ -18,6 +18,7 @@ from mildsolve import (
     StateVector,
     bilinear_field,
     bind_operator,
+    certify,
     certify_hidden_contraction,
     certify_omega_contraction,
     collection_union_nets,
@@ -25,7 +26,6 @@ from mildsolve import (
     convolution_compactness_check,
     counterexample_report,
     cutoff_field,
-    default_certificate,
     diagonal_semigroup,
     field_value_cloud,
     gamma_approximation,
@@ -52,8 +52,6 @@ from mildsolve.reachset import _heat_system
 
 from conftest import constant_control, random_trajectory
 
-THREADS = 2
-
 # shared desk-scale configuration for criteria 8 and 9
 DIAG_DIMS = [16, 32, 64]
 DIAG_EPS = 0.1
@@ -69,7 +67,7 @@ def diagnostic_reports():
         p: compactness_diagnostic(
             dims=DIAG_DIMS, eps_ladder=[DIAG_EPS], p=p, r=1.0, T=1.0,
             count=DIAG_COUNT, seed=DIAG_SEED, n_t=DIAG_NT,
-            xi0_scale=DIAG_XI0_SCALE, cloud_budget=4000, threads=THREADS)
+            xi0_scale=DIAG_XI0_SCALE, cloud_budget=4000)
         for p in (1.0, 2.0)
     }
 
@@ -78,9 +76,9 @@ def diagnostic_reports():
 def heat16_sample():
     """The n = 16 leg of the criterion-8 run (identical seed and settings)."""
     sg, f, xi0 = _heat_system(16, DIAG_XI0_SCALE)
-    cert = default_certificate(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
+    cert = certify(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
     sample = sample_reachset(xi0, 1.0, 1.0, 1.0, DIAG_COUNT, DIAG_SEED, [f],
-                             sg, cert, DIAG_NT, tol=1e-4, threads=THREADS)
+                             sg, cert, DIAG_NT, tol=1e-4)
     return sg, f, sample
 
 
@@ -94,8 +92,7 @@ def test_c01_scalar_bilinear_oracle():
     worst = {}
     for n_t, rtol in ((1000, 1e-3), (10_000, 1e-4)):
         controls = sample_ball(2.0, 1.0, 1.0, 1, n_t, 50, seed=101)
-        results = solve_batch(xi0, controls, [f], sg, cert, tol=1e-6,
-                              threads=THREADS)
+        results = solve_batch(xi0, controls, [f], sg, cert, tol=1e-6)
         errs = []
         for u, res in zip(controls, results):
             w = np.concatenate([[0.0], np.cumsum(u.values[0] * u.cell_width)])
@@ -212,8 +209,8 @@ def test_c06_gronwall_containment_and_cutoff():
     fhat = cutoff_field(f, xi0, radius)
     cert_hat = certify_hidden_contraction(1.0, 1.0, 0.0, fhat.lipschitz_L, 1.0)
     controls = sample_ball(1.0, 1.0, 1.0, 1, 256, 200, seed=66)
-    plain = solve_batch(xi0, controls, [f], sg, cert, tol=tol, threads=THREADS)
-    cut = solve_batch(xi0, controls, [fhat], sg, cert_hat, tol=tol, threads=THREADS)
+    plain = solve_batch(xi0, controls, [f], sg, cert, tol=tol)
+    cut = solve_batch(xi0, controls, [fhat], sg, cert_hat, tol=tol)
     max_drift = max(np.abs(res.trajectory.states - 1.0).max() for res in plain)
     assert max_drift < radius
     max_gap = max(sup_norm(a.trajectory, b.trajectory) for a, b in zip(plain, cut))

@@ -156,6 +156,24 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, bad)
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, block, value", [
+        ("reachset", "diagnostic", {"dims": []}),
+        ("reachset", "diagnostic", {"eps_ladder": []}),
+        ("certify", "solver", {"target_rate": 1.5}),
+        ("counterexample", "counterexample", {"n_max": 128, "n_t": 1000}),
+    ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid"])
+    def test_rejected_before_any_work(self, tmp_path, command, block, value):
+        cfg = write_config(tmp_path, scalar_system(**{block: value}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_overflowing_omega_search_falls_back_to_hidden(self, tmp_path):
+        cfg = write_config(tmp_path, scalar_system(control={"p": 2, "r": 1e200}))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert load_json(out / "certificate.json")["certificate"]["mode"] == "hidden"
+
 
 class TestReachsetCommand:
     def test_small_diagnostic_table(self, tmp_path):

@@ -151,6 +151,47 @@ class TestHausdorffDistance:
         assert hausdorff_distance(state_cloud(pts), state_cloud(moved)) > 0.0
 
 
+def full_distance_matrix(a, b, norm_kind):
+    """Every pairwise distance at once; the sup over time for trajectory clouds."""
+    d = np.linalg.norm(a[:, None] - b[None], ord=norm_kind, axis=-1)
+    return d.reshape(len(a), len(b), -1).max(axis=-1)
+
+
+@pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+@pytest.mark.parametrize("shape", [(60, 3), (30, 9, 2)], ids=["states", "trajectories"])
+def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
+    kind = "state_norm" if len(shape) == 2 else "sup_norm"
+    pts = rng.standard_normal(shape)
+    pts[7] = pts[3]  # an exact duplicate
+    cloud = PointCloud(pts, kind, norm_kind, horizon_T=1.0)
+    other = PointCloud(rng.standard_normal(shape)[:20] + 0.3, kind, norm_kind, horizon_T=1.0)
+    d = full_distance_matrix(pts, pts, norm_kind)
+    eps = float(np.quantile(d[d > 0], 0.2))
+
+    greedy: list[int] = []
+    for i in range(len(pts)):
+        if all(d[i, j] >= eps for j in greedy):
+            greedy.append(i)
+    assert greedy_net(cloud, eps).net_indices == greedy
+    assert packing_number(cloud, eps) == len(greedy)
+
+    fps, nearest = [0], d[0].copy()
+    while nearest.max() > eps:
+        fps.append(int(np.argmax(nearest)))
+        nearest = np.minimum(nearest, d[fps[-1]])
+    assert fps_covering_net(cloud, eps).net_indices == fps
+
+    centers = [0, 11, 23]
+    radius = d[:, centers].min(axis=1).max()
+    assert verify_coverage(cloud, pts[centers], radius * (1 + 1e-9), slack=0.0)
+    assert not verify_coverage(cloud, pts[centers], radius * (1 - 1e-6), slack=0.0)
+
+    cross = full_distance_matrix(pts, other.points, norm_kind)
+    expected = max(cross.min(axis=1).max(), cross.min(axis=0).max())
+    assert hausdorff_distance(cloud, other) == pytest.approx(expected, rel=1e-12)
+    assert hausdorff_distance(other, cloud) == hausdorff_distance(cloud, other)
+
+
 class TestEvaluationAndImage:
     def test_constant_trajectory_evaluation(self):
         x = constant_trajectory(StateVector([2.0, 1.0]), 1.0, 16)

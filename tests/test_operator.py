@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mildsolve import (
     TrajectoryGrid,
     bilinear_field,
     bind_operator,
+    certify,
     certify_hidden_contraction,
     certify_omega_contraction,
     constant_field,
@@ -196,6 +198,21 @@ class TestHiddenCertificate:
         assert small.N == 1 and small.rate_C == pytest.approx(0.5)
         zero = certify_hidden_contraction(1.0, 1.0, 0.0, 0.0, 1.0)
         assert zero.N == 1 and zero.rate_C == 0.0
+
+    def test_n_matches_linear_scan(self):
+        # N(base) is the first n >= 1 with n log(base) - lgamma(n + 1) < 0
+        bases = list(np.geomspace(1e-3, 3e4, 400)) + [1.0, math.e, 2.0, 10.0]
+        for base in map(float, bases):
+            n = 1
+            while n * math.log(base) - math.lgamma(n + 1) >= 0.0:
+                n += 1
+            assert certify_hidden_contraction(base, 1.0, 0.0, 1.0, 1.0).N == n
+
+    def test_omega_overflow_falls_back_promptly(self):
+        start = time.perf_counter()
+        cert = certify(2.0, 1e200, 1.0, 0.0, 1.0, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert cert.mode == "hidden" and cert.N > 1e200
 
     def test_factorial_iterate_bound(self, rng):
         # 50 random pairs, all iterate orders up to N

@@ -7,12 +7,12 @@ from mildsolve import (
     StateVector,
     VerificationError,
     bilinear_field,
+    certify,
     certify_hidden_contraction,
     compactness_diagnostic,
     constant_field,
     convolution_compactness_check,
     counterexample_report,
-    default_certificate,
     diagonal_semigroup,
     evaluation_set,
     field_value_cloud,
@@ -40,7 +40,7 @@ class TestSampleReachset:
         sg = diagonal_semigroup([0.0])
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
-        cert = default_certificate(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         sample = sample_reachset(xi0, 2.0, 1.0, 1.0, 40, 11, [f], sg, cert, 256)
         vals = sample.endpoints.points[:, 0]
         assert vals.max() <= math.exp(1.0) * (1 + 1e-6)
@@ -50,7 +50,7 @@ class TestSampleReachset:
         sg = diagonal_semigroup([0.0])
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
-        cert = default_certificate(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        cert = certify(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         sample = sample_reachset(xi0, 1.0, 1.0, 1.0, 60, 5, [f], sg, cert, 128)
         radius = gronwall_radius(xi0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
         assert np.abs(sample.endpoints.points - 1.0).max() < radius
@@ -93,7 +93,7 @@ class TestCompactnessDiagnostic:
                                      T=1.0, count=50, seed=7, n_t=64,
                                      xi0_scale=1.0, cloud_budget=2000)
         sg, f, xi0 = _heat_system(1, 1.0)
-        cert = default_certificate(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        cert = certify(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         sample = sample_reachset(xi0, 1.0, 1.0, 1.0, 50, 7, [f], sg, cert, 64,
                                  tol=1e-4)
         vals = sample.endpoints.points[:, 0]
@@ -197,8 +197,7 @@ class TestGammaApproximation:
 
 class TestConvolutionCheck:
     def _sample(self, field, sg, xi0, p, r, count, n_t, seed):
-        cert = default_certificate(p, r, sg.class_M, sg.class_mu,
-                                   field.lipschitz_L, 1.0)
+        cert = certify(p, r, sg.class_M, sg.class_mu, field.lipschitz_L, 1.0)
         return sample_reachset(xi0, p, r, 1.0, count, seed, [field], sg, cert, n_t)
 
     def test_constant_field_identity_semigroup_exact(self):

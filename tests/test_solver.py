@@ -301,8 +301,7 @@ def test_solve_batch_matches_sequential_and_orders_by_index():
             controls.insert(3, controls[0].scaled(0.0))
         seq = [picard_solve(xi0, u, fields, sg, cert) for u in controls]
         rows = []
-        par = solve_batch(xi0, controls, [counted(fields[0], rows)] + fields[1:], sg, cert,
-                          threads=4)
+        par = solve_batch(xi0, controls, [counted(fields[0], rows)] + fields[1:], sg, cert)
         assert len(par) == len(controls)
         # F runs on each control exactly as often as its stop index needs,
         # and at least through the first step's window of 2N - 1
@@ -329,4 +328,4 @@ def test_solve_batch_attaches_control_index_on_error():
     cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
     controls = [constant_control(0.5, 16), constant_control(3.0, 16)]
     with pytest.raises(RuntimeError, match="control #1"):
-        solve_batch(xi0, controls, [f], sg, cert, threads=1)
+        solve_batch(xi0, controls, [f], sg, cert)
