@@ -46,6 +46,7 @@ from .compactness import (
     cloud_to_csv,
     collection_union_nets,
     covering_net,
+    covering_sizes,
     evaluation_set,
     fps_covering_net,
     interval_covering_net,

@@ -88,7 +88,13 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
     cert = build_certificate(cfg)
 
     if args.control is not None:
-        u = control_from_csv(args.control, horizon_T=cfg.horizon_T)
+        try:
+            u = control_from_csv(args.control, horizon_T=cfg.horizon_T)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"control {args.control}: {exc}") from exc
+        if u.channels != len(fields):
+            raise ConfigError(f"control {args.control} has {u.channels} channels, "
+                              f"the system has {len(fields)} fields")
     else:
         u = sample_ball(cfg.p, cfg.radius, cfg.horizon_T, len(fields),
                         cfg.n_t, 1, args.seed if args.seed is not None else cfg.seed)[0]

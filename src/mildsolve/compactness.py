@@ -143,8 +143,8 @@ def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]
     """Index-order greedy s-separated subset of `indices`.
 
     A point joins iff its distance to every chosen point is >= s.  Distances
-    are symmetric bit for bit (`vector_norm` takes abs first), so the running
-    minimum over the chosen points decides exactly that test.
+    are symmetric bit for bit (`vector_norm` is even in each coordinate), so
+    the running minimum over the chosen points decides exactly that test.
     """
     min_dist = np.full(cloud.size, np.inf)
     chosen: list[int] = []
@@ -171,25 +171,41 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
     return NetReport(epsilon, net, len(net), len(net))
 
 
-def fps_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
-    """Farthest-point (Gonzalez) net: refine until the coverage radius is <= epsilon.
+def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Farthest-point (Gonzalez) order read off at every radius of a decreasing ladder.
 
-    Centers are added at the currently worst-covered point, so the report's
-    covering_size tracks the k-center optimum within a factor of two; this is
-    the covering-number estimate used by the reachability diagnostics.
+    Centers are added at the currently worst-covered point, starting from
+    point 0.  The order does not depend on the radius, so each radius
+    continues from where the previous one stopped: its covering size is the
+    first prefix whose coverage radius is <= eps.  Returns the centers of
+    the finest covering and the size at each radius.  Once every point is a
+    center the coverage radius is 0 and later radii add nothing.
     """
-    if epsilon <= 0:
+    if ladder[-1] <= 0:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
     net = [0]
     min_dist = _nearest(cloud, cloud.points[:1])
-    while True:
+    sizes = []
+    for eps in ladder:
         far = int(np.argmax(min_dist))
-        if min_dist[far] <= epsilon:
-            break
-        net.append(far)
-        _nearest(cloud, cloud.points[far:far + 1], min_dist)
+        while min_dist[far] > eps:
+            net.append(far)
+            _nearest(cloud, cloud.points[far:far + 1], min_dist)
+            far = int(np.argmax(min_dist))
+        sizes.append(len(net))
+    return net, sizes
+
+
+def fps_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
+    """Farthest-point net: refine until the coverage radius is <= epsilon.
+
+    The covering_size tracks the k-center optimum within a factor of two;
+    this is the covering-number estimate used by the reachability
+    diagnostics.
+    """
+    net, _ = _farthest_point(cloud, [epsilon])
     return NetReport(epsilon, net, len(net), len(net))
 
 
@@ -228,6 +244,17 @@ def covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
     if cloud.metric_kind == "state_norm" and cloud.points.shape[1] == 1:
         return interval_covering_net(cloud, epsilon)
     return fps_covering_net(cloud, epsilon)
+
+
+def covering_sizes(cloud: PointCloud, ladder: Sequence[float]) -> list[int]:
+    """``covering_net(cloud, eps).covering_size`` for every eps of a strictly
+    decreasing ladder, from one farthest-point pass outside dimension one."""
+    ladder = list(ladder)
+    if not ladder or any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
+        raise ValueError("eps ladder must be nonempty and strictly decreasing")
+    if cloud.metric_kind == "state_norm" and cloud.points.shape[1] == 1:
+        return [interval_covering_net(cloud, eps).covering_size for eps in ladder]
+    return _farthest_point(cloud, ladder)[1]
 
 
 def packing_number(cloud: PointCloud, s: float) -> int:

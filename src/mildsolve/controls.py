@@ -51,15 +51,21 @@ def lp_norm(u: Control, p: float) -> float:
     """Exact L^p norm of the piecewise-constant signal, channels summed.
 
     Per channel |u_i|_p = (sum_cells |value|^p * T/n_t)^(1/p) (max for
-    p = inf); channels combine as sum_i |u_i|_p.
+    p = inf); channels combine as sum_i |u_i|_p.  A channel whose direct
+    sum overflows is summed again with its maximum factored out.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     a = np.abs(u.values)
     if np.isinf(p):
-        per_channel = a.max(axis=1)
-    else:
+        return float(a.max(axis=1).sum())
+    with np.errstate(over="ignore"):
         per_channel = (np.sum(a ** p, axis=1) * u.cell_width) ** (1.0 / p)
+    big = ~np.isfinite(per_channel)
+    if big.any():
+        scale = a[big].max(axis=1)
+        scaled = a[big] / scale[:, None]
+        per_channel[big] = scale * (np.sum(scaled ** p, axis=1) * u.cell_width) ** (1.0 / p)
     return float(per_channel.sum())
 
 

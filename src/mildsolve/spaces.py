@@ -29,12 +29,11 @@ def check_norm_kind(norm_kind: NormKind) -> NormKind:
 
 def vector_norm(coords: np.ndarray, norm_kind: NormKind) -> np.ndarray:
     """p-norm along the last axis (works on single vectors and batches)."""
-    a = np.abs(np.asarray(coords, dtype=float))
-    if norm_kind == 1:
-        return a.sum(axis=-1)
-    if norm_kind == 2:
-        return np.sqrt((a * a).sum(axis=-1))
-    return a.max(axis=-1)
+    x = np.asarray(coords, dtype=float)
+    if norm_kind == 2:  # x * x == |x| * |x| bit for bit: no abs pass
+        return np.sqrt(np.square(x).sum(axis=-1))
+    a = np.abs(x)
+    return a.sum(axis=-1) if norm_kind == 1 else a.max(axis=-1)
 
 
 def operator_norm(matrix: np.ndarray, norm_kind: NormKind) -> float:

@@ -126,6 +126,31 @@ class TestSolve:
                      "--control", str(control_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("header, rows", [
+        (["t_start", "u0", "u1"], [[j / 10.0, 0.1, 0.2] for j in range(10)]),
+        (["t_start", "u0"], [[j / 10.0, "nan" if j == 3 else 0.1] for j in range(10)]),
+        (["t_start", "u0"], [[t, 0.1] for t in (0.0, 0.1, 0.3, 0.4)]),
+    ], ids=["channels", "non-finite", "non-uniform-grid"])
+    def test_bad_control_file_is_config_error(self, tmp_path, header, rows):
+        cfg = write_config(tmp_path, scalar_system())
+        control_path = tmp_path / "u.csv"
+        with open(control_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--control", str(control_path)]) == 2
+        assert not out.exists()
+
+    def test_huge_radius_sample_solves(self, tmp_path):
+        cfg_data = scalar_system(control={"p": 2, "r": 1e200})
+        cfg_data["system"]["fields"] = [{"kind": "constant", "vector": [1.0]}]
+        cfg_data["system"]["norm_kind"] = 1  # states reach ~1e200: no squares there
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        norm = load_json(out / "solve.json")["control_lp_norm"]
+        assert 0.0 < norm <= 1e200
+
     def test_seed_flag_changes_sampled_control(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -138,6 +163,9 @@ class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == 2
+        cfg = write_config(tmp_path, scalar_system())
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--control", str(tmp_path / "nope.csv")]) == 2
 
     def test_invalid_values(self, tmp_path):
         bad = scalar_system()

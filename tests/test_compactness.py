@@ -12,6 +12,8 @@ from mildsolve import (
     collection_union_nets,
     constant_field,
     constant_trajectory,
+    covering_net,
+    covering_sizes,
     diagonal_semigroup,
     evaluation_set,
     fps_covering_net,
@@ -102,10 +104,19 @@ class TestCoveringNets:
             assert verify_coverage(cloud, cloud.points[np.array(report.net_indices)], eps)
 
     def test_fps_monotone_in_eps(self, rng):
+        ladder = (1.6, 0.8, 0.4, 0.2, 0.1)
         cloud = state_cloud(rng.standard_normal((300, 4)))
-        sizes = [fps_covering_net(cloud, eps).covering_size
-                 for eps in (1.6, 0.8, 0.4, 0.2, 0.1)]
+        sizes = [fps_covering_net(cloud, eps).covering_size for eps in ladder]
         assert sizes == sorted(sizes)
+        assert covering_sizes(cloud, ladder) == sizes
+        line = state_cloud(rng.uniform(0.0, 4.0, size=(200, 1)))  # interval sweep
+        assert covering_sizes(line, ladder) == [covering_net(line, eps).covering_size
+                                                for eps in ladder]
+        for bad in [(0.4, 0.4), (0.2, 0.4), ()]:
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                covering_sizes(cloud, bad)
+        with pytest.raises(ValueError, match="epsilon"):
+            covering_sizes(cloud, (0.1, 0.0))
 
 
 class TestPackingNumber:
@@ -175,11 +186,20 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     assert greedy_net(cloud, eps).net_indices == greedy
     assert packing_number(cloud, eps) == len(greedy)
 
-    fps, nearest = [0], d[0].copy()
-    while nearest.max() > eps:
-        fps.append(int(np.argmax(nearest)))
-        nearest = np.minimum(nearest, d[fps[-1]])
-    assert fps_covering_net(cloud, eps).net_indices == fps
+    def fps(e):
+        net, nearest = [0], d[0].copy()
+        while nearest.max() > e:
+            net.append(int(np.argmax(nearest)))
+            nearest = np.minimum(nearest, d[net[-1]])
+        return net
+
+    assert fps_covering_net(cloud, eps).net_indices == fps(eps)
+    # down to below the smallest gap: every point but the duplicate is a center
+    ladder = [4 * eps, 2 * eps, eps, eps / 2, d[d > 0].min() / 2, d[d > 0].min() / 4]
+    sizes = covering_sizes(cloud, ladder)
+    assert sizes == [covering_net(cloud, e).covering_size for e in ladder]
+    assert sizes == [len(fps(e)) for e in ladder]
+    assert sizes[-2:] == [len(pts) - 1] * 2
 
     centers = [0, 11, 23]
     radius = d[:, centers].min(axis=1).max()

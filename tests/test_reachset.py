@@ -13,6 +13,7 @@ from mildsolve import (
     constant_field,
     convolution_compactness_check,
     counterexample_report,
+    dense_semigroup,
     diagonal_semigroup,
     evaluation_set,
     field_value_cloud,
@@ -22,7 +23,9 @@ from mildsolve import (
     semigroup_orbit,
     state_cloud,
 )
-from mildsolve.reachset import ReachSetSample, _heat_system
+from mildsolve.operator import semigroup_act, semigroup_step
+from mildsolve.reachset import ReachSetSample, _build_gamma_table, _heat_system, _verify_gamma
+from mildsolve.spaces import vector_norm
 
 
 class TestSampleReachset:
@@ -185,6 +188,23 @@ class TestGammaApproximation:
         j = table.state_cell(cloud.points)
         assert np.all(j >= 1)
         assert table.values.shape == (table.n_time_cells, table.n_state_cells, 1)
+
+    @pytest.mark.parametrize("sg", [diagonal_semigroup([-1.0, -3.0]),
+                                    dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)],
+                             ids=["diagonal", "dense"])
+    def test_verification_matches_per_time_reference(self, sg, rng):
+        cloud = state_cloud(rng.uniform(-1.0, 1.0, size=(80, 2)))
+        table = _build_gamma_table(sg, cloud, 1.0, 0.1, 0.3)
+        assert table.n_state_cells > 1
+        times = np.union1d(np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 7))
+        j = table.state_cell(cloud.points)
+        worst = 0.0
+        for t in times:
+            truth = semigroup_act(semigroup_step(sg, float(t)), cloud.points)
+            approx = table.values[int(table.time_cell(t)) - 1, j - 1]
+            worst = max(worst, float(vector_norm(truth - approx, 2).max()))
+        for order in (times, rng.permutation(times)):
+            assert _verify_gamma(sg, cloud, table, order) == (worst, len(times) * 80)
 
     def test_determinism(self):
         sg = diagonal_semigroup([-2.0])
