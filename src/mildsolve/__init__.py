@@ -33,6 +33,7 @@ from .operator import (
 )
 from .solver import (
     CertificateRadiusError,
+    NonFiniteIterateError,
     SolveResult,
     cutoff_field,
     gronwall_radius,

@@ -33,7 +33,7 @@ from .reachset import (
     gamma_approximation,
     sample_reachset,
 )
-from .solver import CertificateRadiusError, picard_solve
+from .solver import CertificateRadiusError, NonFiniteIterateError, picard_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,10 +100,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
                         cfg.n_t, 1, args.seed if args.seed is not None else cfg.seed)[0]
     result = picard_solve(xi0, u, fields, sg, cert, tol=cfg.tol)
     traj = result.trajectory
-    rows = [[repr(float(t))] + [repr(float(v)) for v in state]
-            for t, state in zip(traj.times, traj.states)]
-    _write_csv(out_dir / "trajectory.csv",
-               ["t"] + [f"x{i}" for i in range(traj.dim)], rows)
+    _write_csv(out_dir / "trajectory.csv", ["t"] + [f"x{i}" for i in range(traj.dim)],
+               np.column_stack([traj.times, traj.states]).tolist())  # csv writes repr
     control_to_csv(u, out_dir / "control.csv")
     _write_json(out_dir / "solve.json", {
         "iterations": result.iterations,
@@ -258,7 +256,8 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError,
+            NonFiniteIterateError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except RuntimeError as exc:

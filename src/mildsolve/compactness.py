@@ -58,9 +58,16 @@ class PointCloud:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def distances_to(self, q: np.ndarray) -> np.ndarray:
-        """Distances from every cloud point to the single point q."""
-        d = vector_norm(self.points - q, self.norm_kind)
+    def distances_to(self, q: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """Distances from every cloud point to the single point q.
+
+        `scratch`, of shape (2,) + points.shape, takes the differences and
+        their elementwise pass (a new one is made when it is None).
+        """
+        if scratch is None:
+            scratch = np.empty((2,) + self.points.shape)
+        diff = np.subtract(self.points, q, out=scratch[0])
+        d = vector_norm(diff, self.norm_kind, scratch[1])
         return d.max(axis=-1) if self.metric_kind == "sup_norm" else d
 
     def trajectory(self, i: int) -> TrajectoryGrid:
@@ -128,14 +135,17 @@ def _dedup_indices(cloud: PointCloud) -> np.ndarray:
     return np.sort(first)
 
 
-def _nearest(cloud: PointCloud, centers: np.ndarray,
-             min_dist: np.ndarray | None = None) -> np.ndarray:
+def _nearest(cloud: PointCloud, centers: np.ndarray, min_dist: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Distance from every cloud point to its nearest center, as a running
-    minimum updated in place (started at infinity when `min_dist` is None)."""
+    minimum updated in place (started at infinity when `min_dist` is None).
+    Every sweep reuses `scratch` (see `PointCloud.distances_to`)."""
     if min_dist is None:
         min_dist = np.full(cloud.size, np.inf)
+    if scratch is None:
+        scratch = np.empty((2,) + cloud.points.shape)
     for c in centers:
-        np.minimum(min_dist, cloud.distances_to(c), out=min_dist)
+        np.minimum(min_dist, cloud.distances_to(c, scratch), out=min_dist)
     return min_dist
 
 
@@ -147,11 +157,12 @@ def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]
     the running minimum over the chosen points decides exactly that test.
     """
     min_dist = np.full(cloud.size, np.inf)
+    scratch = np.empty((2,) + cloud.points.shape)
     chosen: list[int] = []
     for i in indices:
         if min_dist[i] >= s:
             chosen.append(int(i))
-            _nearest(cloud, cloud.points[i:i + 1], min_dist)
+            _nearest(cloud, cloud.points[i:i + 1], min_dist, scratch)
     return chosen
 
 
@@ -178,22 +189,35 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
     point 0.  The order does not depend on the radius, so each radius
     continues from where the previous one stopped: its covering size is the
     first prefix whose coverage radius is <= eps.  Returns the centers of
-    the finest covering and the size at each radius.  Once every point is a
-    center the coverage radius is 0 and later radii add nothing.
+    the finest covering and the size at each radius.
+
+    A point within the finest radius of the net, every center included, can
+    never be picked again, so the sweeps skip it: the live points are kept in
+    index order (argmax ties resolve as over the whole cloud) and compacted
+    once an eighth of them is dead.  Once no point is live, the remaining
+    radii add nothing.
     """
     if ladder[-1] <= 0:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    net = [0]
-    min_dist = _nearest(cloud, cloud.points[:1])
-    sizes = []
+    scratch = np.empty((2,) + cloud.points.shape)
+    live, live_cloud = np.arange(cloud.size), cloud
+    min_dist = _nearest(cloud, cloud.points[:1], scratch=scratch)
+    net, sizes = [0], []
     for eps in ladder:
-        far = int(np.argmax(min_dist))
-        while min_dist[far] > eps:
-            net.append(far)
-            _nearest(cloud, cloud.points[far:far + 1], min_dist)
+        while live.size:
             far = int(np.argmax(min_dist))
+            if min_dist[far] <= eps:
+                break
+            net.append(int(live[far]))
+            _nearest(live_cloud, live_cloud.points[far:far + 1], min_dist, scratch)
+            dead = min_dist <= ladder[-1]
+            if 8 * np.count_nonzero(dead) >= live.size:
+                live, min_dist = live[~dead], min_dist[~dead]
+                live_cloud = PointCloud(live_cloud.points[~dead], cloud.metric_kind,
+                                        cloud.norm_kind, cloud.horizon_T)
+                scratch = scratch[:, :live.size]
         sizes.append(len(net))
     return net, sizes
 

@@ -25,6 +25,9 @@ from .spaces import (
     heat_semigroup,
 )
 
+# libyaml's parser when it is installed; both build the same Python objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -54,7 +57,7 @@ class RunConfig:
     def from_file(path) -> "RunConfig":
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=_YAML_LOADER)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except yaml.YAMLError as exc:

@@ -116,9 +116,9 @@ def control_to_csv(u: Control, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_start"] + [f"u{i}" for i in range(u.channels)])
-        h = u.cell_width
-        for j in range(u.n_t):
-            writer.writerow([repr(j * h)] + [repr(float(v)) for v in u.values[:, j]])
+        # csv writes a float as its repr
+        starts = np.arange(u.n_t) * u.cell_width
+        writer.writerows(np.column_stack([starts, u.values.T]).tolist())
 
 
 def control_from_csv(path, horizon_T: float | None = None) -> Control:

@@ -104,19 +104,36 @@ def semigroup_act(step: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * step if step.ndim == 1 else y @ step
 
 
-def semigroup_scan(step: np.ndarray, y: np.ndarray) -> np.ndarray:
+def scan_powers(step: np.ndarray, length: int) -> list[np.ndarray]:
+    """The factors E^d of the doubling passes d = 1, 2, 4, ... < length.
+
+    A diagonal E^d is tiled once into a contiguous (1, length - d, n) table:
+    multiplying a (B, length - d, n) slab by it runs over (length - d) n
+    contiguous elements per row instead of n at a time.  A matrix E^d stays.
+    """
+    powers, d, power = [], 1, step
+    while d < length:
+        powers.append(power if step.ndim == 2 else np.tile(power, (1, length - d, 1)))
+        d *= 2
+        if d < length:
+            power = semigroup_act(power, power)
+    return powers
+
+
+def semigroup_scan(powers: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
     """In place along axis 1 of a (B, L, n) stack: y_j <- sum_{c<=j} E^{j-c} y_c.
 
     Log-depth doubling scan: after the pass with offset d each entry sums
     its last 2d inputs, so ceil(log2 L) passes of y[:, d:] += E^d y[:, :-d]
-    replace the L-step recurrence.  `step` is E from `semigroup_step`.
+    replace the L-step recurrence.  `powers` is `scan_powers(E, L)`.
     """
-    d, power = 1, step
-    while d < y.shape[1]:
-        y[:, d:] += semigroup_act(power, y[:, :-d])
-        d *= 2
-        if d < y.shape[1]:
-            power = semigroup_act(power, power)
+    scratch = np.empty_like(y)
+    for k, power in enumerate(powers):
+        d = 1 << k
+        if power.ndim == 2:
+            y[:, d:] += y[:, :-d] @ power
+        else:
+            y[:, d:] += np.multiply(y[:, :-d], power, out=scratch[:, d:])
     return y
 
 
@@ -128,14 +145,15 @@ def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> Traj
     else:
         y = np.zeros((1, n_t + 1, sg.dim))
         y[0, 0] = xi0.coords
-        states = semigroup_scan(semigroup_step(sg, T / n_t), y)[0]
+        states = semigroup_scan(scan_powers(semigroup_step(sg, T / n_t), n_t + 1), y)[0]
     return TrajectoryGrid(T, states, xi0.norm_kind)
 
 
 class BatchOperator:
     """The discretized F(x, u) on the grid t_j = j T / n_t, applied to stacks.
 
-    The orbit e^{At} xi0, the grid times and E = e^{Ah} are computed once.
+    The orbit e^{At} xi0, the grid times and the scan factors of E = e^{Ah}
+    are computed once.
     """
 
     def __init__(self, xi0: StateVector, fields: Sequence[VectorField],
@@ -145,7 +163,7 @@ class BatchOperator:
         self.fields = list(fields)
         self.h = T / n_t
         self.times = np.linspace(0.0, T, n_t + 1)
-        self.step = semigroup_step(sg, self.h)
+        self.powers = scan_powers(semigroup_step(sg, self.h), n_t + 1)
         self.orbit = semigroup_orbit(sg, xi0, T, n_t)
 
     def __call__(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -159,8 +177,13 @@ class BatchOperator:
         y = np.zeros(states.shape)
         for i, f in enumerate(self.fields):
             y[:, 1:] += values[:, i, :, None] * f(cell_times, cell_states).reshape(y[:, 1:].shape)
-        y[:, 1:] = semigroup_act(self.step, self.h * y[:, 1:])
-        semigroup_scan(self.step, y)
+        inputs = y[:, 1:]
+        inputs *= self.h
+        if self.powers[0].ndim == 2:
+            y[:, 1:] = inputs @ self.powers[0]
+        else:  # a diagonal E multiplies in place
+            inputs *= self.powers[0]
+        semigroup_scan(self.powers, y)
         y += self.orbit.states
         return y
 

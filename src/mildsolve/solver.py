@@ -33,6 +33,10 @@ class CertificateRadiusError(ValueError):
     """Control norm exceeds the radius the certificate was issued for."""
 
 
+class NonFiniteIterateError(ValueError):
+    """A Picard iterate left the finite floats: a numeric failure."""
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Fixed point plus the iteration diagnostics that certify it."""
@@ -76,7 +80,8 @@ def _solve_chunk(apply_F: BatchOperator, xi0: StateVector, controls: Sequence[Co
         step_gaps = dist(nxt, cur)
         bad = ~np.isfinite(step_gaps)
         if bad.any():
-            raise fail(order[np.argmax(bad)], ValueError("trajectory states must be finite"))
+            raise fail(order[np.argmax(bad)],
+                       NonFiniteIterateError("trajectory states must be finite"))
         for b, g in zip(order, step_gaps.tolist()):
             gaps[b].append(g)
         return nxt

@@ -27,13 +27,31 @@ def check_norm_kind(norm_kind: NormKind) -> NormKind:
     return norm_kind
 
 
-def vector_norm(coords: np.ndarray, norm_kind: NormKind) -> np.ndarray:
-    """p-norm along the last axis (works on single vectors and batches)."""
+def vector_norm(coords: np.ndarray, norm_kind: NormKind,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """p-norm along the last axis (works on single vectors and batches).
+
+    `scratch`, a float array shaped like `coords` and distinct from it, takes
+    the elementwise pass instead of a new array.  A finite row whose direct
+    sum overflows is summed again with its max-abs factored out.
+    """
     x = np.asarray(coords, dtype=float)
-    if norm_kind == 2:  # x * x == |x| * |x| bit for bit: no abs pass
-        return np.sqrt(np.square(x).sum(axis=-1))
-    a = np.abs(x)
-    return a.sum(axis=-1) if norm_kind == 1 else a.max(axis=-1)
+    if norm_kind == np.inf:
+        return np.abs(x, out=scratch).max(axis=-1)
+    with np.errstate(over="ignore"):
+        if norm_kind == 2:  # x * x == |x| * |x| bit for bit: no abs pass
+            r = np.sqrt(np.square(x, out=scratch).sum(axis=-1))
+        else:
+            r = np.abs(x, out=scratch).sum(axis=-1)
+        bad = ~np.isfinite(r)
+        if not bad.any():
+            return r
+        r = np.array(r)
+        bad &= np.isfinite(x).all(axis=-1)
+        rows = x[bad]
+        scale = np.abs(rows).max(axis=-1, keepdims=True)
+        r[bad] = scale[..., 0] * vector_norm(rows / scale, norm_kind)
+    return r[()]
 
 
 def operator_norm(matrix: np.ndarray, norm_kind: NormKind) -> float:

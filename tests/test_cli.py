@@ -141,15 +141,23 @@ class TestSolve:
                      "--control", str(control_path)]) == 2
         assert not out.exists()
 
-    def test_huge_radius_sample_solves(self, tmp_path):
-        cfg_data = scalar_system(control={"p": 2, "r": 1e200})
-        cfg_data["system"]["fields"] = [{"kind": "constant", "vector": [1.0]}]
-        cfg_data["system"]["norm_kind"] = 1  # states reach ~1e200: no squares there
-        cfg = write_config(tmp_path, cfg_data)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        norm = load_json(out / "solve.json")["control_lp_norm"]
-        assert 0.0 < norm <= 1e200
+    def test_huge_radius_sample_solves(self, tmp_path, capsys):
+        # states reach ~1e200, whose squares overflow: the 2-norm gap rescales
+        for norm_kind in (1, 2):
+            cfg_data = scalar_system(control={"p": 2, "r": 1e200})
+            cfg_data["system"]["fields"] = [{"kind": "constant", "vector": [1.0]}]
+            cfg_data["system"]["norm_kind"] = norm_kind
+            cfg = write_config(tmp_path, cfg_data, name=f"norm{norm_kind}.yaml")
+            out = tmp_path / f"out{norm_kind}"
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            norm = load_json(out / "solve.json")["control_lp_norm"]
+            assert 0.0 < norm <= 1e200
+            assert all(math.isfinite(g) for g in load_json(out / "solve.json")["iterate_gaps"])
+        # states beyond the largest float: a numeric failure, not a traceback
+        cfg_data["system"]["fields"] = [{"kind": "constant", "vector": [1e300]}]
+        cfg = write_config(tmp_path, cfg_data, name="overflow.yaml")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_seed_flag_changes_sampled_control(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system())

@@ -29,7 +29,7 @@ from mildsolve import (
     sup_norm,
     trajectory_cloud,
 )
-from mildsolve.compactness import PointCloud, verify_coverage
+from mildsolve.compactness import PointCloud, _farthest_point, verify_coverage
 from mildsolve.operator import TrajectoryGrid
 
 from conftest import random_trajectory
@@ -105,10 +105,23 @@ class TestCoveringNets:
 
     def test_fps_monotone_in_eps(self, rng):
         ladder = (1.6, 0.8, 0.4, 0.2, 0.1)
-        cloud = state_cloud(rng.standard_normal((300, 4)))
+        pts = rng.standard_normal((300, 4))
+        cloud = state_cloud(pts)
         sizes = [fps_covering_net(cloud, eps).covering_size for eps in ladder]
         assert sizes == sorted(sizes)
         assert covering_sizes(cloud, ladder) == sizes
+        # a doubled integer lattice: ties everywhere, censored below the spacing
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1).reshape(-1, 2)
+        lattice = np.concatenate([grid, grid[::-1]])
+        fine = (3.0, 2.0, 1.5, 1.0, 0.5, 0.25)
+        for norm_kind in (1, 2, np.inf):
+            for points, rungs in [(pts, ladder), (lattice, fine)]:
+                d = full_distance_matrix(points, points, norm_kind)
+                normed = state_cloud(points, norm_kind)
+                assert _farthest_point(normed, rungs) == full_sweep_fps(d, rungs)
+                for eps in rungs:  # one-rung ladders
+                    assert fps_covering_net(normed, eps).net_indices == full_sweep_fps(d, [eps])[0]
+            assert covering_sizes(state_cloud(lattice, norm_kind), fine)[-2:] == [25, 25]
         line = state_cloud(rng.uniform(0.0, 4.0, size=(200, 1)))  # interval sweep
         assert covering_sizes(line, ladder) == [covering_net(line, eps).covering_size
                                                 for eps in ladder]
@@ -168,6 +181,17 @@ def full_distance_matrix(a, b, norm_kind):
     return d.reshape(len(a), len(b), -1).max(axis=-1)
 
 
+def full_sweep_fps(d, ladder):
+    """Farthest-point net and sizes along a ladder, every sweep over the whole cloud."""
+    net, nearest, sizes = [0], d[0].copy(), []
+    for e in ladder:
+        while nearest.max() > e:
+            net.append(int(np.argmax(nearest)))
+            nearest = np.minimum(nearest, d[net[-1]])
+        sizes.append(len(net))
+    return net, sizes
+
+
 @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
 @pytest.mark.parametrize("shape", [(60, 3), (30, 9, 2)], ids=["states", "trajectories"])
 def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
@@ -187,11 +211,7 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     assert packing_number(cloud, eps) == len(greedy)
 
     def fps(e):
-        net, nearest = [0], d[0].copy()
-        while nearest.max() > e:
-            net.append(int(np.argmax(nearest)))
-            nearest = np.minimum(nearest, d[net[-1]])
-        return net
+        return full_sweep_fps(d, [e])[0]
 
     assert fps_covering_net(cloud, eps).net_indices == fps(eps)
     # down to below the smallest gap: every point but the duplicate is a center
@@ -200,6 +220,9 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     assert sizes == [covering_net(cloud, e).covering_size for e in ladder]
     assert sizes == [len(fps(e)) for e in ladder]
     assert sizes[-2:] == [len(pts) - 1] * 2
+    assert _farthest_point(cloud, ladder) == full_sweep_fps(d, ladder)
+    for e in ladder:  # one-rung ladders
+        assert fps_covering_net(cloud, e).net_indices == fps(e)
 
     centers = [0, 11, 23]
     radius = d[:, centers].min(axis=1).max()

@@ -27,7 +27,7 @@ from mildsolve import (
     semigroup_orbit,
     sup_norm,
 )
-from mildsolve.operator import hidden_step_lipschitz
+from mildsolve.operator import BatchOperator, hidden_step_lipschitz
 from mildsolve.spaces import vector_norm
 
 from conftest import constant_control, random_trajectory
@@ -113,6 +113,39 @@ class TestIntegralOperator:
         expected = expected + np.array(
             [h * np.dot(lags[j - np.arange(j)], g[:j]) for j in range(n_t + 1)])
         assert np.allclose(fast.states[:, 0], expected, atol=1e-10)
+
+    @pytest.mark.parametrize("make_sg", [
+        lambda: heat_semigroup(64),  # E^d falls into the subnormal range
+        lambda: dense_semigroup([[0.0, 1.0], [-1.0, -0.2]], 3.0, 0.5),
+    ], ids=["heat64", "dense"])
+    def test_batch_matches_broadcast_scan_bitwise(self, make_sg, rng):
+        sg = make_sg()
+        dim, n_t, T = sg.dim, 128, 1.0
+        fields = [bilinear_field(np.eye(dim)), constant_field(rng.standard_normal(dim))]
+        xi0 = StateVector(rng.standard_normal(dim))
+        op = BatchOperator(xi0, fields, sg, T, n_t)
+        h = T / n_t
+        step = np.exp(sg.eigenvalues * h) if sg.is_diagonal else sg.matrix_exp(h).T
+
+        def act(power, y):
+            return y * power if power.ndim == 1 else y @ power
+
+        for batch in (1, 3, 15):
+            states = rng.standard_normal((batch, n_t + 1, dim))
+            values = rng.standard_normal((batch, 2, n_t))
+            cell_times = np.tile(op.times[:-1], batch)
+            y = np.zeros(states.shape)
+            for i, f in enumerate(fields):
+                g = f(cell_times, states[:, :-1].reshape(-1, dim)).reshape(y[:, 1:].shape)
+                y[:, 1:] += values[:, i, :, None] * g
+            y[:, 1:] = act(step, h * y[:, 1:])
+            d, power = 1, step  # the doubling scan with an (n,) factor broadcast per pass
+            while d < n_t + 1:
+                y[:, d:] += act(power, y[:, :-d])
+                d *= 2
+                power = act(power, power)
+            y += semigroup_orbit(sg, xi0, T, n_t).states
+            assert op(states, values).tobytes() == y.tobytes()
 
     def test_grid_mismatch_rejected(self):
         sg = diagonal_semigroup([0.0])

@@ -24,7 +24,8 @@ from mildsolve import (
     state_cloud,
 )
 from mildsolve.operator import semigroup_act, semigroup_step
-from mildsolve.reachset import ReachSetSample, _build_gamma_table, _heat_system, _verify_gamma
+from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _heat_system,
+                                _sampled_oscillation, _verify_gamma)
 from mildsolve.spaces import vector_norm
 
 
@@ -150,6 +151,25 @@ class TestCounterexample:
             assert rep.eval_covering_size <= math.ceil(1 / (2 * 0.25)) + 1
 
 
+def looped_oscillation(sg, cloud, T, delta, rng, sample_count):
+    """`_sampled_oscillation` with one semigroup action per sample (same draws)."""
+    pts = cloud.points
+    pick = rng.integers(0, pts.shape[0], size=(sample_count, 2))
+    mix = rng.uniform(size=(sample_count, 1))
+    base = mix * pts[pick[:, 0]] + (1.0 - mix) * pts[pick[:, 1]]
+    shift = rng.standard_normal(base.shape)
+    norms = vector_norm(shift, cloud.norm_kind)
+    norms[norms == 0] = 1.0
+    other = base + shift / norms[:, None] * (delta * rng.uniform(size=(sample_count, 1)))
+    ts = rng.uniform(0.0, T, size=sample_count)
+    dts = np.clip(ts + rng.uniform(-delta, delta, size=sample_count), 0.0, T)
+    worst = 0.0
+    for t, td, a, b in zip(ts, dts, base, other):
+        diff = semigroup_act(semigroup_step(sg, td), b) - semigroup_act(semigroup_step(sg, t), a)
+        worst = max(worst, float(vector_norm(diff, cloud.norm_kind)))
+    return worst
+
+
 class TestGammaApproximation:
     def test_identity_semigroup_error_below_delta(self):
         sg = diagonal_semigroup([0.0])
@@ -205,6 +225,16 @@ class TestGammaApproximation:
             worst = max(worst, float(vector_norm(truth - approx, 2).max()))
         for order in (times, rng.permutation(times)):
             assert _verify_gamma(sg, cloud, table, order) == (worst, len(times) * 80)
+        # first-match cells against the stacked (N, M) distances, uncovered states too
+        probe = np.concatenate([cloud.points, cloud.points * 1.5, cloud.points + 2.0])
+        dist = np.stack([vector_norm(probe - c, 2) for c in table.centers], axis=1)
+        inside = dist < table.delta
+        stacked = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, -1)
+        assert np.array_equal(table.state_cell(probe), stacked)
+        assert (stacked == -1).any()
+        # the sampled modulus of continuity against its per-sample loop
+        assert _sampled_oscillation(sg, cloud, 1.0, 0.3, np.random.default_rng(5), 64) \
+            == looped_oscillation(sg, cloud, 1.0, 0.3, np.random.default_rng(5), 64)
 
     def test_determinism(self):
         sg = diagonal_semigroup([-2.0])
