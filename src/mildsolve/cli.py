@@ -34,6 +34,7 @@ from .reachset import (
     sample_reachset,
 )
 from .solver import CertificateRadiusError, NonFiniteIterateError, picard_solve
+from .spaces import Semigroup, VectorField
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,17 +64,20 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def build_certificate(cfg: RunConfig) -> ContractionCertificate:
-    """Certificate for the configured system and control ball (see `certify`)."""
+def build_system(cfg: RunConfig) -> tuple[Semigroup, list[VectorField], ContractionCertificate]:
+    """The configured semigroup and fields, and the certificate for the
+    control ball (see `certify`): built once per command."""
     sg = cfg.build_semigroup()
-    l_bound = max(f.lipschitz_L for f in cfg.build_fields(sg.dim))
-    return certify(cfg.p, cfg.radius, sg.class_M, sg.class_mu, l_bound, cfg.horizon_T,
-                   mode=cfg.solver.get("certificate_mode", "auto"),
-                   target_C=float(cfg.solver.get("target_rate", 0.5)))
+    fields = cfg.build_fields(sg.dim)
+    cert = certify(cfg.p, cfg.radius, sg.class_M, sg.class_mu,
+                   max(f.lipschitz_L for f in fields), cfg.horizon_T,
+                   mode=cfg.solver["certificate_mode"],
+                   target_C=float(cfg.solver["target_rate"]))
+    return sg, fields, cert
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, args) -> int:
-    cert = build_certificate(cfg)
+    cert = build_system(cfg)[2]
     payload = {"certificate": cert.to_dict(), "metadata": _metadata(cfg)}
     _write_json(out_dir / "certificate.json", payload)
     print(f"wrote {out_dir / 'certificate.json'} "
@@ -82,10 +86,8 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, args) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
-    sg = cfg.build_semigroup()
-    fields = cfg.build_fields(sg.dim)
+    sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
-    cert = build_certificate(cfg)
 
     if args.control is not None:
         try:
@@ -119,15 +121,15 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
     diag = cfg.diagnostic
     report = compactness_diagnostic(
-        dims=diag.get("dims", [16, 32, 64]),
-        eps_ladder=diag.get("eps_ladder", [0.1, 0.05, 0.02]),
+        dims=diag["dims"],
+        eps_ladder=diag["eps_ladder"],
         p=cfg.p, r=cfg.radius, T=cfg.horizon_T,
         count=cfg.count,
         seed=args.seed if args.seed is not None else cfg.seed,
-        n_t=int(diag.get("n_t", cfg.n_t)),
-        xi0_scale=float(diag.get("xi0_scale", 0.02)),
-        cloud_budget=int(diag.get("cloud_budget", 4000)),
-        tol=float(diag.get("tol", 1e-4)),
+        n_t=int(diag["n_t"]),
+        xi0_scale=float(diag["xi0_scale"]),
+        cloud_budget=int(diag["cloud_budget"]),
+        tol=float(diag["tol"]),
     )
     _write_csv(out_dir / "diagnostic.csv",
                ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
@@ -143,10 +145,10 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
     block = cfg.counterexample
     report = counterexample_report(
-        n_max=int(block.get("n_max", 128)),
-        n_t=int(block.get("n_t", 1024)),
-        separation=float(block.get("separation", 0.5)),
-        eval_eps=float(block.get("eval_eps", 0.25)),
+        n_max=int(block["n_max"]),
+        n_t=int(block["n_t"]),
+        separation=float(block["separation"]),
+        eval_eps=float(block["eval_eps"]),
     )
     _write_json(out_dir / "counterexample.json", {
         "spike_indices": report.spike_indices,
@@ -163,15 +165,13 @@ def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
 
 
 def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
-    sg = cfg.build_semigroup()
-    fields = cfg.build_fields(sg.dim)
+    sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
-    cert = build_certificate(cfg)
     seed = args.seed if args.seed is not None else cfg.seed
     sample = sample_reachset(xi0, cfg.p, cfg.radius, cfg.horizon_T, cfg.count,
                              seed, fields, sg, cert, cfg.n_t, tol=cfg.tol)
     cloud = field_value_cloud(sample, fields)
-    eps = float(cfg.gamma.get("eps", 0.1))
+    eps = float(cfg.gamma["eps"])
     lag_grid = np.linspace(0.0, cfg.horizon_T, cfg.n_t + 1)
     table = gamma_approximation(sg, cloud, cfg.horizon_T, eps, seed=seed,
                                 extra_verify_times=lag_grid)
@@ -185,12 +185,12 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
         "points_checked": table.verification_points,
         "passed": bool(table.verified_max_error < eps),
     }
-    if cfg.gamma.get("run_convolution_check", True):
+    if cfg.gamma["run_convolution_check"]:
         half = gamma_approximation(sg, cloud, cfg.horizon_T, eps / 2.0,
                                    seed=seed, extra_verify_times=lag_grid)
         conv = convolution_compactness_check(
             sample, half, fields, sg,
-            max_controls=int(cfg.gamma.get("max_controls", 20)))
+            max_controls=int(cfg.gamma["max_controls"]))
         verification["convolution"] = {
             "n_controls": conv.n_controls,
             "max_coefficient": conv.max_coefficient,

@@ -21,8 +21,6 @@ from .controls import Control, lp_norm
 from .operator import ContractionCertificate, TrajectoryGrid
 from .spaces import NormKind, check_norm_kind, vector_norm
 
-_DEDUP_DECIMALS = 12
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -69,11 +67,6 @@ class PointCloud:
         diff = np.subtract(self.points, q, out=scratch[0])
         d = vector_norm(diff, self.norm_kind, scratch[1])
         return d.max(axis=-1) if self.metric_kind == "sup_norm" else d
-
-    def trajectory(self, i: int) -> TrajectoryGrid:
-        if self.metric_kind != "sup_norm":
-            raise ValueError("not a trajectory cloud")
-        return TrajectoryGrid(self.horizon_T, self.points[i], self.norm_kind)
 
 
 def state_cloud(points, norm_kind: NormKind = 2) -> PointCloud:
@@ -128,13 +121,6 @@ class NetReport:
         }
 
 
-def _dedup_indices(cloud: PointCloud) -> np.ndarray:
-    """Indices of the first representative of each near-duplicate group."""
-    flat = cloud.points.reshape(cloud.size, -1)
-    _, first = np.unique(np.round(flat, _DEDUP_DECIMALS), axis=0, return_index=True)
-    return np.sort(first)
-
-
 def _nearest(cloud: PointCloud, centers: np.ndarray, min_dist: np.ndarray | None = None,
              scratch: np.ndarray | None = None) -> np.ndarray:
     """Distance from every cloud point to its nearest center, as a running
@@ -171,14 +157,14 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
 
     A point joins the net iff its distance to every current net point is
     >= epsilon; consequently every cloud point lies strictly within epsilon
-    of the net and the net is itself epsilon-separated.  Near-duplicates
-    (within 1e-12) are collapsed first; ties break to the lowest index.
+    of the net and the net is itself epsilon-separated.  Ties break to the
+    lowest index.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    net = _separated(cloud, _dedup_indices(cloud), epsilon)
+    net = _separated(cloud, range(cloud.size), epsilon)
     return NetReport(epsilon, net, len(net), len(net))
 
 
@@ -383,6 +369,15 @@ def iterated_images(x0: TrajectoryGrid, u_sample: Sequence[Control],
     return [trajectory_cloud(gen) for gen in generations]
 
 
+def _hausdorff_separated(clouds: Sequence[PointCloud], s: float) -> list[int]:
+    """Index-order greedy s-separated subset of `clouds` under d_H (see `_separated`)."""
+    chosen: list[int] = []
+    for i, k in enumerate(clouds):
+        if all(hausdorff_distance(k, clouds[j]) >= s for j in chosen):
+            chosen.append(i)
+    return chosen
+
+
 def collection_union_nets(family: Sequence[PointCloud],
                           epsilon: float) -> tuple[NetReport, NetReport]:
     """Both constructive directions of the union/collection equivalence.
@@ -402,10 +397,7 @@ def collection_union_nets(family: Sequence[PointCloud],
     half = epsilon / 2.0
 
     # only-if direction: greedy eps/2-net of the family under d_H
-    reps: list[int] = []
-    for i, k in enumerate(family):
-        if all(hausdorff_distance(k, family[j]) >= half for j in reps):
-            reps.append(i)
+    reps = _hausdorff_separated(family, half)
 
     offsets = np.cumsum([0] + [k.size for k in family])
     union = PointCloud(np.concatenate([k.points for k in family]),
@@ -441,9 +433,6 @@ def collection_union_nets(family: Sequence[PointCloud],
     kprime_clouds = [PointCloud(union.points[np.array(c)], union.metric_kind,
                                 union.norm_kind, horizon_T=union.horizon_T)
                      for c in distinct]
-    sep: list[int] = []
-    for i, kp in enumerate(kprime_clouds):
-        if all(hausdorff_distance(kp, kprime_clouds[j]) >= epsilon for j in sep):
-            sep.append(i)
-    hausdorff_report = NetReport(epsilon, distinct, len(distinct), len(sep))
+    hausdorff_report = NetReport(epsilon, distinct, len(distinct),
+                                 len(_hausdorff_separated(kprime_clouds, epsilon)))
     return union_report, hausdorff_report

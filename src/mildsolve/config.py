@@ -8,6 +8,7 @@ maps to exit code 2 before any numerical work starts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,6 +29,24 @@ from .spaces import (
 # libyaml's parser when it is installed; both build the same Python objects
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# Every setting that has a default, merged under the file's blocks at load;
+# diagnostic.n_t defaults to system.n_t.
+_DEFAULTS = {
+    "system": {"T": 1.0, "n_t": 128, "norm_kind": 2},
+    "control": {"p": 2, "r": 1.0, "count": 1, "seed": 0},
+    "solver": {"tol": 1e-8, "certificate_mode": "auto", "target_rate": 0.5},
+    "diagnostic": {"dims": [16, 32, 64], "eps_ladder": [0.1, 0.05, 0.02],
+                   "xi0_scale": 0.02, "cloud_budget": 4000, "tol": 1e-4},
+    "counterexample": {"n_max": 128, "n_t": 1024, "separation": 0.5, "eval_eps": 0.25},
+    "gamma": {"eps": 0.1, "run_convolution_check": True, "max_controls": 20},
+}
+# Settings that must be > 0, and counts that must be >= 1.
+_POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("diagnostic", "tol"),
+             ("counterexample", "separation"), ("counterexample", "eval_eps"),
+             ("gamma", "eps")]
+_COUNTS = [("system", "n_t"), ("control", "count"), ("diagnostic", "n_t"),
+           ("diagnostic", "cloud_budget")]
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -41,9 +60,15 @@ def _parse_extended_float(value, name: str) -> float:
     return float(value)
 
 
+def _number_list(value, name: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
-    """Validated configuration for one pipeline run."""
+    """Validated configuration for one pipeline run; every block holds its defaults."""
 
     system: dict
     control: dict
@@ -68,101 +93,83 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        cfg = RunConfig(
-            system=dict(raw.get("system", {})),
-            control=dict(raw.get("control", {})),
-            solver=dict(raw.get("solver", {})),
-            diagnostic=dict(raw.get("diagnostic", {})),
-            counterexample=dict(raw.get("counterexample", {})),
-            gamma=dict(raw.get("gamma", {})),
-            raw=raw,
-        )
+        blocks = {name: {**defaults, **dict(raw.get(name, {}))}
+                  for name, defaults in copy.deepcopy(_DEFAULTS).items()}
+        blocks["diagnostic"].setdefault("n_t", blocks["system"]["n_t"])
+        cfg = RunConfig(**blocks, raw=raw)
         cfg.validate()
         return cfg
 
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        sysb = self.system
-        if sysb:
-            if float(sysb.get("T", 1.0)) <= 0:
-                raise ConfigError("system.T must be > 0")
-            if int(sysb.get("n_t", 1)) < 1:
-                raise ConfigError("system.n_t must be >= 1")
-            nk = sysb.get("norm_kind", 2)
-            if nk not in (1, 2, "inf", np.inf):
-                raise ConfigError("system.norm_kind must be 1, 2 or 'inf'")
-        ctrl = self.control
-        if ctrl:
-            p = _parse_extended_float(ctrl.get("p", 2), "control.p")
-            if p < 1:
-                raise ConfigError("control.p must be >= 1")
-            if float(ctrl.get("r", 1.0)) <= 0:
-                raise ConfigError("control.r must be > 0")
-            if int(ctrl.get("count", 1)) < 1:
-                raise ConfigError("control.count must be >= 1")
-        if self.solver:
-            if float(self.solver.get("tol", 1e-8)) <= 0:
-                raise ConfigError("solver.tol must be > 0")
-            mode = self.solver.get("certificate_mode", "auto")
-            if mode not in ("auto", "omega", "hidden"):
-                raise ConfigError("solver.certificate_mode must be auto/omega/hidden")
-            if mode == "omega" and self.p == 1:
-                raise ConfigError("omega certificates require p > 1")
-            if not 0.0 < float(self.solver.get("target_rate", 0.5)) < 1.0:
-                raise ConfigError("solver.target_rate must lie in (0, 1)")
+        for block, key in _POSITIVE:
+            if not float(getattr(self, block)[key]) > 0:
+                raise ConfigError(f"{block}.{key} must be > 0")
+        for block, key in _COUNTS:
+            if int(getattr(self, block)[key]) < 1:
+                raise ConfigError(f"{block}.{key} must be >= 1")
+        if self.system["norm_kind"] not in (1, 2, "inf", np.inf):
+            raise ConfigError("system.norm_kind must be 1, 2 or 'inf'")
+        if self.p < 1:
+            raise ConfigError("control.p must be >= 1")
+        mode = self.solver["certificate_mode"]
+        if mode not in ("auto", "omega", "hidden"):
+            raise ConfigError("solver.certificate_mode must be auto/omega/hidden")
+        if mode == "omega" and self.p == 1:
+            raise ConfigError("omega certificates require p > 1")
+        if not 0.0 < float(self.solver["target_rate"]) < 1.0:
+            raise ConfigError("solver.target_rate must lie in (0, 1)")
         diag = self.diagnostic
-        if diag:
-            dims = diag.get("dims", [16, 32, 64])
-            if not dims or dims != sorted(set(dims)):
-                raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
-            ladder = diag.get("eps_ladder", [0.1, 0.05, 0.02])
-            if any(e <= 0 for e in ladder):
-                raise ConfigError("diagnostic.eps_ladder entries must be > 0")
-            if not ladder or sorted(set(ladder), reverse=True) != list(ladder):
-                raise ConfigError(
-                    "diagnostic.eps_ladder must be nonempty and strictly decreasing")
+        dims = _number_list(diag["dims"], "diagnostic.dims")
+        if not dims or dims != sorted(set(dims)):
+            raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
+        ladder = _number_list(diag["eps_ladder"], "diagnostic.eps_ladder")
+        if any(e <= 0 for e in ladder):
+            raise ConfigError("diagnostic.eps_ladder entries must be > 0")
+        if not ladder or sorted(set(ladder), reverse=True) != ladder:
+            raise ConfigError(
+                "diagnostic.eps_ladder must be nonempty and strictly decreasing")
         spikes = self.counterexample
-        if spikes:
-            n_max, n_t = int(spikes.get("n_max", 128)), int(spikes.get("n_t", 1024))
-            if n_max < 1 or n_t < 1 or n_t % (1 << (n_max.bit_length() - 1)):
-                raise ConfigError("counterexample.n_t must be a positive multiple of "
-                                  "the largest power of two <= n_max")
+        n_max, n_t = int(spikes["n_max"]), int(spikes["n_t"])
+        if n_max < 1 or n_t < 1 or n_t % (1 << (n_max.bit_length() - 1)):
+            raise ConfigError("counterexample.n_t must be a positive multiple of "
+                              "the largest power of two <= n_max")
 
     # -- typed accessors ---------------------------------------------------
 
     @property
     def horizon_T(self) -> float:
-        return float(self.system.get("T", 1.0))
+        return float(self.system["T"])
 
     @property
     def n_t(self) -> int:
-        return int(self.system.get("n_t", 128))
+        return int(self.system["n_t"])
 
     @property
     def norm_kind(self):
-        nk = self.system.get("norm_kind", 2)
+        nk = self.system["norm_kind"]
         return np.inf if nk == "inf" else nk
 
     @property
     def p(self) -> float:
-        return _parse_extended_float(self.control.get("p", 2), "control.p")
+        return _parse_extended_float(self.control["p"], "control.p")
 
     @property
     def radius(self) -> float:
-        return float(self.control.get("r", 1.0))
+        return float(self.control["r"])
 
     @property
     def count(self) -> int:
-        return int(self.control.get("count", 1))
+        return int(self.control["count"])
 
     @property
     def seed(self) -> int:
-        return int(self.control.get("seed", 0))
+        return int(self.control["seed"])
 
     @property
     def tol(self) -> float:
-        return float(self.solver.get("tol", 1e-8))
+        return float(self.solver["tol"])
 
     # -- builders ----------------------------------------------------------
 

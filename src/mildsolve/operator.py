@@ -251,9 +251,6 @@ class ContractionCertificate:
             if self.N is None or self.N < 1:
                 raise ValueError("hidden mode requires N >= 1")
 
-    def metric(self) -> str:
-        return "omega-norm" if self.mode == "omega" else "renormed sup-norm"
-
     def to_dict(self) -> dict:
         out = {
             "mode": self.mode,

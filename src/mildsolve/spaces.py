@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 NormKind = Union[int, float]  # 1, 2 or np.inf
 
@@ -142,7 +141,9 @@ class Semigroup:
         """Dense e^{At} (diagonal kinds get a diagonal matrix)."""
         if self.is_diagonal:
             return np.diag(np.exp(self.eigenvalues * t))
-        return expm(self.generator * t)
+        import scipy.linalg  # loaded by the first dense exponential only
+
+        return scipy.linalg.expm(self.generator * t)
 
 
 def diagonal_semigroup(eigenvalues, class_M: float = 1.0,
@@ -178,7 +179,7 @@ def apply_semigroup(sg: Semigroup, t: float, xi: StateVector) -> StateVector:
     if sg.is_diagonal:
         out = np.exp(sg.eigenvalues * t) * xi.coords
     else:
-        out = expm(sg.generator * t) @ xi.coords
+        out = sg.matrix_exp(t) @ xi.coords
     return StateVector(out, xi.norm_kind)
 
 
@@ -247,13 +248,18 @@ class VectorField:
 
 
 def bilinear_field(matrix, norm_kind: NormKind = 2) -> VectorField:
-    """f(xi) = B xi with L = alpha = |B| (induced norm), beta = 0."""
+    """f(xi) = B xi with L = alpha = |B| (induced norm), beta = 0.
+
+    B = I returns the input states themselves: no caller writes into a
+    field's output.  States of another dimension still raise.
+    """
     b = np.asarray(matrix, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("bilinear field needs a square matrix")
     nrm = operator_norm(b, norm_kind)
+    identity = np.array_equal(b, np.eye(b.shape[0]))
     return VectorField(
-        eval_fn=lambda t, x: x @ b.T,
+        eval_fn=lambda t, x: x if identity and x.shape[-1:] == b.shape[:1] else x @ b.T,
         lipschitz_L=nrm, growth_alpha=nrm, growth_beta=0.0,
         kind="bilinear", params={"matrix": b},
     )

@@ -1,11 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import mildsolve.config
 from mildsolve.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="run.yaml"):
@@ -29,6 +36,21 @@ def scalar_system(**overrides):
     for key, value in overrides.items():
         cfg[key] = {**cfg.get(key, {}), **value}
     return cfg
+
+
+def dense_system():
+    # a stable dense generator without class constants: (M, mu) are certified at load
+    return {
+        "system": {
+            "semigroup": {"kind": "dense", "matrix": [[-1.0, 0.5], [0.0, -2.0]]},
+            "fields": [{"kind": "bilinear", "identity": True}],
+            "xi0": [0.1, 0.1],
+            "T": 1.0,
+            "n_t": 64,
+        },
+        "control": {"p": 2, "r": 1.0, "count": 1, "seed": 3},
+        "solver": {"tol": 1e-8},
+    }
 
 
 def load_json(path):
@@ -197,7 +219,17 @@ class TestConfigErrors:
         ("reachset", "diagnostic", {"eps_ladder": []}),
         ("certify", "solver", {"target_rate": 1.5}),
         ("counterexample", "counterexample", {"n_max": 128, "n_t": 1000}),
-    ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid"])
+        ("reachset", "diagnostic", {"cloud_budget": 0}),
+        ("reachset", "diagnostic", {"tol": 0}),
+        ("reachset", "diagnostic", {"n_t": 0}),
+        ("reachset", "diagnostic", {"eps_ladder": "0.1, 0.05"}),
+        ("reachset", "diagnostic", {"dims": "16, 32"}),
+        ("gamma", "gamma", {"eps": 0}),
+        ("counterexample", "counterexample", {"separation": 0}),
+        ("counterexample", "counterexample", {"eval_eps": -1}),
+    ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid",
+            "cloud-budget", "diagnostic-tol", "diagnostic-n-t", "eps-ladder-string",
+            "dims-string", "gamma-eps", "spike-separation", "eval-eps"])
     def test_rejected_before_any_work(self, tmp_path, command, block, value):
         cfg = write_config(tmp_path, scalar_system(**{block: value}))
         out = tmp_path / "out"
@@ -209,6 +241,42 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         assert load_json(out / "certificate.json")["certificate"]["mode"] == "hidden"
+
+
+class TestSystemBuild:
+    def test_diagonal_system_leaves_scipy_unloaded(self, tmp_path):
+        dense = write_config(tmp_path, dense_system())
+        out = str(tmp_path / "out")
+        script = "\n".join([
+            "import sys",
+            "import mildsolve.cli",
+            "from mildsolve.config import RunConfig",
+            f"cfg = RunConfig.from_file({str(REPO / 'configs' / 'heat.yaml')!r})",
+            "cfg.build_fields(cfg.build_semigroup().dim)",
+            "assert 'scipy' not in sys.modules, 'a diagonal system loaded scipy'",
+            f"assert mildsolve.cli.main(['solve', '--config', {dense!r}, '--out', {out!r}]) == 0",
+            "assert 'scipy' in sys.modules",
+        ])
+        src = str(Path(mildsolve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert load_json(tmp_path / "out" / "solve.json")["a_posteriori_bound"] < 1e-8
+
+    def test_dense_solve_certifies_class_constants_once(self, tmp_path, monkeypatch):
+        real = mildsolve.config.certify_class_constants
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mildsolve.config, "certify_class_constants", counted)
+        cfg = write_config(tmp_path, dense_system())
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestReachsetCommand:

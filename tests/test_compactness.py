@@ -70,6 +70,14 @@ class TestGreedyNet:
         cloud = state_cloud(np.zeros((10, 2)))
         assert greedy_net(cloud, 0.5).covering_size == 1
 
+    def test_near_duplicates_of_a_non_center_stay_covered(self):
+        # point 1 lies within eps of point 0, point 2 just beyond it: point 2
+        # must become a center even though it is within 1e-12 of point 1
+        cloud = state_cloud([[0.0], [0.5 - 3e-13], [0.5 + 3e-13]])
+        report = greedy_net(cloud, 0.5)
+        assert report.net_indices == [0, 2]
+        assert brute_force_covered(cloud, report.net_indices, 0.5)
+
     def test_empty_cloud_rejected(self):
         empty = evaluation_set([])
         with pytest.raises(ValueError, match="empty"):

@@ -122,6 +122,8 @@ class TestBuiltinFields:
     def test_bilinear_identity(self):
         f = builtin_field("bilinear", matrix=np.eye(2))
         assert np.array_equal(f(0.0, np.array([2.0, 3.0])), [2.0, 3.0])
+        with pytest.raises(ValueError):
+            f(0.0, np.zeros(3))
         assert f.lipschitz_L == 1.0
         assert f.growth_beta == 0.0
 
