@@ -2,11 +2,13 @@
 
 Every subcommand reads one YAML config (--config), draws all randomness from
 explicit seeds and writes machine-readable CSV/JSON into the output directory
-(--out, overridden by the MILDSOLVE_OUT environment variable).  Outputs are
-byte-identical across re-runs except for the timestamp inside the metadata
-key.  ``--threads`` is accepted for compatibility and has no effect.  Exit
-codes: 0 success, 2 config error (including a control outside the
-certificate radius), 3 numeric/certification failure, 4 verification failure.
+(--out, overridden by the MILDSOLVE_OUT environment variable).  Commands read
+settings as `cfg.<block>[key]`, typed and checked at load; `main` applies and
+checks ``--seed`` once.  Outputs are byte-identical across re-runs except for
+the timestamp inside the metadata key.  ``--threads`` is accepted for
+compatibility and has no effect.  Exit codes: 0 success, 2 config error (a
+bad setting or system, or a control outside the certificate radius),
+3 numeric/certification failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -42,11 +44,8 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 
-def _metadata(cfg: RunConfig | None) -> dict:
-    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    if cfg is not None:
-        meta.update(cfg.to_metadata())
-    return meta
+def _metadata(cfg: RunConfig) -> dict:
+    return {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": cfg.raw}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -69,10 +68,10 @@ def build_system(cfg: RunConfig) -> tuple[Semigroup, list[VectorField], Contract
     control ball (see `certify`): built once per command."""
     sg = cfg.build_semigroup()
     fields = cfg.build_fields(sg.dim)
-    cert = certify(cfg.p, cfg.radius, sg.class_M, sg.class_mu,
-                   max(f.lipschitz_L for f in fields), cfg.horizon_T,
+    cert = certify(cfg.control["p"], cfg.control["r"], sg.class_M, sg.class_mu,
+                   max(f.lipschitz_L for f in fields), cfg.system["T"],
                    mode=cfg.solver["certificate_mode"],
-                   target_C=float(cfg.solver["target_rate"]))
+                   target_C=cfg.solver["target_rate"])
     return sg, fields, cert
 
 
@@ -88,19 +87,20 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
+    system, control = cfg.system, cfg.control
 
     if args.control is not None:
         try:
-            u = control_from_csv(args.control, horizon_T=cfg.horizon_T)
+            u = control_from_csv(args.control, horizon_T=system["T"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"control {args.control}: {exc}") from exc
         if u.channels != len(fields):
             raise ConfigError(f"control {args.control} has {u.channels} channels, "
                               f"the system has {len(fields)} fields")
     else:
-        u = sample_ball(cfg.p, cfg.radius, cfg.horizon_T, len(fields),
-                        cfg.n_t, 1, args.seed if args.seed is not None else cfg.seed)[0]
-    result = picard_solve(xi0, u, fields, sg, cert, tol=cfg.tol)
+        u = sample_ball(control["p"], control["r"], system["T"], len(fields),
+                        system["n_t"], 1, control["seed"])[0]
+    result = picard_solve(xi0, u, fields, sg, cert, tol=cfg.solver["tol"])
     traj = result.trajectory
     _write_csv(out_dir / "trajectory.csv", ["t"] + [f"x{i}" for i in range(traj.dim)],
                np.column_stack([traj.times, traj.states]).tolist())  # csv writes repr
@@ -119,18 +119,11 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
 
 
 def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
-    diag = cfg.diagnostic
+    diag, control = cfg.diagnostic, cfg.control
     report = compactness_diagnostic(
-        dims=diag["dims"],
-        eps_ladder=diag["eps_ladder"],
-        p=cfg.p, r=cfg.radius, T=cfg.horizon_T,
-        count=cfg.count,
-        seed=args.seed if args.seed is not None else cfg.seed,
-        n_t=int(diag["n_t"]),
-        xi0_scale=float(diag["xi0_scale"]),
-        cloud_budget=int(diag["cloud_budget"]),
-        tol=float(diag["tol"]),
-    )
+        diag["dims"], diag["eps_ladder"], control["p"], control["r"], cfg.system["T"],
+        control["count"], control["seed"], n_t=diag["n_t"], xi0_scale=diag["xi0_scale"],
+        cloud_budget=diag["cloud_budget"], tol=diag["tol"])
     _write_csv(out_dir / "diagnostic.csv",
                ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
                [[row["n"], row["p"], repr(row["eps"]), row["n_reach"],
@@ -144,12 +137,8 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
 
 def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
     block = cfg.counterexample
-    report = counterexample_report(
-        n_max=int(block["n_max"]),
-        n_t=int(block["n_t"]),
-        separation=float(block["separation"]),
-        eval_eps=float(block["eval_eps"]),
-    )
+    report = counterexample_report(block["n_max"], block["n_t"], block["separation"],
+                                   block["eval_eps"])
     _write_json(out_dir / "counterexample.json", {
         "spike_indices": report.spike_indices,
         "max_closed_form_error": report.max_closed_form_error,
@@ -167,13 +156,14 @@ def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
-    seed = args.seed if args.seed is not None else cfg.seed
-    sample = sample_reachset(xi0, cfg.p, cfg.radius, cfg.horizon_T, cfg.count,
-                             seed, fields, sg, cert, cfg.n_t, tol=cfg.tol)
+    control, T, n_t = cfg.control, cfg.system["T"], cfg.system["n_t"]
+    seed = control["seed"]
+    sample = sample_reachset(xi0, control["p"], control["r"], T, control["count"],
+                             seed, fields, sg, cert, n_t, tol=cfg.solver["tol"])
     cloud = field_value_cloud(sample, fields)
-    eps = float(cfg.gamma["eps"])
-    lag_grid = np.linspace(0.0, cfg.horizon_T, cfg.n_t + 1)
-    table = gamma_approximation(sg, cloud, cfg.horizon_T, eps, seed=seed,
+    eps = cfg.gamma["eps"]
+    lag_grid = np.linspace(0.0, T, n_t + 1)
+    table = gamma_approximation(sg, cloud, T, eps, seed=seed,
                                 extra_verify_times=lag_grid)
     _write_json(out_dir / "gamma.json",
                 {"table": table.to_dict(), "metadata": _metadata(cfg)})
@@ -186,22 +176,22 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
         "passed": bool(table.verified_max_error < eps),
     }
     if cfg.gamma["run_convolution_check"]:
-        half = gamma_approximation(sg, cloud, cfg.horizon_T, eps / 2.0,
+        half = gamma_approximation(sg, cloud, T, eps / 2.0,
                                    seed=seed, extra_verify_times=lag_grid)
         conv = convolution_compactness_check(
-            sample, half, fields, sg,
-            max_controls=int(cfg.gamma["max_controls"]))
+            sample, half, fields, sg, max_controls=cfg.gamma["max_controls"])
+        tolerance = eps / 2.0 + 10.0 / n_t
         verification["convolution"] = {
             "n_controls": conv.n_controls,
             "max_coefficient": conv.max_coefficient,
             "max_reconstruction_error": conv.max_reconstruction_error,
-            "tolerance": eps / 2.0 + 10.0 / cfg.n_t,
-            "passed": bool(conv.max_reconstruction_error < eps / 2.0 + 10.0 / cfg.n_t),
+            "tolerance": tolerance,
+            "passed": bool(conv.max_reconstruction_error < tolerance),
         }
         if not verification["convolution"]["passed"]:
             raise VerificationError(
                 f"convolution reconstruction error {conv.max_reconstruction_error:.3e} "
-                f"exceeds {eps / 2.0 + 10.0 / cfg.n_t:.3e}")
+                f"exceeds {tolerance:.3e}")
     _write_json(out_dir / "gamma_verification.json",
                 {"verification": verification, "metadata": _metadata(cfg)})
     print(f"Gamma table: {table.n_time_cells} x {table.n_state_cells} cells, "
@@ -249,6 +239,9 @@ def main(argv=None) -> int:
     out_dir = Path(os.environ.get("MILDSOLVE_OUT", args.out))
     try:
         cfg = RunConfig.from_file(args.config)
+        if args.seed is not None:
+            cfg.control["seed"] = args.seed
+            cfg.validate()
         return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigError, CertificateRadiusError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -257,10 +250,7 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError,
-            NonFiniteIterateError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
+            NonFiniteIterateError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

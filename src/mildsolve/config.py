@@ -1,16 +1,17 @@
 """Run configuration: a single YAML file driving every CLI subcommand.
 
 The file has four blocks (system, control, solver, diagnostic) plus optional
-counterexample/gamma blocks.  Parsing is strict: unknown semigroup kinds,
-inconsistent dimensions or invalid ranges raise `ConfigError`, which the CLI
-maps to exit code 2 before any numerical work starts.
+counterexample/gamma blocks.  Loading converts each setting of `_DEFAULTS` to
+its default's type once; a value that does not convert, an invalid range or
+a system the library rejects raises `ConfigError`, which the CLI maps to exit
+code 2 before any numerical work starts.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 import yaml
@@ -19,21 +20,24 @@ from .spaces import (
     Semigroup,
     StateVector,
     VectorField,
-    builtin_field,
+    bilinear_field,
     certify_class_constants,
+    constant_field,
     dense_semigroup,
     diagonal_semigroup,
     heat_semigroup,
+    saturation_field,
 )
 
 # libyaml's parser when it is installed; both build the same Python objects
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# Every setting that has a default, merged under the file's blocks at load;
-# diagnostic.n_t defaults to system.n_t.
+# Every setting that has a default, and so its type: each value is converted
+# to its default's type once, at load (see `_typed`).  control.p and
+# system.norm_kind also take 'inf'; diagnostic.n_t defaults to system.n_t.
 _DEFAULTS = {
-    "system": {"T": 1.0, "n_t": 128, "norm_kind": 2},
-    "control": {"p": 2, "r": 1.0, "count": 1, "seed": 0},
+    "system": {"T": 1.0, "n_t": 128, "norm_kind": 2.0},
+    "control": {"p": 2.0, "r": 1.0, "count": 1, "seed": 0},
     "solver": {"tol": 1e-8, "certificate_mode": "auto", "target_rate": 0.5},
     "diagnostic": {"dims": [16, 32, 64], "eps_ladder": [0.1, 0.05, 0.02],
                    "xi0_scale": 0.02, "cloud_budget": 4000, "tol": 1e-4},
@@ -45,30 +49,61 @@ _POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("diagnostic"
              ("counterexample", "separation"), ("counterexample", "eval_eps"),
              ("gamma", "eps")]
 _COUNTS = [("system", "n_t"), ("control", "count"), ("diagnostic", "n_t"),
-           ("diagnostic", "cloud_budget")]
+           ("diagnostic", "cloud_budget"), ("counterexample", "n_max"),
+           ("counterexample", "n_t"), ("gamma", "max_controls")]
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _parse_extended_float(value, name: str) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return np.inf
-        raise ConfigError(f"{name} must be a number or 'inf', got {value!r}")
-    return float(value)
+def _typed(value, default, name: str):
+    """`value` converted exactly to the type of `default` by int()/float(), so
+    '1e-8' (a string to PyYAML) and 'inf' load, but 1.7 for an int or a bool
+    for a number raise.  A list holds numbers (ints where the default does)."""
+    kind = type(default)
+    if kind in (bool, str):
+        if type(value) is not kind:
+            raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        return value
+    if kind is list:
+        whole = type(default[0]) is int
+        if not isinstance(value, list) or not all(
+                isinstance(v, int if whole else (int, float)) and not isinstance(v, bool)
+                for v in value):
+            what = "whole numbers" if whole else "numbers"
+            raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
+        return value
+    try:
+        typed = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        typed = None
+    if typed is None or (not isinstance(value, str) and typed != value):
+        what = "a whole number" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return typed
 
 
-def _number_list(value, name: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return value
+def _library_errors_are_config_errors(build):
+    """The one boundary between the config and the library's constructors:
+    their ValueError/TypeError/KeyError on a configured value is a ConfigError."""
+    @functools.wraps(build)
+    def checked(self, *args):
+        try:
+            return build(self, *args)
+        except (ConfigError, np.linalg.LinAlgError):  # LinAlgError: numeric, exit 3
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"system: missing setting {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"system: {exc}") from exc
+    return checked
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration for one pipeline run; every block holds its defaults."""
+    """Validated configuration for one pipeline run; every block holds its
+    settings, each converted to its default's type."""
 
     system: dict
     control: dict
@@ -93,9 +128,16 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        blocks = {name: {**defaults, **dict(raw.get(name, {}))}
-                  for name, defaults in copy.deepcopy(_DEFAULTS).items()}
-        blocks["diagnostic"].setdefault("n_t", blocks["system"]["n_t"])
+        blocks = {}
+        for name, defaults in copy.deepcopy(_DEFAULTS).items():
+            given = raw.get(name, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"{name} must be a mapping, got {given!r}")
+            if name == "diagnostic":
+                defaults["n_t"] = blocks["system"]["n_t"]
+            blocks[name] = {**given, **{
+                key: _typed(given.get(key, default), default, f"{name}.{key}")
+                for key, default in defaults.items()}}
         cfg = RunConfig(**blocks, raw=raw)
         cfg.validate()
         return cfg
@@ -104,102 +146,61 @@ class RunConfig:
 
     def validate(self) -> None:
         for block, key in _POSITIVE:
-            if not float(getattr(self, block)[key]) > 0:
+            if not getattr(self, block)[key] > 0:
                 raise ConfigError(f"{block}.{key} must be > 0")
         for block, key in _COUNTS:
-            if int(getattr(self, block)[key]) < 1:
+            if getattr(self, block)[key] < 1:
                 raise ConfigError(f"{block}.{key} must be >= 1")
-        if self.system["norm_kind"] not in (1, 2, "inf", np.inf):
+        if self.control["seed"] < 0:
+            raise ConfigError("control.seed must be >= 0")
+        if self.system["norm_kind"] not in (1, 2, np.inf):
             raise ConfigError("system.norm_kind must be 1, 2 or 'inf'")
-        if self.p < 1:
+        p = self.control["p"]
+        if not p >= 1:
             raise ConfigError("control.p must be >= 1")
         mode = self.solver["certificate_mode"]
         if mode not in ("auto", "omega", "hidden"):
             raise ConfigError("solver.certificate_mode must be auto/omega/hidden")
-        if mode == "omega" and self.p == 1:
+        if mode == "omega" and p == 1:
             raise ConfigError("omega certificates require p > 1")
-        if not 0.0 < float(self.solver["target_rate"]) < 1.0:
+        if not 0.0 < self.solver["target_rate"] < 1.0:
             raise ConfigError("solver.target_rate must lie in (0, 1)")
-        diag = self.diagnostic
-        dims = _number_list(diag["dims"], "diagnostic.dims")
+        dims = self.diagnostic["dims"]
         if not dims or dims != sorted(set(dims)):
             raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
-        ladder = _number_list(diag["eps_ladder"], "diagnostic.eps_ladder")
+        ladder = self.diagnostic["eps_ladder"]
         if any(e <= 0 for e in ladder):
             raise ConfigError("diagnostic.eps_ladder entries must be > 0")
         if not ladder or sorted(set(ladder), reverse=True) != ladder:
             raise ConfigError(
                 "diagnostic.eps_ladder must be nonempty and strictly decreasing")
-        spikes = self.counterexample
-        n_max, n_t = int(spikes["n_max"]), int(spikes["n_t"])
-        if n_max < 1 or n_t < 1 or n_t % (1 << (n_max.bit_length() - 1)):
+        n_max, n_t = self.counterexample["n_max"], self.counterexample["n_t"]
+        if n_t % (1 << (n_max.bit_length() - 1)):
             raise ConfigError("counterexample.n_t must be a positive multiple of "
                               "the largest power of two <= n_max")
 
-    # -- typed accessors ---------------------------------------------------
-
-    @property
-    def horizon_T(self) -> float:
-        return float(self.system["T"])
-
-    @property
-    def n_t(self) -> int:
-        return int(self.system["n_t"])
-
-    @property
-    def norm_kind(self):
-        nk = self.system["norm_kind"]
-        return np.inf if nk == "inf" else nk
-
-    @property
-    def p(self) -> float:
-        return _parse_extended_float(self.control["p"], "control.p")
-
-    @property
-    def radius(self) -> float:
-        return float(self.control["r"])
-
-    @property
-    def count(self) -> int:
-        return int(self.control["count"])
-
-    @property
-    def seed(self) -> int:
-        return int(self.control["seed"])
-
-    @property
-    def tol(self) -> float:
-        return float(self.solver["tol"])
-
     # -- builders ----------------------------------------------------------
 
+    @_library_errors_are_config_errors
     def build_semigroup(self) -> Semigroup:
-        spec = self.system.get("semigroup")
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError("system.semigroup.kind is required")
+        spec = self.system["semigroup"]
         kind = spec["kind"]
         if kind == "diagonal":
-            if "eigenvalues" not in spec:
-                raise ConfigError("diagonal semigroup needs eigenvalues")
             sg = diagonal_semigroup(spec["eigenvalues"])
         elif kind == "heat":
-            if "dim" not in spec:
-                raise ConfigError("heat semigroup needs dim")
             sg = heat_semigroup(int(spec["dim"]))
         elif kind == "dense":
-            if "matrix" not in spec:
-                raise ConfigError("dense semigroup needs matrix")
             matrix = np.asarray(spec["matrix"], dtype=float)
             if "class_M" in spec and "class_mu" in spec:
                 sg = dense_semigroup(matrix, float(spec["class_M"]),
                                      float(spec["class_mu"]))
             else:
                 probe = dense_semigroup(matrix, 1.0, 0.0)
-                t_grid = np.linspace(0.0, self.horizon_T, 17)[1:]
+                t_grid = np.linspace(0.0, self.system["T"], 17)[1:]
                 m_const, mu = certify_class_constants(
                     probe, t_grid, sample_count=256,
                     safety=float(spec.get("safety", 1.1)),
-                    norm_kind=self.norm_kind)
+                    norm_kind=self.system["norm_kind"])
                 sg = dense_semigroup(matrix, m_const, mu)
         else:
             raise ConfigError(f"unknown semigroup kind {kind!r}")
@@ -209,22 +210,22 @@ class RunConfig:
                            class_mu=float(spec.get("class_mu", sg.class_mu)))
         return sg
 
+    @_library_errors_are_config_errors
     def build_fields(self, dim: int) -> list[VectorField]:
         specs = self.system.get("fields")
-        if not specs:
+        if not specs or not isinstance(specs, list):
             raise ConfigError("system.fields must list at least one field")
+        norm_kind = self.system["norm_kind"]
         out = []
         for fs in specs:
-            kind = fs.get("kind")
+            kind = fs["kind"]
             if kind == "bilinear":
-                matrix = np.eye(dim) if fs.get("identity") else np.asarray(
-                    fs.get("matrix"), dtype=float)
-                out.append(builtin_field("bilinear", self.norm_kind, matrix=matrix))
+                out.append(bilinear_field(
+                    np.eye(dim) if fs.get("identity") else fs["matrix"], norm_kind))
             elif kind == "constant":
-                out.append(builtin_field("constant", self.norm_kind,
-                                         vector=np.asarray(fs.get("vector"), dtype=float)))
+                out.append(constant_field(fs["vector"], norm_kind))
             elif kind == "saturation":
-                out.append(builtin_field("saturation", scale=float(fs.get("scale", 1.0))))
+                out.append(saturation_field(float(fs.get("scale", 1.0))))
             else:
                 raise ConfigError(f"unknown field kind {kind!r}")
         for f in out:
@@ -233,14 +234,9 @@ class RunConfig:
                 raise ConfigError("field output dimension mismatch")
         return out
 
+    @_library_errors_are_config_errors
     def build_xi0(self, dim: int) -> StateVector:
-        xi0 = self.system.get("xi0")
-        if xi0 is None:
-            raise ConfigError("system.xi0 is required")
-        coords = np.asarray(xi0, dtype=float)
+        coords = np.asarray(self.system["xi0"], dtype=float)
         if coords.shape != (dim,):
             raise ConfigError(f"xi0 must have dimension {dim}")
-        return StateVector(coords, self.norm_kind)
-
-    def to_metadata(self) -> dict[str, Any]:
-        return {"config": self.raw}
+        return StateVector(coords, self.system["norm_kind"])

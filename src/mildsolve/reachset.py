@@ -179,9 +179,12 @@ class CounterexampleReport:
     eval_covering_size: int
 
 
+# Largest deviation of a spike solution from its closed form min(n t, 1)
+_CLOSED_FORM_SLACK = 1e-9
+
+
 def counterexample_report(n_max: int, n_t: int, separation: float = 0.5,
-                          eval_eps: float = 0.25,
-                          closed_form_slack: float = 1e-9) -> CounterexampleReport:
+                          eval_eps: float = 0.25) -> CounterexampleReport:
     """Solve the dyadic spike family of the scalar system x' = u, x(0) = 0.
 
     Each solution is checked against the closed form min(n t, 1); the report
@@ -208,7 +211,7 @@ def counterexample_report(n_max: int, n_t: int, separation: float = 0.5,
         closed = np.minimum(n * t, 1.0)
         err = float(np.abs(res.trajectory.states[:, 0] - closed).max())
         worst = max(worst, err)
-        if err > closed_form_slack:
+        if err > _CLOSED_FORM_SLACK:
             raise VerificationError(
                 f"spike n={n} deviates from closed form by {err:.3e}")
         trajectories.append(res.trajectory)
@@ -308,9 +311,14 @@ def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
     return worst
 
 
+# Gamma tables: oscillation samples per delta, table rebuilds, verify times per cell
+_OSCILLATION_SAMPLES = 512
+_MAX_RETRIES = 8
+_TIME_OVERSAMPLE = 4
+
+
 def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
-                        sample_count: int = 512, max_retries: int = 8,
-                        time_oversample: int = 4, seed: int = 0,
+                        seed: int = 0,
                         extra_verify_times: np.ndarray | None = None) -> GammaTable:
     """Build a finite-image table for e^{At} xi on the cloud K, error < eps.
 
@@ -331,16 +339,16 @@ def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
     spread = float(K.distances_to(centroid).max())
     delta = max(T, 2.0 * spread, eps)
     for _ in range(200):
-        if _sampled_oscillation(sg, K, T, delta, rng, sample_count) < eps:
+        if _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES) < eps:
             break
         delta *= 0.5
 
-    verify_times = np.linspace(0.0, T, time_oversample * max(1, int(np.ceil(T / delta))) + 1)
+    verify_times = np.linspace(0.0, T, _TIME_OVERSAMPLE * max(1, int(np.ceil(T / delta))) + 1)
     if extra_verify_times is not None:
         verify_times = np.union1d(verify_times, np.asarray(extra_verify_times, dtype=float))
 
     last_err = np.inf
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         table = _build_gamma_table(sg, K, T, eps, delta)
         last_err, n_checked = _verify_gamma(sg, K, table, verify_times)
         if last_err < eps:
@@ -349,7 +357,7 @@ def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
                               table.norm_kind, last_err, n_checked)
         delta *= 0.5
     raise VerificationError(
-        f"Gamma_eps verification failed after {max_retries} retries "
+        f"Gamma_eps verification failed after {_MAX_RETRIES} retries "
         f"(last max error {last_err:.3e} vs eps {eps:.3e})")
 
 
@@ -433,10 +441,13 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     (time-lag, state)-cell (i, j).  Each |lambda_ij| is bounded by |u|_1
     (witnessing containment in the convex set spanned by the xi_ij) and the
     reconstruction must match the direct quadrature within eps plus slack.
-    Controls are rescaled to |u|_1 <= 1 first.
+    Controls are rescaled to |u|_1 <= 1 first.  At most `max_controls`
+    controls are checked; fewer than one would pass vacuously and raises.
     """
     if len(fields) != 1:
         raise ValueError("reconstruction check expects a single-channel system")
+    if max_controls is not None and max_controls < 1:
+        raise ValueError(f"max_controls must be >= 1, got {max_controls}")
     f = fields[0]
     zero = StateVector(np.zeros(sample.xi0.dim), sample.xi0.norm_kind)
 

@@ -11,6 +11,7 @@ import yaml
 
 import mildsolve.config
 from mildsolve.cli import main
+from mildsolve.config import _DEFAULTS, ConfigError, RunConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -187,6 +188,8 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out1), "--seed", "1"]) == 0
         assert main(["solve", "--config", cfg, "--out", str(out2), "--seed", "2"]) == 0
         assert (out1 / "control.csv").read_bytes() != (out2 / "control.csv").read_bytes()
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "-1"]) == 2
+        assert not (tmp_path / "c").exists()
 
 
 class TestConfigErrors:
@@ -227,14 +230,84 @@ class TestConfigErrors:
         ("gamma", "gamma", {"eps": 0}),
         ("counterexample", "counterexample", {"separation": 0}),
         ("counterexample", "counterexample", {"eval_eps": -1}),
+        ("certify", "system", {"T": "abc"}),
+        ("solve", "control", {"count": "x"}),
+        ("certify", "control", {"r": "big"}),
+        ("solve", "solver", {"tol": None}),
+        ("counterexample", "counterexample", {"n_max": "a"}),
+        ("gamma", "gamma", {"max_controls": "x"}),
+        ("certify", "system", {"semigroup": {"kind": "heat", "dim": "x"}}),
+        ("certify", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
+                                             "class_M": 0.5}}),
+        ("certify", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": ["a"]}}),
+        ("certify", "system", {"semigroup": {"kind": "dense", "matrix": [[1, 2]]}}),
+        ("certify", "system", {"fields": {"kind": "bilinear", "identity": True}}),
+        ("certify", "system", {"fields": [{"kind": "bilinear",
+                                           "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
+        ("certify", "system", {"fields": [{"kind": "saturation", "scale": -1}]}),
+        ("solve", "system", {"xi0": ["a"]}),
+        ("solve", "control", {"seed": 1.7}),
+        ("solve", "control", {"seed": -1}),
+        ("gamma", "control", {"count": True}),
+        ("gamma", "gamma", {"run_convolution_check": "no"}),
+        ("gamma", "gamma", {"max_controls": 0}),
+        ("reachset", "diagnostic", {"dims": [2.0, 4.0]}),
     ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid",
             "cloud-budget", "diagnostic-tol", "diagnostic-n-t", "eps-ladder-string",
-            "dims-string", "gamma-eps", "spike-separation", "eval-eps"])
-    def test_rejected_before_any_work(self, tmp_path, command, block, value):
+            "dims-string", "gamma-eps", "spike-separation", "eval-eps",
+            "T-string", "count-string", "r-string", "tol-null", "n-max-string",
+            "max-controls-string", "heat-dim-string", "class-M-below-1",
+            "eigenvalue-string", "dense-not-square", "fields-mapping",
+            "bilinear-dim-mismatch", "saturation-negative", "xi0-string",
+            "seed-fraction", "seed-negative", "count-bool", "check-string",
+            "max-controls-zero", "dims-float"])
+    def test_rejected_before_any_work(self, tmp_path, capsys, command, block, value):
         cfg = write_config(tmp_path, scalar_system(**{block: value}))
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command, block, value", [
+        ("reachset", "diagnostic", None),
+        ("solve", "control", [1, 2]),
+        ("gamma", "gamma", "on"),
+    ], ids=["bare-block", "list", "string"])
+    def test_block_must_be_a_mapping(self, tmp_path, capsys, command, block, value):
+        payload = scalar_system()
+        payload[block] = value
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("block, key", [
+        (block, key) for block, settings in _DEFAULTS.items() for key in settings])
+    def test_every_default_is_typed(self, block, key):
+        # a setting added to _DEFAULTS without a type that _typed converts fails here
+        default = _DEFAULTS[block][key]
+        loaded = getattr(RunConfig.from_dict({}), block)[key]
+        assert loaded == default and type(loaded) is type(default)
+        wrong = [1] if isinstance(default, bool) else [True]
+        for bad in ["abc"] + wrong:
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict({block: {key: bad}})
+
+    def test_exponent_without_dot_reads_as_number(self, tmp_path):
+        # PyYAML loads 1e-8 (no dot) as a string: it still converts to 1.0e-8
+        text = yaml.safe_dump(scalar_system())
+        assert "tol: 1.0e-08" in text
+        outs = []
+        for name, tol in [("dot", "1.0e-8"), ("bare", "1e-8")]:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text.replace("tol: 1.0e-08", f"tol: {tol}"))
+            outs.append(tmp_path / name)
+            assert main(["solve", "--config", str(path), "--out", str(outs[-1])]) == 0
+        assert strip_metadata(load_json(outs[0] / "solve.json")) == \
+            strip_metadata(load_json(outs[1] / "solve.json"))
+        assert (outs[0] / "trajectory.csv").read_bytes() == \
+            (outs[1] / "trajectory.csv").read_bytes()
 
     def test_overflowing_omega_search_falls_back_to_hidden(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system(control={"p": 2, "r": 1e200}))

@@ -261,6 +261,10 @@ class TestConvolutionCheck:
         report = convolution_compactness_check(sample, table, [f], sg)
         assert report.max_reconstruction_error <= 1e-12
         assert report.max_coefficient <= report.max_l1_norm + 1e-12
+        assert convolution_compactness_check(
+            sample, table, [f], sg, max_controls=3).n_controls == 3
+        with pytest.raises(ValueError, match="max_controls"):  # would pass vacuously
+            convolution_compactness_check(sample, table, [f], sg, max_controls=0)
 
     def test_zero_control_reconstructs_zero(self):
         from mildsolve import Control
