@@ -34,7 +34,6 @@ class PointCloud:
     points: np.ndarray
     metric_kind: str  # "state_norm" | "sup_norm"
     norm_kind: NormKind = 2
-    horizon_T: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -77,9 +76,8 @@ def state_cloud(points, norm_kind: NormKind = 2) -> PointCloud:
 def trajectory_cloud(trajectories: Sequence[TrajectoryGrid]) -> PointCloud:
     if not trajectories:
         raise ValueError("trajectory cloud needs at least one trajectory")
-    t0 = trajectories[0]
     stack = np.stack([tr.states for tr in trajectories])
-    return PointCloud(stack, "sup_norm", t0.norm_kind, horizon_T=t0.horizon_T)
+    return PointCloud(stack, "sup_norm", trajectories[0].norm_kind)
 
 
 def cloud_to_csv(cloud: PointCloud, path) -> None:
@@ -202,7 +200,7 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
             if 8 * np.count_nonzero(dead) >= live.size:
                 live, min_dist = live[~dead], min_dist[~dead]
                 live_cloud = PointCloud(live_cloud.points[~dead], cloud.metric_kind,
-                                        cloud.norm_kind, cloud.horizon_T)
+                                        cloud.norm_kind)
                 scratch = scratch[:, :live.size]
         sizes.append(len(net))
     return net, sizes
@@ -223,8 +221,9 @@ def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
     """Optimal point-centered covering of a one-dimensional state cloud.
 
     Sorted sweep: cover the leftmost uncovered value with the largest cloud
-    point within epsilon of it.  Exchange argument makes this minimal among
-    nets whose centers are cloud points.
+    point within epsilon of it (the first of its ties in stable order), then
+    jump past everything that center covers.  Exchange argument makes this
+    minimal among nets whose centers are cloud points.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -232,20 +231,14 @@ def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
         raise ValueError("interval covering needs a one-dimensional state cloud")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    values = cloud.points[:, 0]
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(cloud.points[:, 0], kind="stable")
+    ordered = cloud.points[order, 0]
     net: list[int] = []
-    covered_up_to = -np.inf
-    pos = 0
+    pos = 0  # the leftmost uncovered value
     while pos < len(order):
-        v = values[order[pos]]
-        if v <= covered_up_to:
-            pos += 1
-            continue
-        inside = order[(values[order] <= v + epsilon) & (values[order] >= v)]
-        center_idx = int(inside[np.argmax(values[inside])])
-        net.append(center_idx)
-        covered_up_to = values[center_idx] + epsilon
+        top = ordered[np.searchsorted(ordered, ordered[pos] + epsilon, side="right") - 1]
+        net.append(int(order[np.searchsorted(ordered, top)]))
+        pos = int(np.searchsorted(ordered, top + epsilon, side="right"))
     return NetReport(epsilon, net, len(net), len(_separated(cloud, net, epsilon)))
 
 
@@ -301,8 +294,7 @@ def image_cloud(x: TrajectoryGrid) -> PointCloud:
 def verify_coverage(points: PointCloud, centers: np.ndarray, epsilon: float,
                     slack: float = 1e-12) -> bool:
     """Brute-force check that every cloud point is within epsilon of a center."""
-    center_cloud = PointCloud(centers, points.metric_kind, points.norm_kind,
-                              horizon_T=points.horizon_T)
+    center_cloud = PointCloud(centers, points.metric_kind, points.norm_kind)
     return bool(np.all(_nearest(points, center_cloud.points) <= epsilon + slack))
 
 
@@ -401,8 +393,7 @@ def collection_union_nets(family: Sequence[PointCloud],
 
     offsets = np.cumsum([0] + [k.size for k in family])
     union = PointCloud(np.concatenate([k.points for k in family]),
-                       family[0].metric_kind, family[0].norm_kind,
-                       horizon_T=family[0].horizon_T)
+                       family[0].metric_kind, family[0].norm_kind)
     union_indices: list[int] = []
     for i in reps:
         local = greedy_net(family[i], half)
@@ -423,15 +414,13 @@ def collection_union_nets(family: Sequence[PointCloud],
         chosen = tuple(int(base.net_indices[i]) for i in np.nonzero(min_d <= epsilon)[0])
         if not chosen:
             raise AssertionError("union net left a family member uncovered")
-        k_prime = PointCloud(union.points[np.array(chosen)], k.metric_kind,
-                             k.norm_kind, horizon_T=k.horizon_T)
+        k_prime = PointCloud(union.points[np.array(chosen)], k.metric_kind, k.norm_kind)
         if hausdorff_distance(k, k_prime) > epsilon + 1e-12:
             raise AssertionError("Hausdorff net failed verification")
         subsets.append(chosen)
     distinct = sorted(set(subsets))
     # packing over the constructed centers themselves, under d_H
-    kprime_clouds = [PointCloud(union.points[np.array(c)], union.metric_kind,
-                                union.norm_kind, horizon_T=union.horizon_T)
+    kprime_clouds = [PointCloud(union.points[np.array(c)], union.metric_kind, union.norm_kind)
                      for c in distinct]
     hausdorff_report = NetReport(epsilon, distinct, len(distinct),
                                  len(_hausdorff_separated(kprime_clouds, epsilon)))

@@ -44,7 +44,7 @@ _DEFAULTS = {
     "counterexample": {"n_max": 128, "n_t": 1024, "separation": 0.5, "eval_eps": 0.25},
     "gamma": {"eps": 0.1, "run_convolution_check": True, "max_controls": 20},
 }
-# Settings that must be > 0, and counts that must be >= 1.
+# Settings that must be finite and > 0, and counts that must be >= 1.
 _POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("diagnostic", "tol"),
              ("counterexample", "separation"), ("counterexample", "eval_eps"),
              ("gamma", "eps")]
@@ -146,8 +146,8 @@ class RunConfig:
 
     def validate(self) -> None:
         for block, key in _POSITIVE:
-            if not getattr(self, block)[key] > 0:
-                raise ConfigError(f"{block}.{key} must be > 0")
+            if not 0 < getattr(self, block)[key] < np.inf:
+                raise ConfigError(f"{block}.{key} must be finite and > 0")
         for block, key in _COUNTS:
             if getattr(self, block)[key] < 1:
                 raise ConfigError(f"{block}.{key} must be >= 1")
@@ -168,9 +168,11 @@ class RunConfig:
         dims = self.diagnostic["dims"]
         if not dims or dims != sorted(set(dims)):
             raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
+        if not np.isfinite(self.diagnostic["xi0_scale"]):
+            raise ConfigError("diagnostic.xi0_scale must be finite")
         ladder = self.diagnostic["eps_ladder"]
-        if any(e <= 0 for e in ladder):
-            raise ConfigError("diagnostic.eps_ladder entries must be > 0")
+        if not all(0 < e < np.inf for e in ladder):
+            raise ConfigError("diagnostic.eps_ladder entries must be finite and > 0")
         if not ladder or sorted(set(ladder), reverse=True) != ladder:
             raise ConfigError(
                 "diagnostic.eps_ladder must be nonempty and strictly decreasing")
@@ -198,9 +200,7 @@ class RunConfig:
                 probe = dense_semigroup(matrix, 1.0, 0.0)
                 t_grid = np.linspace(0.0, self.system["T"], 17)[1:]
                 m_const, mu = certify_class_constants(
-                    probe, t_grid, sample_count=256,
-                    safety=float(spec.get("safety", 1.1)),
-                    norm_kind=self.system["norm_kind"])
+                    probe, t_grid, sample_count=256, norm_kind=self.system["norm_kind"])
                 sg = dense_semigroup(matrix, m_const, mu)
         else:
             raise ConfigError(f"unknown semigroup kind {kind!r}")

@@ -18,7 +18,7 @@ experiments are built on top:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -268,13 +268,6 @@ class GammaTable:
                 break
         return idx
 
-    def evaluate(self, t, xi: np.ndarray) -> np.ndarray:
-        i = self.time_cell(t)
-        j = self.state_cell(xi)
-        if np.any(j < 0):
-            raise ValueError("state outside every Gamma_eps cell")
-        return self.values[np.asarray(i) - 1, j - 1]
-
     def to_dict(self) -> dict:
         return {
             "T": self.horizon_T, "epsilon": self.epsilon, "delta": self.delta,
@@ -352,9 +345,7 @@ def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
         table = _build_gamma_table(sg, K, T, eps, delta)
         last_err, n_checked = _verify_gamma(sg, K, table, verify_times)
         if last_err < eps:
-            return GammaTable(table.horizon_T, table.epsilon, table.delta,
-                              table.n_time_cells, table.centers, table.values,
-                              table.norm_kind, last_err, n_checked)
+            return replace(table, verified_max_error=last_err, verification_points=n_checked)
         delta *= 0.5
     raise VerificationError(
         f"Gamma_eps verification failed after {_MAX_RETRIES} retries "
@@ -397,10 +388,7 @@ def _verify_gamma(sg: Semigroup, K: PointCloud, table: GammaTable,
         for step, cell in zip(steps, cells):
             if cell != gathered:
                 approx, gathered = table.values[cell - 1, block_j], cell
-            if step.ndim == 2:
-                np.matmul(points, step, out=diff)
-            else:
-                np.multiply(points, step, out=diff)
+            semigroup_act(step, points, diff)
             diff -= approx
             if K.norm_kind == 2:
                 err = np.square(diff, out=diff).sum(axis=-1)

@@ -61,23 +61,20 @@ def _solve_chunk(apply_F: BatchOperator, xi0: StateVector, controls: Sequence[Co
                  fail: Callable[[int, Exception], Exception]) -> list[SolveResult]:
     """Iterate a chunk of controls together; each stops at its own index.
 
-    One contraction step is N applications of F on the hidden route (N = 1
-    on the omega route).  The first step's gap needs the iterates up to
-    x_{2N-1} and fixes the stop index k, hence the k N applications.  A zero
-    control stops after one application, at the control-free orbit.
+    One contraction step is `cert.block` = N applications of F (N = 1 on the
+    omega route).  The first step's gap, in the certificate's metric, needs
+    the iterates up to x_{2N-1} and fixes the stop index k, hence the k N
+    applications.  A zero control stops after one application, at the
+    control-free orbit.
     """
-    kind, rate = xi0.norm_kind, cert.rate_C
-    block = cert.N if cert.mode == "hidden" else 1
+    kind, rate, block = xi0.norm_kind, cert.rate_C, cert.block
     values = np.stack([u.values for u in controls])
     gaps: list[list[float]] = [[] for _ in controls]
     order = np.arange(len(controls))  # the control in each row of an iterate
 
-    def dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return vector_norm(a - b, kind).max(axis=1)
-
     def advance(cur: np.ndarray) -> np.ndarray:
         nxt = apply_F(cur, values[order[: len(cur)]])
-        step_gaps = dist(nxt, cur)
+        step_gaps = vector_norm(nxt - cur, kind).max(axis=1)
         bad = ~np.isfinite(step_gaps)
         if bad.any():
             raise fail(order[np.argmax(bad)],
@@ -89,12 +86,7 @@ def _solve_chunk(apply_F: BatchOperator, xi0: StateVector, controls: Sequence[Co
     window = [np.broadcast_to(xi0.coords, (len(controls),) + apply_F.orbit.states.shape)]
     for _ in range(2 * block - 1):
         window.append(advance(window[-1]))
-    if cert.mode == "omega":
-        weight = np.exp(-cert.omega * apply_F.times)
-        gap1 = (weight * vector_norm(window[1] - window[0], kind)).max(axis=1)
-    else:  # the first step's gap in the renormed metric d'
-        gap1 = np.max([dist(window[m], window[block + m]) / rate ** (m / block)
-                       for m in range(block)], axis=0)
+    gap1 = cert.distance(window[:block], window[block:], apply_F.times, kind)
 
     totals, bounds = np.ones(len(controls), dtype=int), np.zeros(len(controls))
     for b, g1 in enumerate(gap1.tolist()):
@@ -137,7 +129,7 @@ def _solve(xi0: StateVector, controls: Sequence[Control], fields: Sequence[Vecto
         if norms[i] > cert.radius_r * (1.0 + 1e-12):
             raise fail(i, CertificateRadiusError(
                 f"|u|_p = {norms[i]:.6g} exceeds certificate radius {cert.radius_r:.6g}"))
-    if cert.mode == "hidden" and 2 * cert.N - 1 > _MAX_APPLICATIONS and norms.any():
+    if 2 * cert.block - 1 > _MAX_APPLICATIONS and norms.any():
         raise fail(int(np.argmax(norms > 0.0)), RuntimeError(_CAP_EXCEEDED))
 
     apply_F = BatchOperator(xi0, fields, sg, grid[1], grid[0])

@@ -117,10 +117,10 @@ class Semigroup:
             if not np.all(np.isfinite(gen)):
                 raise ValueError("generator entries must be finite")
             object.__setattr__(self, "generator", gen)
-        if self.class_M < 1.0:
-            raise ValueError("class_M must be >= 1")
-        if self.class_mu < 0.0:
-            raise ValueError("class_mu must be >= 0")
+        if not 1.0 <= self.class_M < np.inf:
+            raise ValueError("class_M must be finite and >= 1")
+        if not 0.0 <= self.class_mu < np.inf:
+            raise ValueError("class_mu must be finite and >= 0")
 
     @property
     def dim(self) -> int:
@@ -256,6 +256,8 @@ def bilinear_field(matrix, norm_kind: NormKind = 2) -> VectorField:
     b = np.asarray(matrix, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("bilinear field needs a square matrix")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("bilinear field matrix must be finite")
     nrm = operator_norm(b, norm_kind)
     identity = np.array_equal(b, np.eye(b.shape[0]))
     return VectorField(
@@ -268,6 +270,8 @@ def bilinear_field(matrix, norm_kind: NormKind = 2) -> VectorField:
 def constant_field(vector, norm_kind: NormKind = 2) -> VectorField:
     """f(xi) = b with L = alpha = 0, beta = |b|."""
     b = np.atleast_1d(np.asarray(vector, dtype=float))
+    if not np.all(np.isfinite(b)):
+        raise ValueError("constant field vector must be finite")
     return VectorField(
         eval_fn=lambda t, x: np.broadcast_to(b, np.shape(x)).copy(),
         lipschitz_L=0.0, growth_alpha=0.0,
@@ -278,8 +282,8 @@ def constant_field(vector, norm_kind: NormKind = 2) -> VectorField:
 
 def saturation_field(scale: float) -> VectorField:
     """Coordinatewise f(xi)_k = scale * tanh(xi_k); L = alpha = scale."""
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
+    if not 0 <= scale < np.inf:
+        raise ValueError("scale must be finite and >= 0")
     return VectorField(
         eval_fn=lambda t, x: scale * np.tanh(x),
         lipschitz_L=scale, growth_alpha=scale, growth_beta=0.0,

@@ -252,6 +252,22 @@ class TestConfigErrors:
         ("gamma", "gamma", {"run_convolution_check": "no"}),
         ("gamma", "gamma", {"max_controls": 0}),
         ("reachset", "diagnostic", {"dims": [2.0, 4.0]}),
+        ("solve", "system", {"T": math.inf}),
+        ("solve", "control", {"r": math.inf}),
+        ("gamma", "gamma", {"eps": math.inf}),
+        ("solve", "solver", {"tol": math.inf}),
+        ("counterexample", "counterexample", {"separation": math.inf}),
+        ("reachset", "diagnostic", {"eps_ladder": [math.inf, 0.1]}),
+        ("reachset", "diagnostic", {"xi0_scale": math.inf}),
+        ("solve", "system", {"fields": [{"kind": "constant", "vector": None}]}),
+        ("solve", "system", {"fields": [{"kind": "constant", "vector": [math.nan]}]}),
+        ("solve", "system", {"fields": [{"kind": "bilinear", "matrix": [[math.nan]]}]}),
+        ("solve", "system", {"fields": [{"kind": "saturation", "scale": math.nan}]}),
+        ("solve", "system", {"fields": [{"kind": "saturation", "scale": math.inf}]}),
+        ("solve", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
+                                           "class_M": math.inf}}),
+        ("solve", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
+                                           "class_M": 1.0, "class_mu": math.inf}}),
     ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid",
             "cloud-budget", "diagnostic-tol", "diagnostic-n-t", "eps-ladder-string",
             "dims-string", "gamma-eps", "spike-separation", "eval-eps",
@@ -260,7 +276,11 @@ class TestConfigErrors:
             "eigenvalue-string", "dense-not-square", "fields-mapping",
             "bilinear-dim-mismatch", "saturation-negative", "xi0-string",
             "seed-fraction", "seed-negative", "count-bool", "check-string",
-            "max-controls-zero", "dims-float"])
+            "max-controls-zero", "dims-float",
+            "T-inf", "r-inf", "gamma-eps-inf", "tol-inf", "separation-inf",
+            "eps-ladder-inf", "xi0-scale-inf", "constant-null", "constant-nan",
+            "bilinear-nan", "saturation-nan", "saturation-inf", "class-M-inf",
+            "class-mu-inf"])
     def test_rejected_before_any_work(self, tmp_path, capsys, command, block, value):
         cfg = write_config(tmp_path, scalar_system(**{block: value}))
         out = tmp_path / "out"

@@ -105,6 +105,31 @@ class TestCoveringNets:
         aligned = state_cloud(np.linspace(0, 1, 401)[:, None])
         assert covering_net(aligned, 0.25).covering_size == 2
 
+        def stepping_sweep(values, eps):
+            # the point-by-point sweep with one mask per center, written out
+            order = np.argsort(values, kind="stable")
+            net, covered_up_to, pos = [], -np.inf, 0
+            while pos < len(order):
+                v = values[order[pos]]
+                if v <= covered_up_to:
+                    pos += 1
+                    continue
+                inside = order[(values[order] <= v + eps) & (values[order] >= v)]
+                net.append(int(inside[np.argmax(values[inside])]))
+                covered_up_to = values[net[-1]] + eps
+            return net
+
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            size = int(rng.integers(1, 80))
+            values = rng.integers(-6, 7, size) * 0.125  # repeated values, ties at eps
+            if trial % 2:
+                values = np.round(rng.standard_normal(size), 1)
+            values[rng.uniform(size=size) < 0.1] = -0.0
+            for eps in (0.125, 0.25, 0.3, 1.0):
+                assert (interval_covering_net(state_cloud(values[:, None]), eps).net_indices
+                        == stepping_sweep(values, eps))
+
     def test_fps_coverage_in_higher_dimension(self, rng):
         cloud = state_cloud(rng.standard_normal((300, 4)))
         for eps in (1.6, 0.8, 0.4):
@@ -206,8 +231,8 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     kind = "state_norm" if len(shape) == 2 else "sup_norm"
     pts = rng.standard_normal(shape)
     pts[7] = pts[3]  # an exact duplicate
-    cloud = PointCloud(pts, kind, norm_kind, horizon_T=1.0)
-    other = PointCloud(rng.standard_normal(shape)[:20] + 0.3, kind, norm_kind, horizon_T=1.0)
+    cloud = PointCloud(pts, kind, norm_kind)
+    other = PointCloud(rng.standard_normal(shape)[:20] + 0.3, kind, norm_kind)
     d = full_distance_matrix(pts, pts, norm_kind)
     eps = float(np.quantile(d[d > 0], 0.2))
 

@@ -151,6 +151,37 @@ class TestPicardSolve:
             moved = omega_norm_distance(res.trajectory, cur, cert.omega)
         assert moved <= res.a_posteriori_bound + 1e-15
 
+    @pytest.mark.parametrize("route", ["hidden", "omega"])
+    def test_bound_reads_first_gap_in_public_metric(self, route):
+        # the stopping bound is C^k / (1 - C) * gap_1 bit for bit, k contraction
+        # steps of `block` applications and gap_1 = d(x_0, x_block) in the
+        # certificate's own metric, as the public distance functions give it
+        sg = diagonal_semigroup([0.0])
+        f = bilinear_field([[1.0]])
+        xi0 = StateVector([1.0])
+        if route == "hidden":
+            cert = certify_hidden_contraction(2.0, 1.0, 0.0, 1.0, 1.0)
+            u = constant_control(1.5, 200)
+            assert (cert.N, cert.block) == (4, 4)
+        else:
+            cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+            u = constant_control(0.8, 200)
+            assert cert.block == 1
+        res = picard_solve(xi0, u, [f], sg, cert, tol=1e-8)
+        apply_F = bind_operator(u, xi0, [f], sg)
+        x0 = constant_trajectory(xi0, u.horizon_T, u.n_t)
+        x_block = x0
+        for _ in range(cert.block):
+            x_block = apply_F(x_block)
+        if route == "hidden":
+            gap1 = renormed_distance(x0, x_block, apply_F, cert)
+        else:
+            gap1 = omega_norm_distance(x0, x_block, cert.omega)
+        k, rest = divmod(res.iterations, cert.block)
+        assert rest == 0 and k >= 2
+        assert res.a_posteriori_bound == cert.rate_C ** k / (1.0 - cert.rate_C) * gap1
+        assert res.a_posteriori_bound <= 1e-8
+
 
 class TestIterateDifferences:
     def test_exponential_case_pairs_gap_with_bound(self):
