@@ -7,7 +7,6 @@ from .spaces import (
     VectorField,
     apply_semigroup,
     bilinear_field,
-    builtin_field,
     certify_class_constants,
     constant_field,
     dense_semigroup,
@@ -44,7 +43,6 @@ from .solver import (
 from .compactness import (
     NetReport,
     PointCloud,
-    cloud_to_csv,
     collection_union_nets,
     covering_net,
     covering_sizes,

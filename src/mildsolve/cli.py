@@ -7,8 +7,8 @@ settings as `cfg.<block>[key]`, typed and checked at load; `main` applies and
 checks ``--seed`` once.  Outputs are byte-identical across re-runs except for
 the timestamp inside the metadata key.  ``--threads`` is accepted for
 compatibility and has no effect.  Exit codes: 0 success, 2 config error (a
-bad setting or system, or a control outside the certificate radius),
-3 numeric/certification failure, 4 verification failure.
+bad or unknown setting, a bad system, or a control outside the certificate
+radius), 3 numeric/certification failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ def build_system(cfg: RunConfig) -> tuple[Semigroup, list[VectorField], Contract
     fields = cfg.build_fields(sg.dim)
     cert = certify(cfg.control["p"], cfg.control["r"], sg.class_M, sg.class_mu,
                    max(f.lipschitz_L for f in fields), cfg.system["T"],
-                   mode=cfg.solver["certificate_mode"],
-                   target_C=cfg.solver["target_rate"])
+                   mode=cfg.solver["certificate_mode"])
     return sg, fields, cert
 
 
@@ -136,9 +135,7 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
 
 
 def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
-    block = cfg.counterexample
-    report = counterexample_report(block["n_max"], block["n_t"], block["separation"],
-                                   block["eval_eps"])
+    report = counterexample_report(cfg.counterexample["n_max"], cfg.counterexample["n_t"])
     _write_json(out_dir / "counterexample.json", {
         "spike_indices": report.spike_indices,
         "max_closed_form_error": report.max_closed_form_error,
@@ -175,23 +172,22 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
         "points_checked": table.verification_points,
         "passed": bool(table.verified_max_error < eps),
     }
-    if cfg.gamma["run_convolution_check"]:
-        half = gamma_approximation(sg, cloud, T, eps / 2.0,
-                                   seed=seed, extra_verify_times=lag_grid)
-        conv = convolution_compactness_check(
-            sample, half, fields, sg, max_controls=cfg.gamma["max_controls"])
-        tolerance = eps / 2.0 + 10.0 / n_t
-        verification["convolution"] = {
-            "n_controls": conv.n_controls,
-            "max_coefficient": conv.max_coefficient,
-            "max_reconstruction_error": conv.max_reconstruction_error,
-            "tolerance": tolerance,
-            "passed": bool(conv.max_reconstruction_error < tolerance),
-        }
-        if not verification["convolution"]["passed"]:
-            raise VerificationError(
-                f"convolution reconstruction error {conv.max_reconstruction_error:.3e} "
-                f"exceeds {tolerance:.3e}")
+    half = gamma_approximation(sg, cloud, T, eps / 2.0,
+                               seed=seed, extra_verify_times=lag_grid)
+    conv = convolution_compactness_check(
+        sample, half, fields, sg, max_controls=cfg.gamma["max_controls"])
+    tolerance = eps / 2.0 + 10.0 / n_t
+    verification["convolution"] = {
+        "n_controls": conv.n_controls,
+        "max_coefficient": conv.max_coefficient,
+        "max_reconstruction_error": conv.max_reconstruction_error,
+        "tolerance": tolerance,
+        "passed": bool(conv.max_reconstruction_error < tolerance),
+    }
+    if not verification["convolution"]["passed"]:
+        raise VerificationError(
+            f"convolution reconstruction error {conv.max_reconstruction_error:.3e} "
+            f"exceeds {tolerance:.3e}")
     _write_json(out_dir / "gamma_verification.json",
                 {"verification": verification, "metadata": _metadata(cfg)})
     print(f"Gamma table: {table.n_time_cells} x {table.n_state_cells} cells, "

@@ -80,19 +80,6 @@ def trajectory_cloud(trajectories: Sequence[TrajectoryGrid]) -> PointCloud:
     return PointCloud(stack, "sup_norm", trajectories[0].norm_kind)
 
 
-def cloud_to_csv(cloud: PointCloud, path) -> None:
-    """Write a state cloud as CSV, one point per row."""
-    if cloud.metric_kind != "state_norm":
-        raise ValueError("CSV serialization is defined for state clouds")
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(cloud.points.shape[1])])
-        for row in cloud.points:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 @dataclass(frozen=True)
 class NetReport:
     """Result of a covering computation over one cloud.

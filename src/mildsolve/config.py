@@ -2,9 +2,10 @@
 
 The file has four blocks (system, control, solver, diagnostic) plus optional
 counterexample/gamma blocks.  Loading converts each setting of `_DEFAULTS` to
-its default's type once; a value that does not convert, an invalid range or
-a system the library rejects raises `ConfigError`, which the CLI maps to exit
-code 2 before any numerical work starts.
+its default's type once; a value that does not convert, an invalid range, a
+block or key that no command reads, or a system the library rejects raises
+`ConfigError`, which the CLI maps to exit code 2 before any numerical work
+starts.
 """
 
 from __future__ import annotations
@@ -38,15 +39,18 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DEFAULTS = {
     "system": {"T": 1.0, "n_t": 128, "norm_kind": 2.0},
     "control": {"p": 2.0, "r": 1.0, "count": 1, "seed": 0},
-    "solver": {"tol": 1e-8, "certificate_mode": "auto", "target_rate": 0.5},
+    "solver": {"tol": 1e-8, "certificate_mode": "auto"},
     "diagnostic": {"dims": [16, 32, 64], "eps_ladder": [0.1, 0.05, 0.02],
                    "xi0_scale": 0.02, "cloud_budget": 4000, "tol": 1e-4},
-    "counterexample": {"n_max": 128, "n_t": 1024, "separation": 0.5, "eval_eps": 0.25},
-    "gamma": {"eps": 0.1, "run_convolution_check": True, "max_controls": 20},
+    "counterexample": {"n_max": 128, "n_t": 1024},
+    "gamma": {"eps": 0.1, "max_controls": 20},
 }
+# The keys each kind reads beyond `kind` (and a semigroup's class_M/class_mu).
+_SEMIGROUP_KEYS = {"diagonal": "eigenvalues", "heat": "dim", "dense": "matrix"}
+_FIELD_KEYS = {"bilinear": ("identity", "matrix"), "constant": ("vector",),
+               "saturation": ("scale",)}
 # Settings that must be finite and > 0, and counts that must be >= 1.
 _POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("diagnostic", "tol"),
-             ("counterexample", "separation"), ("counterexample", "eval_eps"),
              ("gamma", "eps")]
 _COUNTS = [("system", "n_t"), ("control", "count"), ("diagnostic", "n_t"),
            ("diagnostic", "cloud_budget"), ("counterexample", "n_max"),
@@ -55,6 +59,13 @@ _COUNTS = [("system", "n_t"), ("control", "count"), ("diagnostic", "n_t"),
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+def _reject_unread(given: dict, allowed, where: str) -> None:
+    """A key no command reads (a typo, a removed setting) is an error, not a silent default."""
+    unread = [key for key in given if key not in allowed]
+    if unread:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unread))}")
 
 
 def _typed(value, default, name: str):
@@ -128,6 +139,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
+        _reject_unread(raw, _DEFAULTS, "config")
         blocks = {}
         for name, defaults in copy.deepcopy(_DEFAULTS).items():
             given = raw.get(name, {})
@@ -135,6 +147,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a mapping, got {given!r}")
             if name == "diagnostic":
                 defaults["n_t"] = blocks["system"]["n_t"]
+            _reject_unread(given, [*defaults, "semigroup", "fields", "xi0"]
+                           if name == "system" else defaults, name)
             blocks[name] = {**given, **{
                 key: _typed(given.get(key, default), default, f"{name}.{key}")
                 for key, default in defaults.items()}}
@@ -163,8 +177,6 @@ class RunConfig:
             raise ConfigError("solver.certificate_mode must be auto/omega/hidden")
         if mode == "omega" and p == 1:
             raise ConfigError("omega certificates require p > 1")
-        if not 0.0 < self.solver["target_rate"] < 1.0:
-            raise ConfigError("solver.target_rate must lie in (0, 1)")
         dims = self.diagnostic["dims"]
         if not dims or dims != sorted(set(dims)):
             raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
@@ -187,11 +199,15 @@ class RunConfig:
     def build_semigroup(self) -> Semigroup:
         spec = self.system["semigroup"]
         kind = spec["kind"]
+        if kind not in _SEMIGROUP_KEYS:
+            raise ConfigError(f"unknown semigroup kind {kind!r}")
+        _reject_unread(spec, ("kind", "class_M", "class_mu", _SEMIGROUP_KEYS[kind]),
+                       "system.semigroup")
         if kind == "diagonal":
             sg = diagonal_semigroup(spec["eigenvalues"])
         elif kind == "heat":
             sg = heat_semigroup(int(spec["dim"]))
-        elif kind == "dense":
+        else:
             matrix = np.asarray(spec["matrix"], dtype=float)
             if "class_M" in spec and "class_mu" in spec:
                 sg = dense_semigroup(matrix, float(spec["class_M"]),
@@ -202,8 +218,6 @@ class RunConfig:
                 m_const, mu = certify_class_constants(
                     probe, t_grid, sample_count=256, norm_kind=self.system["norm_kind"])
                 sg = dense_semigroup(matrix, m_const, mu)
-        else:
-            raise ConfigError(f"unknown semigroup kind {kind!r}")
         if "class_M" in spec and kind != "dense":
             sg = Semigroup(eigenvalues=sg.eigenvalues,
                            class_M=float(spec["class_M"]),
@@ -219,15 +233,16 @@ class RunConfig:
         out = []
         for fs in specs:
             kind = fs["kind"]
+            if kind not in _FIELD_KEYS:
+                raise ConfigError(f"unknown field kind {kind!r}")
+            _reject_unread(fs, ("kind", *_FIELD_KEYS[kind]), "system.fields")
             if kind == "bilinear":
                 out.append(bilinear_field(
                     np.eye(dim) if fs.get("identity") else fs["matrix"], norm_kind))
             elif kind == "constant":
                 out.append(constant_field(fs["vector"], norm_kind))
-            elif kind == "saturation":
-                out.append(saturation_field(float(fs.get("scale", 1.0))))
             else:
-                raise ConfigError(f"unknown field kind {kind!r}")
+                out.append(saturation_field(float(fs.get("scale", 1.0))))
         for f in out:
             probe = f(0.0, np.zeros(dim))
             if probe.shape != (dim,):

@@ -248,6 +248,8 @@ class ContractionCertificate:
         else:
             if self.N is None or self.N < 1:
                 raise ValueError("hidden mode requires N >= 1")
+            if self.rate_C == 0.0 and self.N > 1:  # d' would divide by 0 ** (m / N)
+                raise ValueError("a hidden certificate with rate 0 has N = 1")
 
     @property
     def block(self) -> int:
@@ -363,12 +365,14 @@ def certify_hidden_contraction(r: float, M: float, mu: float, L_bound: float,
         rate = base ** n / math.factorial(n)
     else:
         rate = math.exp(n * log_base - math.lgamma(n + 1))
+        if rate == 0.0:  # rounding lost the log; exactly, base / n <= rate < 1
+            rate = math.nextafter(1.0, 0.0)
     return ContractionCertificate("hidden", rate, r, p, M, mu, L_bound, T,
                                   N=n, l1_mass=mass)
 
 
 def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,
-            mode: str = "auto", target_C: float = 0.5) -> ContractionCertificate:
+            mode: str = "auto") -> ContractionCertificate:
     """Certificate for the control ball |u|_p <= r: the one selection policy.
 
     Mode "hidden", or "auto" with p = 1, takes the hidden route; otherwise the
@@ -384,7 +388,7 @@ def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,
     if mode == "hidden" or (mode == "auto" and p == 1):
         return hidden()
     try:
-        return certify_omega_contraction(p, r, M, mu, L_bound, T, target_C=target_C)
+        return certify_omega_contraction(p, r, M, mu, L_bound, T)
     except (OverflowError, FloatingPointError):
         return hidden()
 
@@ -399,8 +403,6 @@ def renorm_equivalence_constant(cert: ContractionCertificate) -> float:
     """M_equiv with d <= d' <= M_equiv d for the renormed metric of `cert`."""
     if cert.mode != "hidden":
         raise ValueError("equivalence constant is defined for hidden certificates")
-    if cert.rate_C == 0.0:
-        return 1.0
     lf = hidden_step_lipschitz(cert)
     return max(lf ** n / cert.rate_C ** (n / cert.N) for n in range(cert.N))
 
@@ -415,8 +417,6 @@ def renormed_distance(x: TrajectoryGrid, y: TrajectoryGrid,
     """
     if cert.mode != "hidden":
         raise ValueError("renormed distance requires a hidden certificate")
-    if cert.rate_C == 0.0:
-        return sup_norm(x, y)
     _check_same_grid(x, y)
     xs, ys = [x], [y]
     while len(xs) < cert.block:

@@ -181,16 +181,19 @@ class CounterexampleReport:
 
 # Largest deviation of a spike solution from its closed form min(n t, 1)
 _CLOSED_FORM_SLACK = 1e-9
+# Consecutive dyadic spike solutions are exactly 1/2 apart in sup-norm, while
+# their values only fill [0, 1]: packing grows with the family, covering does not.
+_SPIKE_SEPARATION = 0.5
+_SPIKE_EVAL_EPS = 0.25
 
 
-def counterexample_report(n_max: int, n_t: int, separation: float = 0.5,
-                          eval_eps: float = 0.25) -> CounterexampleReport:
+def counterexample_report(n_max: int, n_t: int) -> CounterexampleReport:
     """Solve the dyadic spike family of the scalar system x' = u, x(0) = 0.
 
     Each solution is checked against the closed form min(n t, 1); the report
     contains the sup-norm packing of the trajectory family (grows with the
-    dyadic index: consecutive members stay 1/2 apart) and the covering size
-    of the evaluation set (stays bounded: the values only fill [0, 1]).
+    dyadic index) and the covering size of the evaluation set (stays
+    bounded).
     """
     ks = [2 ** k for k in range(int(math.log2(n_max)) + 1) if 2 ** k <= n_max]
     for n in ks:
@@ -216,9 +219,9 @@ def counterexample_report(n_max: int, n_t: int, separation: float = 0.5,
                 f"spike n={n} deviates from closed form by {err:.3e}")
         trajectories.append(res.trajectory)
 
-    packing = packing_number(trajectory_cloud(trajectories), separation)
-    covering = covering_net(evaluation_set(trajectories), eval_eps).covering_size
-    return CounterexampleReport(ks, worst, separation, packing, eval_eps, covering)
+    packing = packing_number(trajectory_cloud(trajectories), _SPIKE_SEPARATION)
+    covering = covering_net(evaluation_set(trajectories), _SPIKE_EVAL_EPS).covering_size
+    return CounterexampleReport(ks, worst, _SPIKE_SEPARATION, packing, _SPIKE_EVAL_EPS, covering)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ import numpy as np
 NormKind = Union[int, float]  # 1, 2 or np.inf
 
 _VALID_NORMS = (1, 2, np.inf)
+# A 2-norm below this summed squares under the smallest normal float.
+_TINY_NORM = np.sqrt(np.finfo(float).tiny)
 
 
 def check_norm_kind(norm_kind: NormKind) -> NormKind:
@@ -31,8 +33,9 @@ def vector_norm(coords: np.ndarray, norm_kind: NormKind,
     """p-norm along the last axis (works on single vectors and batches).
 
     `scratch`, a float array shaped like `coords` and distinct from it, takes
-    the elementwise pass instead of a new array.  A finite row whose direct
-    sum overflows is summed again with its max-abs factored out.
+    the elementwise pass instead of a new array.  A finite nonzero row whose
+    direct sum overflows, or whose squares underflow (a 2-norm below
+    `_TINY_NORM`), is summed again with its max-abs factored out.
     """
     x = np.asarray(coords, dtype=float)
     if norm_kind == np.inf:
@@ -42,14 +45,22 @@ def vector_norm(coords: np.ndarray, norm_kind: NormKind,
             r = np.sqrt(np.square(x, out=scratch).sum(axis=-1))
         else:
             r = np.abs(x, out=scratch).sum(axis=-1)
-        bad = ~np.isfinite(r)
-        if not bad.any():
+        low = _TINY_NORM if norm_kind == 2 else 0.0
+        if not r.size:
             return r
-        r = np.array(r)
-        bad &= np.isfinite(x).all(axis=-1)
+        top = r.max()
+        if r.min() >= low and top < np.inf:
+            return r
+        bad = r < low if top < np.inf else ~((r >= low) & (r < np.inf))
         rows = x[bad]
-        scale = np.abs(rows).max(axis=-1, keepdims=True)
-        r[bad] = scale[..., 0] * vector_norm(rows / scale, norm_kind)
+        if not np.count_nonzero(rows):  # zero rows: a point against itself, in every covering sweep
+            return r
+        scale = np.abs(rows).max(axis=-1)
+        fix = (scale > 0.0) & (scale < np.inf)  # finite nonzero rows
+        r = np.array(r)
+        rescued = r[bad]
+        rescued[fix] = scale[fix] * vector_norm(rows[fix] / scale[fix, None], norm_kind)
+        r[bad] = rescued
     return r[()]
 
 
@@ -289,14 +300,3 @@ def saturation_field(scale: float) -> VectorField:
         lipschitz_L=scale, growth_alpha=scale, growth_beta=0.0,
         kind="saturation", params={"scale": scale},
     )
-
-
-def builtin_field(name: str, norm_kind: NormKind = 2, **params) -> VectorField:
-    """Construct one of the built-in fields: bilinear(B), constant(b), saturation(scale)."""
-    if name == "bilinear":
-        return bilinear_field(params["matrix"], norm_kind)
-    if name == "constant":
-        return constant_field(params["vector"], norm_kind)
-    if name == "saturation":
-        return saturation_field(params["scale"])
-    raise ValueError(f"unknown builtin field {name!r}")

@@ -268,6 +268,11 @@ class TestConfigErrors:
                                            "class_M": math.inf}}),
         ("solve", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
                                            "class_M": 1.0, "class_mu": math.inf}}),
+        ("solve", "solver", {"tols": 1e-2}),
+        ("certify", "control", {"radius": 5}),
+        ("certify", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
+                                             "class_m": 2}}),
+        ("solve", "system", {"fields": [{"kind": "saturation", "scal": 5}]}),
     ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid",
             "cloud-budget", "diagnostic-tol", "diagnostic-n-t", "eps-ladder-string",
             "dims-string", "gamma-eps", "spike-separation", "eval-eps",
@@ -280,7 +285,8 @@ class TestConfigErrors:
             "T-inf", "r-inf", "gamma-eps-inf", "tol-inf", "separation-inf",
             "eps-ladder-inf", "xi0-scale-inf", "constant-null", "constant-nan",
             "bilinear-nan", "saturation-nan", "saturation-inf", "class-M-inf",
-            "class-mu-inf"])
+            "class-mu-inf", "unknown-solver-key", "unknown-control-key",
+            "unknown-semigroup-key", "unknown-field-key"])
     def test_rejected_before_any_work(self, tmp_path, capsys, command, block, value):
         cfg = write_config(tmp_path, scalar_system(**{block: value}))
         out = tmp_path / "out"
@@ -299,6 +305,15 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_unknown_block_rejected(self, tmp_path, capsys):
+        payload = scalar_system()
+        payload["solvers"] = {"tol": 1e-2}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error:")
 

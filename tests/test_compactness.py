@@ -426,18 +426,12 @@ class TestCollectionUnionNets:
             collection_union_nets([], 0.5)
 
 
-def test_net_report_and_cloud_serialize(tmp_path, rng):
-    from mildsolve.compactness import cloud_to_csv
+def test_net_report_and_cloud_serialize(rng):
     cloud = state_cloud(rng.uniform(0, 1, size=(20, 3)))
     report = greedy_net(cloud, 0.4)
     payload = report.to_dict()
     assert payload["covering_size"] == report.covering_size
     assert all(isinstance(i, int) for i in payload["net_indices"])
-    path = tmp_path / "cloud.csv"
-    cloud_to_csv(cloud, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x0,x1,x2"
-    assert len(rows) == 21
 
 
 def test_counterexample_packing_is_dyadic_depth():

@@ -339,6 +339,17 @@ class TestRenormedDistance:
             renormed_distance(x, x, lambda z: z, cert)
 
 
+def test_rate_zero_hidden_certificate_has_one_step():
+    # d' divides the m >= 1 gaps by 0 ** (m / N): with N > 1 the bound read nan
+    from mildsolve.operator import ContractionCertificate
+    d = {"mode": "hidden", "rate": 0.0, "radius": 1.0, "p": 1.0, "N": 3, "l1_mass": 1.0,
+         "constants": {"M": 1.0, "mu": 0.0, "L_bound": 0.0, "T": 1.0}}
+    with pytest.raises(ValueError, match="rate 0"):
+        ContractionCertificate.from_dict(d)
+    zero = certify_hidden_contraction(1.0, 1.0, 0.0, 0.0, 1.0)
+    assert ContractionCertificate.from_dict(zero.to_dict()) == zero
+
+
 def test_certificate_serialization_round_trip():
     from mildsolve.operator import ContractionCertificate
     for cert in (certify_omega_contraction(2.0, 1.0, 1.0, 0.1, 1.0, 1.0),

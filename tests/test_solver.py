@@ -7,6 +7,7 @@ from mildsolve import (
     CertificateRadiusError,
     Control,
     StateVector,
+    TrajectoryGrid,
     VectorField,
     bilinear_field,
     bind_operator,
@@ -150,6 +151,19 @@ class TestPicardSolve:
         else:
             moved = omega_norm_distance(res.trajectory, cur, cert.omega)
         assert moved <= res.a_posteriori_bound + 1e-15
+
+    def test_bound_holds_for_tiny_states(self):
+        # gaps near 1e-171 square below the smallest normal float: the bound
+        # must still cover the error against the scaled xi0 = 1 solution
+        sg = diagonal_semigroup([0.0])
+        f = bilinear_field([[1.0]])
+        cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        u = sample_ball(2.0, 1.0, 1.0, 1, 64, 1, seed=3)[0]
+        tiny = picard_solve(StateVector([1e-170]), u, [f], sg, cert, tol=1e-8)
+        unit = picard_solve(StateVector([1.0]), u, [f], sg, cert, tol=1e-8)
+        reference = TrajectoryGrid(1.0, 1e-170 * unit.trajectory.states)
+        error = omega_norm_distance(tiny.trajectory, reference, cert.omega)
+        assert tiny.a_posteriori_bound >= error > 0.0
 
     @pytest.mark.parametrize("route", ["hidden", "omega"])
     def test_bound_reads_first_gap_in_public_metric(self, route):

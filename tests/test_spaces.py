@@ -6,12 +6,15 @@ import pytest
 from mildsolve import (
     StateVector,
     apply_semigroup,
-    builtin_field,
+    bilinear_field,
     certify_class_constants,
+    constant_field,
     dense_semigroup,
     diagonal_semigroup,
     heat_semigroup,
+    saturation_field,
 )
+from mildsolve.config import ConfigError, RunConfig
 from mildsolve.spaces import operator_norm, vector_norm
 
 
@@ -120,7 +123,7 @@ class TestCertifyClassConstants:
 
 class TestBuiltinFields:
     def test_bilinear_identity(self):
-        f = builtin_field("bilinear", matrix=np.eye(2))
+        f = bilinear_field(np.eye(2))
         assert np.array_equal(f(0.0, np.array([2.0, 3.0])), [2.0, 3.0])
         with pytest.raises(ValueError):
             f(0.0, np.zeros(3))
@@ -128,13 +131,13 @@ class TestBuiltinFields:
         assert f.growth_beta == 0.0
 
     def test_constant_field(self):
-        f = builtin_field("constant", vector=[1.0, 0.0])
+        f = constant_field([1.0, 0.0])
         assert np.array_equal(f(0.3, np.array([5.0, -2.0])), [1.0, 0.0])
         assert f.lipschitz_L == 0.0
         assert f.growth_beta == 1.0
 
     def test_saturation_zero_and_lipschitz_quotient(self, rng):
-        f = builtin_field("saturation", scale=1.0)
+        f = saturation_field(1.0)
         assert np.array_equal(f(0.0, np.zeros(3)), np.zeros(3))
         xs = rng.uniform(-5, 5, size=(10_000, 3))
         ys = rng.uniform(-5, 5, size=(10_000, 3))
@@ -142,8 +145,9 @@ class TestBuiltinFields:
         assert quot.max() <= 1.0 + 1e-12
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown builtin"):
-            builtin_field("quadratic", scale=2.0)
+        cfg = RunConfig.from_dict({"system": {"fields": [{"kind": "quadratic", "scale": 2.0}]}})
+        with pytest.raises(ConfigError, match="unknown field kind"):
+            cfg.build_fields(2)
 
     @pytest.mark.parametrize("name,params", [
         ("bilinear", {"matrix": [[0.0, 1.0], [-2.0, 0.5]]}),
@@ -151,13 +155,22 @@ class TestBuiltinFields:
         ("saturation", {"scale": 2.5}),
     ])
     def test_declared_constants_hold_in_working_ball(self, name, params, rng):
-        f = builtin_field(name, **params)
+        f = {"bilinear": bilinear_field, "constant": constant_field,
+             "saturation": saturation_field}[name](**params)
         xs = rng.uniform(-10, 10, size=(10_000, 2))
         ys = rng.uniform(-10, 10, size=(10_000, 2))
         lhs = vector_norm(f(0.0, xs) - f(0.0, ys), 2)
         assert np.all(lhs <= f.lipschitz_L * vector_norm(xs - ys, 2) + 1e-9)
         growth = vector_norm(f(0.0, xs), 2)
         assert np.all(growth <= f.growth_alpha * vector_norm(xs, 2) + f.growth_beta + 1e-9)
+
+
+def test_vector_norm_rescues_underflow():
+    # the squares of 3e-170 and 4e-170 flush to 0; zero and NaN rows stay as they are
+    assert vector_norm([3e-170, 4e-170], 2) == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    rows = vector_norm(np.array([[3e-170, 4e-170], [0.0, 0.0], [np.nan, 1e-170], [3.0, 4.0]]), 2)
+    assert rows[0] == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    assert rows[1] == 0.0 and np.isnan(rows[2]) and rows[3] == 5.0
 
 
 def test_heat_semigroup_eigenvalues():
