@@ -129,7 +129,7 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
                  row["n_ball"], row["sample_size"]] for row in report.rows])
     _write_json(out_dir / "reachset.json",
                 {"rows": report.rows, "diagnostic_config": report.config,
-                 "metadata": _metadata(cfg)})
+                 "metadata": {**_metadata(cfg), "solves": report.solves}})
     print(f"wrote {out_dir / 'diagnostic.csv'} ({len(report.rows)} rows)")
     return EXIT_OK
 
@@ -189,7 +189,8 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
             f"convolution reconstruction error {conv.max_reconstruction_error:.3e} "
             f"exceeds {tolerance:.3e}")
     _write_json(out_dir / "gamma_verification.json",
-                {"verification": verification, "metadata": _metadata(cfg)})
+                {"verification": verification,
+                 "metadata": {**_metadata(cfg), "solves": sample.solves}})
     print(f"Gamma table: {table.n_time_cells} x {table.n_state_cells} cells, "
           f"max error {table.verified_max_error:.3e} < {eps}")
     return EXIT_OK

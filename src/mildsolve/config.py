@@ -203,13 +203,18 @@ class RunConfig:
             raise ConfigError(f"unknown semigroup kind {kind!r}")
         _reject_unread(spec, ("kind", "class_M", "class_mu", _SEMIGROUP_KEYS[kind]),
                        "system.semigroup")
+        # class_mu is read only beside class_M; a dense kind reads both or certifies both
+        if "class_mu" in spec and "class_M" not in spec:
+            raise ConfigError("system.semigroup: class_mu needs class_M")
+        if kind == "dense" and "class_M" in spec and "class_mu" not in spec:
+            raise ConfigError("system.semigroup: a dense class_M needs class_mu")
         if kind == "diagonal":
             sg = diagonal_semigroup(spec["eigenvalues"])
         elif kind == "heat":
             sg = heat_semigroup(int(spec["dim"]))
         else:
             matrix = np.asarray(spec["matrix"], dtype=float)
-            if "class_M" in spec and "class_mu" in spec:
+            if "class_M" in spec:
                 sg = dense_semigroup(matrix, float(spec["class_M"]),
                                      float(spec["class_mu"]))
             else:

@@ -22,7 +22,7 @@ Two contraction routes are certified:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -256,6 +256,21 @@ class ContractionCertificate:
         """Applications of F per contraction step: N on the hidden route, 1 on the omega route."""
         return self.N if self.mode == "hidden" else 1
 
+    def with_block(self, n: int) -> "ContractionCertificate":
+        """The certificate for steps of n >= `block` applications.
+
+        On the hidden route F^n contracts with rate base^n / n! for every
+        n >= N: ``n log base - lgamma(n + 1)`` is concave and 0 at n = 0, so
+        once negative it stays negative.  The omega route, and a hidden
+        certificate with rate 0, already take one-application steps that stop
+        at the first: they return themselves.
+        """
+        if n < self.block:
+            raise ValueError(f"block {n} is below the certified block {self.block}")
+        if self.mode == "omega" or self.rate_C == 0.0 or n == self.N:
+            return self
+        return replace(self, rate_C=_hidden_rate(hidden_step_lipschitz(self), n), N=n)
+
     def distance(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
                  times: np.ndarray, norm_kind: NormKind) -> np.ndarray:
         """Distance of x and y in the certificate's metric, per row of a stack.
@@ -361,14 +376,20 @@ def certify_hidden_contraction(r: float, M: float, mu: float, L_bound: float,
     while n - lo > 1:
         mid = (lo + n) // 2
         lo, n = (mid, n) if holds(mid) else (lo, mid)
+    return ContractionCertificate("hidden", _hidden_rate(base, n), r, p, M, mu, L_bound, T,
+                                  N=n, l1_mass=mass)
+
+
+def _hidden_rate(base: float, n: int) -> float:
+    """base^n / n! for a base > 0 and a block n with ``n log base < lgamma(n + 1)``,
+    in log space past 170! (where the factorial leaves the floats)."""
     if n <= 170:
         rate = base ** n / math.factorial(n)
     else:
-        rate = math.exp(n * log_base - math.lgamma(n + 1))
-        if rate == 0.0:  # rounding lost the log; exactly, base / n <= rate < 1
-            rate = math.nextafter(1.0, 0.0)
-    return ContractionCertificate("hidden", rate, r, p, M, mu, L_bound, T,
-                                  N=n, l1_mass=mass)
+        rate = math.exp(n * math.log(base) - math.lgamma(n + 1))
+    if rate == 0.0:  # rounding lost a rate in (0, 1): 0 would claim a contraction to a point
+        rate = math.nextafter(1.0, 0.0)
+    return rate
 
 
 def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,

@@ -18,6 +18,7 @@ experiments are built on top:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -41,7 +42,7 @@ from .operator import (
     semigroup_act,
     semigroup_step,
 )
-from .solver import gronwall_radius, picard_solve, solve_batch
+from .solver import SolveResult, gronwall_radius, picard_solve, solve_batch
 from .spaces import (
     Semigroup,
     StateVector,
@@ -69,6 +70,7 @@ class ReachSetSample:
     controls: list
     trajectories: list
     endpoints: PointCloud  # evaluation set of the trajectories
+    solves: dict = field(default_factory=dict)  # `_solve_counters` of the solves
 
     def __post_init__(self):
         for u in self.controls:
@@ -83,14 +85,26 @@ def sample_reachset(xi0: StateVector, p: float, r: float, T: float, count: int,
                     seed: int, fields: Sequence[VectorField], sg: Semigroup,
                     cert: ContractionCertificate, n_t: int,
                     tol: float = 1e-8) -> ReachSetSample:
-    """Draw `count` ball controls, solve each, and collect all grid states."""
+    """Draw `count` ball controls, solve each, and collect all grid states.
+
+    Each solve stops with its work-optimal block (`solve_batch`'s
+    `optimal_block`): only the grid states matter here, each within `tol`.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
-    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol, optimal_block=True)
     trajectories = [res.trajectory for res in results]
     return ReachSetSample(xi0, p, r, T, controls, trajectories,
-                          evaluation_set(trajectories))
+                          evaluation_set(trajectories), _solve_counters(results))
+
+
+def _solve_counters(results: Sequence[SolveResult]) -> dict:
+    """How many solves stopped with each block, and the applications of F
+    they computed, first windows included."""
+    blocks = Counter(res.block for res in results)
+    return {"controls_per_block": {str(n): blocks[n] for n in sorted(blocks)},
+            "applications": sum(res.applications for res in results)}
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +117,7 @@ class DiagnosticReport:
 
     rows: list
     config: dict
+    solves: dict = field(default_factory=dict)  # per dimension, `_solve_counters`
 
 
 def _heat_system(dim: int, xi0_scale: float):
@@ -140,13 +155,13 @@ def compactness_diagnostic(dims: Sequence[int], eps_ladder: Sequence[float],
     if not eps_ladder or any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be nonempty and strictly decreasing")
 
-    rows = []
+    rows, solves = [], {}
     for dim in dims:
         sg, b_field, xi0 = _heat_system(dim, xi0_scale)
         cert = certify(p, r, M=1.0, mu=0.0, L_bound=b_field.lipschitz_L, T=T)
         sample = sample_reachset(xi0, p, r, T, count, seed, [b_field], sg,
                                  cert, n_t, tol=tol)
-        cloud = sample.endpoints
+        cloud, solves[dim] = sample.endpoints, sample.solves
         rng = np.random.default_rng(seed + 7919 * dim)
         if cloud.size > cloud_budget:
             keep = np.sort(rng.choice(cloud.size, size=cloud_budget, replace=False))
@@ -162,7 +177,7 @@ def compactness_diagnostic(dims: Sequence[int], eps_ladder: Sequence[float],
     cfg = {"dims": dims, "eps_ladder": eps_ladder, "p": p, "r": r, "T": T,
            "count": count, "seed": seed, "n_t": n_t, "xi0_scale": xi0_scale,
            "cloud_budget": cloud_budget, "gronwall_radius": radius}
-    return DiagnosticReport(rows, cfg)
+    return DiagnosticReport(rows, cfg, solves)
 
 
 # ---------------------------------------------------------------------------

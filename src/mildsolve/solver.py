@@ -43,9 +43,11 @@ class SolveResult:
 
     trajectory: TrajectoryGrid
     iterate_gaps: list  # sup-norm gap per operator application
-    iterations: int  # number of operator applications
+    iterations: int  # operator applications up to the returned iterate
     certificate: ContractionCertificate
-    a_posteriori_bound: float  # in the certificate's metric
+    a_posteriori_bound: float  # in the metric of `certificate.with_block(block)`
+    block: int  # applications per contraction step of the stopping rule
+    applications: int  # applications computed for this control, first window included
 
 
 def _stop_index(rate: float, gap1: float, tol: float) -> int:
@@ -57,17 +59,21 @@ def _stop_index(rate: float, gap1: float, tol: float) -> int:
 
 
 def _solve_chunk(apply_F: BatchOperator, xi0: StateVector, controls: Sequence[Control],
-                 norms: np.ndarray, cert: ContractionCertificate, tol: float,
+                 norms: np.ndarray, blocks: Sequence[ContractionCertificate], tol: float,
                  fail: Callable[[int, Exception], Exception]) -> list[SolveResult]:
     """Iterate a chunk of controls together; each stops at its own index.
 
-    One contraction step is `cert.block` = N applications of F (N = 1 on the
-    omega route).  The first step's gap, in the certificate's metric, needs
-    the iterates up to x_{2N-1} and fixes the stop index k, hence the k N
-    applications.  A zero control stops after one application, at the
-    control-free orbit.
+    One contraction step of a certificate in `blocks` (ascending, the issued
+    one first) is its `block` = N applications of F (N = 1 on the omega
+    route).  The first step's gap, in that certificate's metric, needs the
+    iterates up to x_{2N-1} and fixes the stop index k, hence the cost
+    max(2N - 1, k N).  Each control stops with its cheapest block, the
+    smaller on a tie; the shared window of iterates grows to the next block
+    only while some control could still gain from it.  A zero control stops
+    after one application, at the control-free orbit, and a chunk of zero
+    controls computes only that one.
     """
-    kind, rate, block = xi0.norm_kind, cert.rate_C, cert.block
+    kind = xi0.norm_kind
     values = np.stack([u.values for u in controls])
     gaps: list[list[float]] = [[] for _ in controls]
     order = np.arange(len(controls))  # the control in each row of an iterate
@@ -84,36 +90,49 @@ def _solve_chunk(apply_F: BatchOperator, xi0: StateVector, controls: Sequence[Co
         return nxt
 
     window = [np.broadcast_to(xi0.coords, (len(controls),) + apply_F.orbit.states.shape)]
-    for _ in range(2 * block - 1):
-        window.append(advance(window[-1]))
-    gap1 = cert.distance(window[:block], window[block:], apply_F.times, kind)
+    window.append(advance(window[0]))
+    moving = np.flatnonzero(norms > 0.0).tolist()
+    costs = np.where(norms > 0.0, np.inf, 1.0).tolist()
+    totals, bounds = [1] * len(controls), [0.0] * len(controls)
+    used = [blocks[0].block] * len(controls)
+    for cert in blocks:
+        n = cert.block
+        if max(costs) <= 2 * n - 1:
+            break  # no control can gain from a block this long
+        while len(window) < 2 * n:
+            window.append(advance(window[-1]))
+        gap1 = cert.distance(window[:n], window[n: 2 * n], apply_F.times, kind).tolist()
+        for b in moving:
+            k = _stop_index(cert.rate_C, gap1[b], tol)
+            cost = max(2 * n - 1, k * n)
+            if cost < costs[b]:
+                costs[b], totals[b], used[b] = cost, k * n, n
+                bounds[b] = cert.rate_C ** k / (1.0 - cert.rate_C) * gap1[b]
+    for b in moving:
+        if totals[b] > _MAX_APPLICATIONS:
+            raise fail(b, RuntimeError(_CAP_EXCEEDED))
 
-    totals, bounds = np.ones(len(controls), dtype=int), np.zeros(len(controls))
-    for b, g1 in enumerate(gap1.tolist()):
-        if norms[b] > 0.0:
-            k_stop = _stop_index(rate, g1, tol)
-            totals[b], bounds[b] = k_stop * block, rate ** k_stop / (1.0 - rate) * g1
-            if totals[b] > _MAX_APPLICATIONS:
-                raise fail(b, RuntimeError(_CAP_EXCEEDED))
-
-    final = [window[t][b].copy() if t < len(window) else None for b, t in enumerate(totals)]
+    span = len(window) - 1
+    final = [window[t][b].copy() if t <= span else None for b, t in enumerate(totals)]
+    totals = np.array(totals)
     # running rows stay a prefix: the most applications first
-    order = np.argsort(-totals, kind="stable")[: np.count_nonzero(totals >= len(window))]
+    order = np.argsort(-totals, kind="stable")[: np.count_nonzero(totals > span)]
     cur = window[-1][order]
     window = None  # keep only the running iterates
-    for done in range(2 * block, totals.max() + 1):
+    for done in range(span + 1, totals.max() + 1):
         cur = advance(cur)
         running = np.count_nonzero(totals[order] > done)
         for row in range(running, len(cur)):
             final[order[row]] = cur[row].copy()
         cur, order = cur[:running], order[:running]
     return [SolveResult(TrajectoryGrid(apply_F.orbit.horizon_T, final[b], kind),
-                        gaps[b][: totals[b]], int(totals[b]), cert, float(bounds[b]))
+                        gaps[b][: totals[b]], int(totals[b]), blocks[0], float(bounds[b]),
+                        used[b], max(span, int(totals[b])))
             for b in range(len(controls))]
 
 
 def _solve(xi0: StateVector, controls: Sequence[Control], fields: Sequence[VectorField],
-           sg: Semigroup, cert: ContractionCertificate, tol: float,
+           sg: Semigroup, cert: ContractionCertificate, tol: float, optimal_block: bool,
            fail: Callable[[int, Exception], Exception]) -> list[SolveResult]:
     """Fixed points of controls on one grid; every control is checked before
     any work, and a failed check of control i raises ``fail(i, error)``."""
@@ -131,37 +150,46 @@ def _solve(xi0: StateVector, controls: Sequence[Control], fields: Sequence[Vecto
                 f"|u|_p = {norms[i]:.6g} exceeds certificate radius {cert.radius_r:.6g}"))
     if 2 * cert.block - 1 > _MAX_APPLICATIONS and norms.any():
         raise fail(int(np.argmax(norms > 0.0)), RuntimeError(_CAP_EXCEEDED))
+    blocks = [cert]
+    if optimal_block:  # N' up to 2N while a first window of 2N' - 1 stays within the cap
+        top = min(2 * cert.block, (_MAX_APPLICATIONS + 1) // 2)
+        blocks += [c for c in map(cert.with_block, range(cert.block + 1, top + 1)) if c is not cert]
 
     apply_F = BatchOperator(xi0, fields, sg, grid[1], grid[0])
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
     results: list[SolveResult] = []
     for first in range(0, len(controls), size):
         chunk = slice(first, first + size)
-        results += _solve_chunk(apply_F, xi0, controls[chunk], norms[chunk], cert, tol,
+        results += _solve_chunk(apply_F, xi0, controls[chunk], norms[chunk], blocks, tol,
                                 lambda b, error: fail(first + b, error))
     return results
 
 
 def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
                  sg: Semigroup, cert: ContractionCertificate,
-                 tol: float = 1e-8) -> SolveResult:
+                 tol: float = 1e-8, optimal_block: bool = False) -> SolveResult:
     """Solve the mild equation for one control with certified accuracy.
 
+    The stopping rule takes steps of `cert.block` applications; with
+    `optimal_block` it takes the block N' in [N, 2N] (`cert.with_block`)
+    that reaches `tol` with the fewest applications, N the certified one.
     Raises `CertificateRadiusError` when |u|_p exceeds the certificate
     radius (the contraction rate would be unsupported).
     """
-    return _solve(xi0, [u], fields, sg, cert, tol, lambda i, error: error)[0]
+    return _solve(xi0, [u], fields, sg, cert, tol, optimal_block, lambda i, error: error)[0]
 
 
 def solve_batch(xi0: StateVector, controls: Sequence[Control],
                 fields: Sequence[VectorField], sg: Semigroup,
-                cert: ContractionCertificate, tol: float = 1e-8) -> list[SolveResult]:
+                cert: ContractionCertificate, tol: float = 1e-8,
+                optimal_block: bool = False) -> list[SolveResult]:
     """`picard_solve` for every control, iterated together in one scan.
 
-    Results are in input order and equal the single-control ones.  A failed
-    check raises RuntimeError with the control's index.
+    Results are in input order and equal the single-control ones, apart from
+    `applications`: a control batched with others computes the first window
+    they share.  A failed check raises RuntimeError with the control's index.
     """
-    return _solve(xi0, list(controls), fields, sg, cert, tol,
+    return _solve(xi0, list(controls), fields, sg, cert, tol, optimal_block,
                   lambda i, error: RuntimeError(f"solve failed for control #{i}: {error}"))
 
 

@@ -273,6 +273,10 @@ class TestConfigErrors:
         ("certify", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
                                              "class_m": 2}}),
         ("solve", "system", {"fields": [{"kind": "saturation", "scal": 5}]}),
+        ("certify", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
+                                             "class_mu": 5.0}}),
+        ("certify", "system", {"semigroup": {"kind": "dense", "matrix": [[-1.0]],
+                                             "class_M": 2.0}}),
     ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid",
             "cloud-budget", "diagnostic-tol", "diagnostic-n-t", "eps-ladder-string",
             "dims-string", "gamma-eps", "spike-separation", "eval-eps",
@@ -286,7 +290,8 @@ class TestConfigErrors:
             "eps-ladder-inf", "xi0-scale-inf", "constant-null", "constant-nan",
             "bilinear-nan", "saturation-nan", "saturation-inf", "class-M-inf",
             "class-mu-inf", "unknown-solver-key", "unknown-control-key",
-            "unknown-semigroup-key", "unknown-field-key"])
+            "unknown-semigroup-key", "unknown-field-key", "class-mu-alone",
+            "dense-class-M-alone"])
     def test_rejected_before_any_work(self, tmp_path, capsys, command, block, value):
         cfg = write_config(tmp_path, scalar_system(**{block: value}))
         out = tmp_path / "out"

@@ -11,6 +11,7 @@ from mildsolve import (
     VectorField,
     bilinear_field,
     bind_operator,
+    certify,
     certify_hidden_contraction,
     certify_omega_contraction,
     constant_field,
@@ -32,6 +33,9 @@ from mildsolve import (
     solve_batch,
     sup_norm,
 )
+
+from mildsolve.operator import BatchOperator
+from mildsolve.reachset import _heat_system
 
 from conftest import constant_control
 
@@ -374,3 +378,82 @@ def test_solve_batch_attaches_control_index_on_error():
     controls = [constant_control(0.5, 16), constant_control(3.0, 16)]
     with pytest.raises(RuntimeError, match="control #1"):
         solve_batch(xi0, controls, [f], sg, cert)
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64])
+def test_optimal_block_on_heat(dim):
+    # the diagnostic's p = 1 solves: N = 2 steps take 18 applications, N' = 4 steps 8
+    sg, f, xi0 = _heat_system(dim, 0.02)
+    cert = certify(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
+    assert cert.N == 2
+    controls = sample_ball(1.0, 1.0, 1.0, 1, 128, 20, seed=dim)
+    tol = 1e-4
+    default = solve_batch(xi0, controls, [f], sg, cert, tol=tol)
+    optimal = solve_batch(xi0, controls, [f], sg, cert, tol=tol, optimal_block=True)
+    for d, o in zip(default, optimal):
+        assert (o.block, o.iterations, o.applications) == (4, 8, 8)
+        assert o.certificate is cert and d.block == 2
+        assert o.a_posteriori_bound <= tol
+        assert o.applications <= d.applications
+        assert sup_norm(o.trajectory, d.trajectory) <= 2 * tol
+
+
+def test_optimal_block_bound_holds_in_its_metric():
+    # 20 further steps of the chosen block move the iterate less than the bound
+    sg, f, xi0 = _heat_system(16, 0.02)
+    cert = certify(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
+    u = sample_ball(1.0, 1.0, 1.0, 1, 128, 1, seed=7)[0]
+    res = picard_solve(xi0, u, [f], sg, cert, tol=1e-6, optimal_block=True)
+    assert res.block > cert.block
+    block_cert = cert.with_block(res.block)
+    apply_F = bind_operator(u, xi0, [f], sg)
+    cur = res.trajectory
+    for _ in range(20 * res.block):
+        cur = apply_F(cur)
+    moved = renormed_distance(res.trajectory, cur, apply_F, block_cert)
+    assert moved <= res.a_posteriori_bound + 1e-15
+
+
+def test_optimal_block_batch_matches_sequential():
+    # zero controls, and scales whose cheapest blocks are 2, 3 and 4
+    sg = diagonal_semigroup([0.0])
+    f = bilinear_field([[1.0]])
+    xi0 = StateVector([1.0])
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+    controls = sample_ball(1.0, 1.0, 1.0, 1, 64, 12, seed=30)
+    controls = [u.scaled(0.5 ** (3 * (i % 5))) for i, u in enumerate(controls)]
+    controls.insert(2, controls[0].scaled(0.0))
+    controls.append(controls[1].scaled(0.0))
+    seq = [picard_solve(xi0, u, [f], sg, cert, tol=1e-4, optimal_block=True)
+           for u in controls]
+    par = solve_batch(xi0, controls, [f], sg, cert, tol=1e-4, optimal_block=True)
+    assert {r.block for r in par} == {2, 3, 4}
+    for u, a, b in zip(controls, seq, par):
+        assert np.array_equal(a.trajectory.states, b.trajectory.states)
+        assert np.array_equal(a.iterate_gaps, b.iterate_gaps)
+        assert (a.iterations, a.block) == (b.iterations, b.block)
+        assert a.a_posteriori_bound == b.a_posteriori_bound
+        if lp_norm(u, 1.0) == 0.0:
+            assert (b.iterations, b.a_posteriori_bound, len(b.iterate_gaps)) == (1, 0.0, 1)
+            assert a.applications == 1
+        else:
+            assert a.a_posteriori_bound <= 1e-4
+
+
+@pytest.mark.parametrize("optimal_block", [False, True])
+def test_zero_control_computes_one_application(monkeypatch, optimal_block):
+    # N = 59796: a first window of 2N - 1 applications would pass the cap
+    cert = certify(1.0, 22000.0, 1.0, 0.0, 1.0, 1.0)
+    assert cert.N == 59796
+    calls = []
+    apply = BatchOperator.__call__
+    monkeypatch.setattr(BatchOperator, "__call__",
+                        lambda self, states, values: calls.append(len(states))
+                        or apply(self, states, values))
+    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
+    res = picard_solve(xi0, constant_control(0.0, 8), [bilinear_field([[1.0]])], sg, cert,
+                       optimal_block=optimal_block)
+    assert calls == [1]
+    assert np.array_equal(res.trajectory.states, semigroup_orbit(sg, xi0, 1.0, 8).states)
+    assert (res.iterations, res.applications, res.a_posteriori_bound) == (1, 1, 0.0)
+    assert len(res.iterate_gaps) == 1 and res.block == cert.N
