@@ -22,7 +22,7 @@ Two contraction routes are certified:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -153,8 +153,8 @@ def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> Traj
 class BatchOperator:
     """The discretized F(x, u) on the grid t_j = j T / n_t, applied to stacks.
 
-    The orbit e^{At} xi0, the grid times and the scan factors of E = e^{Ah}
-    are computed once.
+    The orbit e^{At} xi0, the grid times, the step E = e^{Ah} and its scan
+    factors are computed once.
     """
 
     def __init__(self, xi0: StateVector, fields: Sequence[VectorField],
@@ -164,8 +164,30 @@ class BatchOperator:
         self.fields = list(fields)
         self.h = T / n_t
         self.times = np.linspace(0.0, T, n_t + 1)
-        self.powers = scan_powers(semigroup_step(sg, self.h), n_t + 1)
+        self.step = semigroup_step(sg, self.h)
+        self.powers = scan_powers(self.step, n_t + 1)
         self.orbit = semigroup_orbit(sg, xi0, T, n_t)
+
+    def fixed_point(self, values: np.ndarray) -> np.ndarray:
+        """The discrete fixed points x_b = F(x_b, u_b) for control values (B, m, n_t).
+
+        F is strictly causal: cell c feeds only the states j >= c + 1.  So
+        its fixed point is the exponential-Euler recursion S_{j+1} =
+        E (S_j + h g_j), g_j = sum_i u_i(c_j) f_i(t_j, x_j), x_j = e^{A t_j}
+        xi0 + S_j (Hochbruck & Ostermann, Acta Numerica 2010): one pass over
+        the grid, equal to the limit of Picard iteration up to rounding.
+        """
+        batch = values.shape[0]
+        states = np.empty((batch,) + self.orbit.states.shape)
+        states[:, 0] = self.orbit.states[0]
+        integral = np.zeros(states[:, 0].shape)
+        for j, t in enumerate(self.times[:-1]):
+            times, x = np.full(batch, t), states[:, j]
+            for i, f in enumerate(self.fields):
+                integral += self.h * values[:, i, j, None] * f(times, x)
+            semigroup_act(self.step, integral, integral)
+            np.add(integral, self.orbit.states[j + 1], out=states[:, j + 1])
+        return states
 
     def __call__(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
         """F(x_b, u_b) for states (B, n_t + 1, n) and control values (B, m, n_t).
@@ -255,21 +277,6 @@ class ContractionCertificate:
     def block(self) -> int:
         """Applications of F per contraction step: N on the hidden route, 1 on the omega route."""
         return self.N if self.mode == "hidden" else 1
-
-    def with_block(self, n: int) -> "ContractionCertificate":
-        """The certificate for steps of n >= `block` applications.
-
-        On the hidden route F^n contracts with rate base^n / n! for every
-        n >= N: ``n log base - lgamma(n + 1)`` is concave and 0 at n = 0, so
-        once negative it stays negative.  The omega route, and a hidden
-        certificate with rate 0, already take one-application steps that stop
-        at the first: they return themselves.
-        """
-        if n < self.block:
-            raise ValueError(f"block {n} is below the certified block {self.block}")
-        if self.mode == "omega" or self.rate_C == 0.0 or n == self.N:
-            return self
-        return replace(self, rate_C=_hidden_rate(hidden_step_lipschitz(self), n), N=n)
 
     def distance(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
                  times: np.ndarray, norm_kind: NormKind) -> np.ndarray:
@@ -376,20 +383,14 @@ def certify_hidden_contraction(r: float, M: float, mu: float, L_bound: float,
     while n - lo > 1:
         mid = (lo + n) // 2
         lo, n = (mid, n) if holds(mid) else (lo, mid)
-    return ContractionCertificate("hidden", _hidden_rate(base, n), r, p, M, mu, L_bound, T,
-                                  N=n, l1_mass=mass)
-
-
-def _hidden_rate(base: float, n: int) -> float:
-    """base^n / n! for a base > 0 and a block n with ``n log base < lgamma(n + 1)``,
-    in log space past 170! (where the factorial leaves the floats)."""
     if n <= 170:
         rate = base ** n / math.factorial(n)
-    else:
-        rate = math.exp(n * math.log(base) - math.lgamma(n + 1))
+    else:  # the factorial leaves the floats past 170!
+        rate = math.exp(n * log_base - math.lgamma(n + 1))
     if rate == 0.0:  # rounding lost a rate in (0, 1): 0 would claim a contraction to a point
         rate = math.nextafter(1.0, 0.0)
-    return rate
+    return ContractionCertificate("hidden", rate, r, p, M, mu, L_bound, T,
+                                  N=n, l1_mass=mass)
 
 
 def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,

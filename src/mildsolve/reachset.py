@@ -18,7 +18,6 @@ experiments are built on top:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -42,7 +41,7 @@ from .operator import (
     semigroup_act,
     semigroup_step,
 )
-from .solver import SolveResult, gronwall_radius, picard_solve, solve_batch
+from .solver import gronwall_radius, picard_solve, solve_batch
 from .spaces import (
     Semigroup,
     StateVector,
@@ -70,7 +69,7 @@ class ReachSetSample:
     controls: list
     trajectories: list
     endpoints: PointCloud  # evaluation set of the trajectories
-    solves: dict = field(default_factory=dict)  # `_solve_counters` of the solves
+    solves: dict = field(default_factory=dict)  # the applications of F that certified the solves
 
     def __post_init__(self):
         for u in self.controls:
@@ -87,24 +86,17 @@ def sample_reachset(xi0: StateVector, p: float, r: float, T: float, count: int,
                     tol: float = 1e-8) -> ReachSetSample:
     """Draw `count` ball controls, solve each, and collect all grid states.
 
-    Each solve stops with its work-optimal block (`solve_batch`'s
-    `optimal_block`): only the grid states matter here, each within `tol`.
+    The controls take one `solve_batch`: a causal forward pass certified by
+    one block of applications, each trajectory within `tol` of its discrete
+    fixed point.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
-    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol, optimal_block=True)
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
     trajectories = [res.trajectory for res in results]
-    return ReachSetSample(xi0, p, r, T, controls, trajectories,
-                          evaluation_set(trajectories), _solve_counters(results))
-
-
-def _solve_counters(results: Sequence[SolveResult]) -> dict:
-    """How many solves stopped with each block, and the applications of F
-    they computed, first windows included."""
-    blocks = Counter(res.block for res in results)
-    return {"controls_per_block": {str(n): blocks[n] for n in sorted(blocks)},
-            "applications": sum(res.applications for res in results)}
+    return ReachSetSample(xi0, p, r, T, controls, trajectories, evaluation_set(trajectories),
+                          {"applications": sum(res.iterations for res in results)})
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +109,7 @@ class DiagnosticReport:
 
     rows: list
     config: dict
-    solves: dict = field(default_factory=dict)  # per dimension, `_solve_counters`
+    solves: dict = field(default_factory=dict)  # per dimension, the sample's `solves`
 
 
 def _heat_system(dim: int, xi0_scale: float):
@@ -462,6 +454,7 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
         pairs = pairs[:max_controls]
 
     n_state = gamma.n_state_cells
+    n_cells = gamma.n_time_cells * n_state
     max_coeff = 0.0
     max_l1 = 0.0
     max_err = 0.0
@@ -483,17 +476,15 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
         lag_cell = gamma.time_cell(times[1:])  # cell of lag d*h, d = 1..n_t
 
         direct = integral_operator(x, u, zero, [f], sg).states
-        ctrl_err = 0.0
-        ctrl_coeff = 0.0
-        for l in range(1, n_t + 1):
-            c = np.arange(l)
-            flat = (lag_cell[l - 1 - c] - 1) * n_state + (j_cell[c] - 1)
-            lam = np.bincount(flat, weights=h * u.values[0, c],
-                              minlength=gamma.n_time_cells * n_state)
-            ctrl_coeff = max(ctrl_coeff, float(np.abs(lam).max()))
-            recon = lam @ gamma.values.reshape(-1, gamma.values.shape[-1])
-            err = float(vector_norm(direct[l] - recon, x.norm_kind))
-            ctrl_err = max(ctrl_err, err)
+        # every (grid time l, cell c < l) pair, l-major and c ascending, so
+        # each of the one bincount's (l, i, j) bins sums its cells in order
+        row, c = np.tril_indices(n_t)  # row = l - 1
+        flat = (row * gamma.n_time_cells + lag_cell[row - c] - 1) * n_state + j_cell[c] - 1
+        lam = np.bincount(flat, weights=(h * u.values[0])[c],
+                          minlength=n_t * n_cells).reshape(n_t, n_cells)
+        ctrl_coeff = float(np.abs(lam).max())
+        recon = lam @ gamma.values.reshape(n_cells, -1)
+        ctrl_err = float(vector_norm(direct[1:] - recon, x.norm_kind).max())
         if ctrl_coeff > u1 + 1e-12:
             raise VerificationError(
                 f"coefficient {ctrl_coeff:.3e} exceeds the control mass {u1:.3e}")

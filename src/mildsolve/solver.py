@@ -1,12 +1,19 @@
-"""Picard iteration with certified a-posteriori stopping.
+"""Certified solves of the discretized mild equation ``x = F(x, u)``.
 
-The fixed point of ``x = F(x, u)`` is computed by iterating from the constant
-trajectory at xi0.  The contraction certificate supplies the metric in which
-the Banach estimate ``d(fixed point, x_k) <= C^k / (1 - C) * d(x_1, x_0)``
-is valid: the omega-weighted norm for omega certificates, the renormed
-metric d' (one step = N applications) for hidden ones.  Iteration stops as
-soon as that bound falls below the requested tolerance, which therefore is
-an honest a-posteriori error bound on the returned trajectory.
+`picard_solve` iterates from the constant trajectory at xi0.  The
+contraction certificate supplies the metric in which the Banach estimate
+``d(fixed point, x_k) <= C^k / (1 - C) * d(x_1, x_0)`` is valid: the
+omega-weighted norm for omega certificates, the renormed metric d' (one step
+= N applications) for hidden ones.  Iteration stops as soon as that bound
+falls below the requested tolerance, which therefore is an honest
+a-posteriori error bound on the returned trajectory.
+
+`solve_batch` serves reach-set sampling, where only the states matter.  It
+computes every control's discrete fixed point in one causal forward pass
+(`BatchOperator.fixed_point`) and certifies it with one block of b =
+`cert.block` applications: ``d(x, fixed point) <= d(x, F^b x) / (1 - C)``,
+in the sup-norm on the hidden route (F^N contracts it) and in the
+omega-weighted norm on the omega route.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ from .spaces import Semigroup, StateVector, VectorField, vector_norm
 from .operator import BatchOperator, ContractionCertificate, TrajectoryGrid
 
 _MAX_APPLICATIONS = 100_000
-# Controls are iterated in chunks whose (chunk, n_t + 1, n) iterate stays near
-# this many bytes, keeping an application's temporaries in cache (1.3-1.7x
-# faster than 1 MB chunks for 50-500 heat controls, n = 16..64, 2-vCPU Xeon).
+# The certificate's applications run on chunks of controls whose (chunk,
+# n_t + 1, n) stack stays near this many bytes, keeping an application's
+# temporaries in cache (1.2-1.4x faster than one stack for 50-500 heat
+# controls, n = 16..64, 2-vCPU Xeon).
 _CHUNK_BYTES = 1 << 18
 _CAP_EXCEEDED = "Picard iteration exceeded the application cap"
 
@@ -42,12 +50,10 @@ class SolveResult:
     """Fixed point plus the iteration diagnostics that certify it."""
 
     trajectory: TrajectoryGrid
-    iterate_gaps: list  # sup-norm gap per operator application
-    iterations: int  # operator applications up to the returned iterate
+    iterate_gaps: list  # sup-norm gap per Picard application; empty for a batch solve
+    iterations: int  # applications of F: up to the returned iterate, or the certifying block
     certificate: ContractionCertificate
-    a_posteriori_bound: float  # in the metric of `certificate.with_block(block)`
-    block: int  # applications per contraction step of the stopping rule
-    applications: int  # applications computed for this control, first window included
+    a_posteriori_bound: float  # in the certificate's metric (see `solve_batch` for its own)
 
 
 def _stop_index(rate: float, gap1: float, tol: float) -> int:
@@ -58,139 +64,125 @@ def _stop_index(rate: float, gap1: float, tol: float) -> int:
     return max(1, k)
 
 
-def _solve_chunk(apply_F: BatchOperator, xi0: StateVector, controls: Sequence[Control],
-                 norms: np.ndarray, blocks: Sequence[ContractionCertificate], tol: float,
-                 fail: Callable[[int, Exception], Exception]) -> list[SolveResult]:
-    """Iterate a chunk of controls together; each stops at its own index.
-
-    One contraction step of a certificate in `blocks` (ascending, the issued
-    one first) is its `block` = N applications of F (N = 1 on the omega
-    route).  The first step's gap, in that certificate's metric, needs the
-    iterates up to x_{2N-1} and fixes the stop index k, hence the cost
-    max(2N - 1, k N).  Each control stops with its cheapest block, the
-    smaller on a tie; the shared window of iterates grows to the next block
-    only while some control could still gain from it.  A zero control stops
-    after one application, at the control-free orbit, and a chunk of zero
-    controls computes only that one.
-    """
-    kind = xi0.norm_kind
-    values = np.stack([u.values for u in controls])
-    gaps: list[list[float]] = [[] for _ in controls]
-    order = np.arange(len(controls))  # the control in each row of an iterate
-
-    def advance(cur: np.ndarray) -> np.ndarray:
-        nxt = apply_F(cur, values[order[: len(cur)]])
-        step_gaps = vector_norm(nxt - cur, kind).max(axis=1)
-        bad = ~np.isfinite(step_gaps)
-        if bad.any():
-            raise fail(order[np.argmax(bad)],
-                       NonFiniteIterateError("trajectory states must be finite"))
-        for b, g in zip(order, step_gaps.tolist()):
-            gaps[b].append(g)
-        return nxt
-
-    window = [np.broadcast_to(xi0.coords, (len(controls),) + apply_F.orbit.states.shape)]
-    window.append(advance(window[0]))
-    moving = np.flatnonzero(norms > 0.0).tolist()
-    costs = np.where(norms > 0.0, np.inf, 1.0).tolist()
-    totals, bounds = [1] * len(controls), [0.0] * len(controls)
-    used = [blocks[0].block] * len(controls)
-    for cert in blocks:
-        n = cert.block
-        if max(costs) <= 2 * n - 1:
-            break  # no control can gain from a block this long
-        while len(window) < 2 * n:
-            window.append(advance(window[-1]))
-        gap1 = cert.distance(window[:n], window[n: 2 * n], apply_F.times, kind).tolist()
-        for b in moving:
-            k = _stop_index(cert.rate_C, gap1[b], tol)
-            cost = max(2 * n - 1, k * n)
-            if cost < costs[b]:
-                costs[b], totals[b], used[b] = cost, k * n, n
-                bounds[b] = cert.rate_C ** k / (1.0 - cert.rate_C) * gap1[b]
-    for b in moving:
-        if totals[b] > _MAX_APPLICATIONS:
-            raise fail(b, RuntimeError(_CAP_EXCEEDED))
-
-    span = len(window) - 1
-    final = [window[t][b].copy() if t <= span else None for b, t in enumerate(totals)]
-    totals = np.array(totals)
-    # running rows stay a prefix: the most applications first
-    order = np.argsort(-totals, kind="stable")[: np.count_nonzero(totals > span)]
-    cur = window[-1][order]
-    window = None  # keep only the running iterates
-    for done in range(span + 1, totals.max() + 1):
-        cur = advance(cur)
-        running = np.count_nonzero(totals[order] > done)
-        for row in range(running, len(cur)):
-            final[order[row]] = cur[row].copy()
-        cur, order = cur[:running], order[:running]
-    return [SolveResult(TrajectoryGrid(apply_F.orbit.horizon_T, final[b], kind),
-                        gaps[b][: totals[b]], int(totals[b]), blocks[0], float(bounds[b]),
-                        used[b], max(span, int(totals[b])))
-            for b in range(len(controls))]
-
-
-def _solve(xi0: StateVector, controls: Sequence[Control], fields: Sequence[VectorField],
-           sg: Semigroup, cert: ContractionCertificate, tol: float, optimal_block: bool,
-           fail: Callable[[int, Exception], Exception]) -> list[SolveResult]:
-    """Fixed points of controls on one grid; every control is checked before
-    any work, and a failed check of control i raises ``fail(i, error)``."""
+def _check_controls(controls: Sequence[Control], fields: Sequence[VectorField],
+                    cert: ContractionCertificate, tol: float,
+                    fail: Callable[[int, Exception], Exception]) -> np.ndarray:
+    """The controls' p-norms, after checking every control before any work;
+    a failed check of control i raises ``fail(i, error)``."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if not controls:
-        return []
     norms = np.array([lp_norm(u, cert.p) for u in controls])
-    grid = (controls[0].n_t, controls[0].horizon_T)
+    grid = (controls[0].n_t, controls[0].horizon_T) if controls else None
     for i, u in enumerate(controls):
         if u.channels != len(fields) or (u.n_t, u.horizon_T) != grid:
             raise fail(i, ValueError("controls need one channel per field and one shared grid"))
         if norms[i] > cert.radius_r * (1.0 + 1e-12):
             raise fail(i, CertificateRadiusError(
                 f"|u|_p = {norms[i]:.6g} exceeds certificate radius {cert.radius_r:.6g}"))
-    if 2 * cert.block - 1 > _MAX_APPLICATIONS and norms.any():
-        raise fail(int(np.argmax(norms > 0.0)), RuntimeError(_CAP_EXCEEDED))
-    blocks = [cert]
-    if optimal_block:  # N' up to 2N while a first window of 2N' - 1 stays within the cap
-        top = min(2 * cert.block, (_MAX_APPLICATIONS + 1) // 2)
-        blocks += [c for c in map(cert.with_block, range(cert.block + 1, top + 1)) if c is not cert]
-
-    apply_F = BatchOperator(xi0, fields, sg, grid[1], grid[0])
-    size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
-    results: list[SolveResult] = []
-    for first in range(0, len(controls), size):
-        chunk = slice(first, first + size)
-        results += _solve_chunk(apply_F, xi0, controls[chunk], norms[chunk], blocks, tol,
-                                lambda b, error: fail(first + b, error))
-    return results
+    return norms
 
 
 def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
                  sg: Semigroup, cert: ContractionCertificate,
-                 tol: float = 1e-8, optimal_block: bool = False) -> SolveResult:
+                 tol: float = 1e-8) -> SolveResult:
     """Solve the mild equation for one control with certified accuracy.
 
-    The stopping rule takes steps of `cert.block` applications; with
-    `optimal_block` it takes the block N' in [N, 2N] (`cert.with_block`)
-    that reaches `tol` with the fewest applications, N the certified one.
-    Raises `CertificateRadiusError` when |u|_p exceeds the certificate
-    radius (the contraction rate would be unsupported).
+    One contraction step is `cert.block` = N applications of F (N = 1 on the
+    omega route).  The first step's gap, in the certificate's metric, needs
+    the iterates up to x_{2N-1} and fixes the stop index k; the result is
+    x_{kN}.  A zero control stops after one application, at the control-free
+    orbit.  Raises `CertificateRadiusError` when |u|_p exceeds the
+    certificate radius (the contraction rate would be unsupported).
     """
-    return _solve(xi0, [u], fields, sg, cert, tol, optimal_block, lambda i, error: error)[0]
+    norm = _check_controls([u], fields, cert, tol, lambda i, error: error)[0]
+    n, kind = cert.block, xi0.norm_kind
+    window = 1 if norm == 0.0 else 2 * n - 1  # the applications that fix the stop index
+    if window > _MAX_APPLICATIONS:
+        raise RuntimeError(_CAP_EXCEEDED)
+    apply_F = BatchOperator(xi0, fields, sg, u.horizon_T, u.n_t)
+    gaps: list[float] = []
+
+    def advance(x: np.ndarray) -> np.ndarray:
+        nxt = apply_F(x, u.values[None])
+        gap = float(vector_norm(nxt - x, kind).max())
+        if not math.isfinite(gap):
+            raise NonFiniteIterateError("trajectory states must be finite")
+        gaps.append(gap)
+        return nxt
+
+    iterates = [np.broadcast_to(xi0.coords, (1,) + apply_F.orbit.states.shape)]
+    for _ in range(window):
+        iterates.append(advance(iterates[-1]))
+    if norm == 0.0:
+        total, bound = 1, 0.0
+    else:
+        gap1 = float(cert.distance(iterates[:n], iterates[n:], apply_F.times, kind)[0])
+        k = _stop_index(cert.rate_C, gap1, tol)
+        total, bound = k * n, cert.rate_C ** k / (1.0 - cert.rate_C) * gap1
+        if total > _MAX_APPLICATIONS:
+            raise RuntimeError(_CAP_EXCEEDED)
+    x = iterates[min(total, window)]
+    del iterates  # keep only the running iterate
+    for _ in range(window, total):
+        x = advance(x)
+    return SolveResult(TrajectoryGrid(u.horizon_T, x[0], kind), gaps[:total], total, cert,
+                       float(bound))
+
+
+def _forward_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarray,
+                    cert: ContractionCertificate, kind) -> tuple[np.ndarray, np.ndarray]:
+    """Banach bounds d(x, x*) <= d(x, F^b x) / (1 - C), b = `cert.block`, for
+    candidate trajectories x (B, n_t + 1, n) in `cert.distance`'s metric of
+    one step (the sup-norm on the hidden route); and the images F^b x."""
+    image = states
+    for _ in range(cert.block):
+        image = apply_F(image, values)
+    return cert.distance([states], [image], apply_F.times, kind) / (1.0 - cert.rate_C), image
 
 
 def solve_batch(xi0: StateVector, controls: Sequence[Control],
                 fields: Sequence[VectorField], sg: Semigroup,
-                cert: ContractionCertificate, tol: float = 1e-8,
-                optimal_block: bool = False) -> list[SolveResult]:
-    """`picard_solve` for every control, iterated together in one scan.
+                cert: ContractionCertificate, tol: float = 1e-8) -> list[SolveResult]:
+    """Certified discrete fixed points of many controls on one grid.
 
-    Results are in input order and equal the single-control ones, apart from
-    `applications`: a control batched with others computes the first window
-    they share.  A failed check raises RuntimeError with the control's index.
+    Each control's forward-pass candidate x is certified by `_forward_bounds`
+    (see the module docstring).  The returned trajectory is F^b x, at most C
+    times as far from the fixed point, so the bound holds for it too;
+    `iterations` is b and `iterate_gaps` is empty.  Results are in input
+    order and agree with `picard_solve` up to rounding.  A failed check, or
+    a bound that is not <= `tol`, raises RuntimeError with the control's
+    index.
     """
-    return _solve(xi0, list(controls), fields, sg, cert, tol, optimal_block,
-                  lambda i, error: RuntimeError(f"solve failed for control #{i}: {error}"))
+    def fail(i: int, error: Exception) -> Exception:
+        return RuntimeError(f"solve failed for control #{i}: {error}")
+
+    controls = list(controls)
+    norms = _check_controls(controls, fields, cert, tol, fail)
+    if not controls:
+        return []
+    if cert.block > _MAX_APPLICATIONS:
+        raise fail(int(np.argmax(norms > 0.0)), RuntimeError(
+            f"the certificate's block of {cert.block} applications exceeds the application cap"))
+    apply_F = BatchOperator(xi0, fields, sg, controls[0].horizon_T, controls[0].n_t)
+    values = np.stack([u.values for u in controls])
+    states = apply_F.fixed_point(values)
+    bounds = np.empty(len(controls))
+    size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
+    for first in range(0, len(controls), size):
+        chunk = slice(first, first + size)
+        bounds[chunk], states[chunk] = _forward_bounds(apply_F, states[chunk], values[chunk],
+                                                       cert, xi0.norm_kind)
+    bad = ~np.isfinite(bounds)
+    if bad.any():
+        raise fail(int(np.argmax(bad)), NonFiniteIterateError("trajectory states must be finite"))
+    over = bounds > tol
+    if over.any():
+        b = int(np.argmax(over))
+        raise fail(b, RuntimeError(f"bound {bounds[b]:.3e} of the forward solution "
+                                   f"exceeds tol {tol:.3e}"))
+    return [SolveResult(TrajectoryGrid(u.horizon_T, x, xi0.norm_kind), [], cert.block, cert,
+                        float(bound))
+            for u, x, bound in zip(controls, states, bounds)]
 
 
 def iterate_differences(result: SolveResult, u: Control, sg: Semigroup,

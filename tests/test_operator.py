@@ -350,27 +350,6 @@ def test_rate_zero_hidden_certificate_has_one_step():
     assert ContractionCertificate.from_dict(zero.to_dict()) == zero
 
 
-def test_with_block_certifies_every_longer_block():
-    # n log base - lgamma(n + 1) is concave and 0 at n = 0: every n >= N contracts
-    for r in (0.5, 1.0, 2.0, 5.0, 30.0, 80.0):
-        cert = certify_hidden_contraction(r, 1.0, 0.0, 1.0, 1.0)
-        base = hidden_step_lipschitz(cert)
-        assert cert.with_block(cert.N) is cert
-        for n in range(cert.N + 1, 2 * cert.N + 1):
-            longer = cert.with_block(n)
-            assert (longer.N, longer.block, longer.mode) == (n, n, "hidden")
-            assert longer.rate_C == pytest.approx(math.exp(n * math.log(base) - math.lgamma(n + 1)),
-                                                  rel=1e-12)
-            assert 0.0 < longer.rate_C < 1.0
-            assert longer.radius_r == cert.radius_r and longer.l1_mass == cert.l1_mass
-        with pytest.raises(ValueError, match="below"):
-            cert.with_block(cert.N - 1)
-    # the omega route and a rate-0 certificate take one-application steps already
-    omega = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
-    zero = certify_hidden_contraction(1.0, 1.0, 0.0, 0.0, 1.0)
-    assert omega.with_block(3) is omega and zero.with_block(2) is zero
-
-
 def test_certificate_serialization_round_trip():
     from mildsolve.operator import ContractionCertificate
     for cert in (certify_omega_contraction(2.0, 1.0, 1.0, 0.1, 1.0, 1.0),

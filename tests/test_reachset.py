@@ -19,6 +19,8 @@ from mildsolve import (
     field_value_cloud,
     gamma_approximation,
     gronwall_radius,
+    integral_operator,
+    lp_norm,
     sample_reachset,
     semigroup_orbit,
     state_cloud,
@@ -293,6 +295,21 @@ class TestConvolutionCheck:
         assert report.max_reconstruction_error < eps / 2 + 10.0 / n_t
         assert report.max_coefficient <= 1.0 + 1e-12
 
+    def test_matches_per_time_loop(self):
+        # the one-bincount check against the per-grid-time loop it replaced:
+        # each bin sums the same cells in the same order, so the coefficients
+        # agree bit for bit; the reconstruction is one matrix product
+        sg, f, xi0 = _heat_system(4, 0.5)
+        sample = self._sample(f, sg, xi0, 1.0, 1.0, 6, 32, seed=21)
+        cloud = field_value_cloud(sample, [f])
+        table = _build_gamma_table(sg, cloud, 1.0, 0.05, 0.02)
+        assert table.n_state_cells > 3
+        report = convolution_compactness_check(sample, table, [f], sg)
+        for row, (x, u) in zip(report.per_control, zip(sample.trajectories, sample.controls)):
+            coeff, error = looped_convolution(x, u, table, f, sg)
+            assert row["coeff"] == coeff
+            assert row["error"] == pytest.approx(error, rel=1e-12, abs=1e-16)
+
     def test_uncovered_field_values_rejected(self):
         sg = diagonal_semigroup([0.0])
         f = constant_field([1.0])
@@ -302,6 +319,26 @@ class TestConvolutionCheck:
         table = gamma_approximation(sg, stranger, 1.0, 0.05, seed=2)
         with pytest.raises(ValueError, match="cover"):
             convolution_compactness_check(sample, table, [f], sg)
+
+
+def looped_convolution(x, u, gamma, f, sg):
+    """Largest |lambda| and reconstruction error of one control, one grid time at a time."""
+    if lp_norm(u, 1) > 1.0:
+        u = u.scaled(1.0 / lp_norm(u, 1))
+    j_cell = gamma.state_cell(f(x.times[:-1], x.states[:-1]))
+    lag_cell = gamma.time_cell(x.times[1:])
+    zero = StateVector(np.zeros(x.dim), x.norm_kind)
+    direct = integral_operator(x, u, zero, [f], sg).states
+    coeff = error = 0.0
+    for l in range(1, u.n_t + 1):
+        c = np.arange(l)
+        flat = (lag_cell[l - 1 - c] - 1) * gamma.n_state_cells + (j_cell[c] - 1)
+        lam = np.bincount(flat, weights=u.cell_width * u.values[0, c],
+                          minlength=gamma.n_time_cells * gamma.n_state_cells)
+        coeff = max(coeff, float(np.abs(lam).max()))
+        recon = lam @ gamma.values.reshape(-1, gamma.values.shape[-1])
+        error = max(error, float(vector_norm(direct[l] - recon, x.norm_kind)))
+    return coeff, error
 
 
 def test_verification_error_type():

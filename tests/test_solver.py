@@ -20,8 +20,6 @@ from mildsolve import (
     dense_semigroup,
     diagonal_semigroup,
     gronwall_radius,
-    heat_semigroup,
-    integral_operator,
     iterate_differences,
     lp_norm,
     omega_norm_distance,
@@ -35,6 +33,7 @@ from mildsolve import (
 )
 
 from mildsolve.operator import BatchOperator
+from mildsolve.solver import _forward_bounds
 from mildsolve.reachset import _heat_system
 
 from conftest import constant_control
@@ -185,7 +184,8 @@ class TestPicardSolve:
             cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
             u = constant_control(0.8, 200)
             assert cert.block == 1
-        res = picard_solve(xi0, u, [f], sg, cert, tol=1e-8)
+        rows = []
+        res = picard_solve(xi0, u, [counted(f, rows)], sg, cert, tol=1e-8)
         apply_F = bind_operator(u, xi0, [f], sg)
         x0 = constant_trajectory(xi0, u.horizon_T, u.n_t)
         x_block = x0
@@ -199,6 +199,13 @@ class TestPicardSolve:
         assert rest == 0 and k >= 2
         assert res.a_posteriori_bound == cert.rate_C ** k / (1.0 - cert.rate_C) * gap1
         assert res.a_posteriori_bound <= 1e-8
+        # F runs as often as the stop index needs, and at least through the
+        # first step's window of 2N - 1; the result is the iterate x_{kN}
+        assert sum(rows) == u.n_t * max(res.iterations, 2 * cert.block - 1)
+        x = x0
+        for _ in range(res.iterations):
+            x = apply_F(x)
+        assert np.array_equal(x.states, res.trajectory.states)
 
 
 class TestIterateDifferences:
@@ -328,46 +335,76 @@ def test_solution_operator_local_lipschitz():
         assert ratio <= limit + 1e-4
 
 
-def test_solve_batch_matches_sequential_and_orders_by_index():
-    scalar = (diagonal_semigroup([0.0]), StateVector([1.0]), [bilinear_field([[1.0]])],
-              certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
-              sample_ball(1.0, 1.0, 1.0, 1, 64, 8, seed=30))
-    # driven from rest by a constant channel, so the stop index follows |u|.
-    # heat n = 64 on the hidden route, 20 controls: more than one chunk
-    heat = (heat_semigroup(64), StateVector(np.zeros(64)),
-            [bilinear_field(np.eye(64)), constant_field(np.full(64, 0.1))],
-            certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
-            sample_ball(1.0, 1.0, 1.0, 2, 128, 19, seed=31))
-    # -I + skew generator: e^{At} = e^{-t} x orthogonal, class (1, 0) exactly
-    skew = np.random.default_rng(32).standard_normal((8, 8))
-    dense = (dense_semigroup(-np.eye(8) + skew - skew.T, 1.0, 0.0), StateVector(np.zeros(8)),
-             [bilinear_field(np.eye(8)), constant_field(np.full(8, 0.1))],
-             certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0),
-             sample_ball(2.0, 1.0, 1.0, 2, 128, 11, seed=33))
-    for sg, xi0, fields, cert, controls in (scalar, heat, dense):
-        if sg.dim > 1:  # a zero control and a spread of stop indices
-            controls = [u.scaled(0.25 ** (i % 4)) for i, u in enumerate(controls)]
-            controls.insert(3, controls[0].scaled(0.0))
-        seq = [picard_solve(xi0, u, fields, sg, cert) for u in controls]
-        rows = []
-        par = solve_batch(xi0, controls, [counted(fields[0], rows)] + fields[1:], sg, cert)
-        assert len(par) == len(controls)
-        # F runs on each control exactly as often as its stop index needs,
-        # and at least through the first step's window of 2N - 1
-        window = 2 * cert.N - 1 if cert.mode == "hidden" else 1
-        assert sum(rows) == controls[0].n_t * sum(max(r.iterations, window) for r in par)
-        if sg.dim > 1:
-            assert len({r.iterations for r in par}) >= 4
-        for u, a, b in zip(controls, seq, par):
-            assert np.array_equal(a.trajectory.states, b.trajectory.states)
-            assert np.array_equal(a.iterate_gaps, b.iterate_gaps)
-            assert a.iterations == b.iterations
-            assert a.a_posteriori_bound == b.a_posteriori_bound
-            # the result is the iterate at the control's own stop index
-            x = constant_trajectory(xi0, u.horizon_T, u.n_t)
-            for _ in range(b.iterations):
-                x = integral_operator(x, u, xi0, fields, sg)
-            assert np.array_equal(x.states, b.trajectory.states)
+def batch_system(name, route):
+    """A system, its certificate on `route` and six ball controls on 128 cells.
+
+    "heat16"/"heat64" is the diagnostic's heat system; "dense8" a -I + skew
+    generator (e^{At} = e^{-t} x orthogonal, class (1, 0) exactly) with a
+    bilinear and a constant field.
+    """
+    if name == "dense8":
+        skew = np.random.default_rng(32).standard_normal((8, 8))
+        sg = dense_semigroup(-np.eye(8) + skew - skew.T, 1.0, 0.0)
+        fields = [bilinear_field(np.eye(8)), constant_field(np.full(8, 0.1))]
+        xi0 = StateVector(np.full(8, 0.1))
+    else:
+        sg, f, xi0 = _heat_system(int(name[4:]), 0.02)
+        fields = [f]
+    if route == "hidden":
+        cert, p = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0), 1.0
+    else:
+        cert, p = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0), 2.0
+    controls = sample_ball(p, 1.0, 1.0, len(fields), 128, 6, seed=sg.dim)
+    return sg, fields, xi0, cert, controls
+
+
+@pytest.mark.parametrize("route", ["hidden", "omega"])
+@pytest.mark.parametrize("name", ["heat16", "heat64", "dense8"])
+def test_solve_batch_matches_picard(name, route):
+    # the forward pass is the discrete fixed point: a tight Picard solve agrees
+    sg, fields, xi0, cert, controls = batch_system(name, route)
+    controls.insert(2, controls[0].scaled(0.0))
+    tol = 1e-8
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
+    assert len(results) == len(controls)
+    for u, res in zip(controls, results):
+        ref = picard_solve(xi0, u, fields, sg, cert, tol=1e-13)
+        assert np.abs(res.trajectory.states - ref.trajectory.states).max() <= 1e-12
+        assert np.array_equal(res.trajectory.states[0], xi0.coords)
+        assert res.a_posteriori_bound <= tol
+        assert (res.iterations, res.iterate_gaps, res.certificate) == (cert.block, [], cert)
+    orbit = semigroup_orbit(sg, xi0, 1.0, 128)
+    assert sup_norm(results[2].trajectory, orbit) <= tol
+
+
+def test_solve_batch_returns_input_order():
+    # heat n = 64 chunks its certificate three controls at a time
+    sg, fields, xi0, cert, controls = batch_system("heat64", "hidden")
+    controls = [u.scaled(0.9 ** i) for i, u in enumerate(controls + controls[:2])]
+    for batch in (controls, controls[::-1]):
+        results = solve_batch(xi0, batch, fields, sg, cert, tol=1e-8)
+        for u, res in zip(batch, results):
+            alone = solve_batch(xi0, [u], fields, sg, cert, tol=1e-8)[0]
+            assert np.abs(res.trajectory.states - alone.trajectory.states).max() <= 1e-15
+    gaps = [sup_norm(a.trajectory, b.trajectory) for a, b in zip(results, results[1:])]
+    assert min(gaps) > 1e-6  # neighbours are told apart far above the tolerance
+
+
+@pytest.mark.parametrize("route", ["hidden", "omega"])
+@pytest.mark.parametrize("name", ["heat16", "dense8"])
+def test_forward_bound_covers_a_perturbed_candidate(name, route):
+    # d(x, x*) <= d(x, F^b x) / (1 - C) in the certificate's one-step metric
+    sg, fields, xi0, cert, controls = batch_system(name, route)
+    apply_F = BatchOperator(xi0, fields, sg, 1.0, 128)
+    values = np.stack([u.values for u in controls])
+    noise = np.random.default_rng(40).standard_normal(apply_F.fixed_point(values).shape)
+    candidate = apply_F.fixed_point(values) + 1e-3 * noise
+    bounds, _ = _forward_bounds(apply_F, candidate, values, cert, xi0.norm_kind)
+    exact = np.stack([picard_solve(xi0, u, fields, sg, cert, tol=1e-13).trajectory.states
+                      for u in controls])
+    true = cert.distance([candidate], [exact], apply_F.times, xi0.norm_kind)
+    assert np.all(true > 1e-4)
+    assert np.all(bounds >= true)
 
 
 def test_solve_batch_attaches_control_index_on_error():
@@ -380,68 +417,30 @@ def test_solve_batch_attaches_control_index_on_error():
         solve_batch(xi0, controls, [f], sg, cert)
 
 
-@pytest.mark.parametrize("dim", [16, 32, 64])
-def test_optimal_block_on_heat(dim):
-    # the diagnostic's p = 1 solves: N = 2 steps take 18 applications, N' = 4 steps 8
-    sg, f, xi0 = _heat_system(dim, 0.02)
-    cert = certify(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
-    assert cert.N == 2
-    controls = sample_ball(1.0, 1.0, 1.0, 1, 128, 20, seed=dim)
-    tol = 1e-4
-    default = solve_batch(xi0, controls, [f], sg, cert, tol=tol)
-    optimal = solve_batch(xi0, controls, [f], sg, cert, tol=tol, optimal_block=True)
-    for d, o in zip(default, optimal):
-        assert (o.block, o.iterations, o.applications) == (4, 8, 8)
-        assert o.certificate is cert and d.block == 2
-        assert o.a_posteriori_bound <= tol
-        assert o.applications <= d.applications
-        assert sup_norm(o.trajectory, d.trajectory) <= 2 * tol
-
-
-def test_optimal_block_bound_holds_in_its_metric():
-    # 20 further steps of the chosen block move the iterate less than the bound
-    sg, f, xi0 = _heat_system(16, 0.02)
-    cert = certify(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
-    u = sample_ball(1.0, 1.0, 1.0, 1, 128, 1, seed=7)[0]
-    res = picard_solve(xi0, u, [f], sg, cert, tol=1e-6, optimal_block=True)
-    assert res.block > cert.block
-    block_cert = cert.with_block(res.block)
-    apply_F = bind_operator(u, xi0, [f], sg)
-    cur = res.trajectory
-    for _ in range(20 * res.block):
-        cur = apply_F(cur)
-    moved = renormed_distance(res.trajectory, cur, apply_F, block_cert)
-    assert moved <= res.a_posteriori_bound + 1e-15
-
-
-def test_optimal_block_batch_matches_sequential():
-    # zero controls, and scales whose cheapest blocks are 2, 3 and 4
-    sg = diagonal_semigroup([0.0])
-    f = bilinear_field([[1.0]])
-    xi0 = StateVector([1.0])
+def test_solve_batch_errors_name_the_control():
+    sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
     cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
-    controls = sample_ball(1.0, 1.0, 1.0, 1, 64, 12, seed=30)
-    controls = [u.scaled(0.5 ** (3 * (i % 5))) for i, u in enumerate(controls)]
-    controls.insert(2, controls[0].scaled(0.0))
-    controls.append(controls[1].scaled(0.0))
-    seq = [picard_solve(xi0, u, [f], sg, cert, tol=1e-4, optimal_block=True)
-           for u in controls]
-    par = solve_batch(xi0, controls, [f], sg, cert, tol=1e-4, optimal_block=True)
-    assert {r.block for r in par} == {2, 3, 4}
-    for u, a, b in zip(controls, seq, par):
-        assert np.array_equal(a.trajectory.states, b.trajectory.states)
-        assert np.array_equal(a.iterate_gaps, b.iterate_gaps)
-        assert (a.iterations, a.block) == (b.iterations, b.block)
-        assert a.a_posteriori_bound == b.a_posteriori_bound
-        if lp_norm(u, 1.0) == 0.0:
-            assert (b.iterations, b.a_posteriori_bound, len(b.iterate_gaps)) == (1, 0.0, 1)
-            assert a.applications == 1
-        else:
-            assert a.a_posteriori_bound <= 1e-4
+    nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0)
+    ok, zero = constant_control(0.5, 16), constant_control(0.0, 16)
+    cases = [
+        ([ok, constant_control(3.0, 16)], [f], cert, 1e-8, r"control #1: .*radius"),
+        ([ok, zero, constant_control(0.5, 32)], [f], cert, 1e-8, r"control #2: .*grid"),
+        ([ok, constant_control(0.5, 16, channels=2)], [f], cert, 1e-8, r"control #1: .*channel"),
+        # N ~ e * 5e4 passes the cap; the first nonzero control is named
+        ([zero, ok], [f], certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0), 1e-8,
+         r"control #1: .*application cap"),
+        ([constant_control(0.3, 16), zero, constant_control(1.0, 16)], [nan_above], cert, 1e-8,
+         r"control #2: .*finite"),
+        # rounding alone (bound 4.4e-16) exceeds this tolerance; a zero control's bound is 0
+        ([zero, sample_ball(1.0, 1.0, 1.0, 1, 16, 1, seed=0)[0]], [f], cert, 1e-30,
+         r"control #1: .*exceeds tol"),
+    ]
+    for controls, fields, c, tol, message in cases:
+        with pytest.raises(RuntimeError, match=message):
+            solve_batch(xi0, controls, fields, sg, c, tol=tol)
 
 
-@pytest.mark.parametrize("optimal_block", [False, True])
-def test_zero_control_computes_one_application(monkeypatch, optimal_block):
+def test_zero_control_computes_one_application(monkeypatch):
     # N = 59796: a first window of 2N - 1 applications would pass the cap
     cert = certify(1.0, 22000.0, 1.0, 0.0, 1.0, 1.0)
     assert cert.N == 59796
@@ -451,9 +450,8 @@ def test_zero_control_computes_one_application(monkeypatch, optimal_block):
                         lambda self, states, values: calls.append(len(states))
                         or apply(self, states, values))
     sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
-    res = picard_solve(xi0, constant_control(0.0, 8), [bilinear_field([[1.0]])], sg, cert,
-                       optimal_block=optimal_block)
+    res = picard_solve(xi0, constant_control(0.0, 8), [bilinear_field([[1.0]])], sg, cert)
     assert calls == [1]
     assert np.array_equal(res.trajectory.states, semigroup_orbit(sg, xi0, 1.0, 8).states)
-    assert (res.iterations, res.applications, res.a_posteriori_bound) == (1, 1, 0.0)
-    assert len(res.iterate_gaps) == 1 and res.block == cert.N
+    assert (res.iterations, res.a_posteriori_bound) == (1, 0.0)
+    assert len(res.iterate_gaps) == 1
