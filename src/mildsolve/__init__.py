@@ -47,11 +47,9 @@ from .compactness import (
     covering_net,
     covering_sizes,
     evaluation_set,
-    fps_covering_net,
     interval_covering_net,
     greedy_net,
     hausdorff_distance,
-    image_cloud,
     iterated_images,
     net_transfer,
     packing_number,

@@ -63,10 +63,12 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def build_system(cfg: RunConfig) -> tuple[Semigroup, list[VectorField], ContractionCertificate]:
+def build_system(cfg: RunConfig, dim: int | None = None
+                 ) -> tuple[Semigroup, list[VectorField], ContractionCertificate]:
     """The configured semigroup and fields, and the certificate for the
-    control ball (see `certify`): built once per command."""
-    sg = cfg.build_semigroup()
+    control ball (see `certify`): built once per command and dimension.
+    `dim` overrides the semigroup's dimension (see `RunConfig.build_semigroup`)."""
+    sg = cfg.build_semigroup(dim)
     fields = cfg.build_fields(sg.dim)
     cert = certify(cfg.control["p"], cfg.control["r"], sg.class_M, sg.class_mu,
                    max(f.lipschitz_L for f in fields), cfg.system["T"],
@@ -119,17 +121,18 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
 
 def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
     diag, control = cfg.diagnostic, cfg.control
+    systems = [build_system(cfg, dim) for dim in diag["dims"]]
     report = compactness_diagnostic(
-        diag["dims"], diag["eps_ladder"], control["p"], control["r"], cfg.system["T"],
-        control["count"], control["seed"], n_t=diag["n_t"], xi0_scale=diag["xi0_scale"],
-        cloud_budget=diag["cloud_budget"], tol=diag["tol"])
+        systems, diag["eps_ladder"], control["count"], control["seed"], n_t=diag["n_t"],
+        xi0_scale=diag["xi0_scale"], norm_kind=cfg.system["norm_kind"],
+        cloud_budget=diag["cloud_budget"], tol=cfg.solver["tol"])
     _write_csv(out_dir / "diagnostic.csv",
                ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
                [[row["n"], row["p"], repr(row["eps"]), row["n_reach"],
                  row["n_ball"], row["sample_size"]] for row in report.rows])
     _write_json(out_dir / "reachset.json",
                 {"rows": report.rows, "diagnostic_config": report.config,
-                 "metadata": {**_metadata(cfg), "solves": report.solves}})
+                 "metadata": {**_metadata(cfg), "dimensions": report.dimensions}})
     print(f"wrote {out_dir / 'diagnostic.csv'} ({len(report.rows)} rows)")
     return EXIT_OK
 

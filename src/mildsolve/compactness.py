@@ -106,18 +106,27 @@ class NetReport:
         }
 
 
-def _nearest(cloud: PointCloud, centers: np.ndarray, min_dist: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> np.ndarray:
+def _nearest(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
     """Distance from every cloud point to its nearest center, as a running
-    minimum updated in place (started at infinity when `min_dist` is None).
-    Every sweep reuses `scratch` (see `PointCloud.distances_to`)."""
-    if min_dist is None:
-        min_dist = np.full(cloud.size, np.inf)
-    if scratch is None:
-        scratch = np.empty((2,) + cloud.points.shape)
+    minimum; every sweep reuses one scratch buffer (see `PointCloud.distances_to`)."""
+    min_dist = np.full(cloud.size, np.inf)
+    scratch = np.empty((2,) + cloud.points.shape)
     for c in centers:
         np.minimum(min_dist, cloud.distances_to(c, scratch), out=min_dist)
     return min_dist
+
+
+def _add_center(cloud: PointCloud, i: int, min_dist: np.ndarray, scratch: np.ndarray) -> None:
+    """Update the running nearest-center distances `min_dist` with the
+    center cloud.points[i], whose own distance is 0.  Its zero difference
+    row is set to ones before the norm, so it never sends `vector_norm` into
+    the underflow rescue; every other row is the same float operation."""
+    diff = np.subtract(cloud.points, cloud.points[i], out=scratch[0])
+    diff[i] = 1.0
+    d = vector_norm(diff, cloud.norm_kind, scratch[1])
+    np.minimum(min_dist, d.max(axis=-1) if cloud.metric_kind == "sup_norm" else d,
+               out=min_dist)
+    min_dist[i] = 0.0
 
 
 def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]:
@@ -133,7 +142,7 @@ def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]
     for i in indices:
         if min_dist[i] >= s:
             chosen.append(int(i))
-            _nearest(cloud, cloud.points[i:i + 1], min_dist, scratch)
+            _add_center(cloud, i, min_dist, scratch)
     return chosen
 
 
@@ -174,7 +183,8 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
         raise ValueError("empty cloud")
     scratch = np.empty((2,) + cloud.points.shape)
     live, live_cloud = np.arange(cloud.size), cloud
-    min_dist = _nearest(cloud, cloud.points[:1], scratch=scratch)
+    min_dist = np.full(cloud.size, np.inf)
+    _add_center(cloud, 0, min_dist, scratch)
     net, sizes = [0], []
     for eps in ladder:
         while live.size:
@@ -182,7 +192,7 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
             if min_dist[far] <= eps:
                 break
             net.append(int(live[far]))
-            _nearest(live_cloud, live_cloud.points[far:far + 1], min_dist, scratch)
+            _add_center(live_cloud, far, min_dist, scratch)
             dead = min_dist <= ladder[-1]
             if 8 * np.count_nonzero(dead) >= live.size:
                 live, min_dist = live[~dead], min_dist[~dead]
@@ -191,17 +201,6 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
                 scratch = scratch[:, :live.size]
         sizes.append(len(net))
     return net, sizes
-
-
-def fps_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
-    """Farthest-point net: refine until the coverage radius is <= epsilon.
-
-    The covering_size tracks the k-center optimum within a factor of two;
-    this is the covering-number estimate used by the reachability
-    diagnostics.
-    """
-    net, _ = _farthest_point(cloud, [epsilon])
-    return NetReport(epsilon, net, len(net), len(net))
 
 
 def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
@@ -230,10 +229,13 @@ def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
 
 
 def covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
-    """Covering-number estimate: exact sweep in dimension one, FPS otherwise."""
+    """Covering-number estimate: exact sweep in dimension one, otherwise the
+    farthest-point net refined until its coverage radius is <= epsilon (its
+    size tracks the k-center optimum within a factor of two)."""
     if cloud.metric_kind == "state_norm" and cloud.points.shape[1] == 1:
         return interval_covering_net(cloud, epsilon)
-    return fps_covering_net(cloud, epsilon)
+    net, _ = _farthest_point(cloud, [epsilon])
+    return NetReport(epsilon, net, len(net), len(net))
 
 
 def covering_sizes(cloud: PointCloud, ladder: Sequence[float]) -> list[int]:
@@ -273,11 +275,6 @@ def evaluation_set(trajectories: Sequence[TrajectoryGrid]) -> PointCloud:
     return PointCloud(stack, "state_norm", trajectories[0].norm_kind)
 
 
-def image_cloud(x: TrajectoryGrid) -> PointCloud:
-    """Grid image of a single trajectory, as a compact-set approximation."""
-    return PointCloud(x.states.copy(), "state_norm", x.norm_kind)
-
-
 def verify_coverage(points: PointCloud, centers: np.ndarray, epsilon: float,
                     slack: float = 1e-12) -> bool:
     """Brute-force check that every cloud point is within epsilon of a center."""
@@ -303,8 +300,7 @@ def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
     n_pts = trajectories[0].n_t + 1
     ev_indices: list[int] = []
     for i in reps:
-        img = image_cloud(trajectories[i])
-        local = greedy_net(img, half)
+        local = greedy_net(state_cloud(trajectories[i].states, trajectories[i].norm_kind), half)
         ev_indices.extend(int(i) * n_pts + j for j in local.net_indices)
 
     ev = evaluation_set(trajectories)

@@ -41,7 +41,7 @@ _DEFAULTS = {
     "control": {"p": 2.0, "r": 1.0, "count": 1, "seed": 0},
     "solver": {"tol": 1e-8, "certificate_mode": "auto"},
     "diagnostic": {"dims": [16, 32, 64], "eps_ladder": [0.1, 0.05, 0.02],
-                   "xi0_scale": 0.02, "cloud_budget": 4000, "tol": 1e-4},
+                   "xi0_scale": 0.02, "cloud_budget": 4000},
     "counterexample": {"n_max": 128, "n_t": 1024},
     "gamma": {"eps": 0.1, "max_controls": 20},
 }
@@ -50,8 +50,7 @@ _SEMIGROUP_KEYS = {"diagonal": "eigenvalues", "heat": "dim", "dense": "matrix"}
 _FIELD_KEYS = {"bilinear": ("identity", "matrix"), "constant": ("vector",),
                "saturation": ("scale",)}
 # Settings that must be finite and > 0, and counts that must be >= 1.
-_POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("diagnostic", "tol"),
-             ("gamma", "eps")]
+_POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("gamma", "eps")]
 _COUNTS = [("system", "n_t"), ("control", "count"), ("diagnostic", "n_t"),
            ("diagnostic", "cloud_budget"), ("counterexample", "n_max"),
            ("counterexample", "n_t"), ("gamma", "max_controls")]
@@ -196,7 +195,9 @@ class RunConfig:
     # -- builders ----------------------------------------------------------
 
     @_library_errors_are_config_errors
-    def build_semigroup(self) -> Semigroup:
+    def build_semigroup(self, dim: int | None = None) -> Semigroup:
+        """The configured semigroup; `dim`, when given, replaces a heat
+        semigroup's dimension and must equal any other kind's."""
         spec = self.system["semigroup"]
         kind = spec["kind"]
         if kind not in _SEMIGROUP_KEYS:
@@ -211,7 +212,7 @@ class RunConfig:
         if kind == "diagonal":
             sg = diagonal_semigroup(spec["eigenvalues"])
         elif kind == "heat":
-            sg = heat_semigroup(int(spec["dim"]))
+            sg = heat_semigroup(int(spec["dim"]) if dim is None else dim)
         else:
             matrix = np.asarray(spec["matrix"], dtype=float)
             if "class_M" in spec:
@@ -227,6 +228,9 @@ class RunConfig:
             sg = Semigroup(eigenvalues=sg.eigenvalues,
                            class_M=float(spec["class_M"]),
                            class_mu=float(spec.get("class_mu", sg.class_mu)))
+        if dim is not None and sg.dim != dim:
+            raise ConfigError(f"system.semigroup: a {kind} semigroup has dimension "
+                              f"{sg.dim}, not {dim}")
         return sg
 
     @_library_errors_are_config_errors

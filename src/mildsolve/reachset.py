@@ -43,13 +43,12 @@ from .operator import (
 )
 from .solver import gronwall_radius, picard_solve, solve_batch
 from .spaces import (
+    NormKind,
     Semigroup,
     StateVector,
     VectorField,
-    bilinear_field,
     constant_field,
     diagonal_semigroup,
-    heat_semigroup,
     vector_norm,
 )
 
@@ -109,59 +108,52 @@ class DiagnosticReport:
 
     rows: list
     config: dict
-    solves: dict = field(default_factory=dict)  # per dimension, the sample's `solves`
+    # per dimension: its certificate, Gronwall radius and the sample's `solves`
+    dimensions: dict = field(default_factory=dict)
 
 
-def _heat_system(dim: int, xi0_scale: float):
-    sg = heat_semigroup(dim)
-    b_field = bilinear_field(np.eye(dim))
-    xi0 = StateVector(np.full(dim, xi0_scale / math.sqrt(dim)), 2)
-    return sg, b_field, xi0
-
-
-def _sphere_sample(center: np.ndarray, radius: float, count: int,
-                   rng: np.random.Generator) -> PointCloud:
-    dirs = rng.standard_normal((count, center.size))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return state_cloud(center + radius * dirs, 2)
-
-
-def compactness_diagnostic(dims: Sequence[int], eps_ladder: Sequence[float],
-                           p: float, r: float, T: float, count: int, seed: int,
-                           n_t: int = 128, xi0_scale: float = 0.02,
-                           cloud_budget: int = 4000,
-                           tol: float = 1e-4) -> DiagnosticReport:
+def compactness_diagnostic(
+        systems: Sequence[tuple[Semigroup, Sequence[VectorField], ContractionCertificate]],
+        eps_ladder: Sequence[float], count: int, seed: int, n_t: int = 128,
+        xi0_scale: float = 0.02, norm_kind: NormKind = 2, cloud_budget: int = 4000,
+        tol: float = 1e-4) -> DiagnosticReport:
     """Covering numbers of reach-set samples vs ambient-sphere samples.
 
-    For each truncation dimension n a heat-type system (eigenvalues -k^2,
-    identity bilinear field) is sampled with `count` ball controls; the
-    endpoint cloud (capped at `cloud_budget` by seeded subsampling) is
-    covered at every ladder radius by one farthest-point pass
-    (`covering_sizes`), next to a matched-cardinality uniform sample of the
-    sphere of Gronwall radius around xi0.
+    `systems` holds one (semigroup, fields, certificate) per truncation
+    dimension, increasing (the CLI's `build_system`).  Each is sampled with
+    `count` controls of its certificate's ball (p, r, T) from the constant
+    state xi0 of `norm_kind`-norm `xi0_scale`; the endpoint cloud (capped at
+    `cloud_budget` by seeded subsampling) is covered at every ladder radius
+    by one farthest-point pass (`covering_sizes`), next to a same-size
+    sample of the sphere around xi0 whose radius is the Gronwall bound from
+    the semigroup's class and the fields' largest growth constants.
     """
-    dims = list(dims)
+    dims = [sg.dim for sg, _, _ in systems]
     eps_ladder = list(eps_ladder)
     if not dims or any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
         raise ValueError("dims must be nonempty and strictly increasing")
     if not eps_ladder or any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be nonempty and strictly decreasing")
 
-    rows, solves = [], {}
-    for dim in dims:
-        sg, b_field, xi0 = _heat_system(dim, xi0_scale)
-        cert = certify(p, r, M=1.0, mu=0.0, L_bound=b_field.lipschitz_L, T=T)
-        sample = sample_reachset(xi0, p, r, T, count, seed, [b_field], sg,
-                                 cert, n_t, tol=tol)
-        cloud, solves[dim] = sample.endpoints, sample.solves
+    rows, dimensions = [], {}
+    for sg, fields, cert in systems:
+        dim, p, r, T = sg.dim, cert.p, cert.radius_r, cert.horizon_T
+        xi0 = StateVector(np.full(dim, xi0_scale / vector_norm(np.ones(dim), norm_kind)),
+                          norm_kind)
+        sample = sample_reachset(xi0, p, r, T, count, seed, fields, sg, cert, n_t, tol=tol)
+        cloud = sample.endpoints
         rng = np.random.default_rng(seed + 7919 * dim)
         if cloud.size > cloud_budget:
             keep = np.sort(rng.choice(cloud.size, size=cloud_budget, replace=False))
             cloud = state_cloud(cloud.points[keep], cloud.norm_kind)
-        radius = gronwall_radius(xi0, K=r, p=p, T=T, M=1.0, mu=0.0,
-                                 alpha=b_field.growth_alpha,
-                                 beta=b_field.growth_beta)
-        ball = _sphere_sample(xi0.coords, radius, cloud.size, rng)
+        radius = gronwall_radius(xi0, K=r, p=p, T=T, M=sg.class_M, mu=sg.class_mu,
+                                 alpha=max(f.growth_alpha for f in fields),
+                                 beta=max(f.growth_beta for f in fields))
+        dimensions[dim] = {"certificate": cert.to_dict(), "gronwall_radius": radius,
+                           "solves": sample.solves}
+        dirs = rng.standard_normal((cloud.size, dim))  # the sphere sample
+        dirs /= vector_norm(dirs, norm_kind)[:, None]
+        ball = state_cloud(xi0.coords + radius * dirs, norm_kind)
         for eps, n_reach, n_ball in zip(eps_ladder, covering_sizes(cloud, eps_ladder),
                                         covering_sizes(ball, eps_ladder)):
             rows.append({"n": dim, "p": p, "eps": eps, "n_reach": n_reach,
@@ -169,7 +161,7 @@ def compactness_diagnostic(dims: Sequence[int], eps_ladder: Sequence[float],
     cfg = {"dims": dims, "eps_ladder": eps_ladder, "p": p, "r": r, "T": T,
            "count": count, "seed": seed, "n_t": n_t, "xi0_scale": xi0_scale,
            "cloud_budget": cloud_budget, "gronwall_radius": radius}
-    return DiagnosticReport(rows, cfg, solves)
+    return DiagnosticReport(rows, cfg, dimensions)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def vector_norm(coords: np.ndarray, norm_kind: NormKind,
             return r
         bad = r < low if top < np.inf else ~((r >= low) & (r < np.inf))
         rows = x[bad]
-        if not np.count_nonzero(rows):  # zero rows: a point against itself, in every covering sweep
+        if not np.count_nonzero(rows):  # zero rows: duplicates of a covering center
             return r
         scale = np.abs(rows).max(axis=-1)
         fix = (scale > 0.0) & (scale < np.inf)  # finite nonzero rows

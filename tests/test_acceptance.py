@@ -18,7 +18,6 @@ from mildsolve import (
     StateVector,
     bilinear_field,
     bind_operator,
-    certify,
     certify_hidden_contraction,
     certify_omega_contraction,
     collection_union_nets,
@@ -48,9 +47,8 @@ from mildsolve import (
     trajectory_cloud,
 )
 from mildsolve.compactness import verify_coverage
-from mildsolve.reachset import _heat_system
 
-from conftest import constant_control, random_trajectory
+from conftest import constant_control, diagnostic_system, random_trajectory
 
 # shared desk-scale configuration for criteria 8 and 9
 DIAG_DIMS = [16, 32, 64]
@@ -65,7 +63,7 @@ DIAG_XI0_SCALE = 0.02
 def diagnostic_reports():
     return {
         p: compactness_diagnostic(
-            dims=DIAG_DIMS, eps_ladder=[DIAG_EPS], p=p, r=1.0, T=1.0,
+            [diagnostic_system(dim, p=p)[:3] for dim in DIAG_DIMS], eps_ladder=[DIAG_EPS],
             count=DIAG_COUNT, seed=DIAG_SEED, n_t=DIAG_NT,
             xi0_scale=DIAG_XI0_SCALE, cloud_budget=4000)
         for p in (1.0, 2.0)
@@ -75,11 +73,10 @@ def diagnostic_reports():
 @pytest.fixture(scope="module")
 def heat16_sample():
     """The n = 16 leg of the criterion-8 run (identical seed and settings)."""
-    sg, f, xi0 = _heat_system(16, DIAG_XI0_SCALE)
-    cert = certify(1.0, 1.0, 1.0, 0.0, f.lipschitz_L, 1.0)
-    sample = sample_reachset(xi0, 1.0, 1.0, 1.0, DIAG_COUNT, DIAG_SEED, [f],
+    sg, fields, cert, xi0 = diagnostic_system(16, DIAG_XI0_SCALE)
+    sample = sample_reachset(xi0, 1.0, 1.0, 1.0, DIAG_COUNT, DIAG_SEED, fields,
                              sg, cert, DIAG_NT, tol=1e-4)
-    return sg, f, sample
+    return sg, fields[0], sample
 
 
 def test_c01_scalar_bilinear_oracle():

@@ -39,6 +39,24 @@ def scalar_system(**overrides):
     return cfg
 
 
+def heat_system(**overrides):
+    # the heat system of configs/heat.yaml at a small size; reachset overrides its dim
+    cfg = {
+        "system": {
+            "semigroup": {"kind": "heat", "dim": 2},
+            "fields": [{"kind": "bilinear", "identity": True}],
+            "xi0": [0.1, 0.1],
+            "T": 1.0,
+            "n_t": 32,
+        },
+        "control": {"p": 1, "r": 1.0, "count": 6, "seed": 7},
+        "solver": {"tol": 1e-4},
+    }
+    for key, value in overrides.items():
+        cfg[key] = {**cfg.get(key, {}), **value}
+    return cfg
+
+
 def dense_system():
     # a stable dense generator without class constants: (M, mu) are certified at load
     return {
@@ -394,7 +412,7 @@ class TestSystemBuild:
 
 class TestReachsetCommand:
     def test_small_diagnostic_table(self, tmp_path):
-        cfg_data = scalar_system(control={"p": 1, "count": 10})
+        cfg_data = heat_system(control={"p": 1, "count": 10})
         cfg_data["diagnostic"] = {"dims": [2, 4], "eps_ladder": [0.5, 0.2],
                                   "n_t": 32, "xi0_scale": 0.5,
                                   "cloud_budget": 150}
@@ -410,7 +428,7 @@ class TestReachsetCommand:
         assert len(summary["rows"]) == 4
 
     def test_table_determinism(self, tmp_path):
-        cfg_data = scalar_system(control={"p": 1, "count": 6})
+        cfg_data = heat_system(control={"p": 1, "count": 6})
         cfg_data["diagnostic"] = {"dims": [2], "eps_ladder": [0.4], "n_t": 16,
                                   "xi0_scale": 0.5, "cloud_budget": 60}
         cfg = write_config(tmp_path, cfg_data)
@@ -418,6 +436,56 @@ class TestReachsetCommand:
         assert main(["reachset", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["reachset", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "diagnostic.csv").read_bytes() == (out2 / "diagnostic.csv").read_bytes()
+
+    @staticmethod
+    def run(tmp_path, cfg_data, name):
+        cfg_data["diagnostic"] = {"dims": [2, 4], "eps_ladder": [0.2], "n_t": 16,
+                                  "cloud_budget": 40}
+        out = tmp_path / name
+        assert main(["reachset", "--config", write_config(tmp_path, cfg_data, f"{name}.yaml"),
+                     "--out", str(out)]) == 0
+        return load_json(out / "reachset.json")
+
+    def test_every_dimension_reads_the_certificate_mode(self, tmp_path):
+        summary = self.run(tmp_path, heat_system(control={"p": 2},
+                                                 solver={"certificate_mode": "hidden"}), "hidden")
+        dims = summary["metadata"]["dimensions"]
+        assert sorted(dims) == ["2", "4"]
+        assert all(d["certificate"]["mode"] == "hidden" and d["certificate"]["p"] == 2.0
+                   for d in dims.values())
+        auto = self.run(tmp_path, heat_system(control={"p": 2}), "auto")
+        assert all(d["certificate"]["mode"] == "omega"
+                   for d in auto["metadata"]["dimensions"].values())
+
+    def test_class_constants_reach_certificate_and_gronwall_radius(self, tmp_path):
+        base = self.run(tmp_path, heat_system(), "base")
+        doubled = self.run(tmp_path, heat_system(
+            system={"semigroup": {"kind": "heat", "dim": 2, "class_M": 2.0}}), "doubled")
+        radius = base["diagnostic_config"]["gronwall_radius"]
+        assert doubled["diagnostic_config"]["gronwall_radius"] > 2.0 * radius
+        for dim, record in doubled["metadata"]["dimensions"].items():
+            assert record["certificate"]["constants"]["M"] == 2.0
+            assert record["gronwall_radius"] > 2.0 * radius
+            assert record["certificate"] != base["metadata"]["dimensions"][dim]["certificate"]
+
+    def test_dimension_mismatch_exits_2_before_any_work(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scalar_system())  # diagonal, dimension 1
+        out = tmp_path / "out"
+        assert main(["reachset", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "diagonal" in err
+        assert "dimension 1, not 16" in err
+
+    def test_one_dimensional_diagonal_system_runs(self, tmp_path):
+        cfg_data = scalar_system(control={"count": 4})
+        cfg_data["diagnostic"] = {"dims": [1], "eps_ladder": [0.2], "n_t": 16}
+        out = tmp_path / "out"
+        assert main(["reachset", "--config", write_config(tmp_path, cfg_data),
+                     "--out", str(out)]) == 0
+        summary = load_json(out / "reachset.json")
+        assert [row["n"] for row in summary["rows"]] == [1]
+        assert summary["metadata"]["dimensions"]["1"]["certificate"]["mode"] == "omega"
 
 
 class TestCounterexampleCommand:

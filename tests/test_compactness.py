@@ -16,10 +16,8 @@ from mildsolve import (
     covering_sizes,
     diagonal_semigroup,
     evaluation_set,
-    fps_covering_net,
     greedy_net,
     hausdorff_distance,
-    image_cloud,
     integral_operator,
     iterated_images,
     net_transfer,
@@ -133,14 +131,14 @@ class TestCoveringNets:
     def test_fps_coverage_in_higher_dimension(self, rng):
         cloud = state_cloud(rng.standard_normal((300, 4)))
         for eps in (1.6, 0.8, 0.4):
-            report = fps_covering_net(cloud, eps)
+            report = covering_net(cloud, eps)
             assert verify_coverage(cloud, cloud.points[np.array(report.net_indices)], eps)
 
     def test_fps_monotone_in_eps(self, rng):
         ladder = (1.6, 0.8, 0.4, 0.2, 0.1)
         pts = rng.standard_normal((300, 4))
         cloud = state_cloud(pts)
-        sizes = [fps_covering_net(cloud, eps).covering_size for eps in ladder]
+        sizes = [covering_net(cloud, eps).covering_size for eps in ladder]
         assert sizes == sorted(sizes)
         assert covering_sizes(cloud, ladder) == sizes
         # a doubled integer lattice: ties everywhere, censored below the spacing
@@ -153,7 +151,7 @@ class TestCoveringNets:
                 normed = state_cloud(points, norm_kind)
                 assert _farthest_point(normed, rungs) == full_sweep_fps(d, rungs)
                 for eps in rungs:  # one-rung ladders
-                    assert fps_covering_net(normed, eps).net_indices == full_sweep_fps(d, [eps])[0]
+                    assert covering_net(normed, eps).net_indices == full_sweep_fps(d, [eps])[0]
             assert covering_sizes(state_cloud(lattice, norm_kind), fine)[-2:] == [25, 25]
         line = state_cloud(rng.uniform(0.0, 4.0, size=(200, 1)))  # interval sweep
         assert covering_sizes(line, ladder) == [covering_net(line, eps).covering_size
@@ -246,7 +244,7 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     def fps(e):
         return full_sweep_fps(d, [e])[0]
 
-    assert fps_covering_net(cloud, eps).net_indices == fps(eps)
+    assert covering_net(cloud, eps).net_indices == fps(eps)
     # down to below the smallest gap: every point but the duplicate is a center
     ladder = [4 * eps, 2 * eps, eps, eps / 2, d[d > 0].min() / 2, d[d > 0].min() / 4]
     sizes = covering_sizes(cloud, ladder)
@@ -255,7 +253,7 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     assert sizes[-2:] == [len(pts) - 1] * 2
     assert _farthest_point(cloud, ladder) == full_sweep_fps(d, ladder)
     for e in ladder:  # one-rung ladders
-        assert fps_covering_net(cloud, e).net_indices == fps(e)
+        assert covering_net(cloud, e).net_indices == fps(e)
 
     centers = [0, 11, 23]
     radius = d[:, centers].min(axis=1).max()
@@ -290,7 +288,8 @@ class TestEvaluationAndImage:
         for _ in range(100):
             x = random_trajectory(rng, 12, 2)
             y = random_trajectory(rng, 12, 2)
-            d_h = hausdorff_distance(image_cloud(x), image_cloud(y))
+            d_h = hausdorff_distance(state_cloud(x.states, x.norm_kind),
+                                     state_cloud(y.states, y.norm_kind))
             assert d_h <= sup_norm(x, y) + 1e-12
 
 
@@ -299,7 +298,8 @@ class TestNetTransfer:
         x = random_trajectory(rng, 40, 2)
         s_net = greedy_net(trajectory_cloud([x]), 0.25)
         out = net_transfer(s_net, [x], 0.5)
-        assert out.covering_size == greedy_net(image_cloud(x), 0.25).covering_size
+        image = state_cloud(x.states, x.norm_kind)
+        assert out.covering_size == greedy_net(image, 0.25).covering_size
 
     def test_perturbation_family_uses_one_image_net(self, rng):
         base = random_trajectory(rng, 30, 2)
@@ -311,7 +311,8 @@ class TestNetTransfer:
         s_net = greedy_net(trajectory_cloud(family), 0.25)
         assert s_net.covering_size == 1
         out = net_transfer(s_net, family, 0.5)
-        assert out.covering_size == greedy_net(image_cloud(base), 0.25).covering_size
+        image = state_cloud(base.states, base.norm_kind)
+        assert out.covering_size == greedy_net(image, 0.25).covering_size
 
     def test_coverage_on_random_families(self, rng):
         for _ in range(10):

@@ -26,9 +26,11 @@ from mildsolve import (
     state_cloud,
 )
 from mildsolve.operator import semigroup_act, semigroup_step
-from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _heat_system,
-                                _sampled_oscillation, _verify_gamma)
+from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _sampled_oscillation,
+                                _verify_gamma)
 from mildsolve.spaces import vector_norm
+
+from conftest import diagnostic_system
 
 
 class TestSampleReachset:
@@ -84,8 +86,9 @@ class TestSampleReachset:
 
 class TestCompactnessDiagnostic:
     def test_row_schema_and_determinism(self):
-        kwargs = dict(dims=[2, 4], eps_ladder=[0.5, 0.25], p=1.0, r=1.0, T=1.0,
-                      count=10, seed=2, n_t=32, xi0_scale=0.5, cloud_budget=200)
+        systems = [diagnostic_system(d)[:3] for d in (2, 4)]
+        kwargs = dict(systems=systems, eps_ladder=[0.5, 0.25], count=10, seed=2, n_t=32,
+                      xi0_scale=0.5, cloud_budget=200)
         rep1 = compactness_diagnostic(**kwargs)
         rep2 = compactness_diagnostic(**kwargs)
         assert rep1.rows == rep2.rows
@@ -95,22 +98,21 @@ class TestCompactnessDiagnostic:
             assert row["n_reach"] >= 1 and row["n_ball"] >= 1
 
     def test_scalar_reach_covering_respects_interval_bound(self):
-        rep = compactness_diagnostic(dims=[1], eps_ladder=[0.05], p=1.0, r=1.0,
-                                     T=1.0, count=50, seed=7, n_t=64,
-                                     xi0_scale=1.0, cloud_budget=2000)
-        sg, f, xi0 = _heat_system(1, 1.0)
-        cert = certify(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
-        sample = sample_reachset(xi0, 1.0, 1.0, 1.0, 50, 7, [f], sg, cert, 64,
+        sg, fields, cert, xi0 = diagnostic_system(1, 1.0)
+        rep = compactness_diagnostic([(sg, fields, cert)], eps_ladder=[0.05], count=50,
+                                     seed=7, n_t=64, xi0_scale=1.0, cloud_budget=2000)
+        sample = sample_reachset(xi0, 1.0, 1.0, 1.0, 50, 7, fields, sg, cert, 64,
                                  tol=1e-4)
         vals = sample.endpoints.points[:, 0]
         diameter = vals.max() - vals.min()
         assert rep.rows[0]["n_reach"] <= math.ceil(diameter / 0.1) + 1
 
     def test_invalid_ladders_rejected(self):
+        systems = [diagnostic_system(d)[:3] for d in (2, 4)]
         with pytest.raises(ValueError, match="increasing"):
-            compactness_diagnostic([4, 2], [0.5], 1.0, 1.0, 1.0, 2, 0)
+            compactness_diagnostic(systems[::-1], [0.5], 2, 0)
         with pytest.raises(ValueError, match="decreasing"):
-            compactness_diagnostic([2, 4], [0.1, 0.5], 1.0, 1.0, 1.0, 2, 0)
+            compactness_diagnostic(systems, [0.1, 0.5], 2, 0)
 
 
 class TestCounterexample:
@@ -285,7 +287,7 @@ class TestConvolutionCheck:
 
     def test_heat_bilinear_reconstruction(self):
         dim, n_t, eps = 8, 64, 0.2
-        sg, f, xi0 = _heat_system(dim, 0.5)
+        sg, (f,), _, xi0 = diagnostic_system(dim, 0.5)
         sample = self._sample(f, sg, xi0, 1.0, 1.0, 20, n_t, seed=21)
         cloud = field_value_cloud(sample, [f])
         lag_grid = np.linspace(0.0, 1.0, n_t + 1)
@@ -299,7 +301,7 @@ class TestConvolutionCheck:
         # the one-bincount check against the per-grid-time loop it replaced:
         # each bin sums the same cells in the same order, so the coefficients
         # agree bit for bit; the reconstruction is one matrix product
-        sg, f, xi0 = _heat_system(4, 0.5)
+        sg, (f,), _, xi0 = diagnostic_system(4, 0.5)
         sample = self._sample(f, sg, xi0, 1.0, 1.0, 6, 32, seed=21)
         cloud = field_value_cloud(sample, [f])
         table = _build_gamma_table(sg, cloud, 1.0, 0.05, 0.02)

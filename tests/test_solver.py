@@ -34,9 +34,8 @@ from mildsolve import (
 
 from mildsolve.operator import BatchOperator
 from mildsolve.solver import _forward_bounds
-from mildsolve.reachset import _heat_system
 
-from conftest import constant_control
+from conftest import constant_control, diagnostic_system
 
 
 def scalar_bilinear_truth(xi0, a, u):
@@ -348,8 +347,7 @@ def batch_system(name, route):
         fields = [bilinear_field(np.eye(8)), constant_field(np.full(8, 0.1))]
         xi0 = StateVector(np.full(8, 0.1))
     else:
-        sg, f, xi0 = _heat_system(int(name[4:]), 0.02)
-        fields = [f]
+        sg, fields, _, xi0 = diagnostic_system(int(name[4:]))
     if route == "hidden":
         cert, p = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0), 1.0
     else:
