@@ -16,6 +16,7 @@ from .spaces import (
 )
 from .controls import Control, lp_norm, sample_ball, spike_control
 from .operator import (
+    CertificateRadiusError,
     ContractionCertificate,
     TrajectoryGrid,
     bind_operator,
@@ -31,7 +32,6 @@ from .operator import (
     sup_norm,
 )
 from .solver import (
-    CertificateRadiusError,
     NonFiniteIterateError,
     SolveResult,
     cutoff_field,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .controls import control_from_csv, control_to_csv, lp_norm, sample_ball
+from .controls import control_from_csv, control_to_csv, sample_ball
 from .operator import ContractionCertificate, certify
 from .reachset import (
     VerificationError,
@@ -88,19 +88,18 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
-    system, control = cfg.system, cfg.control
 
     if args.control is not None:
         try:
-            u = control_from_csv(args.control, horizon_T=system["T"])
+            u = control_from_csv(args.control, horizon_T=cert.horizon_T)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"control {args.control}: {exc}") from exc
         if u.channels != len(fields):
             raise ConfigError(f"control {args.control} has {u.channels} channels, "
                               f"the system has {len(fields)} fields")
     else:
-        u = sample_ball(control["p"], control["r"], system["T"], len(fields),
-                        system["n_t"], 1, control["seed"])[0]
+        u = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields),
+                        cfg.system["n_t"], 1, cfg.control["seed"])[0]
     result = picard_solve(xi0, u, fields, sg, cert, tol=cfg.solver["tol"])
     traj = result.trajectory
     _write_csv(out_dir / "trajectory.csv", ["t"] + [f"x{i}" for i in range(traj.dim)],
@@ -111,7 +110,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
         "iterate_gaps": result.iterate_gaps,
         "a_posteriori_bound": result.a_posteriori_bound,
         "certificate": cert.to_dict(),
-        "control_lp_norm": lp_norm(u, cert.p),
+        "control_lp_norm": cert.control_norm(u),
         "metadata": _metadata(cfg),
     })
     print(f"solved in {result.iterations} applications "
@@ -156,10 +155,9 @@ def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
-    control, T, n_t = cfg.control, cfg.system["T"], cfg.system["n_t"]
-    seed = control["seed"]
-    sample = sample_reachset(xi0, control["p"], control["r"], T, control["count"],
-                             seed, fields, sg, cert, n_t, tol=cfg.solver["tol"])
+    T, n_t, seed = cfg.system["T"], cfg.system["n_t"], cfg.control["seed"]
+    sample = sample_reachset(xi0, cfg.control["count"], seed, fields, sg, cert, n_t,
+                             tol=cfg.solver["tol"])
     cloud = field_value_cloud(sample, fields)
     eps = cfg.gamma["eps"]
     lag_grid = np.linspace(0.0, T, n_t + 1)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controls import Control, lp_norm
+from .controls import Control
 from .operator import ContractionCertificate, TrajectoryGrid
 from .spaces import NormKind, check_norm_kind, vector_norm
 
@@ -55,17 +55,26 @@ class PointCloud:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def distances_to(self, q: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    def distances_to(self, q: np.ndarray, scratch: np.ndarray | None = None,
+                     own: int | None = None) -> np.ndarray:
         """Distances from every cloud point to the single point q.
 
         `scratch`, of shape (2,) + points.shape, takes the differences and
-        their elementwise pass (a new one is made when it is None).
+        their elementwise pass (a new one is made when it is None).  `own`,
+        the index of q when q is a cloud point, reads 0: its zero difference
+        row is set to ones before the norm, so it never sends `vector_norm`
+        into the underflow rescue; every other row is the same float operation.
         """
         if scratch is None:
             scratch = np.empty((2,) + self.points.shape)
         diff = np.subtract(self.points, q, out=scratch[0])
+        if own is not None:
+            diff[own] = 1.0
         d = vector_norm(diff, self.norm_kind, scratch[1])
-        return d.max(axis=-1) if self.metric_kind == "sup_norm" else d
+        d = d.max(axis=-1) if self.metric_kind == "sup_norm" else d
+        if own is not None:
+            d[own] = 0.0
+        return d
 
 
 def state_cloud(points, norm_kind: NormKind = 2) -> PointCloud:
@@ -116,19 +125,6 @@ def _nearest(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
     return min_dist
 
 
-def _add_center(cloud: PointCloud, i: int, min_dist: np.ndarray, scratch: np.ndarray) -> None:
-    """Update the running nearest-center distances `min_dist` with the
-    center cloud.points[i], whose own distance is 0.  Its zero difference
-    row is set to ones before the norm, so it never sends `vector_norm` into
-    the underflow rescue; every other row is the same float operation."""
-    diff = np.subtract(cloud.points, cloud.points[i], out=scratch[0])
-    diff[i] = 1.0
-    d = vector_norm(diff, cloud.norm_kind, scratch[1])
-    np.minimum(min_dist, d.max(axis=-1) if cloud.metric_kind == "sup_norm" else d,
-               out=min_dist)
-    min_dist[i] = 0.0
-
-
 def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]:
     """Index-order greedy s-separated subset of `indices`.
 
@@ -142,7 +138,7 @@ def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]
     for i in indices:
         if min_dist[i] >= s:
             chosen.append(int(i))
-            _add_center(cloud, i, min_dist, scratch)
+            np.minimum(min_dist, cloud.distances_to(cloud.points[i], scratch, i), out=min_dist)
     return chosen
 
 
@@ -183,8 +179,7 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
         raise ValueError("empty cloud")
     scratch = np.empty((2,) + cloud.points.shape)
     live, live_cloud = np.arange(cloud.size), cloud
-    min_dist = np.full(cloud.size, np.inf)
-    _add_center(cloud, 0, min_dist, scratch)
+    min_dist = cloud.distances_to(cloud.points[0], scratch, 0)
     net, sizes = [0], []
     for eps in ladder:
         while live.size:
@@ -192,7 +187,8 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
             if min_dist[far] <= eps:
                 break
             net.append(int(live[far]))
-            _add_center(live_cloud, far, min_dist, scratch)
+            np.minimum(min_dist, live_cloud.distances_to(live_cloud.points[far], scratch, far),
+                       out=min_dist)
             dead = min_dist <= ladder[-1]
             if 8 * np.count_nonzero(dead) >= live.size:
                 live, min_dist = live[~dead], min_dist[~dead]
@@ -328,8 +324,7 @@ def iterated_images(x0: TrajectoryGrid, u_sample: Sequence[Control],
         raise ValueError("u_sample must be nonempty")
     if cert is not None:
         for u in u_sample:
-            if lp_norm(u, cert.p) > cert.radius_r * (1.0 + 1e-12):
-                raise ValueError("control outside the certificate radius")
+            cert.control_norm(u)
     rng = np.random.default_rng(seed)
     generations = [[x0]]
     for _ in range(n):

@@ -73,9 +73,9 @@ def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
                 count: int, seed: int) -> list[Control]:
     """Draw `count` controls with lp_norm <= r, deterministically from `seed`.
 
-    Cell values are i.i.d. standard normal, then rescaled so the norm equals
-    r * U^(1/(m n_t)) with U uniform(0,1), exercising both small- and
-    near-full-radius controls.
+    Cell values are i.i.d. standard normal, rescaled so the norm is r U^(1/(m n_t)),
+    U uniform(0, 1): most draws lie near the sphere (norm >= 0.97 r with
+    probability 0.98 at m n_t = 128), few are small.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controls import Control
+from .controls import Control, lp_norm
 from .spaces import NormKind, Semigroup, StateVector, VectorField, check_norm_kind, vector_norm
 
 
@@ -235,6 +235,10 @@ def bind_operator(u: Control, xi0: StateVector, fields: Sequence[VectorField],
 # contraction certificates
 
 
+class CertificateRadiusError(ValueError):
+    """A control lies outside the ball a certificate was issued for."""
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
     """Proof data that the integral operator contracts on a control ball.
@@ -278,6 +282,18 @@ class ContractionCertificate:
         """Applications of F per contraction step: N on the hidden route, 1 on the omega route."""
         return self.N if self.mode == "hidden" else 1
 
+    def control_norm(self, u: Control) -> float:
+        """|u|_p of a control on the certificate's horizon with |u|_p <= radius_r (up to
+        a relative 1e-12); any other control raises `CertificateRadiusError`."""
+        if not math.isclose(u.horizon_T, self.horizon_T):
+            raise CertificateRadiusError(f"control horizon {u.horizon_T:.6g} is not the "
+                                         f"certificate horizon {self.horizon_T:.6g}")
+        norm = lp_norm(u, self.p)
+        if norm > self.radius_r * (1.0 + 1e-12):
+            raise CertificateRadiusError(
+                f"|u|_p = {norm:.6g} exceeds certificate radius {self.radius_r:.6g}")
+        return norm
+
     def distance(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
                  times: np.ndarray, norm_kind: NormKind) -> np.ndarray:
         """Distance of x and y in the certificate's metric, per row of a stack.
@@ -320,20 +336,21 @@ class ContractionCertificate:
         )
 
 
+# The omega route's weight is the smallest that brings the rate down to this
+_TARGET_RATE = 0.5
+
+
 def certify_omega_contraction(p: float, r: float, M: float, mu: float,
-                              L_bound: float, T: float,
-                              target_C: float = 0.5) -> ContractionCertificate:
+                              L_bound: float, T: float) -> ContractionCertificate:
     """Certify contraction in the omega-weighted norm for |u|_p <= r, p > 1.
 
     rate = r M L / (q (omega - mu))^{1/q} with q the conjugate exponent;
     omega is the smallest weight of the form mu + 2^k (k integer) meeting
-    target_C.  The radius factor r extends the unit-ball estimate by
+    `_TARGET_RATE`.  The radius factor r extends the unit-ball estimate by
     homogeneity of the Hoelder step.
     """
     if not p > 1:
         raise ValueError("omega certificates require p > 1")
-    if not (0.0 < target_C < 1.0):
-        raise ValueError("target_C must lie in (0, 1)")
     if r <= 0 or M < 1 or mu < 0 or L_bound < 0 or T <= 0:
         raise ValueError("invalid certificate constants")
     q = p / (p - 1.0)
@@ -344,11 +361,11 @@ def certify_omega_contraction(p: float, r: float, M: float, mu: float,
     def rate(omega: float) -> float:
         return r * M * L_bound / (q * (omega - mu)) ** (1.0 / q)
 
-    gap_needed = (r * M * L_bound / target_C) ** q / q
+    gap_needed = (r * M * L_bound / _TARGET_RATE) ** q / q
     k = math.ceil(math.log2(gap_needed))
-    while rate(mu + 2.0 ** k) > target_C:  # guard log2 rounding
+    while rate(mu + 2.0 ** k) > _TARGET_RATE:  # guard log2 rounding
         k += 1
-    while k > -60 and rate(mu + 2.0 ** (k - 1)) <= target_C:
+    while k > -60 and rate(mu + 2.0 ** (k - 1)) <= _TARGET_RATE:
         k -= 1
     omega = mu + 2.0 ** k
     return ContractionCertificate("omega", rate(omega), r, p, M, mu, L_bound,
@@ -356,18 +373,16 @@ def certify_omega_contraction(p: float, r: float, M: float, mu: float,
 
 
 def certify_hidden_contraction(r: float, M: float, mu: float, L_bound: float,
-                               T: float, p: float = 1.0,
-                               l1_bound: float | None = None) -> ContractionCertificate:
-    """Certify the hidden contraction: smallest N with (M e^{mu T} L r)^N / N! < 1.
+                               T: float, p: float = 1.0) -> ContractionCertificate:
+    """Certify the hidden contraction: smallest N with (M e^{mu T} L m)^N / N! < 1.
 
-    The factorial estimate consumes L^1 control mass; for p = 1 that is the
-    radius r itself, for p > 1 pass the Hoelder-induced bound
-    ``l1_bound = T^{1/q} r`` (the certificate's radius check stays in the
-    p-norm with radius r).
+    The factorial estimate consumes the ball's L^1 mass m = r T^{1/q}, the
+    Hoelder bound on |u|_1 (q conjugate to p; m = r at p = 1).
     """
     if r < 0 or M < 1 or mu < 0 or L_bound < 0 or T <= 0:
         raise ValueError("invalid certificate constants")
-    mass = r if l1_bound is None else l1_bound
+    q = math.inf if p == 1 else 1.0 if math.isinf(p) else p / (p - 1.0)
+    mass = r * T ** (1.0 / q)
     base = M * math.exp(mu * T) * L_bound * mass
     if base == 0.0:
         return ContractionCertificate("hidden", 0.0, r, p, M, mu, L_bound, T,
@@ -399,20 +414,13 @@ def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,
 
     Mode "hidden", or "auto" with p = 1, takes the hidden route; otherwise the
     omega route, falling back to hidden if the weighted-norm search overflows.
-    For p > 1 the hidden route spends the Hoelder L^1-mass bound
-    |u|_1 <= T^{1/q} |u|_p.
     """
-    def hidden() -> ContractionCertificate:
-        q = math.inf if p == 1 else 1.0 if math.isinf(p) else p / (p - 1.0)
-        return certify_hidden_contraction(r, M, mu, L_bound, T, p=p,
-                                          l1_bound=r * T ** (1.0 / q))
-
     if mode == "hidden" or (mode == "auto" and p == 1):
-        return hidden()
+        return certify_hidden_contraction(r, M, mu, L_bound, T, p)
     try:
         return certify_omega_contraction(p, r, M, mu, L_bound, T)
     except (OverflowError, FloatingPointError):
-        return hidden()
+        return certify_hidden_contraction(r, M, mu, L_bound, T, p)
 
 
 def hidden_step_lipschitz(cert: ContractionCertificate) -> float:

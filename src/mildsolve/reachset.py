@@ -59,12 +59,11 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReachSetSample:
-    """Monte-Carlo approximation of the reachable set up to time T."""
+    """Monte-Carlo approximation of the reachable set up to time T under the
+    control ball of `cert`."""
 
     xi0: StateVector
-    p: float
-    r: float
-    horizon_T: float
+    cert: ContractionCertificate
     controls: list
     trajectories: list
     endpoints: PointCloud  # evaluation set of the trajectories
@@ -72,18 +71,17 @@ class ReachSetSample:
 
     def __post_init__(self):
         for u in self.controls:
-            if lp_norm(u, self.p) > self.r * (1.0 + 1e-12):
-                raise ValueError("sampled control violates the ball radius")
+            self.cert.control_norm(u)
         for tr in self.trajectories:
             if not np.array_equal(tr.states[0], self.xi0.coords):
                 raise ValueError("trajectory does not start at xi0")
 
 
-def sample_reachset(xi0: StateVector, p: float, r: float, T: float, count: int,
-                    seed: int, fields: Sequence[VectorField], sg: Semigroup,
-                    cert: ContractionCertificate, n_t: int,
+def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[VectorField],
+                    sg: Semigroup, cert: ContractionCertificate, n_t: int,
                     tol: float = 1e-8) -> ReachSetSample:
-    """Draw `count` ball controls, solve each, and collect all grid states.
+    """Draw `count` controls from the ball of `cert` (its p, radius and
+    horizon), solve each, and collect all grid states.
 
     The controls take one `solve_batch`: a causal forward pass certified by
     one block of applications, each trajectory within `tol` of its discrete
@@ -91,10 +89,10 @@ def sample_reachset(xi0: StateVector, p: float, r: float, T: float, count: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
+    controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
     results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
     trajectories = [res.trajectory for res in results]
-    return ReachSetSample(xi0, p, r, T, controls, trajectories, evaluation_set(trajectories),
+    return ReachSetSample(xi0, cert, controls, trajectories, evaluation_set(trajectories),
                           {"applications": sum(res.iterations for res in results)})
 
 
@@ -140,7 +138,7 @@ def compactness_diagnostic(
         dim, p, r, T = sg.dim, cert.p, cert.radius_r, cert.horizon_T
         xi0 = StateVector(np.full(dim, xi0_scale / vector_norm(np.ones(dim), norm_kind)),
                           norm_kind)
-        sample = sample_reachset(xi0, p, r, T, count, seed, fields, sg, cert, n_t, tol=tol)
+        sample = sample_reachset(xi0, count, seed, fields, sg, cert, n_t, tol=tol)
         cloud = sample.endpoints
         rng = np.random.default_rng(seed + 7919 * dim)
         if cloud.size > cloud_budget:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .controls import Control, lp_norm
 from .spaces import Semigroup, StateVector, VectorField, vector_norm
-from .operator import BatchOperator, ContractionCertificate, TrajectoryGrid
+from .operator import BatchOperator, CertificateRadiusError, ContractionCertificate, TrajectoryGrid
 
 _MAX_APPLICATIONS = 100_000
 # The certificate's applications run on chunks of controls whose (chunk,
@@ -35,10 +35,6 @@ _MAX_APPLICATIONS = 100_000
 # controls, n = 16..64, 2-vCPU Xeon).
 _CHUNK_BYTES = 1 << 18
 _CAP_EXCEEDED = "Picard iteration exceeded the application cap"
-
-
-class CertificateRadiusError(ValueError):
-    """Control norm exceeds the radius the certificate was issued for."""
 
 
 class NonFiniteIterateError(ValueError):
@@ -67,18 +63,20 @@ def _stop_index(rate: float, gap1: float, tol: float) -> int:
 def _check_controls(controls: Sequence[Control], fields: Sequence[VectorField],
                     cert: ContractionCertificate, tol: float,
                     fail: Callable[[int, Exception], Exception]) -> np.ndarray:
-    """The controls' p-norms, after checking every control before any work;
-    a failed check of control i raises ``fail(i, error)``."""
+    """The controls' p-norms (`cert.control_norm`), after checking every
+    control before any work; a failed check of control i raises
+    ``fail(i, error)``."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    norms = np.array([lp_norm(u, cert.p) for u in controls])
+    norms = np.empty(len(controls))
     grid = (controls[0].n_t, controls[0].horizon_T) if controls else None
     for i, u in enumerate(controls):
         if u.channels != len(fields) or (u.n_t, u.horizon_T) != grid:
             raise fail(i, ValueError("controls need one channel per field and one shared grid"))
-        if norms[i] > cert.radius_r * (1.0 + 1e-12):
-            raise fail(i, CertificateRadiusError(
-                f"|u|_p = {norms[i]:.6g} exceeds certificate radius {cert.radius_r:.6g}"))
+        try:
+            norms[i] = cert.control_norm(u)
+        except CertificateRadiusError as error:
+            raise fail(i, error) from None
     return norms
 
 
@@ -91,8 +89,8 @@ def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
     omega route).  The first step's gap, in the certificate's metric, needs
     the iterates up to x_{2N-1} and fixes the stop index k; the result is
     x_{kN}.  A zero control stops after one application, at the control-free
-    orbit.  Raises `CertificateRadiusError` when |u|_p exceeds the
-    certificate radius (the contraction rate would be unsupported).
+    orbit.  Raises `CertificateRadiusError` when u lies outside the
+    certificate's ball (see `ContractionCertificate.control_norm`).
     """
     norm = _check_controls([u], fields, cert, tol, lambda i, error: error)[0]
     n, kind = cert.block, xi0.norm_kind

@@ -74,8 +74,7 @@ def diagnostic_reports():
 def heat16_sample():
     """The n = 16 leg of the criterion-8 run (identical seed and settings)."""
     sg, fields, cert, xi0 = diagnostic_system(16, DIAG_XI0_SCALE)
-    sample = sample_reachset(xi0, 1.0, 1.0, 1.0, DIAG_COUNT, DIAG_SEED, fields,
-                             sg, cert, DIAG_NT, tol=1e-4)
+    sample = sample_reachset(xi0, DIAG_COUNT, DIAG_SEED, fields, sg, cert, DIAG_NT, tol=1e-4)
     return sg, fields[0], sample
 
 
@@ -124,7 +123,7 @@ def test_c03_omega_certificate_honesty():
     sg = heat_semigroup(dim)
     f = bilinear_field(np.eye(dim))
     xi0 = StateVector(np.zeros(dim))
-    cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0, target_C=0.5)
+    cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     assert cert.omega == 2.0
     assert cert.rate_C == pytest.approx(0.5)
     rng = np.random.default_rng(33)

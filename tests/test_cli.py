@@ -197,7 +197,8 @@ class TestSolve:
         # states beyond the largest float: a numeric failure, not a traceback
         cfg_data["system"]["fields"] = [{"kind": "constant", "vector": [1e300]}]
         cfg = write_config(tmp_path, cfg_data, name="overflow.yaml")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 3
+        with pytest.warns(RuntimeWarning):
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
     def test_seed_flag_changes_sampled_control(self, tmp_path):

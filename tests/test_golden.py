@@ -38,6 +38,13 @@ CASES = {
                        ("diagnostic", "n_t"): 32}),
     "heat_gamma": ("gamma", "heat.yaml",
                    {("control", "count"): 12, ("gamma", "max_controls"): 3}),
+    # p = 2 takes the omega route, whose sampling reads the certificate's ball
+    "heat_reachset_p2": ("reachset", "heat.yaml",
+                         {("control", "p"): 2, ("control", "count"): 20,
+                          ("diagnostic", "cloud_budget"): 400, ("diagnostic", "n_t"): 32}),
+    "heat_gamma_p2": ("gamma", "heat.yaml",
+                      {("control", "p"): 2, ("control", "count"): 12,
+                       ("gamma", "max_controls"): 3}),
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mildsolve import (
+    CertificateRadiusError,
     Control,
     StateVector,
     TrajectoryGrid,
@@ -187,7 +188,7 @@ class TestCurveNorms:
 
 class TestOmegaCertificate:
     def test_reference_values(self):
-        cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0, target_C=0.5)
+        cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         assert cert.omega == 2.0
         assert cert.rate_C == pytest.approx(0.5)
 
@@ -199,7 +200,7 @@ class TestOmegaCertificate:
     def test_radius_monotonicity_scan(self):
         omegas = []
         for r in (0.5, 1.0, 2.0, 4.0, 8.0):
-            cert = certify_omega_contraction(2.0, r, 1.0, 0.0, 1.0, 1.0, target_C=0.5)
+            cert = certify_omega_contraction(2.0, r, 1.0, 0.0, 1.0, 1.0)
             assert cert.rate_C <= 0.5
             omegas.append(cert.omega)
         assert all(b >= a for a, b in zip(omegas, omegas[1:]))
@@ -210,7 +211,7 @@ class TestOmegaCertificate:
         sg = heat_semigroup(dim)
         f = bilinear_field(np.eye(dim))
         xi0 = StateVector(np.zeros(dim))
-        cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0, target_C=0.5)
+        cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         controls = sample_ball(2.0, 1.0, 1.0, 1, n_t, 100, seed=11)
         for u in controls:
             x = random_trajectory(rng, n_t, dim)
@@ -240,6 +241,12 @@ class TestHiddenCertificate:
             while n * math.log(base) - math.lgamma(n + 1) >= 0.0:
                 n += 1
             assert certify_hidden_contraction(base, 1.0, 0.0, 1.0, 1.0).N == n
+
+    def test_l1_mass_is_the_hoelder_bound(self):
+        # |u|_1 <= T^{1/q} |u|_p: the mass r T^{1/q} is r at p = 1 and r T at p = inf
+        for p, mass in ((1.0, 1.5), (2.0, 3.0), (math.inf, 6.0)):
+            assert certify_hidden_contraction(1.5, 1.0, 0.0, 1.0, 4.0, p).l1_mass == mass
+        assert certify(2.0, 1.5, 1.0, 0.0, 1.0, 4.0, mode="hidden").l1_mass == 3.0
 
     def test_omega_overflow_falls_back_promptly(self):
         start = time.perf_counter()
@@ -348,6 +355,18 @@ def test_rate_zero_hidden_certificate_has_one_step():
         ContractionCertificate.from_dict(d)
     zero = certify_hidden_contraction(1.0, 1.0, 0.0, 0.0, 1.0)
     assert ContractionCertificate.from_dict(zero.to_dict()) == zero
+
+
+def test_control_norm_is_the_ball_membership_test():
+    cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+    u = constant_control(1.0, 16)
+    assert cert.control_norm(u) == lp_norm(u, 2.0) == 1.0
+    near = u.scaled(1.0 + 1e-13)  # within the rounding slack
+    assert cert.control_norm(near) == lp_norm(near, 2.0)
+    with pytest.raises(CertificateRadiusError, match="radius"):
+        cert.control_norm(u.scaled(1.0 + 1e-9))
+    with pytest.raises(CertificateRadiusError, match="horizon"):  # |u|_2 = 0.71 on [0, 2]
+        cert.control_norm(constant_control(0.5, 16, T=2.0))
 
 
 def test_certificate_serialization_round_trip():

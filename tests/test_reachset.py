@@ -39,8 +39,8 @@ class TestSampleReachset:
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
         cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
-        a = sample_reachset(xi0, 1.0, 1.0, 1.0, 8, 3, [f], sg, cert, 64)
-        b = sample_reachset(xi0, 1.0, 1.0, 1.0, 8, 3, [f], sg, cert, 64)
+        a = sample_reachset(xi0, 8, 3, [f], sg, cert, 64)
+        b = sample_reachset(xi0, 8, 3, [f], sg, cert, 64)
         assert np.array_equal(a.endpoints.points, b.endpoints.points)
 
     def test_scalar_bilinear_hoelder_envelope(self):
@@ -49,7 +49,7 @@ class TestSampleReachset:
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
         cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
-        sample = sample_reachset(xi0, 2.0, 1.0, 1.0, 40, 11, [f], sg, cert, 256)
+        sample = sample_reachset(xi0, 40, 11, [f], sg, cert, 256)
         vals = sample.endpoints.points[:, 0]
         assert vals.max() <= math.exp(1.0) * (1 + 1e-6)
         assert vals.min() >= math.exp(-1.0) * (1 - 1e-6)
@@ -59,7 +59,7 @@ class TestSampleReachset:
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
         cert = certify(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
-        sample = sample_reachset(xi0, 1.0, 1.0, 1.0, 60, 5, [f], sg, cert, 128)
+        sample = sample_reachset(xi0, 60, 5, [f], sg, cert, 128)
         radius = gronwall_radius(xi0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
         assert np.abs(sample.endpoints.points - 1.0).max() < radius
 
@@ -69,8 +69,8 @@ class TestSampleReachset:
         sg = diagonal_semigroup([-1.0, -4.0])
         xi0 = StateVector([1.0, 1.0])
         orbit = semigroup_orbit(sg, xi0, 1.0, 32)
-        sample = ReachSetSample(xi0, 1.0, 1.0, 1.0,
-                                [Control(1.0, np.zeros((1, 32)))], [orbit],
+        cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+        sample = ReachSetSample(xi0, cert, [Control(1.0, np.zeros((1, 32)))], [orbit],
                                 evaluation_set([orbit]))
         assert np.array_equal(sample.endpoints.points, orbit.states)
 
@@ -80,7 +80,8 @@ class TestSampleReachset:
         xi0 = StateVector([1.0])
         orbit = semigroup_orbit(sg, xi0, 1.0, 8)
         with pytest.raises(ValueError, match="radius"):
-            ReachSetSample(xi0, 1.0, 1.0, 1.0, [Control(1.0, np.full((1, 8), 5.0))],
+            ReachSetSample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
+                           [Control(1.0, np.full((1, 8), 5.0))],
                            [orbit], evaluation_set([orbit]))
 
 
@@ -101,8 +102,7 @@ class TestCompactnessDiagnostic:
         sg, fields, cert, xi0 = diagnostic_system(1, 1.0)
         rep = compactness_diagnostic([(sg, fields, cert)], eps_ladder=[0.05], count=50,
                                      seed=7, n_t=64, xi0_scale=1.0, cloud_budget=2000)
-        sample = sample_reachset(xi0, 1.0, 1.0, 1.0, 50, 7, fields, sg, cert, 64,
-                                 tol=1e-4)
+        sample = sample_reachset(xi0, 50, 7, fields, sg, cert, 64, tol=1e-4)
         vals = sample.endpoints.points[:, 0]
         diameter = vals.max() - vals.min()
         assert rep.rows[0]["n_reach"] <= math.ceil(diameter / 0.1) + 1
@@ -252,7 +252,7 @@ class TestGammaApproximation:
 class TestConvolutionCheck:
     def _sample(self, field, sg, xi0, p, r, count, n_t, seed):
         cert = certify(p, r, sg.class_M, sg.class_mu, field.lipschitz_L, 1.0)
-        return sample_reachset(xi0, p, r, 1.0, count, seed, [field], sg, cert, n_t)
+        return sample_reachset(xi0, count, seed, [field], sg, cert, n_t)
 
     def test_constant_field_identity_semigroup_exact(self):
         # Gamma(t, xi) = xi and f = b: reconstruction equals the quadrature
@@ -276,8 +276,8 @@ class TestConvolutionCheck:
         f = constant_field([1.0])
         xi0 = StateVector([0.0])
         orbit = semigroup_orbit(sg, xi0, 1.0, 32)
-        sample = ReachSetSample(xi0, 1.0, 1.0, 1.0,
-                                [Control(1.0, np.zeros((1, 32)))], [orbit],
+        cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+        sample = ReachSetSample(xi0, cert, [Control(1.0, np.zeros((1, 32)))], [orbit],
                                 evaluation_set([orbit]))
         cloud = field_value_cloud(sample, [f])
         table = gamma_approximation(sg, cloud, 1.0, 0.05, seed=2)

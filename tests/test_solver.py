@@ -319,7 +319,7 @@ def test_solution_operator_local_lipschitz():
     sg = diagonal_semigroup([0.0])
     f = bilinear_field([[1.0]])
     xi0 = StateVector([1.0])
-    cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0, target_C=0.5)
+    cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     rng = np.random.default_rng(17)
     base_controls = sample_ball(2.0, 0.8, 1.0, 1, 128, 20, seed=21)
     for u in base_controls:
@@ -413,6 +413,19 @@ def test_solve_batch_attaches_control_index_on_error():
     controls = [constant_control(0.5, 16), constant_control(3.0, 16)]
     with pytest.raises(RuntimeError, match="control #1"):
         solve_batch(xi0, controls, [f], sg, cert)
+
+
+def test_control_off_the_certificate_horizon_rejected():
+    # |u|_2 = 1 on [0, 100] has |u|_1 = 10, ten times the L^1 mass that fixed
+    # the certificate's N = 2: its rate backs no bound for this control
+    sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
+    cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 1.0, mode="hidden")
+    assert (cert.l1_mass, cert.N) == (1.0, 2)
+    u = constant_control(0.1, 64, T=100.0)
+    with pytest.raises(CertificateRadiusError, match="horizon"):
+        picard_solve(xi0, u, [f], sg, cert)
+    with pytest.raises(RuntimeError, match=r"control #0: .*horizon"):
+        solve_batch(xi0, [u], [f], sg, cert)
 
 
 def test_solve_batch_errors_name_the_control():

@@ -82,20 +82,20 @@ class TestApplySemigroup:
 class TestCertifyClassConstants:
     def test_contraction_semigroup(self):
         sg = diagonal_semigroup([-1.0, -4.0])
-        m_const, mu = certify_class_constants(sg, np.linspace(0, 2, 33), 200, safety=1.1)
+        m_const, mu = certify_class_constants(sg, np.linspace(0, 2, 33), 200)
         assert mu == 0.0
         assert 1.0 <= m_const <= 1.1 + 1e-12
 
     def test_spectral_abscissa_scaling(self):
         sg = diagonal_semigroup([2.0, -1.0])
-        _, mu = certify_class_constants(sg, np.linspace(0, 1, 17), 100, safety=1.1)
+        _, mu = certify_class_constants(sg, np.linspace(0, 1, 17), 100)
         assert mu == pytest.approx(2.2)
 
     def test_nilpotent_growth_absorbed_into_M(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         sg = dense_semigroup(a, 1.0, 0.0)
-        m_short, _ = certify_class_constants(sg, np.linspace(0, 1, 17), 400, safety=1.1)
-        m_long, _ = certify_class_constants(sg, np.linspace(0, 5, 17), 400, safety=1.1)
+        m_short, _ = certify_class_constants(sg, np.linspace(0, 1, 17), 400)
+        m_long, _ = certify_class_constants(sg, np.linspace(0, 5, 17), 400)
         # |e^{At}| = |I + At| grows with t, so the flat constant must grow too
         assert m_long > m_short >= 1.0
         # brute-force operator-norm comparison at the largest time
@@ -108,7 +108,7 @@ class TestCertifyClassConstants:
             dense_semigroup(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 0.0),
         ]
         for sg in cases:
-            m_const, mu = certify_class_constants(sg, np.linspace(0, 2, 65), 300, safety=1.1)
+            m_const, mu = certify_class_constants(sg, np.linspace(0, 2, 65), 300)
             for _ in range(1000 // len(cases)):
                 t = rng.uniform(0, 2)
                 xi = rng.standard_normal(sg.dim)
