@@ -274,6 +274,8 @@ class ContractionCertificate:
         else:
             if self.N is None or self.N < 1:
                 raise ValueError("hidden mode requires N >= 1")
+            if self.l1_mass is None or not 0.0 <= self.l1_mass < math.inf:
+                raise ValueError("hidden mode requires a finite l1_mass >= 0")
             if self.rate_C == 0.0 and self.N > 1:  # d' would divide by 0 ** (m / N)
                 raise ValueError("a hidden certificate with rate 0 has N = 1")
 
@@ -425,8 +427,7 @@ def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,
 
 def hidden_step_lipschitz(cert: ContractionCertificate) -> float:
     """One-step sup-norm Lipschitz bound M e^{mu T} L |u|_1 of F on the ball."""
-    mass = cert.radius_r if cert.l1_mass is None else cert.l1_mass
-    return cert.M * math.exp(cert.mu * cert.horizon_T) * cert.L_bound * mass
+    return cert.M * math.exp(cert.mu * cert.horizon_T) * cert.L_bound * cert.l1_mass
 
 
 def renorm_equivalence_constant(cert: ContractionCertificate) -> float:

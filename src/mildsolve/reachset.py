@@ -233,6 +233,8 @@ class GammaTable:
     closed at 0); state cells are the disjointified delta-balls around the
     greedy net centers, with first-match membership.  values[i-1, j] equals
     e^{A (i T / N)} eta_j, so the image is finite with at most N * M points.
+    `certified_bound` bounds |e^{At} xi - Gamma(t, xi)| over the cloud the
+    table was built on and every t in [0, T] (see `_certified_bound`).
     """
 
     horizon_T: float
@@ -242,12 +244,18 @@ class GammaTable:
     centers: np.ndarray  # (M, n)
     values: np.ndarray  # (N, M, n)
     norm_kind: float | int
-    verified_max_error: float
-    verification_points: int
+    certified_bound: float
+    builds: int = 1  # tables built, halving delta after each failed one
 
     @property
     def n_state_cells(self) -> int:
         return self.centers.shape[0]
+
+    @property
+    def verification_points(self) -> int:
+        """Cell pairs (i, j) whose bound enters `certified_bound` (the count
+        `bench/spans.py` records as a Gamma table's points checked)."""
+        return self.n_time_cells * self.n_state_cells
 
     def time_cell(self, t) -> np.ndarray:
         """1-based time cell index; Delta_1 = [0, T/N], then left-open cells."""
@@ -273,9 +281,16 @@ class GammaTable:
             "T": self.horizon_T, "epsilon": self.epsilon, "delta": self.delta,
             "n_time_cells": self.n_time_cells,
             "centers": self.centers.tolist(), "values": self.values.tolist(),
-            "verified_max_error": self.verified_max_error,
-            "verification_points": self.verification_points,
+            "certified_bound": self.certified_bound,
         }
+
+    def summary(self) -> dict:
+        """What was built: cell counts, delta, builds and bound; a table with
+        one state cell is `degenerate` (it maps the whole cloud to one orbit)."""
+        return {"epsilon": self.epsilon, "n_time_cells": self.n_time_cells,
+                "n_state_cells": self.n_state_cells, "delta": self.delta,
+                "builds": self.builds, "certified_bound": self.certified_bound,
+                "degenerate": self.n_state_cells == 1}
 
 
 def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
@@ -304,21 +319,20 @@ def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
     return worst
 
 
-# Gamma tables: oscillation samples per delta, table rebuilds, verify times per cell
+# Gamma tables: oscillation samples per delta, table builds
 _OSCILLATION_SAMPLES = 512
 _MAX_RETRIES = 8
-_TIME_OVERSAMPLE = 4
 
 
 def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
-                        seed: int = 0,
-                        extra_verify_times: np.ndarray | None = None) -> GammaTable:
+                        seed: int = 0) -> GammaTable:
     """Build a finite-image table for e^{At} xi on the cloud K, error < eps.
 
     delta is estimated by halving against a sampled modulus of continuity,
-    then the table (time step T/N < delta, greedy delta-net of K) is checked
-    on a dense verification grid; on failure delta is halved and the table
-    rebuilt, a bounded number of times.
+    then the table (time step T/N < delta, greedy delta-net of K) passes iff
+    its certified bound, which covers every point of K at every t in
+    [0, T], is below eps; on failure delta is halved and the table rebuilt,
+    a bounded number of times.
     """
     if K.size == 0:
         raise ValueError("K must be nonempty")
@@ -336,20 +350,16 @@ def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
             break
         delta *= 0.5
 
-    verify_times = np.linspace(0.0, T, _TIME_OVERSAMPLE * max(1, int(np.ceil(T / delta))) + 1)
-    if extra_verify_times is not None:
-        verify_times = np.union1d(verify_times, np.asarray(extra_verify_times, dtype=float))
-
-    last_err = np.inf
-    for _ in range(_MAX_RETRIES):
+    bound = np.inf
+    for builds in range(1, _MAX_RETRIES + 1):
         table = _build_gamma_table(sg, K, T, eps, delta)
-        last_err, n_checked = _verify_gamma(sg, K, table, verify_times)
-        if last_err < eps:
-            return replace(table, verified_max_error=last_err, verification_points=n_checked)
+        bound = _certified_bound(sg, K, table)
+        if bound < eps:
+            return replace(table, certified_bound=bound, builds=builds)
         delta *= 0.5
     raise VerificationError(
-        f"Gamma_eps verification failed after {_MAX_RETRIES} retries "
-        f"(last max error {last_err:.3e} vs eps {eps:.3e})")
+        f"Gamma_eps certification failed after {_MAX_RETRIES} builds "
+        f"(last certified bound {bound:.3e} vs eps {eps:.3e})")
 
 
 def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
@@ -361,41 +371,34 @@ def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
     centers = K.points[np.array(net.net_indices)]
     values = np.stack([semigroup_act(semigroup_step(sg, i * T / n_cells), centers)
                        for i in range(1, n_cells + 1)])
-    return GammaTable(T, eps, delta, n_cells, centers, values, K.norm_kind,
-                      np.inf, 0)
+    return GammaTable(T, eps, delta, n_cells, centers, values, K.norm_kind, np.inf)
 
 
-# Cloud points verified together: a block's buffers stay in cache while it
-# goes over every verify time.
-_VERIFY_BLOCK = 2048
+def _certified_bound(sg: Semigroup, K: PointCloud, table: GammaTable) -> float:
+    """Upper bound on |e^{At} xi - Gamma(t, xi)| over xi in K and t in [0, T].
 
-
-def _verify_gamma(sg: Semigroup, K: PointCloud, table: GammaTable,
-                  times: np.ndarray) -> tuple[float, int]:
-    j = table.state_cell(K.points)
+    Take t in time cell i, (t_{i-1}, t_i], and xi in state cell j with
+    center eta_j.  Then |e^{At} xi - e^{A t_i} eta_j| <= M e^{mu t_i} r_j +
+    osc_ij, with (M, mu) the semigroup's class, r_j the largest
+    |xi - eta_j| over K's points in cell j and osc_ij the sup over the cell
+    of |(e^{At} - e^{A t_i}) eta_j|.  Each mode of a diagonal generator is
+    monotone in t, so that sup is |(e^{A t_{i-1}} - e^{A t_i}) eta_j|
+    exactly; for a dense one e^{A t_i} - e^{At} = int_t^{t_i} e^{As} A ds
+    gives osc_ij <= h M e^{mu t_i} |A eta_j|, h = T / N.
+    """
+    j = table.state_cell(K.points) - 1
     if np.any(j < 0):
         raise VerificationError("net construction left cloud points uncovered")
-    steps = [semigroup_step(sg, float(t)) for t in times]
-    cells = table.time_cell(times).tolist()
-    # Balanced blocks have two rows or more (unless K has one point): a
-    # one-row product would take BLAS's matrix-vector path, rounded differently.
-    n_blocks = -(-K.size // _VERIFY_BLOCK)
-    worst = 0.0  # the max of squared norms for the 2-norm, rooted once at the end
-    for points, block_j in zip(np.array_split(K.points, n_blocks),
-                               np.array_split(j - 1, n_blocks)):
-        diff, gathered = np.empty_like(points), 0
-        # sorted times visit each time cell in one run: one gather per cell
-        for step, cell in zip(steps, cells):
-            if cell != gathered:
-                approx, gathered = table.values[cell - 1, block_j], cell
-            semigroup_act(step, points, diff)
-            diff -= approx
-            if K.norm_kind == 2:
-                err = np.square(diff, out=diff).sum(axis=-1)
-            else:
-                err = vector_norm(diff, K.norm_kind)
-            worst = max(worst, float(err.max()))
-    return math.sqrt(worst) if K.norm_kind == 2 else worst, len(times) * K.size
+    radius = np.zeros(table.n_state_cells)
+    np.maximum.at(radius, j, vector_norm(K.points - table.centers[j], K.norm_kind))
+    n_cells, h = table.n_time_cells, table.horizon_T / table.n_time_cells
+    growth = sg.class_M * np.exp(sg.class_mu * h * np.arange(1, n_cells + 1))[:, None]
+    if sg.is_diagonal:  # the table's own values at t_{i-1} (the centers at t_0 = 0) and t_i
+        before = np.concatenate([table.centers[None], table.values[:-1]])
+        osc = vector_norm(before - table.values, K.norm_kind)
+    else:
+        osc = h * growth * vector_norm(table.centers @ sg.generator.T, K.norm_kind)
+    return float((growth * radius + osc).max())
 
 
 def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> PointCloud:
@@ -415,6 +418,7 @@ class ConvolutionReport:
     max_coefficient: float  # max |lambda_ij| observed
     max_l1_norm: float  # after normalization, <= 1
     max_reconstruction_error: float
+    max_quadrature_norm: float  # largest |direct quadrature| over the grid times
     per_control: list = field(default_factory=list)
 
 
@@ -427,8 +431,10 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     ``sum_c h u_c e^{A(t-s_c)} f(s_c, x_c)`` is rewritten as
     ``sum_ij lambda_ij xi_ij`` with lambda_ij the control mass falling in the
     (time-lag, state)-cell (i, j).  Each |lambda_ij| is bounded by |u|_1
-    (witnessing containment in the convex set spanned by the xi_ij) and the
-    reconstruction must match the direct quadrature within eps plus slack.
+    (witnessing containment in the convex set spanned by the xi_ij).  Each
+    quadrature term differs from its table term by at most h |u_c| times
+    `gamma.certified_bound`, so the reconstruction error is at most |u|_1
+    times that bound, up to rounding on the quadrature's scale.
     Controls are rescaled to |u|_1 <= 1 first.  At most `max_controls`
     controls are checked; fewer than one would pass vacuously and raises.
     """
@@ -448,6 +454,7 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     max_coeff = 0.0
     max_l1 = 0.0
     max_err = 0.0
+    max_quad = 0.0
     per_control = []
     for x, u in pairs:
         u1 = lp_norm(u, 1)
@@ -480,5 +487,6 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
                 f"coefficient {ctrl_coeff:.3e} exceeds the control mass {u1:.3e}")
         max_coeff = max(max_coeff, ctrl_coeff)
         max_err = max(max_err, ctrl_err)
+        max_quad = max(max_quad, float(vector_norm(direct[1:], x.norm_kind).max()))
         per_control.append({"coeff": ctrl_coeff, "error": ctrl_err})
-    return ConvolutionReport(len(pairs), max_coeff, max_l1, max_err, per_control)
+    return ConvolutionReport(len(pairs), max_coeff, max_l1, max_err, max_quad, per_control)

@@ -48,7 +48,7 @@ from mildsolve import (
 )
 from mildsolve.compactness import verify_coverage
 
-from conftest import constant_control, diagnostic_system, random_trajectory
+from conftest import constant_control, diagnostic_system, random_trajectory, verify_gamma
 
 # shared desk-scale configuration for criteria 8 and 9
 DIAG_DIMS = [16, 32, 64]
@@ -244,21 +244,26 @@ def test_c09_gamma_verification(heat16_sample):
     sg, f, sample = heat16_sample
     cloud = field_value_cloud(sample, [f])
     lag_grid = np.linspace(0.0, 1.0, DIAG_NT + 1)
-    errors = {}
+    errors, bounds = {}, {}
     for eps in (0.1, 0.05):
-        table = gamma_approximation(sg, cloud, 1.0, eps, seed=9,
-                                    extra_verify_times=lag_grid)
-        errors[eps] = table.verified_max_error
-        assert table.verified_max_error < eps
-    half = gamma_approximation(sg, cloud, 1.0, 0.05, seed=9,
-                               extra_verify_times=lag_grid)
+        table = gamma_approximation(sg, cloud, 1.0, eps, seed=9)
+        # the dense grid: four verify times per time cell and the convolution's lags
+        dense = np.union1d(np.linspace(0.0, 1.0, 4 * math.ceil(1.0 / table.delta) + 1),
+                           lag_grid)
+        errors[eps] = verify_gamma(sg, cloud, table, dense)[0]
+        bounds[eps] = table.certified_bound
+        assert errors[eps] <= bounds[eps] * (1.0 + 1e-12)
+        assert bounds[eps] < eps
+    half = gamma_approximation(sg, cloud, 1.0, 0.05, seed=9)
     conv = convolution_compactness_check(sample, half, [f], sg, max_controls=20)
-    tolerance = 0.05 + 10.0 / DIAG_NT
-    assert conv.max_reconstruction_error < tolerance
+    # each quadrature term is within h |u_c| certified_bound of its table term
+    tolerance = conv.max_l1_norm * half.certified_bound + 1e-12 * conv.max_quadrature_norm
+    assert conv.max_reconstruction_error <= tolerance
     assert conv.max_coefficient <= conv.max_l1_norm + 1e-12
-    print(f"\nACCEPTANCE C9 PASS: Gamma dense-grid errors "
-          f"{errors[0.1]:.3e} < 0.1, {errors[0.05]:.3e} < 0.05; reconstruction "
-          f"error {conv.max_reconstruction_error:.3e} < {tolerance:.3e}")
+    print(f"\nACCEPTANCE C9 PASS: Gamma dense-grid errors <= certified bounds "
+          f"{errors[0.1]:.3e} <= {bounds[0.1]:.3e} < 0.1, "
+          f"{errors[0.05]:.3e} <= {bounds[0.05]:.3e} < 0.05; reconstruction "
+          f"error {conv.max_reconstruction_error:.3e} <= {tolerance:.3e}")
 
 
 def test_c10_metric_and_net_suites():

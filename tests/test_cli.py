@@ -520,10 +520,25 @@ class TestGammaCommand:
         out = tmp_path / "out"
         assert main(["gamma", "--config", cfg, "--out", str(out)]) == 0
         table = load_json(out / "gamma.json")["table"]
-        assert table["verified_max_error"] < 0.2
-        verification = load_json(out / "gamma_verification.json")["verification"]
+        assert table["certified_bound"] < 0.2
+        report = load_json(out / "gamma_verification.json")
+        verification = report["verification"]
         assert verification["passed"] is True
+        assert verification["max_error"] == table["certified_bound"]
+        assert "points_checked" not in verification
         assert verification["convolution"]["passed"] is True
+        # metadata.tables: the eps table, then the eps / 2 one of the convolution check
+        built = report["metadata"]["tables"]
+        assert [t["epsilon"] for t in built] == [0.2, 0.1]
+        assert {k: built[0][k] for k in ("n_time_cells", "delta", "certified_bound")} \
+            == {k: table[k] for k in ("n_time_cells", "delta", "certified_bound")}
+        for t in built:
+            assert t["n_state_cells"] >= 1 and t["builds"] >= 1
+            assert t["degenerate"] is (t["n_state_cells"] == 1)
+            assert t["certified_bound"] < t["epsilon"]
+        assert verification["convolution"]["tolerance"] \
+            >= verification["convolution"]["max_reconstruction_error"]
+        assert verification["convolution"]["tolerance"] <= built[1]["certified_bound"] * 1.000001
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):

@@ -8,9 +8,9 @@ byte must match.
 
 The files were generated by this module and are checked in.  Only a change
 that means to change outputs regenerates them, with
-``PYTHONPATH=src python tests/test_golden.py``, and says in CHANGES.md which
-outputs changed and why.  A simplification that keeps outputs leaves them
-alone.
+``PYTHONPATH=src python tests/test_golden.py [case ...]`` (the named cases
+only; every case when none is named), and says in CHANGES.md which outputs
+changed and why.  A simplification that keeps outputs leaves them alone.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def test_outputs_match_golden(case, tmp_path):
         assert _comparable(out / name) == (GOLDEN / case / name).read_bytes(), name
 
 
-def regenerate(work: Path) -> None:
-    for case in CASES:
+def regenerate(work: Path, cases) -> None:
+    for case in cases:
         out = _run(case, work)
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         (GOLDEN / case).mkdir(parents=True)
@@ -91,6 +91,10 @@ def regenerate(work: Path) -> None:
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}; known: {', '.join(CASES)}")
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(Path(tmp))
+        regenerate(Path(tmp), names)
     sys.exit(0)

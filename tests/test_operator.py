@@ -357,6 +357,23 @@ def test_rate_zero_hidden_certificate_has_one_step():
     assert ContractionCertificate.from_dict(zero.to_dict()) == zero
 
 
+def test_hidden_certificate_requires_its_l1_mass():
+    # without l1_mass the step Lipschitz bound read radius_r: 1.0 against 2.0
+    from mildsolve.operator import ContractionCertificate, hidden_step_lipschitz
+    cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 4.0, mode="hidden")
+    assert hidden_step_lipschitz(cert) == 2.0
+    d = cert.to_dict()
+    for bad in (None, -1.0, math.inf, math.nan):
+        d["l1_mass"] = bad
+        with pytest.raises(ValueError, match="l1_mass"):
+            ContractionCertificate.from_dict(d)
+    del d["l1_mass"]
+    with pytest.raises(ValueError, match="l1_mass"):
+        ContractionCertificate.from_dict(d)
+    with pytest.raises(ValueError, match="l1_mass"):
+        ContractionCertificate("hidden", 0.5, 1.0, 2.0, 1.0, 0.0, 1.0, 4.0, N=2)
+
+
 def test_control_norm_is_the_ball_membership_test():
     cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     u = constant_control(1.0, 16)

@@ -26,11 +26,11 @@ from mildsolve import (
     state_cloud,
 )
 from mildsolve.operator import semigroup_act, semigroup_step
-from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _sampled_oscillation,
-                                _verify_gamma)
+from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _certified_bound,
+                                _sampled_oscillation)
 from mildsolve.spaces import vector_norm
 
-from conftest import diagnostic_system
+from conftest import diagnostic_system, verify_gamma
 
 
 class TestSampleReachset:
@@ -179,13 +179,13 @@ class TestGammaApproximation:
         sg = diagonal_semigroup([0.0])
         cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
         table = gamma_approximation(sg, cloud, 1.0, 0.1, seed=1)
-        assert table.verified_max_error < table.delta <= 0.1 + 1e-12
+        assert table.certified_bound < table.delta <= 0.1 + 1e-12
 
     def test_single_point_cloud(self):
         sg = diagonal_semigroup([-1.0])
         table = gamma_approximation(sg, state_cloud([[0.7]]), 1.0, 0.05, seed=1)
         assert table.n_state_cells == 1
-        assert table.verified_max_error < 0.05
+        assert table.certified_bound < 0.05
         # one-column table: values are the semigroup orbit of the center
         for i in range(1, table.n_time_cells + 1):
             t = i * 1.0 / table.n_time_cells
@@ -195,7 +195,7 @@ class TestGammaApproximation:
         sg = diagonal_semigroup([-1.0])
         cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
         table = gamma_approximation(sg, cloud, 1.0, 0.1, seed=1)
-        assert table.verified_max_error < 0.1
+        assert table.certified_bound < 0.1
 
     def test_cells_partition_and_cover(self):
         sg = diagonal_semigroup([-1.0])
@@ -228,7 +228,7 @@ class TestGammaApproximation:
             approx = table.values[int(table.time_cell(t)) - 1, j - 1]
             worst = max(worst, float(vector_norm(truth - approx, 2).max()))
         for order in (times, rng.permutation(times)):
-            assert _verify_gamma(sg, cloud, table, order) == (worst, len(times) * 80)
+            assert verify_gamma(sg, cloud, table, order) == (worst, len(times) * 80)
         # first-match cells against the stacked (N, M) distances, uncovered states too
         probe = np.concatenate([cloud.points, cloud.points * 1.5, cloud.points + 2.0])
         dist = np.stack([vector_norm(probe - c, 2) for c in table.centers], axis=1)
@@ -240,6 +240,23 @@ class TestGammaApproximation:
         assert _sampled_oscillation(sg, cloud, 1.0, 0.3, np.random.default_rng(5), 64) \
             == looped_oscillation(sg, cloud, 1.0, 0.3, np.random.default_rng(5), 64)
 
+    @pytest.mark.parametrize("case", ["heat16-p1", "heat16-p2", "heat64-p1", "heat64-p2",
+                                      "dense2", "dense8"])
+    def test_certified_bound_covers_brute_force(self, case, rng):
+        sg, cloud, tables = bound_case(case, rng)
+        for table in tables:
+            bound = _certified_bound(sg, cloud, table)
+            assert table.certified_bound in (bound, np.inf)  # inf: built, not certified
+            n = table.n_time_cells
+            starts = np.arange(n) * 1.0 / n  # every t_{i-1}, and just inside cell i
+            times = np.unique(np.concatenate([
+                np.linspace(0.0, 1.0, 4 * n + 1), starts, starts + 1e-12, [1.0],
+                rng.uniform(0.0, 1.0, 16)]))
+            brute, _ = verify_gamma(sg, cloud, table, times)
+            assert brute <= bound * (1.0 + 1e-12)
+            if sg.is_diagonal:  # the oscillation term is exact: only r_j < delta is slack
+                assert bound <= brute + sg.class_M * math.exp(sg.class_mu) * table.delta
+
     def test_determinism(self):
         sg = diagonal_semigroup([-2.0])
         cloud = state_cloud(np.linspace(0, 1, 33)[:, None])
@@ -247,6 +264,30 @@ class TestGammaApproximation:
         t2 = gamma_approximation(sg, cloud, 1.0, 0.1, seed=3)
         assert t1.delta == t2.delta
         assert np.array_equal(t1.values, t2.values)
+
+
+def bound_case(case, rng):
+    """(semigroup, cloud, Gamma tables) of one certified-bound case: the heat
+    system's field-value clouds at n = 16 and 64 under p = 1 and p = 2, and
+    random clouds under a 2 x 2 and an 8 x 8 dense generator, each with a
+    table of one state cell and one of several."""
+    if case.startswith("heat"):
+        dim, p = (float(part) for part in case[4:].split("-p"))
+        sg, fields, cert, xi0 = diagnostic_system(int(dim), p=p)
+        sample = sample_reachset(xi0, 20, 5, fields, sg, cert, 32)
+        cloud = field_value_cloud(sample, fields)
+        spread = float(cloud.distances_to(cloud.points.mean(axis=0)).max())
+        return sg, cloud, [gamma_approximation(sg, cloud, 1.0, 0.1, seed=5),
+                           _build_gamma_table(sg, cloud, 1.0, 0.1, spread / 4)]
+    if case == "dense2":
+        sg = dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)
+        deltas = (0.3, 0.05)
+    else:  # -I plus a skew part: |e^{At}|_2 = e^{-t}, class (1, 0)
+        skew = 0.5 * rng.standard_normal((8, 8))
+        sg = dense_semigroup(-np.eye(8) + skew - skew.T, 1.0, 0.0)
+        deltas = (1.5, 0.6)
+    cloud = state_cloud(rng.uniform(-1.0, 1.0, size=(80, sg.dim)))
+    return sg, cloud, [_build_gamma_table(sg, cloud, 1.0, 0.1, d) for d in deltas]
 
 
 class TestConvolutionCheck:
@@ -290,11 +331,11 @@ class TestConvolutionCheck:
         sg, (f,), _, xi0 = diagnostic_system(dim, 0.5)
         sample = self._sample(f, sg, xi0, 1.0, 1.0, 20, n_t, seed=21)
         cloud = field_value_cloud(sample, [f])
-        lag_grid = np.linspace(0.0, 1.0, n_t + 1)
-        table = gamma_approximation(sg, cloud, 1.0, eps / 2, seed=4,
-                                    extra_verify_times=lag_grid)
+        table = gamma_approximation(sg, cloud, 1.0, eps / 2, seed=4)
         report = convolution_compactness_check(sample, table, [f], sg)
-        assert report.max_reconstruction_error < eps / 2 + 10.0 / n_t
+        # each quadrature term is within h |u_c| certified_bound of its table term
+        assert report.max_reconstruction_error <= report.max_l1_norm * table.certified_bound \
+            + 1e-12 * report.max_quadrature_norm
         assert report.max_coefficient <= 1.0 + 1e-12
 
     def test_matches_per_time_loop(self):
