@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -208,6 +209,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on the first `main` call, then reused by every later one
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mildsolve",

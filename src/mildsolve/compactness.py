@@ -125,20 +125,30 @@ def _nearest(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
     return min_dist
 
 
-def _separated(cloud: PointCloud, indices: Sequence[int], s: float) -> list[int]:
-    """Index-order greedy s-separated subset of `indices`.
+def _separated(cloud: PointCloud, indices: Sequence[int] | None, s: float) -> list[int]:
+    """Index-order greedy s-separated subset of `indices` (of every point, in
+    index order, when None).
 
     A point joins iff its distance to every chosen point is >= s.  Distances
     are symmetric bit for bit (`vector_norm` is even in each coordinate), so
     the running minimum over the chosen points decides exactly that test.
+    The loop jumps from each chosen point to the next index whose running
+    minimum is still >= s.
     """
     min_dist = np.full(cloud.size, np.inf)
     scratch = np.empty((2,) + cloud.points.shape)
+    order = None if indices is None else np.asarray(indices, dtype=np.intp)
     chosen: list[int] = []
-    for i in indices:
-        if min_dist[i] >= s:
-            chosen.append(int(i))
-            np.minimum(min_dist, cloud.distances_to(cloud.points[i], scratch, i), out=min_dist)
+    pos = 0  # the next position in index order or in `order`
+    while pos < (cloud.size if order is None else order.size):
+        ahead = (min_dist[pos:] if order is None else min_dist[order[pos:]]) >= s
+        k = int(ahead.argmax())
+        if not ahead[k]:
+            break
+        i = pos + k if order is None else int(order[pos + k])
+        pos += k + 1
+        chosen.append(i)
+        np.minimum(min_dist, cloud.distances_to(cloud.points[i], scratch, i), out=min_dist)
     return chosen
 
 
@@ -154,8 +164,97 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    net = _separated(cloud, range(cloud.size), epsilon)
+    net = _separated(cloud, None, epsilon)
     return NetReport(epsilon, net, len(net), len(net))
+
+
+class _ExactSweep:
+    """The exact kernel (`PointCloud.distances_to`) over the live points, into
+    one reused buffer: its values x are the distances m themselves, so
+    `power` is 1 and `width` 0."""
+
+    power, width = 1, 0.0
+
+    def __init__(self, cloud: PointCloud):
+        self.cloud, self.scratch = cloud, np.empty((2,) + cloud.points.shape)
+
+    def __call__(self, j: int) -> np.ndarray:
+        return self.cloud.distances_to(self.cloud.points[j], self.scratch, j)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.cloud = PointCloud(self.cloud.points[mask], self.cloud.metric_kind,
+                                self.cloud.norm_kind)
+        self.scratch = self.scratch[:, :self.cloud.size]
+
+
+class _GramSweep:
+    """Squared distances x(i, c) = <p_i, -2 p_c> + |p_i|^2 + |p_c|^2 from the
+    live points of a Euclidean state cloud to one of them: one BLAS
+    matrix-vector product and two additions, with the squared norms computed
+    once per cloud.
+
+    `width` W bounds |m^2 - x| for the exact kernel's distance m
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1:
+    gamma_k = k u / (1 - k u) for the unit roundoff u; eta the smallest
+    subnormal, which bounds the absolute error of a product that underflows;
+    rho^2 the largest computed |p_i|^2):
+
+    * Gram: the product has n terms of absolute sum at most 2 rho^2 (Cauchy-
+      Schwarz), so it is within gamma_n 2 rho^2 + n eta in any summation
+      order, with or without fused multiply-adds: whatever BLAS does.  Each
+      |p_i|^2 is within gamma_n rho^2 + n eta, and the two additions round by
+      u of at most 3 rho^2 and 4 rho^2.  In all |x - d^2| <= 6 gamma_{n+3} rho^2
+      + 3 (n + 1) eta for the true distance d.
+    * Kernel: `vector_norm` of the rounded difference squares, sums and roots it,
+      and its underflow rescue divides and multiplies by the row's max-abs:
+      |m^2 - d^2| <= gamma_{n+8} d^2 + n eta <= 4 gamma_{n+8} rho^2 + n eta.
+
+    W is twice their sum, 20 gamma_{n+8} rho^2 + 8 (n + 1) eta.  The factor two
+    covers rho^2 against its computed value and the rounding of the loop's own
+    comparisons, which round numbers below 8 rho^2 by a few u (above that
+    every distance is within eps and the comparison comes out right anyway).
+    A running minimum keeps the bound: the minimum of the x is within W of the
+    square of the minimum of the m.
+    """
+
+    power = 2
+
+    def __init__(self, points: np.ndarray, sq: np.ndarray):
+        self.points, self.sq = points, sq
+        info = np.finfo(float)
+        ku = (points.shape[1] + 8) * info.eps / 2  # gamma_{n+8} = ku / (1 - ku)
+        self.width = (20.0 * ku / (1.0 - ku) * float(sq.max())
+                      + 8.0 * (points.shape[1] + 1) * info.smallest_subnormal)
+
+    def __call__(self, j: int) -> np.ndarray:
+        x = self.points @ (-2.0 * self.points[j])
+        x += self.sq
+        x += self.sq[j]
+        x[j] = 0.0
+        return x
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.points, self.sq = self.points[mask], self.sq[mask]
+
+
+def _sweep(cloud: PointCloud) -> _ExactSweep | _GramSweep:
+    """The Gram sweep for a Euclidean state cloud whose squared norms neither
+    overflow nor underflow (the bound needs 8 rho^2 finite and means nothing
+    below the smallest normal), else the exact sweep."""
+    if cloud.metric_kind == "state_norm" and cloud.norm_kind == 2:
+        with np.errstate(over="ignore"):
+            sq = np.einsum("ij,ij->i", cloud.points, cloud.points)
+        if np.finfo(float).tiny <= sq.max() <= np.finfo(float).max / 8:
+            return _GramSweep(cloud.points, sq)
+    return _ExactSweep(cloud)
+
+
+def _exact_nearest(cloud: PointCloud, rows: np.ndarray, centers: Sequence[int]) -> np.ndarray:
+    """The exact kernel's distance from each cloud point in `rows` to its nearest
+    center, bit for bit the running minimum of the sweeps (`vector_norm` is even
+    in each coordinate, see `_separated`)."""
+    net = PointCloud(cloud.points[np.asarray(centers)], cloud.metric_kind, cloud.norm_kind)
+    return np.array([net.distances_to(cloud.points[i]).min() for i in rows])
 
 
 def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[int], list[int]]:
@@ -167,34 +266,60 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
     first prefix whose coverage radius is <= eps.  Returns the centers of
     the finest covering and the size at each radius.
 
-    A point within the finest radius of the net, every center included, can
-    never be picked again, so the sweeps skip it: the live points are kept in
-    index order (argmax ties resolve as over the whole cloud) and compacted
-    once an eighth of them is dead.  Once no point is live, the remaining
-    radii add nothing.
+    The decisions are those of the exact kernel's distances m to the nearest
+    center: the argmax (ties to the lowest index), the rung test m <= eps, and
+    the dead test below.  The sweeps (`_sweep`) keep a running minimum of
+    values x with |m^power - x| <= W, so a decision is taken from x when W
+    settles it: a point whose x is at least 2W below the leader's cannot tie
+    or beat it, and the rung test is settled when eps^power is not within W
+    of the leader's x.  Any other decision is taken again on the exact kernel
+    for the leader's rivals (`_exact_nearest`).  The exact sweep has W = 0 and
+    never takes one again.  Once the rows taken again outnumber the cloud
+    (exact ties, as on a lattice, or a cloud far from the origin, whose W is
+    large against its distances), the exact sweep takes over from the running
+    minimum it would hold, so such a cloud costs at most about twice the
+    exact sweep.
+
+    A point whose x is at most (finest eps)^power - W is within the finest
+    radius of the net, every center included, and can never be picked
+    again, so the sweeps skip it: the live points are kept in index order
+    (argmax ties resolve as over the whole cloud) and compacted once an
+    eighth of them is dead.  Once no point is live, the remaining radii add
+    nothing.
     """
     if ladder[-1] <= 0:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    scratch = np.empty((2,) + cloud.points.shape)
-    live, live_cloud = np.arange(cloud.size), cloud
-    min_dist = cloud.distances_to(cloud.points[0], scratch, 0)
+    sweep = _sweep(cloud)
+    live, x = np.arange(cloud.size), sweep(0)
+    spare = cloud.size  # rows the exact kernel may take again before it takes over
     net, sizes = [0], []
     for eps in ladder:
         while live.size:
-            far = int(np.argmax(min_dist))
-            if min_dist[far] <= eps:
+            far, width, level = int(np.argmax(x)), sweep.width, eps ** sweep.power
+            if x[far] + width <= level:
                 break
+            contested = x > x[far] - 2.0 * width
+            if np.count_nonzero(contested) > 1 or x[far] - width <= level:
+                rivals = np.flatnonzero(contested)
+                spare -= rivals.size
+                if spare < 0:  # the exact sweep, from the running minimum it would hold
+                    sweep = _ExactSweep(PointCloud(cloud.points[live], cloud.metric_kind,
+                                                   cloud.norm_kind))
+                    x = _nearest(sweep.cloud, cloud.points[net])
+                    continue
+                m = _exact_nearest(cloud, live[rivals], net)
+                best = int(np.argmax(m))
+                if m[best] <= eps:
+                    break
+                far = int(rivals[best])
             net.append(int(live[far]))
-            np.minimum(min_dist, live_cloud.distances_to(live_cloud.points[far], scratch, far),
-                       out=min_dist)
-            dead = min_dist <= ladder[-1]
+            np.minimum(x, sweep(far), out=x)
+            dead = x <= ladder[-1] ** sweep.power - sweep.width
             if 8 * np.count_nonzero(dead) >= live.size:
-                live, min_dist = live[~dead], min_dist[~dead]
-                live_cloud = PointCloud(live_cloud.points[~dead], cloud.metric_kind,
-                                        cloud.norm_kind)
-                scratch = scratch[:, :live.size]
+                live, x = live[~dead], x[~dead]
+                sweep.keep(~dead)
         sizes.append(len(net))
     return net, sizes
 
@@ -251,7 +376,7 @@ def packing_number(cloud: PointCloud, s: float) -> int:
         raise ValueError("s must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    return len(_separated(cloud, range(cloud.size), s))
+    return len(_separated(cloud, None, s))
 
 
 def hausdorff_distance(k1: PointCloud, k2: PointCloud) -> float:

@@ -18,6 +18,7 @@ experiments are built on top:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -106,7 +107,8 @@ class DiagnosticReport:
 
     rows: list
     config: dict
-    # per dimension: its certificate, Gronwall radius and the sample's `solves`
+    # per dimension: its certificate, Gronwall radius, the sample's `solves`
+    # and the wall seconds of the sample and solve and of both coverings
     dimensions: dict = field(default_factory=dict)
 
 
@@ -138,7 +140,9 @@ def compactness_diagnostic(
         dim, p, r, T = sg.dim, cert.p, cert.radius_r, cert.horizon_T
         xi0 = StateVector(np.full(dim, xi0_scale / vector_norm(np.ones(dim), norm_kind)),
                           norm_kind)
+        start = time.perf_counter()
         sample = sample_reachset(xi0, count, seed, fields, sg, cert, n_t, tol=tol)
+        sampled = time.perf_counter()
         cloud = sample.endpoints
         rng = np.random.default_rng(seed + 7919 * dim)
         if cloud.size > cloud_budget:
@@ -147,13 +151,17 @@ def compactness_diagnostic(
         radius = gronwall_radius(xi0, K=r, p=p, T=T, M=sg.class_M, mu=sg.class_mu,
                                  alpha=max(f.growth_alpha for f in fields),
                                  beta=max(f.growth_beta for f in fields))
-        dimensions[dim] = {"certificate": cert.to_dict(), "gronwall_radius": radius,
-                           "solves": sample.solves}
         dirs = rng.standard_normal((cloud.size, dim))  # the sphere sample
         dirs /= vector_norm(dirs, norm_kind)[:, None]
         ball = state_cloud(xi0.coords + radius * dirs, norm_kind)
-        for eps, n_reach, n_ball in zip(eps_ladder, covering_sizes(cloud, eps_ladder),
-                                        covering_sizes(ball, eps_ladder)):
+        covering = time.perf_counter()
+        sizes = zip(covering_sizes(cloud, eps_ladder), covering_sizes(ball, eps_ladder))
+        covered = time.perf_counter()
+        dimensions[dim] = {"certificate": cert.to_dict(), "gronwall_radius": radius,
+                           "solves": sample.solves,
+                           "timings": {"sample_s": sampled - start,
+                                       "cover_s": covered - covering}}
+        for eps, (n_reach, n_ball) in zip(eps_ladder, sizes):
             rows.append({"n": dim, "p": p, "eps": eps, "n_reach": n_reach,
                          "n_ball": n_ball, "sample_size": cloud.size})
     cfg = {"dims": dims, "eps_ladder": eps_ladder, "p": p, "r": r, "T": T,

@@ -5,6 +5,7 @@ import pytest
 
 from mildsolve import Control, StateVector, TrajectoryGrid, VerificationError
 from mildsolve.cli import build_system
+from mildsolve.compactness import PointCloud
 from mildsolve.config import RunConfig
 from mildsolve.operator import semigroup_act, semigroup_step
 from mildsolve.spaces import vector_norm
@@ -74,3 +75,29 @@ def verify_gamma(sg, K, table, times):
                 err = vector_norm(diff, K.norm_kind)
             worst = max(worst, float(err.max()))
     return math.sqrt(worst) if K.norm_kind == 2 else worst, len(times) * K.size
+
+
+def farthest_point_oracle(cloud, ladder):
+    """Exact oracle of `compactness._farthest_point`: the same farthest-point
+    pass with every sweep on the exact kernel (`PointCloud.distances_to`),
+    skipping the points already within the finest eps of the net."""
+    scratch = np.empty((2,) + cloud.points.shape)
+    live, live_cloud = np.arange(cloud.size), cloud
+    min_dist = cloud.distances_to(cloud.points[0], scratch, 0)
+    net, sizes = [0], []
+    for eps in ladder:
+        while live.size:
+            far = int(np.argmax(min_dist))
+            if min_dist[far] <= eps:
+                break
+            net.append(int(live[far]))
+            np.minimum(min_dist, live_cloud.distances_to(live_cloud.points[far], scratch, far),
+                       out=min_dist)
+            dead = min_dist <= ladder[-1]
+            if 8 * np.count_nonzero(dead) >= live.size:
+                live, min_dist = live[~dead], min_dist[~dead]
+                live_cloud = PointCloud(live_cloud.points[~dead], cloud.metric_kind,
+                                        cloud.norm_kind)
+                scratch = scratch[:, :live.size]
+        sizes.append(len(net))
+    return net, sizes

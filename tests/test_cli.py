@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import mildsolve.config
+from mildsolve import cli
 from mildsolve.cli import main
 from mildsolve.config import _DEFAULTS, ConfigError, RunConfig
 
@@ -452,6 +453,9 @@ class TestReachsetCommand:
                                                  solver={"certificate_mode": "hidden"}), "hidden")
         dims = summary["metadata"]["dimensions"]
         assert sorted(dims) == ["2", "4"]
+        for record in dims.values():  # wall seconds of the sample and solve, and of covering
+            assert sorted(record["timings"]) == ["cover_s", "sample_s"]
+            assert all(t >= 0.0 for t in record["timings"].values())
         assert all(d["certificate"]["mode"] == "hidden" and d["certificate"]["p"] == 2.0
                    for d in dims.values())
         auto = self.run(tmp_path, heat_system(control={"p": 2}), "auto")
@@ -548,3 +552,13 @@ def test_env_var_overrides_out(tmp_path, monkeypatch):
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "flag_out")]) == 0
     assert (env_dir / "certificate.json").exists()
     assert not (tmp_path / "flag_out").exists()
+
+
+def test_parser_is_built_once_and_keeps_its_exits(tmp_path):
+    for argv in (["bogus"], ["solve"], ["solve", "--config", "c.yaml", "--seed", "one"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert cli._parser() is cli._parser()
+    cfg = write_config(tmp_path, scalar_system())
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

@@ -10,6 +10,7 @@ from mildsolve import (
     bilinear_field,
     certify_hidden_contraction,
     collection_union_nets,
+    compactness_diagnostic,
     constant_field,
     constant_trajectory,
     covering_net,
@@ -27,10 +28,11 @@ from mildsolve import (
     sup_norm,
     trajectory_cloud,
 )
-from mildsolve.compactness import PointCloud, _farthest_point, verify_coverage
+from mildsolve import compactness, reachset
+from mildsolve.compactness import PointCloud, _farthest_point, _separated, verify_coverage
 from mildsolve.operator import TrajectoryGrid
 
-from conftest import random_trajectory
+from conftest import diagnostic_system, farthest_point_oracle, random_trajectory
 
 
 def brute_force_covered(cloud, net_indices, eps):
@@ -163,6 +165,88 @@ class TestCoveringNets:
             covering_sizes(cloud, (0.1, 0.0))
 
 
+def assert_matches_oracle(cloud, ladder):
+    """(net, sizes) of the pass, of `covering_sizes` and of the one-rung nets
+    are the exact oracle's."""
+    net, sizes = farthest_point_oracle(cloud, ladder)
+    assert _farthest_point(cloud, ladder) == (net, sizes)
+    assert covering_sizes(cloud, ladder) == sizes
+    assert covering_net(cloud, ladder[-1]).net_indices == net
+    assert covering_net(cloud, ladder[0]).net_indices == net[:sizes[0]]
+
+
+def exact_ladder(cloud, norm_kind=2):
+    """Rungs at exact distances of the cloud (ties at eps) and between them,
+    down to below its smallest gap."""
+    d = np.unique(full_distance_matrix(cloud.points, cloud.points, norm_kind))
+    d = d[d > 0]
+    return sorted({float(d[-1]) / 2, float(np.median(d)), float(d[len(d) // 8]),
+                   float(d[0]), float(d[0]) / 2}, reverse=True)
+
+
+class TestGramCovering:
+    """Euclidean sweeps take Gram distances and every decision of the exact oracle."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_diagnostic_clouds(self, monkeypatch, p):
+        covered = []
+
+        def checked(cloud, ladder):
+            covered.append(cloud.points.shape)
+            assert_matches_oracle(cloud, ladder)
+            return covering_sizes(cloud, ladder)
+
+        monkeypatch.setattr(reachset, "covering_sizes", checked)
+        systems = [diagnostic_system(dim, p=p)[:3] for dim in (16, 32, 64)]
+        compactness_diagnostic(systems, [0.1, 0.05, 0.02, 0.01], count=50, seed=5,
+                               cloud_budget=1000)
+        assert covered == [(1000, 16)] * 2 + [(1000, 32)] * 2 + [(1000, 64)] * 2
+
+    def test_ties_duplicates_and_offsets(self, rng, monkeypatch):
+        retaken, takeovers = [], []
+        exact_nearest, nearest = compactness._exact_nearest, compactness._nearest
+        monkeypatch.setattr(compactness, "_exact_nearest",
+                            lambda *a: retaken.append(a[1].size) or exact_nearest(*a))
+        monkeypatch.setattr(compactness, "_nearest",
+                            lambda *a: takeovers.append(1) or nearest(*a))
+        square = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+        assert_matches_oracle(state_cloud(square), [6.0, 3.0, math.sqrt(2.0), 1.0, 0.5])
+        assert retaken and takeovers  # exact ties are taken again, then swept exactly
+        small = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), -1).reshape(-1, 3)
+        base = rng.standard_normal((12, 5))
+        # off the origin, the Gram values of tied points differ in their last bits
+        for points in [small, np.concatenate([small, small[::-1]]) * 0.3 + 11.0,
+                       square * 0.1 + 7.3, rng.integers(-2, 3, (150, 4)) * 0.5 + 3.1,
+                       base[rng.integers(0, 12, 150)],  # duplicate-heavy
+                       rng.standard_normal((150, 6)) + 40.0]:
+            cloud = state_cloud(points)
+            assert_matches_oracle(cloud, exact_ladder(cloud))
+
+    def test_extreme_scales_sweep_exactly(self, rng):
+        points = rng.standard_normal((120, 5))
+        points[7] = points[3]
+        ladder = exact_ladder(state_cloud(points))
+        for scale in (1e-160, 1e160):  # squares underflow or overflow: no warning
+            cloud = state_cloud(points * scale)
+            assert isinstance(compactness._sweep(cloud), compactness._ExactSweep)
+            assert_matches_oracle(cloud, [e * scale for e in ladder])
+        assert isinstance(compactness._sweep(state_cloud(points)), compactness._GramSweep)
+
+    @pytest.mark.parametrize("norm_kind", [1, np.inf])
+    def test_other_norms_sweep_exactly(self, rng, norm_kind):
+        lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
+        for points in [lattice, rng.standard_normal((150, 4))]:
+            cloud = state_cloud(points, norm_kind)
+            assert isinstance(compactness._sweep(cloud), compactness._ExactSweep)
+            assert_matches_oracle(cloud, exact_ladder(cloud, norm_kind))
+
+    def test_trajectory_clouds_sweep_exactly(self, rng):
+        cloud = trajectory_cloud([random_trajectory(rng, 8, 3) for _ in range(60)])
+        assert isinstance(compactness._sweep(cloud), compactness._ExactSweep)
+        d = full_distance_matrix(cloud.points, cloud.points, 2)
+        assert_matches_oracle(cloud, [float(np.quantile(d, q)) for q in (0.9, 0.5, 0.1)])
+
+
 class TestPackingNumber:
     def test_two_point_examples(self):
         cloud = state_cloud([[0.0], [1.0]])
@@ -173,6 +257,19 @@ class TestPackingNumber:
         cloud = state_cloud(rng.uniform(0, 1, size=(40, 2)))
         for s in (0.05, 0.2, 0.9):
             assert 1 <= packing_number(cloud, s) <= 40
+
+    def test_separated_follows_any_index_order(self, rng):
+        pts = rng.standard_normal((80, 3))
+        pts[9] = pts[4]
+        d = full_distance_matrix(pts, pts, 2)
+        s = float(np.quantile(d[d > 0], 0.2))
+        order = [int(i) for i in rng.permutation(80)] + [4, 9, 0]  # repeats at the end
+        expected: list[int] = []
+        for i in order:
+            if all(d[i, j] >= s for j in expected):
+                expected.append(i)
+        assert _separated(state_cloud(pts), order, s) == expected
+        assert _separated(state_cloud(pts), [], s) == []
 
 
 class TestHausdorffDistance:
