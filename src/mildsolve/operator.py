@@ -284,6 +284,20 @@ class ContractionCertificate:
         """Applications of F per contraction step: N on the hidden route, 1 on the omega route."""
         return self.N if self.mode == "hidden" else 1
 
+    def residual_tails(self) -> np.ndarray:
+        """T_i = sum_{1 <= k <= i} base^k / k! for i < `block`, base =
+        `hidden_step_lipschitz` (T = [0] on the omega route).
+
+        The factorial estimate |F^k x - F^k y| <= base^k / k! |x - y| behind
+        the hidden route gives d(F^j x, F^N x) <= T_{N-j} d(F^{j-1} x, F^j x).
+        A T_i past the floats reads inf.
+        """
+        if self.block == 1:
+            return np.zeros(1)
+        with np.errstate(over="ignore"):
+            terms = np.cumprod(hidden_step_lipschitz(self) / np.arange(1.0, self.block))
+            return np.concatenate([[0.0], np.cumsum(terms)])
+
     def control_norm(self, u: Control) -> float:
         """|u|_p of a control on the certificate's horizon with |u|_p <= radius_r (up to
         a relative 1e-12); any other control raises `CertificateRadiusError`."""

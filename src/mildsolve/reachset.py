@@ -37,12 +37,13 @@ from .compactness import (
 from .controls import lp_norm, sample_ball, spike_control
 from .operator import (
     ContractionCertificate,
+    TrajectoryGrid,
     certify,
     integral_operator,
     semigroup_act,
     semigroup_step,
 )
-from .solver import gronwall_radius, picard_solve, solve_batch
+from .solver import _solve_stack, gronwall_radius, picard_solve
 from .spaces import (
     NormKind,
     Semigroup,
@@ -70,7 +71,7 @@ class ReachSetSample:
     endpoints: PointCloud  # evaluation set of the trajectories
     solves: dict = field(default_factory=dict)  # the applications of F that certified the solves
 
-    def __post_init__(self):
+    def __post_init__(self):  # the one ball check of a sampled control
         for u in self.controls:
             self.cert.control_norm(u)
         for tr in self.trajectories:
@@ -84,17 +85,19 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
-    The controls take one `solve_batch`: a causal forward pass certified by
-    one block of applications, each trajectory within `tol` of its discrete
-    fixed point.
+    The controls take one forward pass, each trajectory certified within
+    `tol` of its discrete fixed point (see `solve_batch`), and
+    `ReachSetSample` checks each against the ball once.  The trajectories
+    are row views of the pass's (count, n_t + 1, n) stack and the endpoint
+    cloud is that stack reshaped, so the states are held once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
-    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
-    trajectories = [res.trajectory for res in results]
-    return ReachSetSample(xi0, cert, controls, trajectories, evaluation_set(trajectories),
-                          {"applications": sum(res.iterations for res in results)})
+    states, _, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
+    trajectories = [TrajectoryGrid(cert.horizon_T, x, xi0.norm_kind) for x in states]
+    return ReachSetSample(xi0, cert, controls, trajectories, state_cloud(states, xi0.norm_kind),
+                          {"applications": int(taken.sum())})
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,7 @@ def compactness_diagnostic(
         for eps, (n_reach, n_ball) in zip(eps_ladder, sizes):
             rows.append({"n": dim, "p": p, "eps": eps, "n_reach": n_reach,
                          "n_ball": n_ball, "sample_size": cloud.size})
+        del sample, cloud, dirs, ball  # freed before the next dimension samples
     cfg = {"dims": dims, "eps_ladder": eps_ladder, "p": p, "r": r, "T": T,
            "count": count, "seed": seed, "n_t": n_t, "xi0_scale": xi0_scale,
            "cloud_budget": cloud_budget, "gronwall_radius": radius}

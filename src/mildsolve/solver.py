@@ -9,11 +9,14 @@ falls below the requested tolerance, which therefore is an honest
 a-posteriori error bound on the returned trajectory.
 
 `solve_batch` serves reach-set sampling, where only the states matter.  It
-computes every control's discrete fixed point in one causal forward pass
-(`BatchOperator.fixed_point`) and certifies it with one block of b =
-`cert.block` applications: ``d(x, fixed point) <= d(x, F^b x) / (1 - C)``,
-in the sup-norm on the hidden route (F^N contracts it) and in the
-omega-weighted norm on the omega route.
+computes every control's discrete fixed point x in one causal forward pass
+(`BatchOperator.fixed_point`), returns it as it is and certifies it by
+``d(x, fixed point) <= d(x, F^N x) / (1 - C)``, N = `cert.block`: in the
+sup-norm on the hidden route (F^N contracts it) and in the omega-weighted
+norm on the omega route (N = 1).  On the hidden route the factorial
+estimate bounds d(x, F^N x) from the first j <= N applications, so a
+control stops at the first j whose bound meets the tolerance: one
+application for a forward pass of rounding-sized residual.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class SolveResult:
 
     trajectory: TrajectoryGrid
     iterate_gaps: list  # sup-norm gap per Picard application; empty for a batch solve
-    iterations: int  # applications of F: up to the returned iterate, or the certifying block
+    iterations: int  # applications of F: up to the returned iterate, or that certified it
     certificate: ContractionCertificate
     a_posteriori_bound: float  # in the certificate's metric (see `solve_batch` for its own)
 
@@ -128,14 +131,87 @@ def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
 
 
 def _forward_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarray,
-                    cert: ContractionCertificate, kind) -> tuple[np.ndarray, np.ndarray]:
-    """Banach bounds d(x, x*) <= d(x, F^b x) / (1 - C), b = `cert.block`, for
-    candidate trajectories x (B, n_t + 1, n) in `cert.distance`'s metric of
-    one step (the sup-norm on the hidden route); and the images F^b x."""
-    image = states
-    for _ in range(cert.block):
-        image = apply_F(image, values)
-    return cert.distance([states], [image], apply_F.times, kind) / (1.0 - cert.rate_C), image
+                    cert: ContractionCertificate, tails: np.ndarray, tol: float,
+                    kind) -> tuple[np.ndarray, np.ndarray]:
+    """Banach bounds on d(x, x*) for candidate trajectories x (B, n_t + 1, n),
+    in `cert.distance`'s metric of one step (the sup-norm on the hidden
+    route), and the applications of F each bound took.
+
+    After j <= N = `cert.block` applications, d(x, F^N x) <= d(x, F^j x) +
+    T_{N-j} d(F^{j-1} x, F^j x) with `tails` = `cert.residual_tails()`, and
+    d(x, x*) <= d(x, F^N x) / (1 - C).  Each candidate stops at the first j
+    whose bound is <= `tol`, else at j = N with d(x, F^N x) / (1 - C).  A
+    zero residual adds nothing, even to an infinite tail.  A non-finite bound
+    at j = N reads inf when x and F^N x are finite, NaN when they are not.
+    """
+    bounds, taken = np.empty(len(states)), np.empty(len(states), dtype=int)
+    live, x, prev = np.arange(len(states)), states, states
+    for j in range(1, cert.block + 1):
+        image = apply_F(prev, values[live])
+        bound = cert.distance([x], [image], apply_F.times, kind)
+        tail = tails[cert.block - j]
+        with np.errstate(over="ignore"):  # a bound past the floats is inf
+            if tail > 0.0:
+                step = bound if j == 1 else cert.distance([prev], [image], apply_F.times, kind)
+                moved = step > 0.0
+                bound[moved] += step[moved] * tail
+            bound /= 1.0 - cert.rate_C
+        if j == cert.block:
+            done = np.ones(len(live), dtype=bool)
+            blown = ~np.isfinite(bound)
+            if blown.any():
+                finite = (np.isfinite(x[blown]).all(axis=(1, 2))
+                          & np.isfinite(image[blown]).all(axis=(1, 2)))
+                bound[blown] = np.where(finite, np.inf, np.nan)
+        else:
+            done = bound <= tol
+        bounds[live[done]], taken[live[done]] = bound[done], j
+        if done.all():
+            break
+        live, x, prev = live[~done], x[~done], image[~done]
+    return bounds, taken
+
+
+def _control_failed(i: int, error: Exception) -> Exception:
+    return RuntimeError(f"solve failed for control #{i}: {error}")
+
+
+def _solve_stack(xi0: StateVector, controls: Sequence[Control],
+                 fields: Sequence[VectorField], sg: Semigroup, cert: ContractionCertificate,
+                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward-pass states (B, n_t + 1, n) of B >= 1 controls on one
+    grid with one channel per field, each within its bound of its discrete
+    fixed point (`_forward_bounds`), the bounds and the applications taken.
+
+    A non-finite iterate, or a bound that is not <= `tol`, raises
+    RuntimeError with the control's index.  Ball membership is the caller's
+    check.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    values = np.stack([u.values for u in controls])
+    if cert.block > _MAX_APPLICATIONS:
+        raise _control_failed(int(np.argmax(values.any(axis=(1, 2)))), RuntimeError(
+            f"the certificate's block of {cert.block} applications exceeds the application cap"))
+    apply_F = BatchOperator(xi0, fields, sg, controls[0].horizon_T, controls[0].n_t)
+    states = apply_F.fixed_point(values)
+    tails = cert.residual_tails()
+    bounds, taken = np.empty(len(controls)), np.empty(len(controls), dtype=int)
+    size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
+    for first in range(0, len(controls), size):
+        chunk = slice(first, first + size)
+        bounds[chunk], taken[chunk] = _forward_bounds(apply_F, states[chunk], values[chunk],
+                                                      cert, tails, tol, xi0.norm_kind)
+    bad = np.isnan(bounds)
+    if bad.any():
+        raise _control_failed(int(np.argmax(bad)),
+                              NonFiniteIterateError("trajectory states must be finite"))
+    over = bounds > tol
+    if over.any():
+        b = int(np.argmax(over))
+        raise _control_failed(b, RuntimeError(f"bound {bounds[b]:.3e} of the forward solution "
+                                              f"exceeds tol {tol:.3e}"))
+    return states, bounds, taken
 
 
 def solve_batch(xi0: StateVector, controls: Sequence[Control],
@@ -143,44 +219,22 @@ def solve_batch(xi0: StateVector, controls: Sequence[Control],
                 cert: ContractionCertificate, tol: float = 1e-8) -> list[SolveResult]:
     """Certified discrete fixed points of many controls on one grid.
 
-    Each control's forward-pass candidate x is certified by `_forward_bounds`
-    (see the module docstring).  The returned trajectory is F^b x, at most C
-    times as far from the fixed point, so the bound holds for it too;
-    `iterations` is b and `iterate_gaps` is empty.  Results are in input
-    order and agree with `picard_solve` up to rounding.  A failed check, or
-    a bound that is not <= `tol`, raises RuntimeError with the control's
-    index.
+    Each control's forward-pass candidate x is returned as it is, certified
+    by `_forward_bounds` (see the module docstring): `iterations` counts
+    the applications its bound took and `iterate_gaps` is empty.  The
+    trajectories are row views of one (B, n_t + 1, n) array.  Results are in
+    input order and agree with `picard_solve` up to rounding.  A failed
+    check, or a bound that is not <= `tol`, raises RuntimeError with the
+    control's index.
     """
-    def fail(i: int, error: Exception) -> Exception:
-        return RuntimeError(f"solve failed for control #{i}: {error}")
-
     controls = list(controls)
-    norms = _check_controls(controls, fields, cert, tol, fail)
+    _check_controls(controls, fields, cert, tol, _control_failed)
     if not controls:
         return []
-    if cert.block > _MAX_APPLICATIONS:
-        raise fail(int(np.argmax(norms > 0.0)), RuntimeError(
-            f"the certificate's block of {cert.block} applications exceeds the application cap"))
-    apply_F = BatchOperator(xi0, fields, sg, controls[0].horizon_T, controls[0].n_t)
-    values = np.stack([u.values for u in controls])
-    states = apply_F.fixed_point(values)
-    bounds = np.empty(len(controls))
-    size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
-    for first in range(0, len(controls), size):
-        chunk = slice(first, first + size)
-        bounds[chunk], states[chunk] = _forward_bounds(apply_F, states[chunk], values[chunk],
-                                                       cert, xi0.norm_kind)
-    bad = ~np.isfinite(bounds)
-    if bad.any():
-        raise fail(int(np.argmax(bad)), NonFiniteIterateError("trajectory states must be finite"))
-    over = bounds > tol
-    if over.any():
-        b = int(np.argmax(over))
-        raise fail(b, RuntimeError(f"bound {bounds[b]:.3e} of the forward solution "
-                                   f"exceeds tol {tol:.3e}"))
-    return [SolveResult(TrajectoryGrid(u.horizon_T, x, xi0.norm_kind), [], cert.block, cert,
+    states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
+    return [SolveResult(TrajectoryGrid(u.horizon_T, x, xi0.norm_kind), [], int(n), cert,
                         float(bound))
-            for u, x, bound in zip(controls, states, bounds)]
+            for u, x, bound, n in zip(controls, states, bounds, taken)]
 
 
 def iterate_differences(result: SolveResult, u: Control, sg: Semigroup,

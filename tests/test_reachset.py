@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestSampleReachset:
         sample = ReachSetSample(xi0, cert, [Control(1.0, np.zeros((1, 32)))], [orbit],
                                 evaluation_set([orbit]))
         assert np.array_equal(sample.endpoints.points, orbit.states)
+
+    def test_states_are_held_once(self):
+        # trajectories and endpoint cloud share the forward pass's one stack,
+        # and sampling peaks well below two copies of it
+        sg, fields, cert, xi0 = diagnostic_system(64)
+        sample_reachset(xi0, 2, 1, fields, sg, cert, 128, tol=1e-4)  # warm the caches
+        tracemalloc.start()
+        try:
+            sample = sample_reachset(xi0, 50, 1, fields, sg, cert, 128, tol=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for trajectory in sample.trajectories:
+            assert np.shares_memory(sample.endpoints.points, trajectory.states)
+        assert peak <= 1.6 * 50 * 129 * 64 * 8
 
     def test_ball_violation_rejected(self):
         from mildsolve import Control

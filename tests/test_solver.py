@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +33,20 @@ from mildsolve import (
     sup_norm,
 )
 
-from mildsolve.operator import BatchOperator
+from mildsolve.operator import BatchOperator, ContractionCertificate
 from mildsolve.solver import _forward_bounds
 
 from conftest import constant_control, diagnostic_system
+
+
+def spy_applications(monkeypatch) -> list:
+    """Record the batch size of every `BatchOperator.__call__`."""
+    calls = []
+    apply = BatchOperator.__call__
+    monkeypatch.setattr(BatchOperator, "__call__",
+                        lambda self, states, values: calls.append(len(states))
+                        or apply(self, states, values))
+    return calls
 
 
 def scalar_bilinear_truth(xi0, a, u):
@@ -370,7 +381,8 @@ def test_solve_batch_matches_picard(name, route):
         assert np.abs(res.trajectory.states - ref.trajectory.states).max() <= 1e-12
         assert np.array_equal(res.trajectory.states[0], xi0.coords)
         assert res.a_posteriori_bound <= tol
-        assert (res.iterations, res.iterate_gaps, res.certificate) == (cert.block, [], cert)
+        # the forward pass's residual is rounding-sized: one application certifies it
+        assert (res.iterations, res.iterate_gaps, res.certificate) == (1, [], cert)
     orbit = semigroup_orbit(sg, xi0, 1.0, 128)
     assert sup_norm(results[2].trajectory, orbit) <= tol
 
@@ -391,18 +403,84 @@ def test_solve_batch_returns_input_order():
 @pytest.mark.parametrize("route", ["hidden", "omega"])
 @pytest.mark.parametrize("name", ["heat16", "dense8"])
 def test_forward_bound_covers_a_perturbed_candidate(name, route):
-    # d(x, x*) <= d(x, F^b x) / (1 - C) in the certificate's one-step metric
+    # d(x, x*) <= (d(x, F^j x) + T_{N-j} d(F^{j-1} x, F^j x)) / (1 - C) in the
+    # certificate's one-step metric, for every stopping j
     sg, fields, xi0, cert, controls = batch_system(name, route)
     apply_F = BatchOperator(xi0, fields, sg, 1.0, 128)
     values = np.stack([u.values for u in controls])
     noise = np.random.default_rng(40).standard_normal(apply_F.fixed_point(values).shape)
     candidate = apply_F.fixed_point(values) + 1e-3 * noise
-    bounds, _ = _forward_bounds(apply_F, candidate, values, cert, xi0.norm_kind)
     exact = np.stack([picard_solve(xi0, u, fields, sg, cert, tol=1e-13).trajectory.states
                       for u in controls])
     true = cert.distance([candidate], [exact], apply_F.times, xi0.norm_kind)
     assert np.all(true > 1e-4)
-    assert np.all(bounds >= true)
+    tails = cert.residual_tails()
+    # tol = inf stops every candidate at j = 1, tol = 0 runs it to j = N
+    for tol, stop in ((np.inf, 1), (0.0, cert.block)):
+        bounds, taken = _forward_bounds(apply_F, candidate, values, cert, tails, tol,
+                                        xi0.norm_kind)
+        assert np.all(taken == stop)
+        assert np.all(bounds >= true)
+    image = candidate
+    for _ in range(cert.block):
+        image = apply_F(image, values)
+    block_bound = cert.distance([candidate], [image], apply_F.times, xi0.norm_kind)
+    assert np.array_equal(bounds, block_bound / (1.0 - cert.rate_C))  # bit for bit at j = N
+
+
+def test_forward_bound_of_finite_states_reads_inf():
+    # 1 - C = 2^-53 sends a 1e300 distance past the floats: finite states read
+    # inf ("exceeds tol"), a non-finite candidate NaN (a non-finite iterate)
+    sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
+    cert = ContractionCertificate("hidden", math.nextafter(1.0, 0.0), 1.0, 1.0, 1.0, 0.0,
+                                  1.0, 1.0, N=1, l1_mass=1.0)
+    apply_F = BatchOperator(xi0, [f], sg, 1.0, 16)
+    values = np.zeros((2, 1, 16))
+    candidate = np.full((2, 17, 1), 1e300)
+    candidate[1, 3] = np.nan
+    bounds, taken = _forward_bounds(apply_F, candidate, values, cert, cert.residual_tails(),
+                                    1e-8, xi0.norm_kind)
+    assert bounds[0] == np.inf and np.isnan(bounds[1])
+    assert list(taken) == [1, 1]
+
+
+def test_heat_batch_takes_one_application_per_control(monkeypatch):
+    sg, fields, xi0, cert, controls = batch_system("heat16", "hidden")
+    assert cert.block == 2
+    calls = spy_applications(monkeypatch)
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-8)
+    assert sum(calls) == len(controls)
+    assert [res.iterations for res in results] == [1] * len(controls)
+
+
+def test_long_hidden_block_certifies():
+    # r = 40: N = 106 and T_{N-1} = 2.4e17; each control stops once its
+    # residual has decayed enough, short of N
+    sg, fields, _, xi0 = diagnostic_system(16)
+    cert = certify_hidden_contraction(40.0, 1.0, 0.0, 1.0, 1.0)
+    assert cert.N == 106
+    controls = sample_ball(1.0, 40.0, 1.0, 1, 128, 6, seed=3)
+    tol = 1e-6
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
+    for u, res in zip(controls, results):
+        assert res.a_posteriori_bound <= tol
+        assert 1 < res.iterations < cert.N
+        ref = picard_solve(xi0, u, fields, sg, cert, tol=1e-10)
+        assert sup_norm(res.trajectory, ref.trajectory) <= tol
+
+
+def test_zero_control_batch_under_overflowing_tails(monkeypatch):
+    # N = 59796: T_{N-1} is inf, and a zero residual adds nothing to it
+    cert = certify(1.0, 22000.0, 1.0, 0.0, 1.0, 1.0)
+    assert cert.N == 59796 and cert.residual_tails()[-1] == np.inf
+    calls = spy_applications(monkeypatch)
+    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_batch(xi0, [constant_control(0.0, 8)], [bilinear_field([[1.0]])], sg, cert)
+    assert calls == [1]
+    assert (res[0].iterations, res[0].a_posteriori_bound) == (1, 0.0)
+    assert np.array_equal(res[0].trajectory.states, semigroup_orbit(sg, xi0, 1.0, 8).states)
 
 
 def test_solve_batch_attaches_control_index_on_error():
@@ -455,11 +533,7 @@ def test_zero_control_computes_one_application(monkeypatch):
     # N = 59796: a first window of 2N - 1 applications would pass the cap
     cert = certify(1.0, 22000.0, 1.0, 0.0, 1.0, 1.0)
     assert cert.N == 59796
-    calls = []
-    apply = BatchOperator.__call__
-    monkeypatch.setattr(BatchOperator, "__call__",
-                        lambda self, states, values: calls.append(len(states))
-                        or apply(self, states, values))
+    calls = spy_applications(monkeypatch)
     sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
     res = picard_solve(xi0, constant_control(0.0, 8), [bilinear_field([[1.0]])], sg, cert)
     assert calls == [1]
