@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .controls import control_from_csv, control_to_csv, sample_ball
+from .floatcsv import write_csv
 from .operator import ContractionCertificate, certify
 from .reachset import (
     VerificationError,
@@ -59,7 +60,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, table: np.ndarray) -> int:
+    """Write a float table (see `floatcsv.write_csv`); return its size in bytes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return write_csv(path, header, table)
+
+
+def _write_rows(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -104,18 +111,25 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
     else:
         u = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields),
                         cfg.system["n_t"], 1, cfg.control["seed"])[0]
+    start = time.perf_counter()
     result = picard_solve(xi0, u, fields, sg, cert, tol=cfg.solver["tol"])
+    solved = time.perf_counter()
     traj = result.trajectory
-    _write_csv(out_dir / "trajectory.csv", ["t"] + [f"x{i}" for i in range(traj.dim)],
-               np.column_stack([traj.times, traj.states]).tolist())  # csv writes repr
-    control_to_csv(u, out_dir / "control.csv")
+    written = _write_csv(out_dir / "trajectory.csv", ["t"] + [f"x{i}" for i in range(traj.dim)],
+                         np.column_stack([traj.times, traj.states]))
+    written += control_to_csv(u, out_dir / "control.csv")
+    wrote = time.perf_counter()
     _write_json(out_dir / "solve.json", {
         "iterations": result.iterations,
         "iterate_gaps": result.iterate_gaps,
         "a_posteriori_bound": result.a_posteriori_bound,
         "certificate": cert.to_dict(),
         "control_lp_norm": cert.control_norm(u),
-        "metadata": _metadata(cfg),
+        "metadata": {**_metadata(cfg),
+                     "timings": {"solve_s": solved - start, "write_s": wrote - solved},
+                     # bytes of trajectory.csv and control.csv
+                     "counters": {"applications": result.iterations,
+                                  "bytes_written": written}},
     })
     print(f"solved in {result.iterations} applications "
           f"(bound {result.a_posteriori_bound:.3e}); wrote {out_dir}")
@@ -129,10 +143,10 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
         systems, diag["eps_ladder"], control["count"], control["seed"], n_t=diag["n_t"],
         xi0_scale=diag["xi0_scale"], norm_kind=cfg.system["norm_kind"],
         cloud_budget=diag["cloud_budget"], tol=cfg.solver["tol"])
-    _write_csv(out_dir / "diagnostic.csv",
-               ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
-               [[row["n"], row["p"], repr(row["eps"]), row["n_reach"],
-                 row["n_ball"], row["sample_size"]] for row in report.rows])
+    _write_rows(out_dir / "diagnostic.csv",
+                ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
+                [[row["n"], row["p"], repr(row["eps"]), row["n_reach"],
+                  row["n_ball"], row["sample_size"]] for row in report.rows])
     _write_json(out_dir / "reachset.json",
                 {"rows": report.rows, "diagnostic_config": report.config,
                  "metadata": {**_metadata(cfg), "dimensions": report.dimensions}})

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .floatcsv import write_csv
+
 
 @dataclass(frozen=True)
 class Control:
@@ -111,14 +113,12 @@ def spike_control(n: int, n_t: int) -> Control:
     return Control(1.0, values)
 
 
-def control_to_csv(u: Control, path) -> None:
-    """Write one row per cell: t_start, then one column per channel."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_start"] + [f"u{i}" for i in range(u.channels)])
-        # csv writes a float as its repr
-        starts = np.arange(u.n_t) * u.cell_width
-        writer.writerows(np.column_stack([starts, u.values.T]).tolist())
+def control_to_csv(u: Control, path) -> int:
+    """Write one row per cell: t_start, then one column per channel; return
+    the number of bytes written."""
+    starts = np.arange(u.n_t) * u.cell_width
+    return write_csv(path, ["t_start"] + [f"u{i}" for i in range(u.channels)],
+                     np.column_stack([starts, u.values.T]))
 
 
 def control_from_csv(path, horizon_T: float | None = None) -> Control:

@@ -144,6 +144,19 @@ class TestSolve:
         assert sidecar["iterations"] >= 1
         assert sidecar["a_posteriori_bound"] < 1e-8
 
+    def test_metadata_records_timings_and_counters(self, tmp_path):
+        cfg = write_config(tmp_path, scalar_system())
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        sidecar = load_json(out / "solve.json")
+        meta = sidecar["metadata"]
+        assert meta["counters"] == {
+            "applications": sidecar["iterations"],
+            "bytes_written": sum((out / name).stat().st_size
+                                 for name in ("trajectory.csv", "control.csv"))}
+        assert sorted(meta["timings"]) == ["solve_s", "write_s"]
+        assert all(seconds >= 0.0 for seconds in meta["timings"].values())
+
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system())
         out1, out2 = tmp_path / "a", tmp_path / "b"

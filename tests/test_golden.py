@@ -32,6 +32,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "scalar_certify": ("certify", "scalar.yaml", {}),
     "scalar_solve": ("solve", "scalar.yaml", {}),
+    # 129 x 17 trajectory values, most in scientific notation, down to 8e-62
+    "heat_solve": ("solve", "heat.yaml", {}),
     "heat_counterexample": ("counterexample", "heat.yaml", {}),
     "heat_reachset": ("reachset", "heat.yaml",
                       {("control", "count"): 20, ("diagnostic", "cloud_budget"): 400,
