@@ -82,8 +82,7 @@ def build_system(cfg: RunConfig, dim: int | None = None
     sg = cfg.build_semigroup(dim)
     fields = cfg.build_fields(sg.dim)
     cert = certify(cfg.control["p"], cfg.control["r"], sg.class_M, sg.class_mu,
-                   max(f.lipschitz_L for f in fields), cfg.system["T"],
-                   mode=cfg.solver["certificate_mode"])
+                   max(f.lipschitz_L for f in fields), cfg.system["T"])
     return sg, fields, cert
 
 

@@ -39,13 +39,13 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DEFAULTS = {
     "system": {"T": 1.0, "n_t": 128, "norm_kind": 2.0},
     "control": {"p": 2.0, "r": 1.0, "count": 1, "seed": 0},
-    "solver": {"tol": 1e-8, "certificate_mode": "auto"},
+    "solver": {"tol": 1e-8},
     "diagnostic": {"dims": [16, 32, 64], "eps_ladder": [0.1, 0.05, 0.02],
                    "xi0_scale": 0.02, "cloud_budget": 4000},
     "counterexample": {"n_max": 128, "n_t": 1024},
     "gamma": {"eps": 0.1, "max_controls": 20},
 }
-# The keys each kind reads beyond `kind` (and a semigroup's class_M/class_mu).
+# The keys each kind reads beyond `kind`.
 _SEMIGROUP_KEYS = {"diagonal": "eigenvalues", "heat": "dim", "dense": "matrix"}
 _FIELD_KEYS = {"bilinear": ("identity", "matrix"), "constant": ("vector",),
                "saturation": ("scale",)}
@@ -168,14 +168,8 @@ class RunConfig:
             raise ConfigError("control.seed must be >= 0")
         if self.system["norm_kind"] not in (1, 2, np.inf):
             raise ConfigError("system.norm_kind must be 1, 2 or 'inf'")
-        p = self.control["p"]
-        if not p >= 1:
+        if not self.control["p"] >= 1:
             raise ConfigError("control.p must be >= 1")
-        mode = self.solver["certificate_mode"]
-        if mode not in ("auto", "omega", "hidden"):
-            raise ConfigError("solver.certificate_mode must be auto/omega/hidden")
-        if mode == "omega" and p == 1:
-            raise ConfigError("omega certificates require p > 1")
         dims = self.diagnostic["dims"]
         if not dims or dims != sorted(set(dims)):
             raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
@@ -196,38 +190,25 @@ class RunConfig:
 
     @_library_errors_are_config_errors
     def build_semigroup(self, dim: int | None = None) -> Semigroup:
-        """The configured semigroup; `dim`, when given, replaces a heat
-        semigroup's dimension and must equal any other kind's."""
+        """The configured semigroup and its class (M, mu): exact for diagonal
+        and heat kinds, certified at load for a dense one.  `dim`, when given,
+        replaces a heat semigroup's dimension and must equal any other kind's."""
         spec = self.system["semigroup"]
         kind = spec["kind"]
         if kind not in _SEMIGROUP_KEYS:
             raise ConfigError(f"unknown semigroup kind {kind!r}")
-        _reject_unread(spec, ("kind", "class_M", "class_mu", _SEMIGROUP_KEYS[kind]),
-                       "system.semigroup")
-        # class_mu is read only beside class_M; a dense kind reads both or certifies both
-        if "class_mu" in spec and "class_M" not in spec:
-            raise ConfigError("system.semigroup: class_mu needs class_M")
-        if kind == "dense" and "class_M" in spec and "class_mu" not in spec:
-            raise ConfigError("system.semigroup: a dense class_M needs class_mu")
+        _reject_unread(spec, ("kind", _SEMIGROUP_KEYS[kind]), "system.semigroup")
         if kind == "diagonal":
             sg = diagonal_semigroup(spec["eigenvalues"])
         elif kind == "heat":
             sg = heat_semigroup(int(spec["dim"]) if dim is None else dim)
         else:
             matrix = np.asarray(spec["matrix"], dtype=float)
-            if "class_M" in spec:
-                sg = dense_semigroup(matrix, float(spec["class_M"]),
-                                     float(spec["class_mu"]))
-            else:
-                probe = dense_semigroup(matrix, 1.0, 0.0)
-                t_grid = np.linspace(0.0, self.system["T"], 17)[1:]
-                m_const, mu = certify_class_constants(
-                    probe, t_grid, sample_count=256, norm_kind=self.system["norm_kind"])
-                sg = dense_semigroup(matrix, m_const, mu)
-        if "class_M" in spec and kind != "dense":
-            sg = Semigroup(eigenvalues=sg.eigenvalues,
-                           class_M=float(spec["class_M"]),
-                           class_mu=float(spec.get("class_mu", sg.class_mu)))
+            probe = dense_semigroup(matrix, 1.0, 0.0)
+            t_grid = np.linspace(0.0, self.system["T"], 17)[1:]
+            m_const, mu = certify_class_constants(
+                probe, t_grid, sample_count=256, norm_kind=self.system["norm_kind"])
+            sg = dense_semigroup(matrix, m_const, mu)
         if dim is not None and sg.dim != dim:
             raise ConfigError(f"system.semigroup: a {kind} semigroup has dimension "
                               f"{sg.dim}, not {dim}")

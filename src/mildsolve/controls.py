@@ -15,6 +15,8 @@ import numpy as np
 
 from .floatcsv import write_csv
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class Control:
@@ -54,7 +56,9 @@ def lp_norm(u: Control, p: float) -> float:
 
     Per channel |u_i|_p = (sum_cells |value|^p * T/n_t)^(1/p) (max for
     p = inf); channels combine as sum_i |u_i|_p.  A channel whose direct
-    sum overflows is summed again with its maximum factored out.
+    sum overflows, or falls below the smallest normal float while the
+    channel is nonzero (|value|^p underflows), is summed again with its
+    maximum factored out.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -62,12 +66,14 @@ def lp_norm(u: Control, p: float) -> float:
     if np.isinf(p):
         return float(a.max(axis=1).sum())
     with np.errstate(over="ignore"):
-        per_channel = (np.sum(a ** p, axis=1) * u.cell_width) ** (1.0 / p)
-    big = ~np.isfinite(per_channel)
-    if big.any():
-        scale = a[big].max(axis=1)
-        scaled = a[big] / scale[:, None]
-        per_channel[big] = scale * (np.sum(scaled ** p, axis=1) * u.cell_width) ** (1.0 / p)
+        sums = np.sum(a ** p, axis=1) * u.cell_width
+    per_channel = sums ** (1.0 / p)
+    redo = ~((sums >= _SMALLEST_NORMAL) & (sums < np.inf))
+    if redo.any():
+        scale = a[redo].max(axis=1)
+        scale[scale == 0.0] = 1.0  # a zero channel's norm is its direct 0
+        scaled = a[redo] / scale[:, None]
+        per_channel[redo] = scale * (np.sum(scaled ** p, axis=1) * u.cell_width) ** (1.0 / p)
     return float(per_channel.sum())
 
 
@@ -124,8 +130,8 @@ def control_to_csv(u: Control, path) -> int:
 def control_from_csv(path, horizon_T: float | None = None) -> Control:
     """Read a control written by `control_to_csv`.
 
-    The horizon defaults to n_t * (inferred cell width); pass `horizon_T`
-    to override (the cells must be uniform either way).
+    Cell j must start at j T / n_t (relative 1e-9, absolute 1e-12), where T
+    is `horizon_T` or, when that is None, n_t times the first cell's width.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -134,12 +140,12 @@ def control_from_csv(path, horizon_T: float | None = None) -> Control:
     body = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
     t_start, values = body[:, 0], body[:, 1:].T
     n_t = values.shape[1]
-    if n_t > 1:
-        widths = np.diff(t_start)
-        h = widths[0]
-        if h <= 0 or not np.allclose(widths, h, rtol=1e-9, atol=1e-12):
-            raise ValueError("control CSV cells must form a uniform grid")
-    else:
-        h = horizon_T if horizon_T is not None else t_start[0] * 2 if t_start[0] > 0 else 1.0
-    T = horizon_T if horizon_T is not None else float(h * n_t)
-    return Control(T, values)
+    if horizon_T is None:
+        if n_t < 2:
+            raise ValueError("a one-cell control CSV needs the horizon")
+        horizon_T = float((t_start[1] - t_start[0]) * n_t)
+    if not (horizon_T > 0 and np.allclose(t_start, np.arange(n_t) * (horizon_T / n_t),
+                                          rtol=1e-9, atol=1e-12)):
+        raise ValueError(f"control CSV cells must start at j T / n_t for T = {horizon_T:.6g}, "
+                         f"n_t = {n_t}")
+    return Control(horizon_T, values)

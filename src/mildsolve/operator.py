@@ -12,7 +12,8 @@ Two contraction routes are certified:
 
 * weighted-norm route (p > 1): rate ``r M L / (q (omega - mu))^{1/q}`` in the
   exponentially weighted sup-norm, with omega searched over mu + 2^k;
-* hidden-contraction route (any p, used for p = 1): smallest N with
+* hidden-contraction route (p = 1, or p > 1 when the omega search
+  overflows): smallest N with
   ``(M e^{mu T} L r)^N / N! < 1``, turned into a genuine contraction by the
   renormed metric d'.
 
@@ -424,14 +425,14 @@ def certify_hidden_contraction(r: float, M: float, mu: float, L_bound: float,
                                   N=n, l1_mass=mass)
 
 
-def certify(p: float, r: float, M: float, mu: float, L_bound: float, T: float,
-            mode: str = "auto") -> ContractionCertificate:
+def certify(p: float, r: float, M: float, mu: float, L_bound: float,
+            T: float) -> ContractionCertificate:
     """Certificate for the control ball |u|_p <= r: the one selection policy.
 
-    Mode "hidden", or "auto" with p = 1, takes the hidden route; otherwise the
-    omega route, falling back to hidden if the weighted-norm search overflows.
+    p = 1 takes the hidden route; p > 1 the omega route, falling back to
+    hidden if the weighted-norm search overflows.
     """
-    if mode == "hidden" or (mode == "auto" and p == 1):
+    if p == 1:
         return certify_hidden_contraction(r, M, mu, L_bound, T, p)
     try:
         return certify_omega_contraction(p, r, M, mu, L_bound, T)

@@ -104,8 +104,9 @@ class Semigroup:
 
     Either ``eigenvalues`` (diagonal generator) or ``generator`` (dense n x n
     matrix) is set.  ``class_M >= 1`` and ``class_mu >= 0`` certify the growth
-    bound; for a diagonal generator with all eigenvalues <= class_mu the bound
-    holds exactly with class_M = 1.
+    bound.  A diagonal generator has |e^{At}| = e^{lambda_max t} in every
+    p-norm, so its class holds for all t >= 0 iff class_mu >= lambda_max:
+    a smaller class_mu is rejected.
     """
 
     eigenvalues: np.ndarray | None = None
@@ -132,6 +133,9 @@ class Semigroup:
             raise ValueError("class_M must be finite and >= 1")
         if not 0.0 <= self.class_mu < np.inf:
             raise ValueError("class_mu must be finite and >= 0")
+        if self.eigenvalues is not None and self.class_mu < self.eigenvalues.max():
+            raise ValueError(f"class_mu {self.class_mu:g} is below the largest "
+                             f"eigenvalue {self.eigenvalues.max():g}")
 
     @property
     def dim(self) -> int:
@@ -157,13 +161,10 @@ class Semigroup:
         return scipy.linalg.expm(self.generator * t)
 
 
-def diagonal_semigroup(eigenvalues, class_M: float = 1.0,
-                       class_mu: float | None = None) -> Semigroup:
-    """Semigroup with diagonal generator; mu defaults to max(0, max eigenvalue)."""
+def diagonal_semigroup(eigenvalues) -> Semigroup:
+    """Semigroup with diagonal generator and its exact class (1, max(0, max eigenvalue))."""
     eigs = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    if class_mu is None:
-        class_mu = max(0.0, float(eigs.max()))
-    return Semigroup(eigenvalues=eigs, class_M=class_M, class_mu=class_mu)
+    return Semigroup(eigenvalues=eigs, class_mu=max(0.0, float(eigs.max())))
 
 
 def dense_semigroup(generator, class_M: float, class_mu: float) -> Semigroup:

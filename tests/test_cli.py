@@ -113,12 +113,6 @@ class TestCertify:
             assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
             assert load_json(out / "certificate.json")["certificate"]["rate"] == 0.0
 
-    def test_mode_override(self, tmp_path):
-        cfg = write_config(tmp_path, scalar_system(solver={"certificate_mode": "hidden"}))
-        out = tmp_path / "out"
-        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        assert load_json(out / "certificate.json")["certificate"]["mode"] == "hidden"
-
 
 class TestSolve:
     def test_constant_control_reproduces_exponential(self, tmp_path):
@@ -185,7 +179,10 @@ class TestSolve:
         (["t_start", "u0", "u1"], [[j / 10.0, 0.1, 0.2] for j in range(10)]),
         (["t_start", "u0"], [[j / 10.0, "nan" if j == 3 else 0.1] for j in range(10)]),
         (["t_start", "u0"], [[t, 0.1] for t in (0.0, 0.1, 0.3, 0.4)]),
-    ], ids=["channels", "non-finite", "non-uniform-grid"])
+        # uniform cells, but not the config's grid on [0, T = 1)
+        (["t_start", "u0"], [[0.5 + j / 10.0, 0.1] for j in range(10)]),
+        (["t_start", "u0"], [[j / 4.0, 0.1] for j in range(8)]),
+    ], ids=["channels", "non-finite", "non-uniform-grid", "shifted-start", "other-horizon"])
     def test_bad_control_file_is_config_error(self, tmp_path, header, rows):
         cfg = write_config(tmp_path, scalar_system())
         control_path = tmp_path / "u.csv"
@@ -310,6 +307,12 @@ class TestConfigErrors:
                                              "class_mu": 5.0}}),
         ("certify", "system", {"semigroup": {"kind": "dense", "matrix": [[-1.0]],
                                              "class_M": 2.0}}),
+        # removed settings: the route and (M, mu) come from the system alone
+        ("certify", "solver", {"certificate_mode": "auto"}),
+        ("certify", "system", {"semigroup": {"kind": "diagonal", "eigenvalues": [0.0],
+                                             "class_M": 2.0}}),
+        ("certify", "system", {"semigroup": {"kind": "dense", "matrix": [[-1.0]],
+                                             "class_mu": 0.5}}),
     ], ids=["empty-dims", "empty-eps-ladder", "target-rate", "spike-grid",
             "cloud-budget", "diagnostic-tol", "diagnostic-n-t", "eps-ladder-string",
             "dims-string", "gamma-eps", "spike-separation", "eval-eps",
@@ -324,7 +327,7 @@ class TestConfigErrors:
             "bilinear-nan", "saturation-nan", "saturation-inf", "class-M-inf",
             "class-mu-inf", "unknown-solver-key", "unknown-control-key",
             "unknown-semigroup-key", "unknown-field-key", "class-mu-alone",
-            "dense-class-M-alone"])
+            "dense-class-M-alone", "certificate-mode", "class-M", "class-mu"])
     def test_rejected_before_any_work(self, tmp_path, capsys, command, block, value):
         cfg = write_config(tmp_path, scalar_system(**{block: value}))
         out = tmp_path / "out"
@@ -461,30 +464,18 @@ class TestReachsetCommand:
                      "--out", str(out)]) == 0
         return load_json(out / "reachset.json")
 
-    def test_every_dimension_reads_the_certificate_mode(self, tmp_path):
-        summary = self.run(tmp_path, heat_system(control={"p": 2},
-                                                 solver={"certificate_mode": "hidden"}), "hidden")
+    def test_every_dimension_records_its_certificate_and_timings(self, tmp_path):
+        summary = self.run(tmp_path, heat_system(), "p1")
         dims = summary["metadata"]["dimensions"]
         assert sorted(dims) == ["2", "4"]
         for record in dims.values():  # wall seconds of the sample and solve, and of covering
             assert sorted(record["timings"]) == ["cover_s", "sample_s"]
             assert all(t >= 0.0 for t in record["timings"].values())
-        assert all(d["certificate"]["mode"] == "hidden" and d["certificate"]["p"] == 2.0
+        assert all(d["certificate"]["mode"] == "hidden" and d["certificate"]["p"] == 1.0
                    for d in dims.values())
-        auto = self.run(tmp_path, heat_system(control={"p": 2}), "auto")
-        assert all(d["certificate"]["mode"] == "omega"
-                   for d in auto["metadata"]["dimensions"].values())
-
-    def test_class_constants_reach_certificate_and_gronwall_radius(self, tmp_path):
-        base = self.run(tmp_path, heat_system(), "base")
-        doubled = self.run(tmp_path, heat_system(
-            system={"semigroup": {"kind": "heat", "dim": 2, "class_M": 2.0}}), "doubled")
-        radius = base["diagnostic_config"]["gronwall_radius"]
-        assert doubled["diagnostic_config"]["gronwall_radius"] > 2.0 * radius
-        for dim, record in doubled["metadata"]["dimensions"].items():
-            assert record["certificate"]["constants"]["M"] == 2.0
-            assert record["gronwall_radius"] > 2.0 * radius
-            assert record["certificate"] != base["metadata"]["dimensions"][dim]["certificate"]
+        p2 = self.run(tmp_path, heat_system(control={"p": 2}), "p2")
+        assert all(d["certificate"]["mode"] == "omega" and d["certificate"]["p"] == 2.0
+                   for d in p2["metadata"]["dimensions"].values())
 
     def test_dimension_mismatch_exits_2_before_any_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scalar_system())  # diagonal, dimension 1
@@ -504,6 +495,24 @@ class TestReachsetCommand:
         summary = load_json(out / "reachset.json")
         assert [row["n"] for row in summary["rows"]] == [1]
         assert summary["metadata"]["dimensions"]["1"]["certificate"]["mode"] == "omega"
+
+    def test_eigenvalue_class_reaches_certificate_and_gronwall_radius(self, tmp_path):
+        # the class is (1, max(0, largest eigenvalue)): an eigenvalue +1 reads mu = 1
+        def run(eigenvalue, name):
+            cfg_data = scalar_system(control={"count": 4})
+            cfg_data["system"]["semigroup"]["eigenvalues"] = [eigenvalue]
+            cfg_data["diagnostic"] = {"dims": [1], "eps_ladder": [0.2], "n_t": 16}
+            out = tmp_path / name
+            assert main(["reachset", "--config", write_config(tmp_path, cfg_data, f"{name}.yaml"),
+                         "--out", str(out)]) == 0
+            return load_json(out / "reachset.json")
+
+        stable, growing = run(-1.0, "stable"), run(1.0, "growing")
+        assert stable["metadata"]["dimensions"]["1"]["certificate"]["constants"]["mu"] == 0.0
+        record = growing["metadata"]["dimensions"]["1"]
+        assert (record["certificate"]["constants"]["M"],
+                record["certificate"]["constants"]["mu"]) == (1.0, 1.0)
+        assert record["gronwall_radius"] > stable["diagnostic_config"]["gronwall_radius"]
 
 
 class TestCounterexampleCommand:

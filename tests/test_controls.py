@@ -30,6 +30,17 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must be"):
             lp_norm(constant_control(1.0, 4), 0.5)
 
+    def test_underflowing_powers_are_rescaled(self, rng):
+        # |value|^p underflows (1e-200 at p = 2, 0.5 at p = 2000): the norm read 0
+        u = Control(2.0, rng.standard_normal((2, 12)))
+        assert lp_norm(u.scaled(1e-200), 2) == pytest.approx(1e-200 * lp_norm(u, 2),
+                                                             rel=1e-12, abs=0.0)
+        assert lp_norm(Control(1.0, np.full((1, 4), 1e-200)), 2) == pytest.approx(
+            1e-200, rel=1e-12, abs=0.0)
+        # |c| on [0, T] has norm |c| T^(1/p); a zero channel adds its 0
+        half = Control(2.0, [[0.5] * 8, [0.0] * 8])
+        assert lp_norm(half, 2000) == pytest.approx(0.5 * 2.0 ** (1 / 2000), rel=1e-12, abs=0.0)
+
     def test_multichannel_sums_channels(self):
         u = Control(1.0, np.array([[1.0, 1.0], [2.0, 2.0]]))
         assert lp_norm(u, 1) == pytest.approx(3.0)

@@ -31,6 +31,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # case -> (subcommand, config, overrides of config settings)
 CASES = {
     "scalar_certify": ("certify", "scalar.yaml", {}),
+    # p = 1 takes the hidden route (scalar_certify pins the omega route)
+    "heat_certify": ("certify", "heat.yaml", {}),
     "scalar_solve": ("solve", "scalar.yaml", {}),
     # 129 x 17 trajectory values, most in scientific notation, down to 8e-62
     "heat_solve": ("solve", "heat.yaml", {}),

@@ -246,7 +246,7 @@ class TestHiddenCertificate:
         # |u|_1 <= T^{1/q} |u|_p: the mass r T^{1/q} is r at p = 1 and r T at p = inf
         for p, mass in ((1.0, 1.5), (2.0, 3.0), (math.inf, 6.0)):
             assert certify_hidden_contraction(1.5, 1.0, 0.0, 1.0, 4.0, p).l1_mass == mass
-        assert certify(2.0, 1.5, 1.0, 0.0, 1.0, 4.0, mode="hidden").l1_mass == 3.0
+        assert certify_hidden_contraction(1.5, 1.0, 0.0, 1.0, 4.0, 2.0).l1_mass == 3.0
 
     def test_omega_overflow_falls_back_promptly(self):
         start = time.perf_counter()
@@ -360,7 +360,7 @@ def test_rate_zero_hidden_certificate_has_one_step():
 def test_hidden_certificate_requires_its_l1_mass():
     # without l1_mass the step Lipschitz bound read radius_r: 1.0 against 2.0
     from mildsolve.operator import ContractionCertificate, hidden_step_lipschitz
-    cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 4.0, mode="hidden")
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 4.0, 2.0)
     assert hidden_step_lipschitz(cert) == 2.0
     d = cert.to_dict()
     for bad in (None, -1.0, math.inf, math.nan):

@@ -497,7 +497,7 @@ def test_control_off_the_certificate_horizon_rejected():
     # |u|_2 = 1 on [0, 100] has |u|_1 = 10, ten times the L^1 mass that fixed
     # the certificate's N = 2: its rate backs no bound for this control
     sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
-    cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 1.0, mode="hidden")
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
     assert (cert.l1_mass, cert.N) == (1.0, 2)
     u = constant_control(0.1, 64, T=100.0)
     with pytest.raises(CertificateRadiusError, match="horizon"):
@@ -540,3 +540,18 @@ def test_zero_control_computes_one_application(monkeypatch):
     assert np.array_equal(res.trajectory.states, semigroup_orbit(sg, xi0, 1.0, 8).states)
     assert (res.iterations, res.a_posteriori_bound) == (1, 0.0)
     assert len(res.iterate_gaps) == 1
+
+
+def test_control_whose_powers_underflow_is_certified_and_ball_checked():
+    # 0.5 ** 2000 underflows: a norm read as 0 took the zero-control shortcut
+    # (bound 0.0 against a true error of 4.1e-4) and let u into a ball of any radius
+    sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
+    u = constant_control(0.5, 64)
+    cert = certify(2000.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+    res = picard_solve(xi0, u, [f], sg, cert)
+    reference = BatchOperator(xi0, [f], sg, 1.0, 64).fixed_point(u.values[None])
+    error = cert.distance([res.trajectory.states], [reference[0]], res.trajectory.times, 2)
+    assert res.iterations > 1 and 0.0 < res.a_posteriori_bound <= 1e-8
+    assert error <= res.a_posteriori_bound
+    with pytest.raises(CertificateRadiusError, match="radius"):
+        picard_solve(xi0, u, [f], sg, certify(2000.0, 0.25, 1.0, 0.0, 1.0, 1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mildsolve import (
+    Semigroup,
     StateVector,
     apply_semigroup,
     bilinear_field,
@@ -171,6 +172,17 @@ def test_vector_norm_rescues_underflow():
     rows = vector_norm(np.array([[3e-170, 4e-170], [0.0, 0.0], [np.nan, 1e-170], [3.0, 4.0]]), 2)
     assert rows[0] == pytest.approx(5e-170, rel=1e-15, abs=0.0)
     assert rows[1] == 0.0 and np.isnan(rows[2]) and rows[3] == 5.0
+
+
+def test_diagonal_class_below_the_largest_eigenvalue_rejected():
+    # |e^{t}| = e^{t} > 1 e^{0 t} for t > 0: eigenvalue +1 does not have class (1, 0)
+    with pytest.raises(ValueError, match="largest eigenvalue"):
+        Semigroup(eigenvalues=[1.0], class_M=1.0, class_mu=0.0)
+    with pytest.raises(ValueError, match="largest eigenvalue"):
+        Semigroup(eigenvalues=[-1.0, 0.5], class_M=10.0, class_mu=0.4)
+    assert Semigroup(eigenvalues=[1.0], class_M=1.0, class_mu=1.0).class_mu == 1.0
+    sg = diagonal_semigroup([-2.0, 1.5])
+    assert (sg.class_M, sg.class_mu) == (1.0, 1.5)
 
 
 def test_heat_semigroup_eigenvalues():
