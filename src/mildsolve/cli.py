@@ -104,9 +104,9 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
             u = control_from_csv(args.control, horizon_T=cert.horizon_T)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"control {args.control}: {exc}") from exc
-        if u.channels != len(fields):
-            raise ConfigError(f"control {args.control} has {u.channels} channels, "
-                              f"the system has {len(fields)} fields")
+        if (u.channels, u.n_t) != (len(fields), cfg.system["n_t"]):
+            raise ConfigError(f"control {args.control} has {u.channels} channels on {u.n_t} "
+                              f"cells, the system {len(fields)} fields on {cfg.system['n_t']}")
     else:
         u = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields),
                         cfg.system["n_t"], 1, cfg.control["seed"])[0]
@@ -173,8 +173,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
     T, seed = cfg.system["T"], cfg.control["seed"]
+    start = time.perf_counter()
     sample = sample_reachset(xi0, cfg.control["count"], seed, fields, sg, cert,
                              cfg.system["n_t"], tol=cfg.solver["tol"])
+    sampled = time.perf_counter()
     cloud = field_value_cloud(sample, fields)
     eps = cfg.gamma["eps"]
     table = gamma_approximation(sg, cloud, T, eps, seed=seed)
@@ -188,8 +190,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
         "passed": bool(table.certified_bound < eps),
     }
     half = gamma_approximation(sg, cloud, T, eps / 2.0, seed=seed)
+    tabled = time.perf_counter()
     conv = convolution_compactness_check(
         sample, half, fields, sg, max_controls=cfg.gamma["max_controls"])
+    checked = time.perf_counter()
     # each quadrature term lies within h |u_c| certified_bound of its table term
     tolerance = (conv.max_l1_norm * half.certified_bound
                  + _QUADRATURE_ROUNDING * conv.max_quadrature_norm)
@@ -207,7 +211,13 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     _write_json(out_dir / "gamma_verification.json",
                 {"verification": verification,
                  "metadata": {**_metadata(cfg), "solves": sample.solves,
-                              "tables": [table.summary(), half.summary()]}})
+                              "tables": [table.summary(), half.summary()],
+                              "timings": {"sample_s": sampled - start, "tables_s": tabled - sampled,
+                                          "convolution_s": checked - tabled},
+                              "counters": {"applications": sample.solves["applications"]
+                                           + conv.n_controls, "field_values": cloud.size,
+                                           "table_cells": table.verification_points
+                                           + half.verification_points}}})
     print(f"Gamma table: {table.n_time_cells} x {table.n_state_cells} cells, "
           f"certified max error {table.certified_bound:.3e} < {eps}")
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,28 +21,29 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class Control:
-    """Piecewise-constant control: values[i, j] on cell j of channel i."""
+    """Piecewise-constant control: values[i, j] on cell j of channel i; values of
+    shape (B, m, n_t) hold a stack of B controls on one grid (`stack_controls`)."""
 
     horizon_T: float
-    values: np.ndarray  # shape (m, n_t)
+    values: np.ndarray  # shape (m, n_t), or (B, m, n_t) for a stack
 
     def __post_init__(self):
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be > 0")
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
-            raise ValueError("values must be an (m, n_t) array with m, n_t >= 1")
+        if vals.ndim > 3 or vals.shape[-2] < 1 or vals.shape[-1] < 1:
+            raise ValueError("values must be (m, n_t) or a (B, m, n_t) stack, m, n_t >= 1")
         if not np.all(np.isfinite(vals)):
             raise ValueError("control values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
     def channels(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def n_t(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def cell_width(self) -> float:
@@ -51,30 +53,40 @@ class Control:
         return Control(self.horizon_T, self.values * factor)
 
 
-def lp_norm(u: Control, p: float) -> float:
+def stack_controls(controls: Sequence[Control]) -> Control:
+    """The controls as one (B, m, n_t) stack; they must share one horizon and grid."""
+    if len({(u.horizon_T, u.values.shape) for u in controls}) != 1:
+        raise ValueError("a control stack needs controls on one horizon and grid")
+    return Control(controls[0].horizon_T, np.stack([u.values for u in controls]))
+
+
+def lp_norm(u: Control, p: float) -> float | np.ndarray:
     """Exact L^p norm of the piecewise-constant signal, channels summed.
 
     Per channel |u_i|_p = (sum_cells |value|^p * T/n_t)^(1/p) (max for
     p = inf); channels combine as sum_i |u_i|_p.  A channel whose direct
     sum overflows, or falls below the smallest normal float while the
     channel is nonzero (|value|^p underflows), is summed again with its
-    maximum factored out.
+    maximum factored out.  A control is a float; a (B, m, n_t) stack gets
+    its B norms as an array, each equal to its control's own.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     a = np.abs(u.values)
     if np.isinf(p):
-        return float(a.max(axis=1).sum())
-    with np.errstate(over="ignore"):
-        sums = np.sum(a ** p, axis=1) * u.cell_width
-    per_channel = sums ** (1.0 / p)
-    redo = ~((sums >= _SMALLEST_NORMAL) & (sums < np.inf))
-    if redo.any():
-        scale = a[redo].max(axis=1)
-        scale[scale == 0.0] = 1.0  # a zero channel's norm is its direct 0
-        scaled = a[redo] / scale[:, None]
-        per_channel[redo] = scale * (np.sum(scaled ** p, axis=1) * u.cell_width) ** (1.0 / p)
-    return float(per_channel.sum())
+        norms = a.max(axis=-1).sum(axis=-1)
+    else:
+        with np.errstate(over="ignore"):
+            sums = np.sum(a ** p, axis=-1) * u.cell_width
+        per_channel = sums ** (1.0 / p)
+        redo = ~((sums >= _SMALLEST_NORMAL) & (sums < np.inf))
+        if redo.any():
+            scale = a[redo].max(axis=-1)
+            scale[scale == 0.0] = 1.0  # a zero channel's norm is its direct 0
+            scaled = a[redo] / scale[:, None]
+            per_channel[redo] = scale * (np.sum(scaled ** p, axis=-1) * u.cell_width) ** (1.0 / p)
+        norms = per_channel.sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
@@ -83,25 +95,22 @@ def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
 
     Cell values are i.i.d. standard normal, rescaled so the norm is r U^(1/(m n_t)),
     U uniform(0, 1): most draws lie near the sphere (norm >= 0.97 r with
-    probability 0.98 at m n_t = 128), few are small.
+    probability 0.98 at m n_t = 128), few are small.  Each (m, n_t) draw, then its
+    uniform, fills a row of one array; the controls are its row views, their
+    norms taken in one `lp_norm` call.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if r <= 0:
         raise ValueError("r must be > 0")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        shape = rng.standard_normal((m, n_t))
-        u = Control(T, shape)
-        nrm = lp_norm(u, p)
-        while nrm == 0.0:  # astronomically unlikely, but keep the sampler total
-            shape = rng.standard_normal((m, n_t))
-            u = Control(T, shape)
-            nrm = lp_norm(u, p)
-        target = r * rng.uniform() ** (1.0 / (m * n_t))
-        out.append(u.scaled(target / nrm))
-    return out
+    values, targets = np.empty((count, m, n_t)), np.empty(count)
+    for k in range(count):
+        while not rng.standard_normal(out=values[k]).any():
+            pass  # a zero draw (norm 0) is astronomically unlikely; keep the sampler total
+        targets[k] = r * rng.uniform() ** (1.0 / (m * n_t))
+    values *= (targets / lp_norm(Control(T, values), p))[:, None, None]
+    return [Control(T, row) for row in values]
 
 
 def spike_control(n: int, n_t: int) -> Control:

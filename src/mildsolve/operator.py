@@ -299,16 +299,17 @@ class ContractionCertificate:
             terms = np.cumprod(hidden_step_lipschitz(self) / np.arange(1.0, self.block))
             return np.concatenate([[0.0], np.cumsum(terms)])
 
-    def control_norm(self, u: Control) -> float:
+    def control_norm(self, u: Control) -> float | np.ndarray:
         """|u|_p of a control on the certificate's horizon with |u|_p <= radius_r (up to
-        a relative 1e-12); any other control raises `CertificateRadiusError`."""
+        a relative 1e-12); any other control raises `CertificateRadiusError`.  A
+        control stack (`stack_controls`) is checked in one call and gets its norms."""
         if not math.isclose(u.horizon_T, self.horizon_T):
             raise CertificateRadiusError(f"control horizon {u.horizon_T:.6g} is not the "
                                          f"certificate horizon {self.horizon_T:.6g}")
         norm = lp_norm(u, self.p)
-        if norm > self.radius_r * (1.0 + 1e-12):
+        if np.max(norm) > self.radius_r * (1.0 + 1e-12):
             raise CertificateRadiusError(
-                f"|u|_p = {norm:.6g} exceeds certificate radius {self.radius_r:.6g}")
+                f"|u|_p = {np.max(norm):.6g} exceeds certificate radius {self.radius_r:.6g}")
         return norm
 
     def distance(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],

@@ -34,12 +34,12 @@ from .compactness import (
     state_cloud,
     trajectory_cloud,
 )
-from .controls import lp_norm, sample_ball, spike_control
+from .controls import lp_norm, sample_ball, spike_control, stack_controls
 from .operator import (
+    BatchOperator,
     ContractionCertificate,
     TrajectoryGrid,
     certify,
-    integral_operator,
     semigroup_act,
     semigroup_step,
 )
@@ -62,7 +62,8 @@ class VerificationError(RuntimeError):
 @dataclass(frozen=True)
 class ReachSetSample:
     """Monte-Carlo approximation of the reachable set up to time T under the
-    control ball of `cert`."""
+    control ball of `cert`: controls and trajectories each on one grid, and
+    the trajectories' states, trajectory-major, in `endpoints`."""
 
     xi0: StateVector
     cert: ContractionCertificate
@@ -71,12 +72,11 @@ class ReachSetSample:
     endpoints: PointCloud  # evaluation set of the trajectories
     solves: dict = field(default_factory=dict)  # the applications of F that certified the solves
 
-    def __post_init__(self):  # the one ball check of a sampled control
-        for u in self.controls:
-            self.cert.control_norm(u)
-        for tr in self.trajectories:
-            if not np.array_equal(tr.states[0], self.xi0.coords):
-                raise ValueError("trajectory does not start at xi0")
+    def __post_init__(self):  # one ball check and one start check, on the whole stack
+        self.cert.control_norm(stack_controls(self.controls))
+        starts = np.stack([tr.states[0] for tr in self.trajectories])
+        if starts.shape[1:] != self.xi0.coords.shape or np.any(starts != self.xi0.coords):
+            raise ValueError("trajectory does not start at xi0")
 
 
 def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[VectorField],
@@ -85,9 +85,10 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
-    The controls take one forward pass, each trajectory certified within
-    `tol` of its discrete fixed point (see `solve_batch`), and
-    `ReachSetSample` checks each against the ball once.  The trajectories
+    The controls, row views of `sample_ball`'s one array, take one forward
+    pass, each trajectory certified within `tol` of its discrete fixed
+    point (see `solve_batch`), and `ReachSetSample` checks their stack
+    against the ball in one call.  The trajectories
     are row views of the pass's (count, n_t + 1, n) stack and the endpoint
     cloud is that stack reshaped, so the states are held once.
     """
@@ -414,12 +415,12 @@ def _certified_bound(sg: Semigroup, K: PointCloud, table: GammaTable) -> float:
 
 
 def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> PointCloud:
-    """Cloud of field values f(t_j, x(t_j)) over the whole sample (one channel)."""
+    """Cloud of field values f(t_j, x(t_j)) over the whole sample (one channel), from
+    one field call on the endpoint stack: an identity field's cloud is that stack."""
     if len(fields) != 1:
         raise ValueError("field-value cloud expects a single-channel system")
-    f = fields[0]
-    chunks = [f(tr.times, tr.states) for tr in sample.trajectories]
-    return state_cloud(np.concatenate(chunks, axis=0), sample.endpoints.norm_kind)
+    times = np.tile(sample.trajectories[0].times, len(sample.trajectories))
+    return state_cloud(fields[0](times, sample.endpoints.points), sample.endpoints.norm_kind)
 
 
 @dataclass(frozen=True)
@@ -449,56 +450,47 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     times that bound, up to rounding on the quadrature's scale.
     Controls are rescaled to |u|_1 <= 1 first.  At most `max_controls`
     controls are checked; fewer than one would pass vacuously and raises.
+    F is applied once to the stack of checked trajectories and controls, whose
+    field values are located in the table in one call.
     """
     if len(fields) != 1:
         raise ValueError("reconstruction check expects a single-channel system")
     if max_controls is not None and max_controls < 1:
         raise ValueError(f"max_controls must be >= 1, got {max_controls}")
     f = fields[0]
-    zero = StateVector(np.zeros(sample.xi0.dim), sample.xi0.norm_kind)
+    u = stack_controls(sample.controls[:max_controls])
+    trajectories = sample.trajectories[:len(u.values)]
+    x = np.stack([tr.states for tr in trajectories])
+    if u.channels != 1 or x.shape[:2] != (len(u.values), u.n_t + 1) or not all(
+            math.isclose(u.horizon_T, tr.horizon_T) for tr in trajectories):
+        raise ValueError("each control needs one channel and its trajectory's horizon and grid")
+    first, batch, n_t, h = trajectories[0], len(x), u.n_t, u.cell_width
+    u1 = lp_norm(u, 1)
+    values = u.values * (1.0 / np.maximum(u1, 1.0))[:, None, None]  # |u|_1 <= 1
+    u1 = np.minimum(u1, 1.0)
+    zero = StateVector(np.zeros(sample.xi0.dim), sample.xi0.norm_kind)  # checks the dimension
+    direct = BatchOperator(zero, [f], sg, first.horizon_T, n_t)(x, values)
 
-    pairs = list(zip(sample.trajectories, sample.controls))
-    if max_controls is not None:
-        pairs = pairs[:max_controls]
-
-    n_state = gamma.n_state_cells
-    n_cells = gamma.n_time_cells * n_state
-    max_coeff = 0.0
-    max_l1 = 0.0
-    max_err = 0.0
-    max_quad = 0.0
+    phi = f(np.tile(first.times[:-1], batch), x[:, :-1].reshape(-1, x.shape[2]))  # per cell
+    j_cell = gamma.state_cell(phi).reshape(batch, n_t) - 1
+    if np.any(j_cell < 0):
+        raise ValueError("Gamma table does not cover the sampled field values")
+    # every (grid time l, cell c < l) pair, l-major and c ascending, so each
+    # of a control's one bincount's (l, i, j) bins sums its cells in order
+    row, c = np.tril_indices(n_t)  # row = l - 1
+    n_state, n_cells = gamma.n_state_cells, gamma.n_time_cells * gamma.n_state_cells
+    lag = (row * gamma.n_time_cells + gamma.time_cell(first.times[1:])[row - c] - 1) * n_state
     per_control = []
-    for x, u in pairs:
-        u1 = lp_norm(u, 1)
-        if u1 > 1.0:
-            u = u.scaled(1.0 / u1)
-        u1 = min(u1, 1.0)
-        max_l1 = max(max_l1, u1)
-        h = u.cell_width
-        n_t = u.n_t
-        times = x.times
-
-        phi = f(times[:-1], x.states[:-1])  # field values per cell
-        j_cell = gamma.state_cell(phi)
-        if np.any(j_cell < 0):
-            raise ValueError("Gamma table does not cover the sampled field values")
-        lag_cell = gamma.time_cell(times[1:])  # cell of lag d*h, d = 1..n_t
-
-        direct = integral_operator(x, u, zero, [f], sg).states
-        # every (grid time l, cell c < l) pair, l-major and c ascending, so
-        # each of the one bincount's (l, i, j) bins sums its cells in order
-        row, c = np.tril_indices(n_t)  # row = l - 1
-        flat = (row * gamma.n_time_cells + lag_cell[row - c] - 1) * n_state + j_cell[c] - 1
-        lam = np.bincount(flat, weights=(h * u.values[0])[c],
+    for b in range(batch):
+        lam = np.bincount(lag + j_cell[b, c], weights=(h * values[b, 0])[c],
                           minlength=n_t * n_cells).reshape(n_t, n_cells)
-        ctrl_coeff = float(np.abs(lam).max())
-        recon = lam @ gamma.values.reshape(n_cells, -1)
-        ctrl_err = float(vector_norm(direct[1:] - recon, x.norm_kind).max())
-        if ctrl_coeff > u1 + 1e-12:
+        coeff = float(np.abs(lam).max())
+        if coeff > u1[b] + 1e-12:
             raise VerificationError(
-                f"coefficient {ctrl_coeff:.3e} exceeds the control mass {u1:.3e}")
-        max_coeff = max(max_coeff, ctrl_coeff)
-        max_err = max(max_err, ctrl_err)
-        max_quad = max(max_quad, float(vector_norm(direct[1:], x.norm_kind).max()))
-        per_control.append({"coeff": ctrl_coeff, "error": ctrl_err})
-    return ConvolutionReport(len(pairs), max_coeff, max_l1, max_err, max_quad, per_control)
+                f"coefficient {coeff:.3e} exceeds the control mass {u1[b]:.3e}")
+        error = vector_norm(direct[b, 1:] - lam @ gamma.values.reshape(n_cells, -1),
+                            first.norm_kind).max()
+        per_control.append({"coeff": coeff, "error": float(error)})
+    quadrature = float(vector_norm(direct[:, 1:], first.norm_kind).max())
+    return ConvolutionReport(batch, max(entry["coeff"] for entry in per_control), float(u1.max()),
+                             max(entry["error"] for entry in per_control), quadrature, per_control)

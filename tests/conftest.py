@@ -6,6 +6,7 @@ import pytest
 from mildsolve import Control, StateVector, TrajectoryGrid, VerificationError
 from mildsolve.cli import build_system
 from mildsolve.compactness import PointCloud
+from mildsolve.controls import lp_norm
 from mildsolve.config import RunConfig
 from mildsolve.operator import semigroup_act, semigroup_step
 from mildsolve.spaces import vector_norm
@@ -101,3 +102,22 @@ def farthest_point_oracle(cloud, ladder):
                 scratch = scratch[:, :live.size]
         sizes.append(len(net))
     return net, sizes
+
+
+def sample_ball_oracle(p, r, T, m, n_t, count, seed):
+    """Per-draw oracle of `controls.sample_ball`: each (m, n_t) normal draw
+    becomes its own control, normed by its own `lp_norm` call and scaled to
+    its target before the next draw."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        shape = rng.standard_normal((m, n_t))
+        u = Control(T, shape)
+        nrm = lp_norm(u, p)
+        while nrm == 0.0:
+            shape = rng.standard_normal((m, n_t))
+            u = Control(T, shape)
+            nrm = lp_norm(u, p)
+        target = r * rng.uniform() ** (1.0 / (m * n_t))
+        out.append(u.scaled(target / nrm))
+    return out

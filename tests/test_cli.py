@@ -193,6 +193,17 @@ class TestSolve:
                      "--control", str(control_path)]) == 2
         assert not out.exists()
 
+    def test_control_on_another_grid_is_config_error(self, tmp_path, capsys):
+        # four cells on [0, 1) against n_t = 1000: the solve grid is the config's
+        control_path = tmp_path / "u.csv"
+        with open(control_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["t_start", "u0"]] + [[j / 4.0, 0.1] for j in range(4)])
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(REPO / "configs" / "scalar.yaml"),
+                     "--out", str(out), "--control", str(control_path)]) == 2
+        assert "1 channels on 4 cells, the system 1 fields on 1000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_radius_sample_solves(self, tmp_path, capsys):
         # states reach ~1e200, whose squares overflow: the 2-norm gap rescales
         for norm_kind in (1, 2):
@@ -565,6 +576,14 @@ class TestGammaCommand:
         assert verification["convolution"]["tolerance"] \
             >= verification["convolution"]["max_reconstruction_error"]
         assert verification["convolution"]["tolerance"] <= built[1]["certified_bound"] * 1.000001
+        # F once per solve application and once per checked control; the
+        # field values of 10 trajectories on 65 grid times; both tables' cells
+        meta = report["metadata"]
+        assert meta["counters"] == {
+            "applications": meta["solves"]["applications"] + 5, "field_values": 10 * 65,
+            "table_cells": sum(t["n_time_cells"] * t["n_state_cells"] for t in built)}
+        assert sorted(meta["timings"]) == ["convolution_s", "sample_s", "tables_s"]
+        assert all(seconds >= 0.0 for seconds in meta["timings"].values())
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mildsolve import Control, lp_norm, sample_ball, spike_control
-from mildsolve.controls import control_from_csv, control_to_csv
+from mildsolve.controls import control_from_csv, control_to_csv, stack_controls
 
-from conftest import constant_control
+from conftest import constant_control, sample_ball_oracle
 
 
 class TestLpNorm:
@@ -40,6 +40,29 @@ class TestLpNorm:
         # |c| on [0, T] has norm |c| T^(1/p); a zero channel adds its 0
         half = Control(2.0, [[0.5] * 8, [0.0] * 8])
         assert lp_norm(half, 2000) == pytest.approx(0.5 * 2.0 ** (1 / 2000), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 2000.0, np.inf])
+    def test_stack_equals_per_control(self, rng, p):
+        # rows whose |u|^p overflows, underflows, or has a zero channel take
+        # the rescue inside the stack exactly as they do alone
+        base = rng.standard_normal((4, 2, 12))
+        base[0] *= 1e200
+        base[1, 0] *= 1e-200
+        base[2, 1] = 0.0
+        stack = Control(2.0, base)
+        norms = lp_norm(stack, p)
+        assert norms.shape == (4,)
+        assert norms.tolist() == [lp_norm(Control(2.0, row), p) for row in base]
+        assert norms[2] > 0.0 and norms[1] > 0.0
+
+    def test_stack_needs_one_grid(self):
+        with pytest.raises(ValueError, match="one horizon and grid"):
+            stack_controls([constant_control(1.0, 8), constant_control(1.0, 8, T=2.0)])
+        with pytest.raises(ValueError, match="one horizon and grid"):
+            stack_controls([constant_control(1.0, 8), constant_control(1.0, 4)])
+        stacked = stack_controls([constant_control(1.0, 8), constant_control(2.0, 8)])
+        assert stacked.values.shape == (2, 1, 8)
+        assert stacked.channels == 1 and stacked.n_t == 8
 
     def test_multichannel_sums_channels(self):
         u = Control(1.0, np.array([[1.0, 1.0], [2.0, 2.0]]))
@@ -81,6 +104,19 @@ class TestSampleBall:
         norms = [lp_norm(u, 1.0) for u in sample_ball(1.0, 3.0, 1.0, 1, 24, 1000, seed=5)]
         assert max(norms) <= 3.0 + 1e-12
         assert min(norms) > 0.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_matches_per_draw_oracle(self, p, m):
+        # one array and one norm call draw the same controls, bit for bit
+        for seed, count in ((0, 1), (5, 40)):
+            fast = sample_ball(p, 1.5, 2.0, m, 24, count, seed)
+            slow = sample_ball_oracle(p, 1.5, 2.0, m, 24, count, seed)
+            assert len(fast) == len(slow) == count
+            for u, v in zip(fast, slow):
+                assert u.horizon_T == v.horizon_T
+                assert np.array_equal(u.values, v.values)
+                assert u.values.base is fast[0].values.base  # row views of one array
 
     def test_count_validation(self):
         with pytest.raises(ValueError, match="count"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mildsolve import (
+    Control,
     StateVector,
     VerificationError,
     bilinear_field,
@@ -23,10 +24,11 @@ from mildsolve import (
     integral_operator,
     lp_norm,
     sample_reachset,
+    saturation_field,
     semigroup_orbit,
     state_cloud,
 )
-from mildsolve.operator import semigroup_act, semigroup_step
+from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
 from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _certified_bound,
                                 _sampled_oscillation)
 from mildsolve.spaces import vector_norm
@@ -89,6 +91,15 @@ class TestSampleReachset:
         for trajectory in sample.trajectories:
             assert np.shares_memory(sample.endpoints.points, trajectory.states)
         assert peak <= 1.6 * 50 * 129 * 64 * 8
+
+    def test_start_violation_rejected(self):
+        sg = diagonal_semigroup([0.0])
+        xi0 = StateVector([1.0])
+        orbits = [semigroup_orbit(sg, StateVector([start]), 1.0, 8) for start in (1.0, 2.0)]
+        with pytest.raises(ValueError, match="start at xi0"):
+            ReachSetSample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
+                           [Control(1.0, np.zeros((1, 8)))] * 2, orbits,
+                           evaluation_set(orbits))
 
     def test_ball_violation_rejected(self):
         from mildsolve import Control
@@ -304,6 +315,66 @@ def bound_case(case, rng):
         deltas = (1.5, 0.6)
     cloud = state_cloud(rng.uniform(-1.0, 1.0, size=(80, sg.dim)))
     return sg, cloud, [_build_gamma_table(sg, cloud, 1.0, 0.1, d) for d in deltas]
+
+
+def batched_case(kind):
+    """(semigroup, field, sample) of one batched-evaluation case: the heat
+    system's identity field, a random 4 x 4 matrix field under the heat and
+    under a dense generator, and a saturation field."""
+    rng = np.random.default_rng(19)
+    if kind == "identity":
+        sg, (f,), cert, xi0 = diagnostic_system(4, 0.5)
+    else:
+        f = {"matrix": bilinear_field(0.5 * rng.standard_normal((4, 4))),
+             "matrix-dense": bilinear_field(0.5 * rng.standard_normal((4, 4))),
+             "saturation": saturation_field(0.7)}[kind]
+        sg = (dense_semigroup(-np.eye(4) + 0.3 * rng.standard_normal((4, 4)), 2.0, 0.5)
+              if kind == "matrix-dense" else diagonal_semigroup([-1.0, -4.0, -9.0, -16.0]))
+        cert = certify(1.0, 1.0, sg.class_M, sg.class_mu, f.lipschitz_L, 1.0)
+        xi0 = StateVector([0.25, -0.25, 0.25, 0.1])
+    return sg, f, sample_reachset(xi0, 7, 3, [f], sg, cert, 32)
+
+
+BATCHED = ["identity", "matrix", "matrix-dense", "saturation"]
+
+
+class TestBatchedEvaluation:
+    """One field call and one application of F over the sample's stack equal
+    the per-trajectory evaluations bit for bit (BLAS row-blocking included)."""
+
+    @pytest.mark.parametrize("kind", BATCHED)
+    def test_field_value_cloud_matches_per_trajectory(self, kind):
+        _, f, sample = batched_case(kind)
+        looped = np.concatenate([f(tr.times, tr.states) for tr in sample.trajectories])
+        assert np.array_equal(field_value_cloud(sample, [f]).points, looped)
+
+    def test_identity_field_cloud_is_the_endpoint_stack(self):
+        _, f, sample = batched_case("identity")
+        cloud = field_value_cloud(sample, [f])
+        assert np.shares_memory(cloud.points, sample.endpoints.points)
+        assert np.array_equal(cloud.points, sample.endpoints.points)
+
+    @pytest.mark.parametrize("kind", BATCHED)
+    def test_convolution_matches_one_control_at_a_time(self, kind):
+        sg, f, sample = batched_case(kind)
+        table = _build_gamma_table(sg, field_value_cloud(sample, [f]), 1.0, 0.1, 0.05)
+        batched = convolution_compactness_check(sample, table, [f], sg)
+        assert batched.n_controls == len(sample.controls)
+        for b, (x, u) in enumerate(zip(sample.trajectories, sample.controls)):
+            alone = ReachSetSample(sample.xi0, sample.cert, [u], [x], evaluation_set([x]))
+            assert convolution_compactness_check(alone, table, [f], sg).per_control \
+                == [batched.per_control[b]]
+
+    @pytest.mark.parametrize("kind", BATCHED)
+    def test_stacked_application_matches_integral_operator(self, kind):
+        # the convolution check's one application of F to its whole stack
+        sg, f, sample = batched_case(kind)
+        zero = StateVector(np.zeros(sg.dim), sample.xi0.norm_kind)
+        stacked = BatchOperator(zero, [f], sg, 1.0, 32)(
+            np.stack([x.states for x in sample.trajectories]),
+            np.stack([u.values for u in sample.controls]))
+        for x, u, fx in zip(sample.trajectories, sample.controls, stacked):
+            assert np.array_equal(fx, integral_operator(x, u, zero, [f], sg).states)
 
 
 class TestConvolutionCheck:
