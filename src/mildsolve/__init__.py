@@ -68,6 +68,7 @@ from .reachset import (
     counterexample_report,
     field_value_cloud,
     gamma_approximation,
+    gamma_tables,
     sample_reachset,
 )
 

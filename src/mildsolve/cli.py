@@ -34,7 +34,7 @@ from .reachset import (
     convolution_compactness_check,
     counterexample_report,
     field_value_cloud,
-    gamma_approximation,
+    gamma_tables,
     sample_reachset,
 )
 from .solver import CertificateRadiusError, NonFiniteIterateError, picard_solve
@@ -87,8 +87,11 @@ def build_system(cfg: RunConfig, dim: int | None = None
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, args) -> int:
+    start = time.perf_counter()
     cert = build_system(cfg)[2]
-    payload = {"certificate": cert.to_dict(), "metadata": _metadata(cfg)}
+    payload = {"certificate": cert.to_dict(),
+               "metadata": {**_metadata(cfg),
+                            "timings": {"certify_s": time.perf_counter() - start}}}
     _write_json(out_dir / "certificate.json", payload)
     print(f"wrote {out_dir / 'certificate.json'} "
           f"(mode={cert.mode}, rate={cert.rate_C:.6g})")
@@ -162,7 +165,9 @@ def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
                     "size": report.packing_size},
         "evaluation_covering": {"eps": report.eval_epsilon,
                                 "size": report.eval_covering_size},
-        "metadata": _metadata(cfg),
+        "metadata": {**_metadata(cfg), "timings": report.timings,
+                     "counters": {"applications": report.applications,
+                                  "trajectories": len(report.spike_indices)}},
     })
     print(f"spike family {report.spike_indices}: packing {report.packing_size}, "
           f"evaluation covering {report.eval_covering_size}")
@@ -179,9 +184,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     sampled = time.perf_counter()
     cloud = field_value_cloud(sample, fields)
     eps = cfg.gamma["eps"]
-    table = gamma_approximation(sg, cloud, T, eps, seed=seed)
+    table, half = gamma_tables(sg, cloud, T, [eps, eps / 2.0], seed=seed)
     _write_json(out_dir / "gamma.json",
                 {"table": table.to_dict(), "metadata": _metadata(cfg)})
+    tabled = time.perf_counter()
 
     verification = {
         "eps": eps,
@@ -189,8 +195,6 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
         "max_error": table.certified_bound,  # over every cloud point and t in [0, T]
         "passed": bool(table.certified_bound < eps),
     }
-    half = gamma_approximation(sg, cloud, T, eps / 2.0, seed=seed)
-    tabled = time.perf_counter()
     conv = convolution_compactness_check(
         sample, half, fields, sg, max_controls=cfg.gamma["max_controls"])
     checked = time.perf_counter()

@@ -52,6 +52,23 @@ class Control:
     def scaled(self, factor: float) -> "Control":
         return Control(self.horizon_T, self.values * factor)
 
+    @classmethod
+    def rows(cls, horizon_T: float, stack: np.ndarray) -> list["Control"]:
+        """The controls of a (B, m, n_t) stack as its row views: the stack is
+        checked once, as a whole, and the rows are not checked again."""
+        stack = cls(horizon_T, stack).values
+        if stack.ndim != 3:
+            raise ValueError("rows need a (B, m, n_t) stack")
+        return [_unchecked(cls, horizon_T=horizon_T, values=row) for row in stack]
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass `cls` from fields its caller has already
+    checked: `__post_init__` does not run."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
 
 def stack_controls(controls: Sequence[Control]) -> Control:
     """The controls as one (B, m, n_t) stack; they must share one horizon and grid."""
@@ -97,7 +114,7 @@ def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
     U uniform(0, 1): most draws lie near the sphere (norm >= 0.97 r with
     probability 0.98 at m n_t = 128), few are small.  Each (m, n_t) draw, then its
     uniform, fills a row of one array; the controls are its row views, their
-    norms taken in one `lp_norm` call.
+    norms taken in one `lp_norm` call and the scaled stack checked once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -110,7 +127,7 @@ def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
             pass  # a zero draw (norm 0) is astronomically unlikely; keep the sampler total
         targets[k] = r * rng.uniform() ** (1.0 / (m * n_t))
     values *= (targets / lp_norm(Control(T, values), p))[:, None, None]
-    return [Control(T, row) for row in values]
+    return Control.rows(T, values)
 
 
 def spike_control(n: int, n_t: int) -> Control:

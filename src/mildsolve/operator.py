@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controls import Control, lp_norm
+from .controls import Control, _unchecked, lp_norm
 from .spaces import NormKind, Semigroup, StateVector, VectorField, check_norm_kind, vector_norm
 
 
@@ -41,15 +41,17 @@ class TrajectoryGrid:
     norm_kind: NormKind = 2
 
     def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be > 0")
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if states.ndim != 2 or states.shape[0] < 2:
-            raise ValueError("states must be an (n_t + 1, n) array with n_t >= 1")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("trajectory states must be finite")
-        object.__setattr__(self, "states", states)
-        check_norm_kind(self.norm_kind)
+        object.__setattr__(self, "states",
+                           _checked_states(self.horizon_T, self.states, self.norm_kind, 2))
+
+    @classmethod
+    def rows(cls, horizon_T: float, stack: np.ndarray,
+             norm_kind: NormKind = 2) -> list["TrajectoryGrid"]:
+        """The trajectories of a (B, n_t + 1, n) stack as its row views: the
+        stack is checked once, as a whole, and the rows are not checked again."""
+        stack = _checked_states(horizon_T, stack, norm_kind, 3)
+        return [_unchecked(cls, horizon_T=horizon_T, states=x, norm_kind=norm_kind)
+                for x in stack]
 
     @property
     def n_t(self) -> int:
@@ -62,6 +64,22 @@ class TrajectoryGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon_T, self.n_t + 1)
+
+
+def _checked_states(horizon_T: float, states, norm_kind: NormKind, ndim: int) -> np.ndarray:
+    """`states` as a float array of `ndim` axes whose last two are (n_t + 1, n),
+    n_t >= 1, all finite, on a horizon > 0 and a valid norm kind."""
+    if horizon_T <= 0:
+        raise ValueError("horizon_T must be > 0")
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    if states.ndim != ndim or states.shape[-2] < 2:
+        shape = "an (n_t + 1, n) array" if ndim == 2 else "a (B, n_t + 1, n) stack"
+        raise ValueError(f"states must be {shape} with n_t >= 1")
+    # NaN propagates through min and max: no boolean copy of a whole stack
+    if states.size and not (np.isfinite(states.min()) and np.isfinite(states.max())):
+        raise ValueError("trajectory states must be finite")
+    check_norm_kind(norm_kind)
+    return states
 
 
 def constant_trajectory(xi0: StateVector, T: float, n_t: int) -> TrajectoryGrid:

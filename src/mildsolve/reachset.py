@@ -29,7 +29,6 @@ from .compactness import (
     covering_net,
     covering_sizes,
     evaluation_set,
-    greedy_net,
     packing_number,
     state_cloud,
     trajectory_cloud,
@@ -88,15 +87,15 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     The controls, row views of `sample_ball`'s one array, take one forward
     pass, each trajectory certified within `tol` of its discrete fixed
     point (see `solve_batch`), and `ReachSetSample` checks their stack
-    against the ball in one call.  The trajectories
-    are row views of the pass's (count, n_t + 1, n) stack and the endpoint
-    cloud is that stack reshaped, so the states are held once.
+    against the ball in one call.  The trajectories are row views of the
+    pass's (count, n_t + 1, n) stack, checked once as a whole, and the
+    endpoint cloud is that stack reshaped, so the states are held once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
     states, _, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
-    trajectories = [TrajectoryGrid(cert.horizon_T, x, xi0.norm_kind) for x in states]
+    trajectories = TrajectoryGrid.rows(cert.horizon_T, states, xi0.norm_kind)
     return ReachSetSample(xi0, cert, controls, trajectories, state_cloud(states, xi0.norm_kind),
                           {"applications": int(taken.sum())})
 
@@ -187,6 +186,9 @@ class CounterexampleReport:
     packing_size: int
     eval_epsilon: float
     eval_covering_size: int
+    applications: int  # of F, summed over the spike solves
+    # wall seconds of the spike solves and of the packing and covering passes
+    timings: dict = field(default_factory=dict)
 
 
 # Largest deviation of a spike solution from its closed form min(n t, 1)
@@ -216,10 +218,12 @@ def counterexample_report(n_max: int, n_t: int) -> CounterexampleReport:
     cert = certify(1.0, 1.0, 1.0, 0.0, f_const.lipschitz_L, 1.0)
 
     trajectories = []
-    worst = 0.0
+    worst, applications = 0.0, 0
+    start = time.perf_counter()
     for n in ks:
         u = spike_control(n, n_t)
         res = picard_solve(xi0, u, [f_const], sg, cert, tol=1e-12)
+        applications += res.iterations
         t = res.trajectory.times
         closed = np.minimum(n * t, 1.0)
         err = float(np.abs(res.trajectory.states[:, 0] - closed).max())
@@ -229,9 +233,12 @@ def counterexample_report(n_max: int, n_t: int) -> CounterexampleReport:
                 f"spike n={n} deviates from closed form by {err:.3e}")
         trajectories.append(res.trajectory)
 
+    solved = time.perf_counter()
     packing = packing_number(trajectory_cloud(trajectories), _SPIKE_SEPARATION)
     covering = covering_net(evaluation_set(trajectories), _SPIKE_EVAL_EPS).covering_size
-    return CounterexampleReport(ks, worst, _SPIKE_SEPARATION, packing, _SPIKE_EVAL_EPS, covering)
+    return CounterexampleReport(ks, worst, _SPIKE_SEPARATION, packing, _SPIKE_EVAL_EPS, covering,
+                                applications, {"solve_s": solved - start,
+                                               "cover_s": time.perf_counter() - solved})
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,7 @@ class GammaTable:
     closed at 0); state cells are the disjointified delta-balls around the
     greedy net centers, with first-match membership.  values[i-1, j] equals
     e^{A (i T / N)} eta_j, so the image is finite with at most N * M points.
+    radii[j] is the largest |xi - eta_j| over the cloud's points in cell j.
     `certified_bound` bounds |e^{At} xi - Gamma(t, xi)| over the cloud the
     table was built on and every t in [0, T] (see `_certified_bound`).
     """
@@ -256,6 +264,7 @@ class GammaTable:
     n_time_cells: int
     centers: np.ndarray  # (M, n)
     values: np.ndarray  # (N, M, n)
+    radii: np.ndarray  # (M,)
     norm_kind: float | int
     certified_bound: float
     builds: int = 1  # tables built, halving delta after each failed one
@@ -332,41 +341,77 @@ def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
     return worst
 
 
-# Gamma tables: oscillation samples per delta, table builds
+# Gamma tables: oscillation samples per delta, table builds, halvings of the
+# sampled delta, and the time cells of one table (a vanishing delta would ask
+# for ~T / delta of them, each an orbit of every center)
 _OSCILLATION_SAMPLES = 512
 _MAX_RETRIES = 8
+_MAX_HALVINGS = 200
+_MAX_TIME_CELLS = 1 << 16
 
 
 def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
                         seed: int = 0) -> GammaTable:
-    """Build a finite-image table for e^{At} xi on the cloud K, error < eps.
+    """Build a finite-image table for e^{At} xi on the cloud K, error < eps:
+    the one-eps case of `gamma_tables`."""
+    return gamma_tables(sg, K, T, [eps], seed)[0]
+
+
+def gamma_tables(sg: Semigroup, K: PointCloud, T: float, eps_ladder: Sequence[float],
+                 seed: int = 0) -> list[GammaTable]:
+    """Finite-image tables for e^{At} xi on the cloud K, one per eps of a
+    strictly decreasing ladder, each with error < its eps.
 
     delta is estimated by halving against a sampled modulus of continuity,
     then the table (time step T/N < delta, greedy delta-net of K) passes iff
     its certified bound, which covers every point of K at every t in
     [0, T], is below eps; on failure delta is halved and the table rebuilt,
-    a bounded number of times.
+    a bounded number of times.  A delta that never passes, or a table of
+    more than `_MAX_TIME_CELLS` time cells, raises VerificationError.
+
+    The ladder shares one halving sequence: each `_sampled_oscillation`
+    call draws the same numbers whatever delta is, and a smaller eps never
+    passes before a larger one, so each eps takes the first delta that
+    passes it, exactly the delta a separate call would take.  A larger eps
+    that starts its sequence higher (max(T, 2 spread, eps)) starts its own.
     """
+    eps_ladder = list(eps_ladder)
     if K.size == 0:
         raise ValueError("K must be nonempty")
     if K.metric_kind != "state_norm":
         raise ValueError("Gamma approximation expects a state cloud")
-    if eps <= 0:
+    if not eps_ladder or any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
+        raise ValueError("eps ladder must be nonempty and strictly decreasing")
+    if eps_ladder[-1] <= 0:
         raise ValueError("eps must be > 0")
-    rng = np.random.default_rng(seed)
 
-    centroid = K.points.mean(axis=0)
-    spread = float(K.distances_to(centroid).max())
-    delta = max(T, 2.0 * spread, eps)
-    for _ in range(200):
-        if _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES) < eps:
-            break
-        delta *= 0.5
+    spread = float(K.distances_to(K.points.mean(axis=0)).max())
+    tables, start = [], None
+    for eps in eps_ladder:
+        if max(T, 2.0 * spread, eps) != start:  # a new sequence, as a separate call starts it
+            start = delta = max(T, 2.0 * spread, eps)
+            rng, halvings = np.random.default_rng(seed), 0
+            oscillation = _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES)
+        while not oscillation < eps:
+            halvings += 1
+            if halvings == _MAX_HALVINGS:
+                raise VerificationError(
+                    f"Gamma_eps sampled oscillation is not below eps {eps:.3e} at any of "
+                    f"{_MAX_HALVINGS} deltas halved from {start:.3e} (last {delta:.3e})")
+            delta *= 0.5
+            oscillation = _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES)
+        tables.append(_certified_table(sg, K, T, eps, delta))
+    return tables
 
+
+def _certified_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
+                     delta: float) -> GammaTable:
+    """The first table from delta, halved after each failed build, whose
+    certified bound is below eps."""
     bound = np.inf
     for builds in range(1, _MAX_RETRIES + 1):
         table = _build_gamma_table(sg, K, T, eps, delta)
-        bound = _certified_bound(sg, K, table)
+        bound = _certified_bound(sg, table)
         if bound < eps:
             return replace(table, certified_bound=bound, builds=builds)
         delta *= 0.5
@@ -375,43 +420,67 @@ def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
         f"(last certified bound {bound:.3e} vs eps {eps:.3e})")
 
 
+def _net_cells(K: PointCloud, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The index-order greedy delta-net of K (`compactness.greedy_net`) and the
+    radius of each center's first-match cell (`GammaTable.state_cell`), from
+    one sweep of the points not in a cell yet.
+
+    The first such point becomes the next center: it is >= delta from every
+    earlier center.  Its distances, the floats `state_cell` compares (one
+    `vector_norm` row per point, whatever the other rows), put every such
+    point within delta in its cell, and their max is the cell's radius.
+    """
+    scratch = np.empty((2,) + K.points.shape)
+    live, points = np.arange(K.size), K.points
+    net, radii = [], []
+    while live.size:
+        buf = scratch[:, :live.size]
+        d = vector_norm(np.subtract(points, points[0], out=buf[0]), K.norm_kind, buf[1])
+        inside = d < delta
+        net.append(live[0])
+        radii.append(d[inside].max())
+        live, points = live[~inside], points[~inside]
+    return np.array(net), np.array(radii)
+
+
 def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
                        delta: float) -> GammaTable:
+    if T / delta >= _MAX_TIME_CELLS:  # the table takes floor(T / delta) + 1 cells
+        raise VerificationError(
+            f"Gamma_eps table for eps {eps:.3e} at delta {delta:.3e} needs more than "
+            f"{_MAX_TIME_CELLS} time cells")
     n_cells = max(1, int(np.ceil(T / delta)))
     if T / n_cells >= delta:
         n_cells += 1
-    net = greedy_net(K, delta)
-    centers = K.points[np.array(net.net_indices)]
+    net, radii = _net_cells(K, delta)
+    centers = K.points[net]
     values = np.stack([semigroup_act(semigroup_step(sg, i * T / n_cells), centers)
                        for i in range(1, n_cells + 1)])
-    return GammaTable(T, eps, delta, n_cells, centers, values, K.norm_kind, np.inf)
+    return GammaTable(T, eps, delta, n_cells, centers, values, radii, K.norm_kind, np.inf)
 
 
-def _certified_bound(sg: Semigroup, K: PointCloud, table: GammaTable) -> float:
-    """Upper bound on |e^{At} xi - Gamma(t, xi)| over xi in K and t in [0, T].
+def _certified_bound(sg: Semigroup, table: GammaTable) -> float:
+    """Upper bound on |e^{At} xi - Gamma(t, xi)| over xi in the table's
+    cloud and t in [0, T].
 
     Take t in time cell i, (t_{i-1}, t_i], and xi in state cell j with
     center eta_j.  Then |e^{At} xi - e^{A t_i} eta_j| <= M e^{mu t_i} r_j +
     osc_ij, with (M, mu) the semigroup's class, r_j the largest
-    |xi - eta_j| over K's points in cell j and osc_ij the sup over the cell
-    of |(e^{At} - e^{A t_i}) eta_j|.  Each mode of a diagonal generator is
-    monotone in t, so that sup is |(e^{A t_{i-1}} - e^{A t_i}) eta_j|
-    exactly; for a dense one e^{A t_i} - e^{At} = int_t^{t_i} e^{As} A ds
-    gives osc_ij <= h M e^{mu t_i} |A eta_j|, h = T / N.
+    |xi - eta_j| over the cloud's points in cell j (`table.radii`) and
+    osc_ij the sup over the cell of |(e^{At} - e^{A t_i}) eta_j|.  Each mode
+    of a diagonal generator is monotone in t, so that sup is
+    |(e^{A t_{i-1}} - e^{A t_i}) eta_j| exactly; for a dense one
+    e^{A t_i} - e^{At} = int_t^{t_i} e^{As} A ds gives
+    osc_ij <= h M e^{mu t_i} |A eta_j|, h = T / N.
     """
-    j = table.state_cell(K.points) - 1
-    if np.any(j < 0):
-        raise VerificationError("net construction left cloud points uncovered")
-    radius = np.zeros(table.n_state_cells)
-    np.maximum.at(radius, j, vector_norm(K.points - table.centers[j], K.norm_kind))
     n_cells, h = table.n_time_cells, table.horizon_T / table.n_time_cells
     growth = sg.class_M * np.exp(sg.class_mu * h * np.arange(1, n_cells + 1))[:, None]
     if sg.is_diagonal:  # the table's own values at t_{i-1} (the centers at t_0 = 0) and t_i
         before = np.concatenate([table.centers[None], table.values[:-1]])
-        osc = vector_norm(before - table.values, K.norm_kind)
+        osc = vector_norm(before - table.values, table.norm_kind)
     else:
-        osc = h * growth * vector_norm(table.centers @ sg.generator.T, K.norm_kind)
-    return float((growth * radius + osc).max())
+        osc = h * growth * vector_norm(table.centers @ sg.generator.T, table.norm_kind)
+    return float((growth * table.radii + osc).max())
 
 
 def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> PointCloud:

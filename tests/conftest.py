@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from mildsolve import Control, StateVector, TrajectoryGrid, VerificationError
 from mildsolve.cli import build_system
-from mildsolve.compactness import PointCloud
+from mildsolve.compactness import PointCloud, greedy_net
 from mildsolve.controls import lp_norm
 from mildsolve.config import RunConfig
 from mildsolve.operator import semigroup_act, semigroup_step
+from mildsolve.reachset import (_MAX_HALVINGS, _MAX_RETRIES, _OSCILLATION_SAMPLES,
+                                GammaTable, _certified_bound, _sampled_oscillation)
 from mildsolve.spaces import vector_norm
 
 
@@ -121,3 +124,56 @@ def sample_ball_oracle(p, r, T, m, n_t, count, seed):
         target = r * rng.uniform() ** (1.0 / (m * n_t))
         out.append(u.scaled(target / nrm))
     return out
+
+
+def gamma_cells_oracle(table, K):
+    """First-match cells (`GammaTable.state_cell`) of every point of the cloud
+    K in a table built on it, and each cell's radius by a brute-force pass:
+    the largest |xi - eta_j| over the points xi in cell j."""
+    cells = table.state_cell(K.points)
+    if np.any(cells < 1):
+        raise VerificationError("net construction left cloud points uncovered")
+    radii = np.zeros(table.n_state_cells)
+    np.maximum.at(radii, cells - 1,
+                  vector_norm(K.points - table.centers[cells - 1], K.norm_kind))
+    return cells, radii
+
+
+def gamma_approximation_oracle(sg, K, T, eps, seed=0):
+    """One Gamma table built on its own, the oracle of `reachset.gamma_tables`:
+    its own halving sequence against the sampled oscillation, then each build
+    a separate greedy delta-net (`greedy_net`), the time cells and values,
+    and the radii of `gamma_cells_oracle`."""
+    rng = np.random.default_rng(seed)
+    spread = float(K.distances_to(K.points.mean(axis=0)).max())
+    delta = max(T, 2.0 * spread, eps)
+    for _ in range(_MAX_HALVINGS):
+        if _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES) < eps:
+            break
+        delta *= 0.5
+    else:
+        raise VerificationError("sampled oscillation never below eps")
+    for builds in range(1, _MAX_RETRIES + 1):
+        n_cells = max(1, int(np.ceil(T / delta)))
+        if T / n_cells >= delta:
+            n_cells += 1
+        centers = K.points[np.array(greedy_net(K, delta).net_indices)]
+        values = np.stack([semigroup_act(semigroup_step(sg, i * T / n_cells), centers)
+                           for i in range(1, n_cells + 1)])
+        table = GammaTable(T, eps, delta, n_cells, centers, values, None, K.norm_kind, np.inf)
+        table = dataclasses.replace(table, radii=gamma_cells_oracle(table, K)[1])
+        bound = _certified_bound(sg, table)
+        if bound < eps:
+            return dataclasses.replace(table, certified_bound=bound, builds=builds)
+        delta *= 0.5
+    raise VerificationError("no certified table")
+
+
+def assert_tables_equal(a, b):
+    """Two Gamma tables agree field by field, arrays bit for bit."""
+    for f in dataclasses.fields(GammaTable):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name

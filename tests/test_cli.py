@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import mildsolve.config
 from mildsolve import cli
 from mildsolve.cli import main
 from mildsolve.config import _DEFAULTS, ConfigError, RunConfig
+from mildsolve.reachset import counterexample_report
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -102,6 +104,13 @@ class TestCertify:
         assert cert["mode"] == "hidden"
         assert cert["N"] == 4
         assert cert["rate"] == pytest.approx(16.0 / 24.0, abs=1e-4)
+
+    def test_metadata_records_the_certify_time(self, tmp_path):
+        cfg = write_config(tmp_path, scalar_system())
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        timings = load_json(out / "certificate.json")["metadata"]["timings"]
+        assert sorted(timings) == ["certify_s"] and timings["certify_s"] >= 0.0
 
     def test_zero_lipschitz_rate(self, tmp_path):
         base = scalar_system()
@@ -538,6 +547,19 @@ class TestCounterexampleCommand:
         assert report["evaluation_covering"]["size"] <= 3
         assert report["max_closed_form_error"] <= 1e-9
 
+    def test_metadata_records_timings_and_counters(self, tmp_path):
+        cfg = write_config(tmp_path, {"counterexample": {"n_max": 16, "n_t": 64}})
+        out = tmp_path / "out"
+        assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 0
+        payload = load_json(out / "counterexample.json")
+        meta = payload["metadata"]
+        assert sorted(meta["timings"]) == ["cover_s", "solve_s"]
+        assert all(seconds >= 0.0 for seconds in meta["timings"].values())
+        report = counterexample_report(16, 64)
+        assert meta["counters"] == {"applications": report.applications,
+                                    "trajectories": len(payload["spike_indices"])}
+        assert report.applications >= len(report.spike_indices) == 5
+
 
 class TestGammaCommand:
     def test_small_gamma_run(self, tmp_path):
@@ -584,6 +606,23 @@ class TestGammaCommand:
             "table_cells": sum(t["n_time_cells"] * t["n_state_cells"] for t in built)}
         assert sorted(meta["timings"]) == ["convolution_s", "sample_s", "tables_s"]
         assert all(seconds >= 0.0 for seconds in meta["timings"].values())
+
+    def test_unreachable_eps_exits_4_fast(self, tmp_path, capsys):
+        # the table delta would need exceeds the time-cell cap: a verification
+        # failure before any table is built, with nothing written
+        with open(REPO / "configs" / "heat.yaml") as fh:
+            cfg_data = yaml.safe_load(fh)
+        cfg_data["control"]["count"] = 10
+        cfg_data["gamma"]["eps"] = 1e-18
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["gamma", "--config", write_config(tmp_path, cfg_data),
+                     "--out", str(out)]) == 4
+        assert time.perf_counter() - start < 10.0
+        assert not (out / "gamma.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure:")
+        assert "eps 1.000e-18" in err and "delta" in err
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):

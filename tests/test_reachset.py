@@ -29,11 +29,14 @@ from mildsolve import (
     state_cloud,
 )
 from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
+import mildsolve.reachset as reachset
+from mildsolve import GammaTable, gamma_tables, greedy_net
 from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _certified_bound,
-                                _sampled_oscillation)
+                                _net_cells, _sampled_oscillation)
 from mildsolve.spaces import vector_norm
 
-from conftest import diagnostic_system, verify_gamma
+from conftest import (assert_tables_equal, diagnostic_system, gamma_approximation_oracle,
+                      gamma_cells_oracle, verify_gamma)
 
 
 class TestSampleReachset:
@@ -272,7 +275,7 @@ class TestGammaApproximation:
     def test_certified_bound_covers_brute_force(self, case, rng):
         sg, cloud, tables = bound_case(case, rng)
         for table in tables:
-            bound = _certified_bound(sg, cloud, table)
+            bound = _certified_bound(sg, table)
             assert table.certified_bound in (bound, np.inf)  # inf: built, not certified
             n = table.n_time_cells
             starts = np.arange(n) * 1.0 / n  # every t_{i-1}, and just inside cell i
@@ -291,6 +294,139 @@ class TestGammaApproximation:
         t2 = gamma_approximation(sg, cloud, 1.0, 0.1, seed=3)
         assert t1.delta == t2.delta
         assert np.array_equal(t1.values, t2.values)
+
+
+def heat_field_cloud(count=20, dim=16):
+    """The heat system's field-value cloud (identity field: the sample's states)."""
+    sg, fields, cert, xi0 = diagnostic_system(dim)
+    return sg, field_value_cloud(sample_reachset(xi0, count, 5, fields, sg, cert, 32), fields)
+
+
+def lattice_cloud(norm_kind):
+    """Integer points of a 6 x 6 grid, each of the first row twice: many
+    points at exactly 1, sqrt 2 and 2 from one another."""
+    grid = np.array([[i, j] for i in range(6) for j in range(6)], dtype=float)
+    return state_cloud(np.concatenate([grid, grid[:6]]), norm_kind)
+
+
+def sweep_case(case):
+    """(semigroup, cloud, delta) of one sweep case, each with several state cells."""
+    rng = np.random.default_rng(31)
+    kind = {"1": 1, "2": 2, "inf": np.inf}[case.split("-")[-1]]
+    if case.startswith("lattice"):  # delta a lattice distance: points that far lie outside
+        return diagonal_semigroup([-1.0, -2.0]), lattice_cloud(kind), 2.0
+    if case.startswith("uniform"):
+        return (diagonal_semigroup([-1.0, -2.0, -3.0]),
+                state_cloud(rng.uniform(-1.0, 1.0, (300, 3)), kind), 0.4)
+    if case.startswith("tiny"):  # squared distances underflow: the rescued norm decides
+        return (diagonal_semigroup([-1.0, -2.0, -3.0]),
+                state_cloud(1e-160 * rng.uniform(-1.0, 1.0, (200, 3)), kind), 4e-161)
+    sg, cloud = heat_field_cloud()
+    cloud = state_cloud(cloud.points, kind)
+    return sg, cloud, float(cloud.distances_to(cloud.points.mean(axis=0)).max()) / 10
+
+
+SWEEPS = [f"{cloud}-{kind}" for cloud in ("lattice", "uniform", "tiny", "heat")
+          for kind in ("1", "2", "inf")]
+
+
+class TestGammaSweep:
+    """One sweep builds each table's net, first-match cells and radii, and
+    one ladder call builds what separate one-eps builds build."""
+
+    @pytest.mark.parametrize("case", SWEEPS)
+    def test_sweep_matches_state_cell_and_brute_force_radii(self, case):
+        sg, cloud, delta = sweep_case(case)
+        net, radii = _net_cells(cloud, delta)
+        assert net.tolist() == greedy_net(cloud, delta).net_indices
+        table = _build_gamma_table(sg, cloud, 10 * delta, 0.1, delta)  # 11 time cells
+        assert table.n_state_cells == len(net) > 3
+        assert np.array_equal(table.centers, cloud.points[net])
+        _, brute = gamma_cells_oracle(table, cloud)
+        assert np.array_equal(table.radii, brute) and np.array_equal(radii, brute)
+        assert np.all(table.radii < delta)
+
+    @pytest.mark.parametrize("kind", [1, 2, np.inf])
+    def test_points_at_exactly_delta_stay_outside(self, kind):
+        # delta 1 on the integer lattice: no other point is closer than 1, so
+        # every distinct point is a center and only duplicates share a cell
+        cloud = lattice_cloud(kind)
+        net, radii = _net_cells(cloud, 1.0)
+        assert net.tolist() == list(range(36))
+        assert np.array_equal(radii, np.zeros(36))
+
+    @pytest.mark.parametrize("case", ["heat", "dense2", "wide-eps"])
+    def test_ladder_matches_separate_builds(self, case):
+        T = 1.0
+        if case == "heat":
+            sg, cloud = heat_field_cloud()
+            ladder = [0.1, 0.05, 0.02, 0.01]
+        elif case == "dense2":
+            sg = dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)
+            cloud = state_cloud(np.random.default_rng(3).uniform(-1.0, 1.0, (120, 2)))
+            ladder = [0.6, 0.4]
+        else:  # an eps above T and 2 spread starts its own halving sequence
+            sg = diagonal_semigroup([-1.0])
+            cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
+            ladder = [5.0, 3.0, 0.1, 0.05]
+        tables = gamma_tables(sg, cloud, T, ladder, seed=7)
+        assert len(tables) == len(ladder)
+        for eps, table in zip(ladder, tables):
+            assert_tables_equal(table, gamma_approximation_oracle(sg, cloud, T, eps, seed=7))
+            assert_tables_equal(reachset.gamma_approximation(sg, cloud, T, eps, seed=7), table)
+        if case == "heat":  # the ladder sees several cells and a rebuild
+            assert max(t.n_state_cells for t in tables) > 1
+            assert max(t.builds for t in tables) > 1
+
+    def test_ladder_runs_one_halving_sequence(self, monkeypatch):
+        # the whole ladder samples the oscillation as often as its finest eps alone
+        sg, cloud = heat_field_cloud()
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return _sampled_oscillation(*args)
+
+        monkeypatch.setattr(reachset, "_sampled_oscillation", counted)
+        gamma_tables(sg, cloud, 1.0, [0.1, 0.05, 0.02, 0.01], seed=7)
+        ladder, calls[:] = list(calls), []
+        gamma_approximation(sg, cloud, 1.0, 0.01, seed=7)
+        assert ladder == calls and len(calls) > 1
+
+    def test_build_and_bound_never_call_state_cell(self, monkeypatch):
+        sg, cloud = heat_field_cloud()
+
+        def refuse(self, xi):
+            raise AssertionError("state_cell called")
+
+        monkeypatch.setattr(GammaTable, "state_cell", refuse)
+        tables = gamma_tables(sg, cloud, 1.0, [0.02, 0.01], seed=5)
+        assert all(t.n_state_cells > 1 for t in tables)
+        with pytest.raises(AssertionError, match="state_cell called"):
+            tables[0].state_cell(cloud.points)
+
+    def test_ladder_validation(self):
+        sg, cloud = diagonal_semigroup([-1.0]), state_cloud([[0.5]])
+        for ladder in ([0.1, 0.0], [0.0], [0.1, -1.0]):
+            with pytest.raises(ValueError, match="eps must be > 0"):
+                gamma_tables(sg, cloud, 1.0, ladder)
+        for ladder in ([], [0.1, 0.1], [0.05, 0.1]):
+            with pytest.raises(ValueError, match="nonempty and strictly decreasing"):
+                gamma_tables(sg, cloud, 1.0, ladder)
+
+    def test_oscillation_that_never_passes_raises(self, monkeypatch):
+        monkeypatch.setattr(reachset, "_MAX_HALVINGS", 3)
+        sg, cloud = diagonal_semigroup([-1.0]), state_cloud(np.linspace(0, 1, 11)[:, None])
+        with pytest.raises(VerificationError, match=r"eps 1\.000e-06 at any of 3 deltas halved from 1\.000e\+00 \(last 2\.500e-01\)"):
+            gamma_approximation(sg, cloud, 1.0, 1e-6)
+
+    def test_table_over_the_time_cell_cap_raises_before_building(self, monkeypatch):
+        sg, cloud = diagonal_semigroup([-1.0]), state_cloud(np.linspace(0, 1, 11)[:, None])
+        assert gamma_approximation(sg, cloud, 1.0, 0.05).n_time_cells > 8
+        monkeypatch.setattr(reachset, "_MAX_TIME_CELLS", 8)
+        monkeypatch.setattr(reachset, "_net_cells", None)  # no sweep may start
+        with pytest.raises(VerificationError, match=r"eps 5\.000e-02 at delta .* 8 time cells"):
+            gamma_approximation(sg, cloud, 1.0, 0.05)
 
 
 def bound_case(case, rng):
