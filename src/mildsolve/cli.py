@@ -149,9 +149,15 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
                 ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
                 [[row["n"], row["p"], repr(row["eps"]), row["n_reach"],
                   row["n_ball"], row["sample_size"]] for row in report.rows])
+    dims = report.dimensions.values()
+    totals = {  # over the dimensions
+        "timings": {key: sum(d["timings"][key] for d in dims) for key in ("sample_s", "cover_s")},
+        "counters": {"trajectories": control["count"] * len(dims),
+                     **{key: sum(d["solves"][key] for d in dims)
+                        for key in ("applications", "rounding_certified")}}}
     _write_json(out_dir / "reachset.json",
                 {"rows": report.rows, "diagnostic_config": report.config,
-                 "metadata": {**_metadata(cfg), "dimensions": report.dimensions}})
+                 "metadata": {**_metadata(cfg), "dimensions": report.dimensions, **totals}})
     print(f"wrote {out_dir / 'diagnostic.csv'} ({len(report.rows)} rows)")
     return EXIT_OK
 
@@ -185,9 +191,14 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     cloud = field_value_cloud(sample, fields)
     eps = cfg.gamma["eps"]
     table, half = gamma_tables(sg, cloud, T, [eps, eps / 2.0], seed=seed)
-    _write_json(out_dir / "gamma.json",
-                {"table": table.to_dict(), "metadata": _metadata(cfg)})
     tabled = time.perf_counter()
+    timings = {"sample_s": sampled - start, "tables_s": tabled - sampled}
+    counters = {"applications": sample.solves["applications"], "field_values": cloud.size,
+                "table_cells": table.verification_points + half.verification_points}
+    _write_json(out_dir / "gamma.json",
+                {"table": table.to_dict(),
+                 "metadata": {**_metadata(cfg), "timings": timings, "counters": counters}})
+    written = time.perf_counter()
 
     verification = {
         "eps": eps,
@@ -216,12 +227,9 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
                 {"verification": verification,
                  "metadata": {**_metadata(cfg), "solves": sample.solves,
                               "tables": [table.summary(), half.summary()],
-                              "timings": {"sample_s": sampled - start, "tables_s": tabled - sampled,
-                                          "convolution_s": checked - tabled},
-                              "counters": {"applications": sample.solves["applications"]
-                                           + conv.n_controls, "field_values": cloud.size,
-                                           "table_cells": table.verification_points
-                                           + half.verification_points}}})
+                              "timings": {**timings, "convolution_s": checked - written},
+                              "counters": {**counters, "applications": counters["applications"]
+                                           + conv.n_controls}}})
     print(f"Gamma table: {table.n_time_cells} x {table.n_state_cells} cells, "
           f"certified max error {table.certified_bound:.3e} < {eps}")
     return EXIT_OK

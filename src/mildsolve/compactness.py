@@ -19,7 +19,7 @@ import numpy as np
 
 from .controls import Control
 from .operator import ContractionCertificate, TrajectoryGrid
-from .spaces import NormKind, check_norm_kind, vector_norm
+from .spaces import NormKind, all_finite, check_norm_kind, vector_norm
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class PointCloud:
                 raise ValueError("trajectory cloud needs an (N, n_t + 1, n) array")
         else:
             raise ValueError(f"unknown metric_kind {self.metric_kind!r}")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if not all_finite(pts):
             raise ValueError("cloud points must be finite")
         object.__setattr__(self, "points", pts)
         check_norm_kind(self.norm_kind)

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .controls import Control, _unchecked, lp_norm
-from .spaces import NormKind, Semigroup, StateVector, VectorField, check_norm_kind, vector_norm
+from .spaces import (_EPS, _ETA, _TINY, NormKind, Semigroup, StateVector, VectorField, all_finite,
+                     check_norm_kind, vector_norm)
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ def _checked_states(horizon_T: float, states, norm_kind: NormKind, ndim: int) ->
     if states.ndim != ndim or states.shape[-2] < 2:
         shape = "an (n_t + 1, n) array" if ndim == 2 else "a (B, n_t + 1, n) stack"
         raise ValueError(f"states must be {shape} with n_t >= 1")
-    # NaN propagates through min and max: no boolean copy of a whole stack
-    if states.size and not (np.isfinite(states.min()) and np.isfinite(states.max())):
+    if not all_finite(states):
         raise ValueError("trajectory states must be finite")
     check_norm_kind(norm_kind)
     return states
@@ -169,6 +169,36 @@ def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> Traj
     return TrajectoryGrid(T, states, xi0.norm_kind)
 
 
+# np.exp(a) is taken to lie within this many ulps of e^a.  The tests check it
+# against 50-digit values on the arguments the rounding bound meets.
+EXP_ULPS = 4
+
+
+def exp_rounding(args: np.ndarray) -> np.ndarray:
+    """kappa with |np.exp(args) - e^a| <= kappa (np.exp(args) + 2^-1022) for
+    every real a that `args` rounds (|args - a| <= u |args| + 2^-1075).
+
+    An ulp of y is at most 2u max(y, 2^-1022), so `EXP_ULPS` gives
+    |np.exp(args) - e^args| <= 2 K u max(e^args, 2^-1022), and the argument's
+    rounding d adds e^args (e^d - 1).  kappa = 2 (2 K u + d) covers both for
+    d <= 0.01; a larger d has |args| > 9e13, where np.exp is 0 (and e^a <
+    2^-1022 e^-36) or inf.
+    """
+    return 2.0 * (2.0 * EXP_ULPS * _EPS + _EPS * np.abs(args) + _ETA)
+
+
+def _power_bound(base: np.ndarray, k: int) -> np.ndarray:
+    """An upper bound on max(1, base)^k, elementwise: square and multiply,
+    each rounded product raised by 4u so that it never falls below the exact one."""
+    up = 1.0 + 4.0 * _EPS
+    power, out = np.maximum(base, 1.0), np.ones_like(base)
+    while k:
+        if k & 1:
+            out = out * power * up
+        power, k = power * power * up, k >> 1
+    return out
+
+
 class BatchOperator:
     """The discretized F(x, u) on the grid t_j = j T / n_t, applied to stacks.
 
@@ -186,27 +216,100 @@ class BatchOperator:
         self.step = semigroup_step(sg, self.h)
         self.powers = scan_powers(self.step, n_t + 1)
         self.orbit = semigroup_orbit(sg, xi0, T, n_t)
+        self.eigenvalues = sg.eigenvalues  # None for a dense generator
 
-    def fixed_point(self, values: np.ndarray) -> np.ndarray:
-        """The discrete fixed points x_b = F(x_b, u_b) for control values (B, m, n_t).
+    def fixed_point(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The discrete fixed points x_b = F(x_b, u_b) for control values
+        (B, m, n_t), and bounds rho_b >= max_j |x_bj - F(x_b, u_b)_j| in the
+        state norm.
 
         F is strictly causal: cell c feeds only the states j >= c + 1.  So
         its fixed point is the exponential-Euler recursion S_{j+1} =
         E (S_j + h g_j), g_j = sum_i u_i(c_j) f_i(t_j, x_j), x_j = e^{A t_j}
         xi0 + S_j (Hochbruck & Ostermann, Acta Numerica 2010): one pass over
         the grid, equal to the limit of Picard iteration up to rounding.
+
+        rho is a forward rounding analysis of this pass (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, ch. 3).  The F it bounds
+        against takes the floats held (h, t_j, the eigenvalues, xi0, the
+        control values, the computed states x) as exact data, with exact
+        arithmetic and exact e^{lambda h}, e^{lambda t_j}.  With u = 2^-53,
+        eta = 2^-1074, tau = 2^-1022 and |.| taken componentwise:
+
+        * Each product is within u |result| + eta / 2 of the exact one, each
+          sum within u |result|.  E^ = np.exp(fl(lambda h)) is within kappa E-
+          of e^{lambda h}, E- = E^ + tau, kappa from `exp_rounding`.
+        * One step computes a_i = fl(h u_i), b_i = fl(a_i f^_i), w^(i) =
+          fl(w^(i-1) + b_i) from w^(0) = S^_j, and S^_{j+1} = fl(E^ w^(m)).
+          |a_i - h u_i| <= u |a_i| holds when a_i is 0 or normal; a control
+          with a subnormal h u_i reads rho = inf.  |f^_i - f_i| <= phi_i is
+          the field's declared `eval_error`.  With |b_i| <= |w^(i)| / (1 - u)
+          + |w^(i-1)| and |S^_{j+1}| <= (1 + u) E- |w^(m)| + eta / 2, a z_j >=
+          |S^_j - S_j| + 3u |S^_j| obeys z_0 = 0 and z_{j+1} <= P z_j + Q W_j
+          + R Phi_j + s, with W_j = sum_i |w^(i)|, Phi_j = sum_i |a_i| phi_i,
+          P = (1 + kappa) E-, Q = (2 kappa + 10 u) E-, R = (1 + kappa)(1 + 2u) E-
+          and s = ((1 + kappa) E- m + 6) eta.  Hence z_j <= G (Q sum_c W_c
+          + R sum_c Phi_c + n_t s) for every j, G >= max(1, P)^(n_t - 1)
+          (`_power_bound`): the pass sums W and Phi on its (B, n) slices.
+        * x^_j = fl(S^_j + o^_j) is within u (1 + u)(|S^_j| + |o^_j|) of
+          S^_j + o^_j, and the orbit o^_j = fl(np.exp(fl(t_j lambda)) xi0)
+          within (u + 2 kappa_j)|o^_j| + kappa_j tau |xi0| + eta of
+          e^{A t_j} xi0.  The first part of the former lies in z_j; the
+          table D_j = (3u + 2 kappa_j)|o^_j| + kappa_j tau |xi0| + 4 eta
+          covers the rest.
+
+        So |x^_j - F(x^)_j| <= z_j + D_j, and rho = |G (...)| + max_j |D_j|
+        in the state norm, raised by 2 k u for the k <= m n_t + n + 24
+        roundings of its own evaluation.  A dense semigroup (expm's E^ has no
+        proved error) or a field with no `eval_error` reads rho = inf; a
+        non-finite pass reads inf or NaN.
         """
         batch = values.shape[0]
         states = np.empty((batch,) + self.orbit.states.shape)
         states[:, 0] = self.orbit.states[0]
         integral = np.zeros(states[:, 0].shape)
+        weights = self.h * values  # a_i per control and cell
+        errors = [f.eval_error for f in self.fields]
+        bounded = self.eigenvalues is not None and None not in errors
+        if bounded:
+            sizes, scratch, field_errors = (np.zeros_like(integral), np.empty_like(integral),
+                                            np.zeros_like(integral))
         for j, t in enumerate(self.times[:-1]):
             times, x = np.full(batch, t), states[:, j]
             for i, f in enumerate(self.fields):
-                integral += self.h * values[:, i, j, None] * f(times, x)
+                integral += weights[:, i, j, None] * f(times, x)
+                if bounded:
+                    sizes += np.abs(integral, out=scratch)
+                    if callable(errors[i]):
+                        field_errors += np.abs(weights[:, i, j, None]) * errors[i](times, x)
             semigroup_act(self.step, integral, integral)
             np.add(integral, self.orbit.states[j + 1], out=states[:, j + 1])
-        return states
+        if not bounded:
+            return states, np.full(batch, np.inf)
+        return states, self._residual_bounds(weights, values, sizes, field_errors)
+
+    def _residual_bounds(self, weights: np.ndarray, values: np.ndarray, sizes: np.ndarray,
+                         field_errors: np.ndarray) -> np.ndarray:
+        """rho of `fixed_point` from the pass's sums W and Phi (see there)."""
+        n_t, m, n = len(self.times) - 1, len(self.fields), self.orbit.dim
+        kind = self.orbit.norm_kind
+        kappa = exp_rounding(self.eigenvalues * self.h)
+        e_bar = self.step + _TINY
+        orbit = np.abs(self.orbit.states)
+        orbit_kappa = exp_rounding(np.outer(self.times, self.eigenvalues))
+        with np.errstate(over="ignore", invalid="ignore"):  # past the floats reads inf
+            growth = _power_bound((1.0 + kappa) * e_bar, n_t - 1)
+            bound = (2.0 * kappa + 10.0 * _EPS) * e_bar * sizes
+            bound += (1.0 + kappa) * (1.0 + 2.0 * _EPS) * e_bar * field_errors
+            bound += n_t * ((1.0 + kappa) * e_bar * m + 6.0) * _ETA
+            bound *= growth
+            table = ((3.0 * _EPS + 2.0 * orbit_kappa) * orbit
+                     + orbit_kappa * _TINY * orbit[0] + 4.0 * _ETA)
+            rho = vector_norm(bound, kind) + vector_norm(table, kind).max()
+            rho *= 1.0 + 2.0 * (m * n_t + n + 24) * _EPS
+        subnormal = (np.abs(weights) < _TINY) & (values != 0.0)
+        rho[subnormal.any(axis=(1, 2))] = np.inf
+        return rho
 
     def __call__(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
         """F(x_b, u_b) for states (B, n_t + 1, n) and control values (B, m, n_t).

@@ -69,7 +69,9 @@ class ReachSetSample:
     controls: list
     trajectories: list
     endpoints: PointCloud  # evaluation set of the trajectories
-    solves: dict = field(default_factory=dict)  # the applications of F that certified the solves
+    # the applications of F that certified the solves, the controls the
+    # forward pass's rounding bound certified alone and the largest bound
+    solves: dict = field(default_factory=dict)
 
     def __post_init__(self):  # one ball check and one start check, on the whole stack
         self.cert.control_norm(stack_controls(self.controls))
@@ -94,10 +96,12 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
-    states, _, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
+    states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
     trajectories = TrajectoryGrid.rows(cert.horizon_T, states, xi0.norm_kind)
     return ReachSetSample(xi0, cert, controls, trajectories, state_cloud(states, xi0.norm_kind),
-                          {"applications": int(taken.sum())})
+                          {"applications": int(taken.sum()),
+                           "rounding_certified": int(np.count_nonzero(taken == 0)),
+                           "bound_max": float(bounds.max())})
 
 
 # ---------------------------------------------------------------------------

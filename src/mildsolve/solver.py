@@ -13,10 +13,17 @@ computes every control's discrete fixed point x in one causal forward pass
 (`BatchOperator.fixed_point`), returns it as it is and certifies it by
 ``d(x, fixed point) <= d(x, F^N x) / (1 - C)``, N = `cert.block`: in the
 sup-norm on the hidden route (F^N contracts it) and in the omega-weighted
-norm on the omega route (N = 1).  On the hidden route the factorial
-estimate bounds d(x, F^N x) from the first j <= N applications, so a
-control stops at the first j whose bound meets the tolerance: one
-application for a forward pass of rounding-sized residual.
+norm on the omega route (N = 1).  The factorial estimate bounds
+d(x, F^N x) by ``d(x, F^j x) + T_{N-j} d(F^{j-1} x, F^j x)`` (T = 0 on the
+omega route), and one stopping rule stops each control at the first stage
+j = 0, 1, ..., N whose bound meets the tolerance:
+
+* j = 0 takes no application: the pass's proved rounding bound rho >=
+  sup|x - F x| gives ``(1 + T_{N-1}) rho / (1 - C)``.  It certifies every
+  control of a diagonal semigroup whose fields declare their evaluation
+  error, unless the tail T_{N-1} is huge;
+* j >= 1 applies F j times (`_forward_bounds`), to the controls that j = 0
+  leaves: a dense semigroup, a field with no declared error, a huge tail.
 """
 
 from __future__ import annotations
@@ -50,7 +57,9 @@ class SolveResult:
 
     trajectory: TrajectoryGrid
     iterate_gaps: list  # sup-norm gap per Picard application; empty for a batch solve
-    iterations: int  # applications of F: up to the returned iterate, or that certified it
+    # applications of F: up to the returned iterate, or that certified it; a
+    # batch solve reads 0 when the forward pass's rounding bound certified it
+    iterations: int
     certificate: ContractionCertificate
     a_posteriori_bound: float  # in the certificate's metric (see `solve_batch` for its own)
 
@@ -135,7 +144,8 @@ def _forward_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarr
                     kind) -> tuple[np.ndarray, np.ndarray]:
     """Banach bounds on d(x, x*) for candidate trajectories x (B, n_t + 1, n),
     in `cert.distance`'s metric of one step (the sup-norm on the hidden
-    route), and the applications of F each bound took.
+    route), and the applications of F each bound took: the stages j >= 1 of
+    the stopping rule, for the controls its stage j = 0 leaves (`_solve_stack`).
 
     After j <= N = `cert.block` applications, d(x, F^N x) <= d(x, F^j x) +
     T_{N-j} d(F^{j-1} x, F^j x) with `tails` = `cert.residual_tails()`, and
@@ -181,7 +191,9 @@ def _solve_stack(xi0: StateVector, controls: Sequence[Control],
                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward-pass states (B, n_t + 1, n) of B >= 1 controls on one
     grid with one channel per field, each within its bound of its discrete
-    fixed point (`_forward_bounds`), the bounds and the applications taken.
+    fixed point, the bounds and the applications taken (see the module
+    docstring): 0 for a control the pass's rounding bound certifies, else
+    those of `_forward_bounds`, which runs on the other controls only.
 
     A non-finite iterate, or a bound that is not <= `tol`, raises
     RuntimeError with the control's index.  Ball membership is the caller's
@@ -194,12 +206,15 @@ def _solve_stack(xi0: StateVector, controls: Sequence[Control],
         raise _control_failed(int(np.argmax(values.any(axis=(1, 2)))), RuntimeError(
             f"the certificate's block of {cert.block} applications exceeds the application cap"))
     apply_F = BatchOperator(xi0, fields, sg, controls[0].horizon_T, controls[0].n_t)
-    states = apply_F.fixed_point(values)
+    states, residuals = apply_F.fixed_point(values)
     tails = cert.residual_tails()
-    bounds, taken = np.empty(len(controls)), np.empty(len(controls), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):  # j = 0: past the floats reads inf
+        bounds = (1.0 + tails[-1]) * residuals / (1.0 - cert.rate_C)
+    taken = np.zeros(len(controls), dtype=int)
+    left = np.flatnonzero(~(bounds <= tol))
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
-    for first in range(0, len(controls), size):
-        chunk = slice(first, first + size)
+    for first in range(0, len(left), size):
+        chunk = left[first:first + size]
         bounds[chunk], taken[chunk] = _forward_bounds(apply_F, states[chunk], values[chunk],
                                                       cert, tails, tol, xi0.norm_kind)
     bad = np.isnan(bounds)
@@ -220,8 +235,9 @@ def solve_batch(xi0: StateVector, controls: Sequence[Control],
     """Certified discrete fixed points of many controls on one grid.
 
     Each control's forward-pass candidate x is returned as it is, certified
-    by `_forward_bounds` (see the module docstring): `iterations` counts
-    the applications its bound took and `iterate_gaps` is empty.  The
+    by the first stage of the stopping rule whose bound meets `tol` (see the
+    module docstring): `iterations` counts the applications its bound took,
+    0 for the pass's rounding bound, and `iterate_gaps` is empty.  The
     trajectories are row views of one (B, n_t + 1, n) array.  Results are in
     input order and agree with `picard_solve` up to rounding.  A failed
     check, or a bound that is not <= `tol`, raises RuntimeError with the

@@ -497,6 +497,27 @@ class TestReachsetCommand:
         assert all(d["certificate"]["mode"] == "omega" and d["certificate"]["p"] == 2.0
                    for d in p2["metadata"]["dimensions"].values())
 
+    def test_metadata_totals_and_rounding_counts(self, tmp_path):
+        summary = self.run(tmp_path, heat_system(), "totals")
+        meta = summary["metadata"]
+        dims = meta["dimensions"].values()
+        for record in dims:  # 6 controls per dimension, each certified at j = 0
+            assert record["solves"]["applications"] == 0
+            assert record["solves"]["rounding_certified"] == 6
+            assert 0.0 < record["solves"]["bound_max"] <= 1e-4
+        assert meta["timings"] == {key: sum(d["timings"][key] for d in dims)
+                                   for key in ("cover_s", "sample_s")}
+        assert meta["counters"] == {"applications": 0, "rounding_certified": 12,
+                                    "trajectories": 12}
+        # a saturation field declares no evaluation error: applications certify
+        saturated = heat_system()
+        saturated["system"]["fields"] = [{"kind": "saturation", "scale": 1.0}]
+        meta = self.run(tmp_path, saturated, "saturated")["metadata"]
+        assert meta["counters"]["rounding_certified"] == 0
+        assert meta["counters"]["applications"] >= 12
+        assert meta["counters"]["applications"] == sum(
+            d["solves"]["applications"] for d in meta["dimensions"].values())
+
     def test_dimension_mismatch_exits_2_before_any_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scalar_system())  # diagonal, dimension 1
         out = tmp_path / "out"
@@ -606,6 +627,16 @@ class TestGammaCommand:
             "table_cells": sum(t["n_time_cells"] * t["n_state_cells"] for t in built)}
         assert sorted(meta["timings"]) == ["convolution_s", "sample_s", "tables_s"]
         assert all(seconds >= 0.0 for seconds in meta["timings"].values())
+        # identity field on a heat semigroup: the pass's rounding bound
+        # certifies all 10 solves, with no application
+        assert meta["solves"]["applications"] == 0
+        assert meta["solves"]["rounding_certified"] == 10
+        assert 0.0 < meta["solves"]["bound_max"] <= 1e-6
+        # gamma.json: the sample and tables, before the convolution check
+        tables_meta = load_json(out / "gamma.json")["metadata"]
+        assert tables_meta["timings"] == {key: meta["timings"][key]
+                                          for key in ("sample_s", "tables_s")}
+        assert tables_meta["counters"] == {**meta["counters"], "applications": 0}
 
     def test_unreachable_eps_exits_4_fast(self, tmp_path, capsys):
         # the table delta would need exceeds the time-cell cap: a verification
@@ -623,6 +654,21 @@ class TestGammaCommand:
         err = capsys.readouterr().err
         assert err.startswith("verification failure:")
         assert "eps 1.000e-18" in err and "delta" in err
+
+
+def test_heat_yaml_solves_take_no_application(tmp_path):
+    # configs/heat.yaml as it stands: every reach-set and Gamma solve is
+    # certified by the forward pass's rounding bound alone
+    config = str(REPO / "configs" / "heat.yaml")
+    with open(config) as fh:
+        count = yaml.safe_load(fh)["control"]["count"]
+    assert main(["reachset", "--config", config, "--out", str(tmp_path / "r")]) == 0
+    assert main(["gamma", "--config", config, "--out", str(tmp_path / "g")]) == 0
+    reach = load_json(tmp_path / "r" / "reachset.json")["metadata"]
+    gamma = load_json(tmp_path / "g" / "gamma_verification.json")["metadata"]
+    for solves in [*(d["solves"] for d in reach["dimensions"].values()), gamma["solves"]]:
+        assert solves["applications"] == 0 and solves["rounding_certified"] == count
+    assert reach["counters"]["applications"] == 0
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):

@@ -524,6 +524,18 @@ class TestCollectionUnionNets:
             collection_union_nets([], 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_clouds_raise(rng, bad):
+    # min and max see a NaN, +inf or -inf anywhere, in state and trajectory clouds
+    points = rng.uniform(-1.0, 1.0, size=(12, 5, 3))
+    points[7, 2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        state_cloud(points.reshape(-1, 3))
+    with pytest.raises(ValueError, match="finite"):
+        PointCloud(points, "sup_norm")
+    assert state_cloud(np.empty((0, 3))).size == 0
+
+
 def test_net_report_and_cloud_serialize(rng):
     cloud = state_cloud(rng.uniform(0, 1, size=(20, 3)))
     report = greedy_net(cloud, 0.4)

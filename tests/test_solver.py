@@ -381,8 +381,10 @@ def test_solve_batch_matches_picard(name, route):
         assert np.abs(res.trajectory.states - ref.trajectory.states).max() <= 1e-12
         assert np.array_equal(res.trajectory.states[0], xi0.coords)
         assert res.a_posteriori_bound <= tol
-        # the forward pass's residual is rounding-sized: one application certifies it
-        assert (res.iterations, res.iterate_gaps, res.certificate) == (1, [], cert)
+        # the forward pass's residual is rounding-sized: its proved rounding
+        # bound certifies a diagonal system, one application the dense one
+        expected = 1 if name == "dense8" else 0
+        assert (res.iterations, res.iterate_gaps, res.certificate) == (expected, [], cert)
     orbit = semigroup_orbit(sg, xi0, 1.0, 128)
     assert sup_norm(results[2].trajectory, orbit) <= tol
 
@@ -408,8 +410,8 @@ def test_forward_bound_covers_a_perturbed_candidate(name, route):
     sg, fields, xi0, cert, controls = batch_system(name, route)
     apply_F = BatchOperator(xi0, fields, sg, 1.0, 128)
     values = np.stack([u.values for u in controls])
-    noise = np.random.default_rng(40).standard_normal(apply_F.fixed_point(values).shape)
-    candidate = apply_F.fixed_point(values) + 1e-3 * noise
+    noise = np.random.default_rng(40).standard_normal(apply_F.fixed_point(values)[0].shape)
+    candidate = apply_F.fixed_point(values)[0] + 1e-3 * noise
     exact = np.stack([picard_solve(xi0, u, fields, sg, cert, tol=1e-13).trajectory.states
                       for u in controls])
     true = cert.distance([candidate], [exact], apply_F.times, xi0.norm_kind)
@@ -444,13 +446,15 @@ def test_forward_bound_of_finite_states_reads_inf():
     assert list(taken) == [1, 1]
 
 
-def test_heat_batch_takes_one_application_per_control(monkeypatch):
+def test_heat_batch_takes_no_application(monkeypatch):
+    # the forward pass's rounding bound certifies every control at j = 0
     sg, fields, xi0, cert, controls = batch_system("heat16", "hidden")
     assert cert.block == 2
     calls = spy_applications(monkeypatch)
     results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-8)
-    assert sum(calls) == len(controls)
-    assert [res.iterations for res in results] == [1] * len(controls)
+    assert calls == []
+    assert [res.iterations for res in results] == [0] * len(controls)
+    assert all(0.0 < res.a_posteriori_bound <= 1e-14 for res in results)
 
 
 def test_long_hidden_block_certifies():
@@ -467,6 +471,67 @@ def test_long_hidden_block_certifies():
         assert 1 < res.iterations < cert.N
         ref = picard_solve(xi0, u, fields, sg, cert, tol=1e-10)
         assert sup_norm(res.trajectory, ref.trajectory) <= tol
+
+
+def unbounded_system(case):
+    """A system and certificate whose forward pass has no proved rounding
+    bound small enough, and six ball controls: fields with no declared
+    evaluation error, a dense semigroup (expm's step has none) or a tail
+    T_{N-1} = 2.4e17 that no rounding bound survives."""
+    if case == "dense":
+        sg, fields, xi0, cert, controls = batch_system("dense8", "hidden")
+        return sg, fields, xi0, cert, controls
+    sg, fields, _, xi0 = diagnostic_system(16)
+    r = 40.0 if case == "large_tail" else 1.0
+    fields = {"saturation": [saturation_field(1.0)],
+              "cutoff": [cutoff_field(fields[0], xi0, 2.0)],
+              "custom": [VectorField(lambda t, x: x, 1.0, 1.0, 0.0)],
+              "large_tail": fields}[case]
+    cert = certify_hidden_contraction(r, 1.0, 0.0, 1.0, 1.0)
+    return sg, fields, xi0, cert, sample_ball(1.0, r, 1.0, 1, 128, 6, seed=3)
+
+
+@pytest.mark.parametrize("case", ["saturation", "cutoff", "custom", "dense", "large_tail"])
+def test_batch_without_a_rounding_certificate_applies_F(case, monkeypatch):
+    sg, fields, xi0, cert, controls = unbounded_system(case)
+    calls = spy_applications(monkeypatch)
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-6)
+    assert sum(calls) >= len(controls)
+    assert all(res.iterations >= 1 and res.a_posteriori_bound <= 1e-6 for res in results)
+
+
+def test_only_uncertified_controls_go_on_to_applications(monkeypatch):
+    # h u = 1e-310 / 128 is subnormal: its product's rounding is not relative,
+    # so that control alone takes the applications, in a batch of one
+    sg, fields, xi0, cert, controls = batch_system("heat16", "hidden")
+    values = controls[3].values.copy()
+    values[0, 7] = 1e-310
+    controls[3] = Control(1.0, values)
+    calls = spy_applications(monkeypatch)
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-8)
+    assert calls == [1]
+    assert [res.iterations for res in results] == [0, 0, 0, 1, 0, 0]
+
+
+def test_non_finite_pass_with_declared_field_error_raises():
+    # a field that declares itself exact but returns NaN past 1.5: the pass's
+    # bound reads NaN, and the applications name the control
+    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+    nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0,
+                            eval_error=0.0)
+    apply_F = BatchOperator(xi0, [nan_above], sg, 1.0, 16)
+    controls = [constant_control(0.3, 16), constant_control(0.0, 16), constant_control(1.0, 16)]
+    states, rho = apply_F.fixed_point(np.stack([u.values for u in controls]))
+    assert np.isfinite(rho[:2]).all() and np.isnan(rho[2])
+    with pytest.raises(RuntimeError, match=r"control #2: .*finite"):
+        solve_batch(xi0, controls, [nan_above], sg, cert)
+
+
+def test_field_error_must_be_a_bound():
+    for bad in (-1e-16, 1e-16, np.inf, np.nan):
+        with pytest.raises(ValueError, match="eval_error"):
+            VectorField(lambda t, x: x, 1.0, 1.0, 0.0, eval_error=bad)
 
 
 def test_zero_control_batch_under_overflowing_tails(monkeypatch):
@@ -549,7 +614,7 @@ def test_control_whose_powers_underflow_is_certified_and_ball_checked():
     u = constant_control(0.5, 64)
     cert = certify(2000.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     res = picard_solve(xi0, u, [f], sg, cert)
-    reference = BatchOperator(xi0, [f], sg, 1.0, 64).fixed_point(u.values[None])
+    reference = BatchOperator(xi0, [f], sg, 1.0, 64).fixed_point(u.values[None])[0]
     error = cert.distance([res.trajectory.states], [reference[0]], res.trajectory.times, 2)
     assert res.iterations > 1 and 0.0 < res.a_posteriori_bound <= 1e-8
     assert error <= res.a_posteriori_bound
