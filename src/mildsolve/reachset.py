@@ -119,6 +119,15 @@ class DiagnosticReport:
     dimensions: dict = field(default_factory=dict)
 
 
+def _covering_record(seconds: float, sizes: Sequence[int], eps_ladder: Sequence[float],
+                     sample_size: int) -> dict:
+    """Wall seconds of one cloud's farthest-point pass, and the rungs whose
+    covering is a single center (`degenerate`) or the whole sample (`censored`)."""
+    return {"seconds": seconds,
+            "degenerate": [eps for eps, size in zip(eps_ladder, sizes) if size == 1],
+            "censored": [eps for eps, size in zip(eps_ladder, sizes) if size == sample_size]}
+
+
 def compactness_diagnostic(
         systems: Sequence[tuple[Semigroup, Sequence[VectorField], ContractionCertificate]],
         eps_ladder: Sequence[float], count: int, seed: int, n_t: int = 128,
@@ -158,17 +167,23 @@ def compactness_diagnostic(
         radius = gronwall_radius(xi0, K=r, p=p, T=T, M=sg.class_M, mu=sg.class_mu,
                                  alpha=max(f.growth_alpha for f in fields),
                                  beta=max(f.growth_beta for f in fields))
-        dirs = rng.standard_normal((cloud.size, dim))  # the sphere sample
+        dirs = rng.standard_normal((cloud.size, dim))  # the sphere sample, scaled in place
         dirs /= vector_norm(dirs, norm_kind)[:, None]
-        ball = state_cloud(xi0.coords + radius * dirs, norm_kind)
+        dirs *= radius
+        dirs += xi0.coords
+        ball = state_cloud(dirs, norm_kind)
         covering = time.perf_counter()
-        sizes = zip(covering_sizes(cloud, eps_ladder), covering_sizes(ball, eps_ladder))
+        reach_sizes = covering_sizes(cloud, eps_ladder)
+        reached = time.perf_counter()
+        ball_sizes = covering_sizes(ball, eps_ladder)
         covered = time.perf_counter()
-        dimensions[dim] = {"certificate": cert.to_dict(), "gronwall_radius": radius,
-                           "solves": sample.solves,
-                           "timings": {"sample_s": sampled - start,
-                                       "cover_s": covered - covering}}
-        for eps, (n_reach, n_ball) in zip(eps_ladder, sizes):
+        dimensions[dim] = {
+            "certificate": cert.to_dict(), "gronwall_radius": radius, "solves": sample.solves,
+            "timings": {"sample_s": sampled - start, "cover_s": covered - covering},
+            "covering": {
+                "reach": _covering_record(reached - covering, reach_sizes, eps_ladder, cloud.size),
+                "sphere": _covering_record(covered - reached, ball_sizes, eps_ladder, cloud.size)}}
+        for eps, n_reach, n_ball in zip(eps_ladder, reach_sizes, ball_sizes):
             rows.append({"n": dim, "p": p, "eps": eps, "n_reach": n_reach,
                          "n_ball": n_ball, "sample_size": cloud.size})
         del sample, cloud, dirs, ball  # freed before the next dimension samples

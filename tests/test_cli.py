@@ -491,6 +491,18 @@ class TestReachsetCommand:
         for record in dims.values():  # wall seconds of the sample and solve, and of covering
             assert sorted(record["timings"]) == ["cover_s", "sample_s"]
             assert all(t >= 0.0 for t in record["timings"].values())
+            # each cloud's pass apart: its seconds and its flagged rungs
+            passes = record["covering"]
+            assert sorted(passes) == ["reach", "sphere"]
+            assert all(sorted(p) == ["censored", "degenerate", "seconds"] and p["seconds"] >= 0.0
+                       for p in passes.values())
+            assert (passes["reach"]["seconds"] + passes["sphere"]["seconds"]
+                    == pytest.approx(record["timings"]["cover_s"], abs=1e-9))
+        for row in summary["rows"]:
+            passes = dims[str(row["n"])]["covering"]
+            for cloud, size in [("reach", row["n_reach"]), ("sphere", row["n_ball"])]:
+                assert (row["eps"] in passes[cloud]["degenerate"]) == (size == 1)
+                assert (row["eps"] in passes[cloud]["censored"]) == (size == row["sample_size"])
         assert all(d["certificate"]["mode"] == "hidden" and d["certificate"]["p"] == 1.0
                    for d in dims.values())
         p2 = self.run(tmp_path, heat_system(control={"p": 2}), "p2")

@@ -247,6 +247,81 @@ class TestGramCovering:
         assert_matches_oracle(cloud, [float(np.quantile(d, q)) for q in (0.9, 0.5, 0.1)])
 
 
+def record_blocks(monkeypatch):
+    """(live count, centers settled, centers it would settle on the finest
+    possible rung) of every block the pass runs."""
+    blocks, settle = [], compactness._settle_block
+
+    def recorded(sweep, x, level):
+        picks = settle(sweep, x, level)
+        blocks.append((x.size, picks.size, settle(sweep, x, 0.0).size))
+        return picks
+
+    monkeypatch.setattr(compactness, "_settle_block", recorded)
+    return blocks
+
+
+class TestBlockCovering:
+    """Each test of a block, put to work, keeps the exact oracle's decisions."""
+
+    def test_next_leader_outside_the_candidates(self, rng, monkeypatch):
+        # a block's worth of points at ~10 from point 0, the rest at ~9 on the
+        # other side: after the first pick the leader is no candidate (tau)
+        far = [10.0, 0.0] + 1e-3 * rng.standard_normal((compactness._BLOCK, 2))
+        other = [-9.0, 0.0] + 1e-3 * rng.standard_normal((30, 2))
+        cloud = state_cloud(np.concatenate([[[0.0, 0.0]], far, other]))
+        blocks = record_blocks(monkeypatch)
+        assert_matches_oracle(cloud, [1.0, 1e-5])
+        assert blocks[0][:2] == (cloud.size, 1)  # one pick, then tau stops the block
+        assert farthest_point_oracle(cloud, [1.0])[0][2] > compactness._BLOCK
+
+    def test_contested_candidates(self, rng, monkeypatch):
+        # a unique leader opens the block; off the origin the Gram values of
+        # the tied points after it differ in their last bits
+        pairs = [[a, s * b] for a in range(1, 12) for b in range(1, 6) for s in (1, -1)]
+        square = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), -1).reshape(-1, 2)
+        for points in [np.concatenate([[[0.0, 0.0], [20.0, 0.0]], pairs]) + 1e3 + 0.3,
+                       np.concatenate([rng.standard_normal((60, 2)), square * 0.5 + 4.0]) + 7.3]:
+            cloud = state_cloud(points)
+            blocks = record_blocks(monkeypatch)
+            assert_matches_oracle(cloud, [4.0, 2.0, 1.0, 0.5, 0.25])
+            assert any(settled for _, settled, _ in blocks)
+
+    def test_block_stops_at_a_rung_boundary(self, rng, monkeypatch):
+        points = rng.standard_normal((400, 3))
+        d = full_distance_matrix(points, points, 2)
+        shifted = state_cloud(points[:150] + 5.0)  # rungs at its exact distances
+        for cloud, ladder in [(state_cloud(points), [float(np.quantile(d, q))
+                                                     for q in (0.5, 0.2, 0.1, 0.05)]),
+                              (shifted, exact_ladder(shifted))]:
+            blocks = record_blocks(monkeypatch)
+            assert_matches_oracle(cloud, ladder)
+            assert any(0 < settled < free for _, settled, free in blocks)
+
+    def test_every_live_point_a_candidate(self, rng, monkeypatch):
+        small = rng.standard_normal((40, 4))
+        small[[5, 9]] = small[2]  # duplicates
+        for points in [small, rng.standard_normal((150, 3))]:
+            blocks = record_blocks(monkeypatch)
+            cloud = state_cloud(points)
+            d = full_distance_matrix(points, points, 2)
+            d = d[d > 0]
+            assert_matches_oracle(cloud, [float(np.quantile(d, q)) for q in (0.5, 0.1, 0.01)])
+            assert any(live <= compactness._BLOCK and settled for live, settled, _ in blocks)
+
+    def test_bench_sphere_clouds_settle_in_blocks(self, monkeypatch):
+        spheres, ladder = [], [0.1, 0.05, 0.02, 0.01]
+        monkeypatch.setattr(reachset, "covering_sizes",
+                            lambda cloud, eps: spheres.append(cloud) or covering_sizes(cloud, eps))
+        systems = [diagnostic_system(dim)[:3] for dim in (16, 32, 64)]
+        compactness_diagnostic(systems, ladder, count=50, seed=5, cloud_budget=1000)
+        for ball in spheres[1::2]:  # each dimension covers its reach cloud, then the sphere
+            blocks = record_blocks(monkeypatch)
+            net, sizes = _farthest_point(ball, ladder)
+            assert ball.size == 1000 and len(net) > 900
+            assert sum(settled for _, settled, _ in blocks) >= 0.8 * (len(net) - 1)
+
+
 class TestPackingNumber:
     def test_two_point_examples(self):
         cloud = state_cloud([[0.0], [1.0]])
@@ -555,3 +630,29 @@ def test_counterexample_packing_is_dyadic_depth():
         for b in range(a + 1, len(family)):
             assert sup_norm(family[a], family[b]) >= 0.5
     assert packing_number(cloud, 0.5) == 5
+
+
+@st.composite
+def mixed_clouds(draw):
+    """Small Euclidean clouds of lattice points and normal draws, with exact
+    duplicates, shifted by offsets up to far from the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 4))
+    lattice = rng.integers(-3, 4, (draw(st.integers(0, 90)), dim)) * draw(
+        st.sampled_from([1.0, 0.3, 0.1]))
+    points = np.concatenate([lattice, rng.standard_normal((draw(st.integers(1, 60)), dim))])
+    # drawn with replacement: exact duplicates
+    points = points[rng.integers(0, len(points), len(points) + draw(st.integers(0, 20)))]
+    return points + draw(st.sampled_from([0.0, 7.3, 1e3, 1e6]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=mixed_clouds(), norm_kind=st.sampled_from([1, 2, np.inf]), data=st.data())
+def test_farthest_point_matches_full_sweep_on_mixed_clouds(points, norm_kind, data):
+    d = full_distance_matrix(points, points, norm_kind)
+    gaps = np.unique(d[d > 0]) if np.any(d > 0) else np.ones(1)
+    rungs = data.draw(st.lists(  # exact distances (ties at eps) and values between them
+        st.sampled_from(gaps.tolist()) | st.floats(gaps[0] / 4, 2 * gaps[-1]),
+        min_size=1, max_size=6, unique=True))
+    ladder = sorted(rungs, reverse=True)
+    assert _farthest_point(state_cloud(points, norm_kind), ladder) == full_sweep_fps(d, ladder)
