@@ -183,14 +183,14 @@ def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
 def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
     xi0 = cfg.build_xi0(sg.dim)
-    T, seed = cfg.system["T"], cfg.control["seed"]
+    T = cfg.system["T"]
     start = time.perf_counter()
-    sample = sample_reachset(xi0, cfg.control["count"], seed, fields, sg, cert,
+    sample = sample_reachset(xi0, cfg.control["count"], cfg.control["seed"], fields, sg, cert,
                              cfg.system["n_t"], tol=cfg.solver["tol"])
     sampled = time.perf_counter()
     cloud = field_value_cloud(sample, fields)
     eps = cfg.gamma["eps"]
-    table, half = gamma_tables(sg, cloud, T, [eps, eps / 2.0], seed=seed)
+    table, half = gamma_tables(sg, cloud, T, [eps, eps / 2.0])
     tabled = time.perf_counter()
     timings = {"sample_s": sampled - start, "tables_s": tabled - sampled}
     counters = {"applications": sample.solves["applications"], "field_values": cloud.size,

@@ -132,31 +132,32 @@ def _nearest(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
     return min_dist
 
 
-def _separated(cloud: PointCloud, indices: Sequence[int] | None, s: float) -> list[int]:
-    """Index-order greedy s-separated subset of `indices` (of every point, in
-    index order, when None).
+def _net_cells(cloud: PointCloud, delta: float,
+               rows: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The index-order greedy delta-net of the cloud's points (of the points
+    `rows`, repeats included, when given; positions index that order) and the
+    radius of each center's first-match cell, from one sweep of the points
+    not in a cell yet.
 
-    A point joins iff its distance to every chosen point is >= s.  Distances
-    are symmetric bit for bit (`vector_norm` is even in each coordinate), so
-    the running minimum over the chosen points decides exactly that test.
-    The loop jumps from each chosen point to the next index whose running
-    minimum is still >= s.
+    The first such point becomes the next center: it is >= delta from every
+    earlier center.  Its exact-kernel row (`_distances`, its own row 0, the
+    floats `GammaTable.state_cell` compares) puts every such point within
+    delta in its cell, and their max is the cell's radius.  Distances are
+    symmetric bit for bit (`vector_norm` is even in each coordinate), so a
+    point joins iff its distance to every earlier center is >= delta.
     """
-    min_dist = np.full(cloud.size, np.inf)
-    scratch = np.empty((2,) + cloud.points.shape)
-    order = None if indices is None else np.asarray(indices, dtype=np.intp)
-    chosen: list[int] = []
-    pos = 0  # the next position in index order or in `order`
-    while pos < (cloud.size if order is None else order.size):
-        ahead = (min_dist[pos:] if order is None else min_dist[order[pos:]]) >= s
-        k = int(ahead.argmax())
-        if not ahead[k]:
-            break
-        i = pos + k if order is None else int(order[pos + k])
-        pos += k + 1
-        chosen.append(i)
-        np.minimum(min_dist, cloud.distances_to(cloud.points[i], scratch, i), out=min_dist)
-    return chosen
+    points = cloud.points if rows is None else cloud.points[np.asarray(rows, dtype=np.intp)]
+    scratch = np.empty((2,) + points.shape)
+    live = np.arange(points.shape[0])
+    net, radii = [], []
+    while live.size:
+        d = _distances(points, cloud.metric_kind, cloud.norm_kind, points[0],
+                       scratch[:, :live.size], 0)
+        inside = d < delta
+        net.append(live[0])
+        radii.append(d[inside].max())
+        live, points = live[~inside], points[~inside]
+    return np.array(net, dtype=np.intp), np.array(radii)
 
 
 def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
@@ -171,7 +172,7 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    net = _separated(cloud, None, epsilon)
+    net = _net_cells(cloud, epsilon)[0].tolist()
     return NetReport(epsilon, net, len(net), len(net))
 
 
@@ -293,9 +294,12 @@ def _sweep(cloud: PointCloud) -> _ExactSweep | _GramSweep:
 def _exact_nearest(cloud: PointCloud, rows: np.ndarray, centers: Sequence[int]) -> np.ndarray:
     """The exact kernel's distance from each cloud point in `rows` to its nearest
     center, bit for bit the running minimum of the sweeps (`vector_norm` is even
-    in each coordinate, see `_separated`)."""
-    net = PointCloud(cloud.points[np.asarray(centers)], cloud.metric_kind, cloud.norm_kind)
-    return np.array([net.distances_to(cloud.points[i]).min() for i in rows])
+    in each coordinate, see `_net_cells`).  One row at a time through one
+    scratch, so a retake holds one (centers, n) block, not one per row."""
+    net = cloud.points[np.asarray(centers)]
+    scratch = np.empty((2,) + net.shape)
+    return np.array([_distances(net, cloud.metric_kind, cloud.norm_kind, cloud.points[i],
+                                scratch).min() for i in rows])
 
 
 def _settle_block(sweep: _GramSweep, x: np.ndarray, level: float) -> np.ndarray:
@@ -428,7 +432,7 @@ def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
         top = ordered[np.searchsorted(ordered, ordered[pos] + epsilon, side="right") - 1]
         net.append(int(order[np.searchsorted(ordered, top)]))
         pos = int(np.searchsorted(ordered, top + epsilon, side="right"))
-    return NetReport(epsilon, net, len(net), len(_separated(cloud, net, epsilon)))
+    return NetReport(epsilon, net, len(net), _net_cells(cloud, epsilon, net)[0].size)
 
 
 def covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
@@ -458,7 +462,7 @@ def packing_number(cloud: PointCloud, s: float) -> int:
         raise ValueError("s must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    return len(_separated(cloud, None, s))
+    return _net_cells(cloud, s)[0].size
 
 
 def hausdorff_distance(k1: PointCloud, k2: PointCloud) -> float:
@@ -510,7 +514,7 @@ def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
     centers = ev.points[np.array(ev_indices)]
     if not verify_coverage(ev, centers, epsilon):
         raise AssertionError("transferred net failed coverage verification")
-    packing = len(_separated(ev, ev_indices, epsilon))
+    packing = _net_cells(ev, epsilon, ev_indices)[0].size
     return NetReport(epsilon, ev_indices, len(ev_indices), packing)
 
 
@@ -547,7 +551,7 @@ def iterated_images(x0: TrajectoryGrid, u_sample: Sequence[Control],
 
 
 def _hausdorff_separated(clouds: Sequence[PointCloud], s: float) -> list[int]:
-    """Index-order greedy s-separated subset of `clouds` under d_H (see `_separated`)."""
+    """Index-order greedy s-separated subset of `clouds` under d_H (see `_net_cells`)."""
     chosen: list[int] = []
     for i, k in enumerate(clouds):
         if all(hausdorff_distance(k, clouds[j]) >= s for j in chosen):
@@ -587,7 +591,7 @@ def collection_union_nets(family: Sequence[PointCloud],
     if not verify_coverage(union, centers, epsilon):
         raise AssertionError("union net failed coverage verification")
     union_report = NetReport(epsilon, union_indices, len(union_indices),
-                             len(_separated(union, union_indices, epsilon)))
+                             _net_cells(union, epsilon, union_indices)[0].size)
 
     # if direction: subsets of a union eps-net form a Hausdorff eps-net
     base = greedy_net(union, epsilon)

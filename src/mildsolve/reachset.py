@@ -26,6 +26,7 @@ import numpy as np
 
 from .compactness import (
     PointCloud,
+    _net_cells,
     covering_net,
     covering_sizes,
     evaluation_set,
@@ -334,65 +335,35 @@ class GammaTable:
                 "degenerate": self.n_state_cells == 1}
 
 
-def _sampled_oscillation(sg: Semigroup, cloud: PointCloud, T: float,
-                         delta: float, rng: np.random.Generator,
-                         sample_count: int) -> float:
-    """Sampled modulus of continuity of e^{At} xi over [0,T] x hull(cloud)."""
-    pts = cloud.points
-    pick = rng.integers(0, pts.shape[0], size=(sample_count, 2))
-    mix = rng.uniform(size=(sample_count, 1))
-    base = mix * pts[pick[:, 0]] + (1.0 - mix) * pts[pick[:, 1]]
-    shift = rng.standard_normal(base.shape)
-    norms = vector_norm(shift, cloud.norm_kind)
-    norms[norms == 0] = 1.0
-    other = base + shift / norms[:, None] * (delta * rng.uniform(size=(sample_count, 1)))
-    ts = rng.uniform(0.0, T, size=sample_count)
-    dts = np.clip(ts + rng.uniform(-delta, delta, size=sample_count), 0.0, T)
-    if sg.is_diagonal:  # every sample at once, from (sample, mode) tables of e^{lambda t}
-        diff = np.exp(np.outer(dts, sg.eigenvalues)) * other \
-            - np.exp(np.outer(ts, sg.eigenvalues)) * base
-        # fmax skips NaN samples, as the loop's max does
-        return float(np.fmax.reduce(vector_norm(diff, cloud.norm_kind), initial=0.0))
-    worst = 0.0
-    for t, td, a, b in zip(ts, dts, base, other):
-        diff = semigroup_act(semigroup_step(sg, td), b) - semigroup_act(semigroup_step(sg, t), a)
-        worst = max(worst, float(vector_norm(diff, cloud.norm_kind)))
-    return worst
+# Gamma tables: the (time, state) cells of one table.  A vanishing delta
+# would ask for ~T / delta time cells, each an orbit of every center, and the
+# convolution check holds n_t of these counts per control.
+_MAX_TABLE_CELLS = 1 << 16
 
 
-# Gamma tables: oscillation samples per delta, table builds, halvings of the
-# sampled delta, and the time cells of one table (a vanishing delta would ask
-# for ~T / delta of them, each an orbit of every center)
-_OSCILLATION_SAMPLES = 512
-_MAX_RETRIES = 8
-_MAX_HALVINGS = 200
-_MAX_TIME_CELLS = 1 << 16
-
-
-def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float,
-                        seed: int = 0) -> GammaTable:
+def gamma_approximation(sg: Semigroup, K: PointCloud, T: float, eps: float) -> GammaTable:
     """Build a finite-image table for e^{At} xi on the cloud K, error < eps:
     the one-eps case of `gamma_tables`."""
-    return gamma_tables(sg, K, T, [eps], seed)[0]
+    return gamma_tables(sg, K, T, [eps])[0]
 
 
-def gamma_tables(sg: Semigroup, K: PointCloud, T: float, eps_ladder: Sequence[float],
-                 seed: int = 0) -> list[GammaTable]:
+def gamma_tables(sg: Semigroup, K: PointCloud, T: float,
+                 eps_ladder: Sequence[float]) -> list[GammaTable]:
     """Finite-image tables for e^{At} xi on the cloud K, one per eps of a
     strictly decreasing ladder, each with error < its eps.
 
-    delta is estimated by halving against a sampled modulus of continuity,
-    then the table (time step T/N < delta, greedy delta-net of K) passes iff
-    its certified bound, which covers every point of K at every t in
-    [0, T], is below eps; on failure delta is halved and the table rebuilt,
-    a bounded number of times.  A delta that never passes, or a table of
-    more than `_MAX_TIME_CELLS` time cells, raises VerificationError.
-
-    The ladder shares one halving sequence: each `_sampled_oscillation`
-    call draws the same numbers whatever delta is, and a smaller eps never
-    passes before a larger one, so each eps takes the first delta that
-    passes it, exactly the delta a separate call would take.  A larger eps
-    that starts its sequence higher (max(T, 2 spread, eps)) starts its own.
+    A table (time step T/N < delta, greedy delta-net of K) passes iff its
+    certified bound (`_certified_bound`), over every point of K and t in
+    [0, T], is below eps.  delta starts at eps / (M e^{mu T}): every cell
+    radius r_j is below delta and mu >= 0, so there the bound's cell term
+    M e^{mu t_i} r_j is below eps whatever the cloud.  delta is halved until a
+    table passes.  That ends: each halving halves the cell term's bound, and
+    the oscillation term goes to 0 with the time step h < delta (for a dense
+    generator it is at most h M e^{mu T} |A eta_j|), so once the cell term is
+    below eps / 2 a small enough h passes.  A table of more than
+    `_MAX_TABLE_CELLS` cells, or a start that underflows to 0, raises
+    VerificationError before any orbit is computed.  Each eps takes its own
+    start, so the ladder builds what separate calls build.
     """
     eps_ladder = list(eps_ladder)
     if K.size == 0:
@@ -404,74 +375,37 @@ def gamma_tables(sg: Semigroup, K: PointCloud, T: float, eps_ladder: Sequence[fl
     if eps_ladder[-1] <= 0:
         raise ValueError("eps must be > 0")
 
-    spread = float(K.distances_to(K.points.mean(axis=0)).max())
-    tables, start = [], None
+    tables = []
     for eps in eps_ladder:
-        if max(T, 2.0 * spread, eps) != start:  # a new sequence, as a separate call starts it
-            start = delta = max(T, 2.0 * spread, eps)
-            rng, halvings = np.random.default_rng(seed), 0
-            oscillation = _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES)
-        while not oscillation < eps:
-            halvings += 1
-            if halvings == _MAX_HALVINGS:
-                raise VerificationError(
-                    f"Gamma_eps sampled oscillation is not below eps {eps:.3e} at any of "
-                    f"{_MAX_HALVINGS} deltas halved from {start:.3e} (last {delta:.3e})")
-            delta *= 0.5
-            oscillation = _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES)
-        tables.append(_certified_table(sg, K, T, eps, delta))
+        delta, builds = eps / sg.class_M * math.exp(-sg.class_mu * T), 1
+        while True:
+            table = _build_gamma_table(sg, K, T, eps, delta)
+            bound = _certified_bound(sg, table)
+            if bound < eps:
+                break
+            delta, builds = 0.5 * delta, builds + 1
+        tables.append(replace(table, certified_bound=bound, builds=builds))
     return tables
-
-
-def _certified_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
-                     delta: float) -> GammaTable:
-    """The first table from delta, halved after each failed build, whose
-    certified bound is below eps."""
-    bound = np.inf
-    for builds in range(1, _MAX_RETRIES + 1):
-        table = _build_gamma_table(sg, K, T, eps, delta)
-        bound = _certified_bound(sg, table)
-        if bound < eps:
-            return replace(table, certified_bound=bound, builds=builds)
-        delta *= 0.5
-    raise VerificationError(
-        f"Gamma_eps certification failed after {_MAX_RETRIES} builds "
-        f"(last certified bound {bound:.3e} vs eps {eps:.3e})")
-
-
-def _net_cells(K: PointCloud, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The index-order greedy delta-net of K (`compactness.greedy_net`) and the
-    radius of each center's first-match cell (`GammaTable.state_cell`), from
-    one sweep of the points not in a cell yet.
-
-    The first such point becomes the next center: it is >= delta from every
-    earlier center.  Its distances, the floats `state_cell` compares (one
-    `vector_norm` row per point, whatever the other rows), put every such
-    point within delta in its cell, and their max is the cell's radius.
-    """
-    scratch = np.empty((2,) + K.points.shape)
-    live, points = np.arange(K.size), K.points
-    net, radii = [], []
-    while live.size:
-        buf = scratch[:, :live.size]
-        d = vector_norm(np.subtract(points, points[0], out=buf[0]), K.norm_kind, buf[1])
-        inside = d < delta
-        net.append(live[0])
-        radii.append(d[inside].max())
-        live, points = live[~inside], points[~inside]
-    return np.array(net), np.array(radii)
 
 
 def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
                        delta: float) -> GammaTable:
-    if T / delta >= _MAX_TIME_CELLS:  # the table takes floor(T / delta) + 1 cells
+    """The table of time step T/N < delta on the greedy delta-net of K
+    (`compactness._net_cells`), not yet certified.  Its N time cells are
+    checked against `_MAX_TABLE_CELLS` before the sweep, and its N * M cells
+    after it, before any orbit is computed."""
+    if not delta > 0 or T / delta >= _MAX_TABLE_CELLS:  # floor(T / delta) + 1 time cells
         raise VerificationError(
             f"Gamma_eps table for eps {eps:.3e} at delta {delta:.3e} needs more than "
-            f"{_MAX_TIME_CELLS} time cells")
+            f"{_MAX_TABLE_CELLS} time cells")
     n_cells = max(1, int(np.ceil(T / delta)))
     if T / n_cells >= delta:
         n_cells += 1
     net, radii = _net_cells(K, delta)
+    if n_cells * net.size > _MAX_TABLE_CELLS:
+        raise VerificationError(
+            f"Gamma_eps table for eps {eps:.3e} at delta {delta:.3e} needs {n_cells} x "
+            f"{net.size} cells, more than {_MAX_TABLE_CELLS}")
     centers = K.points[net]
     values = np.stack([semigroup_act(semigroup_step(sg, i * T / n_cells), centers)
                        for i in range(1, n_cells + 1)])

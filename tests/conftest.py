@@ -10,8 +10,7 @@ from mildsolve.compactness import PointCloud, greedy_net
 from mildsolve.controls import lp_norm
 from mildsolve.config import RunConfig
 from mildsolve.operator import semigroup_act, semigroup_step
-from mildsolve.reachset import (_MAX_HALVINGS, _MAX_RETRIES, _OSCILLATION_SAMPLES,
-                                GammaTable, _certified_bound, _sampled_oscillation)
+from mildsolve.reachset import GammaTable, _certified_bound
 from mildsolve.spaces import vector_norm
 
 
@@ -139,21 +138,37 @@ def gamma_cells_oracle(table, K):
     return cells, radii
 
 
-def gamma_approximation_oracle(sg, K, T, eps, seed=0):
+def greedy_cells_oracle(cloud, delta):
+    """Brute-force oracle of `compactness._net_cells`: a point joins the net
+    iff its distance (`vector_norm` of its difference from the center, the
+    max over times for a trajectory cloud) to every earlier center is
+    >= delta; each point's cell is the first center within delta, and each
+    cell's radius the largest distance of its points."""
+    def row(c):
+        d = vector_norm(cloud.points - cloud.points[c], cloud.norm_kind)
+        return d.max(axis=-1) if cloud.metric_kind == "sup_norm" else d
+
+    net, rows = [], []
+    for i in range(cloud.size):
+        if all(r[i] >= delta for r in rows):
+            net.append(i)
+            rows.append(row(i))
+    inside = np.stack(rows) < delta
+    assert inside.any(axis=0).all()
+    cells = inside.argmax(axis=0)
+    radii = np.zeros(len(net))
+    np.maximum.at(radii, cells, np.stack(rows)[cells, np.arange(cloud.size)])
+    return net, radii
+
+
+def gamma_approximation_oracle(sg, K, T, eps):
     """One Gamma table built on its own, the oracle of `reachset.gamma_tables`:
-    its own halving sequence against the sampled oscillation, then each build
-    a separate greedy delta-net (`greedy_net`), the time cells and values,
-    and the radii of `gamma_cells_oracle`."""
-    rng = np.random.default_rng(seed)
-    spread = float(K.distances_to(K.points.mean(axis=0)).max())
-    delta = max(T, 2.0 * spread, eps)
-    for _ in range(_MAX_HALVINGS):
-        if _sampled_oscillation(sg, K, T, delta, rng, _OSCILLATION_SAMPLES) < eps:
-            break
-        delta *= 0.5
-    else:
-        raise VerificationError("sampled oscillation never below eps")
-    for builds in range(1, _MAX_RETRIES + 1):
+    delta from eps / (M e^{mu T}), halved after each build whose certified
+    bound is not below eps, and each build a separate greedy delta-net
+    (`greedy_net`), the time cells and values, and the radii of
+    `gamma_cells_oracle`."""
+    delta, builds = eps / sg.class_M * math.exp(-sg.class_mu * T), 1
+    while True:
         n_cells = max(1, int(np.ceil(T / delta)))
         if T / n_cells >= delta:
             n_cells += 1
@@ -165,8 +180,7 @@ def gamma_approximation_oracle(sg, K, T, eps, seed=0):
         bound = _certified_bound(sg, table)
         if bound < eps:
             return dataclasses.replace(table, certified_bound=bound, builds=builds)
-        delta *= 0.5
-    raise VerificationError("no certified table")
+        delta, builds = 0.5 * delta, builds + 1
 
 
 def assert_tables_equal(a, b):

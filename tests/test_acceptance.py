@@ -246,7 +246,7 @@ def test_c09_gamma_verification(heat16_sample):
     lag_grid = np.linspace(0.0, 1.0, DIAG_NT + 1)
     errors, bounds = {}, {}
     for eps in (0.1, 0.05):
-        table = gamma_approximation(sg, cloud, 1.0, eps, seed=9)
+        table = gamma_approximation(sg, cloud, 1.0, eps)
         # the dense grid: four verify times per time cell and the convolution's lags
         dense = np.union1d(np.linspace(0.0, 1.0, 4 * math.ceil(1.0 / table.delta) + 1),
                            lag_grid)
@@ -254,7 +254,7 @@ def test_c09_gamma_verification(heat16_sample):
         bounds[eps] = table.certified_bound
         assert errors[eps] <= bounds[eps] * (1.0 + 1e-12)
         assert bounds[eps] < eps
-    half = gamma_approximation(sg, cloud, 1.0, 0.05, seed=9)
+    half = gamma_approximation(sg, cloud, 1.0, 0.05)
     conv = convolution_compactness_check(sample, half, [f], sg, max_controls=20)
     # each quadrature term is within h |u_c| certified_bound of its table term
     tolerance = conv.max_l1_norm * half.certified_bound + 1e-12 * conv.max_quadrature_norm

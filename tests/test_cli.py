@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import mildsolve.config
+import mildsolve.reachset as reachset
 from mildsolve import cli
 from mildsolve.cli import main
 from mildsolve.config import _DEFAULTS, ConfigError, RunConfig
@@ -666,6 +667,25 @@ class TestGammaCommand:
         err = capsys.readouterr().err
         assert err.startswith("verification failure:")
         assert "eps 1.000e-18" in err and "delta" in err
+
+    def test_table_over_the_cell_cap_exits_4_before_any_orbit(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # eps 0.01 on heat.yaml: the first table's 101 time cells pass a cap of
+        # 200, its 101 x 3 cells do not, and no orbit of a center is computed
+        def refuse(*args):
+            raise AssertionError("semigroup_step called")
+
+        monkeypatch.setattr(reachset, "_MAX_TABLE_CELLS", 200)
+        monkeypatch.setattr(reachset, "semigroup_step", refuse)
+        with open(REPO / "configs" / "heat.yaml") as fh:
+            cfg_data = yaml.safe_load(fh)
+        cfg_data["control"]["count"] = 10
+        cfg_data["gamma"]["eps"] = 0.01
+        out = tmp_path / "out"
+        assert main(["gamma", "--config", write_config(tmp_path, cfg_data),
+                     "--out", str(out)]) == 4
+        assert not (out / "gamma.json").exists()
+        assert "needs 101 x 3 cells, more than 200" in capsys.readouterr().err
 
 
 def test_heat_yaml_solves_take_no_application(tmp_path):

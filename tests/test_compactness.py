@@ -29,10 +29,11 @@ from mildsolve import (
     trajectory_cloud,
 )
 from mildsolve import compactness, reachset
-from mildsolve.compactness import PointCloud, _farthest_point, _separated, verify_coverage
+from mildsolve.compactness import PointCloud, _farthest_point, _net_cells, verify_coverage
 from mildsolve.operator import TrajectoryGrid
 
-from conftest import diagnostic_system, farthest_point_oracle, random_trajectory
+from conftest import (diagnostic_system, farthest_point_oracle, greedy_cells_oracle,
+                      random_trajectory)
 
 
 def brute_force_covered(cloud, net_indices, eps):
@@ -343,8 +344,25 @@ class TestPackingNumber:
         for i in order:
             if all(d[i, j] >= s for j in expected):
                 expected.append(i)
-        assert _separated(state_cloud(pts), order, s) == expected
-        assert _separated(state_cloud(pts), [], s) == []
+        # the greedy sweep of the reordered subcloud, as positions in `order`
+        net, _ = _net_cells(state_cloud(pts[order]), s)
+        assert [order[k] for k in net] == expected
+        assert np.array_equal(_net_cells(state_cloud(pts), s, order)[0], net)
+        assert _net_cells(state_cloud(pts[[]]), s)[0].tolist() == []
+        assert _net_cells(state_cloud(pts), s, [])[0].tolist() == []
+
+    @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+    def test_trajectory_clouds_sweep_as_brute_force(self, rng, norm_kind):
+        trajectories = [random_trajectory(rng, 8, 3, norm_kind=norm_kind) for _ in range(60)]
+        trajectories[7] = trajectories[2]  # a duplicate shares its cell
+        cloud = trajectory_cloud(trajectories)
+        d = full_distance_matrix(cloud.points, cloud.points, norm_kind)
+        for s in (float(np.quantile(d, q)) for q in (0.5, 0.1, 0.02)):
+            net, radii = _net_cells(cloud, s)
+            oracle_net, oracle_radii = greedy_cells_oracle(cloud, s)
+            assert net.tolist() == oracle_net and np.array_equal(radii, oracle_radii)
+            assert packing_number(cloud, s) == len(oracle_net) > 1
+            assert greedy_net(cloud, s).net_indices == oracle_net
 
 
 class TestHausdorffDistance:

@@ -49,7 +49,7 @@ CASES = {
     "heat_gamma_p2": ("gamma", "heat.yaml",
                       {("control", "p"): 2, ("control", "count"): 12,
                        ("gamma", "max_controls"): 3}),
-    # multi-cell tables (129 x 3 and 257 x 5 cells), each on its second build
+    # multi-cell tables (101 x 3 and 201 x 4 cells), each on its second build
     "heat_gamma_cells": ("gamma", "heat.yaml",
                          {("control", "count"): 12, ("gamma", "max_controls"): 3,
                           ("gamma", "eps"): 0.02}),

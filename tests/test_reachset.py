@@ -31,12 +31,12 @@ from mildsolve import (
 from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
 import mildsolve.reachset as reachset
 from mildsolve import GammaTable, gamma_tables, greedy_net
-from mildsolve.reachset import (ReachSetSample, _build_gamma_table, _certified_bound,
-                                _net_cells, _sampled_oscillation)
+from mildsolve.compactness import _net_cells
+from mildsolve.reachset import ReachSetSample, _build_gamma_table, _certified_bound
 from mildsolve.spaces import vector_norm
 
 from conftest import (assert_tables_equal, diagnostic_system, gamma_approximation_oracle,
-                      gamma_cells_oracle, verify_gamma)
+                      gamma_cells_oracle, greedy_cells_oracle, verify_gamma)
 
 
 class TestSampleReachset:
@@ -185,35 +185,16 @@ class TestCounterexample:
             assert rep.eval_covering_size <= math.ceil(1 / (2 * 0.25)) + 1
 
 
-def looped_oscillation(sg, cloud, T, delta, rng, sample_count):
-    """`_sampled_oscillation` with one semigroup action per sample (same draws)."""
-    pts = cloud.points
-    pick = rng.integers(0, pts.shape[0], size=(sample_count, 2))
-    mix = rng.uniform(size=(sample_count, 1))
-    base = mix * pts[pick[:, 0]] + (1.0 - mix) * pts[pick[:, 1]]
-    shift = rng.standard_normal(base.shape)
-    norms = vector_norm(shift, cloud.norm_kind)
-    norms[norms == 0] = 1.0
-    other = base + shift / norms[:, None] * (delta * rng.uniform(size=(sample_count, 1)))
-    ts = rng.uniform(0.0, T, size=sample_count)
-    dts = np.clip(ts + rng.uniform(-delta, delta, size=sample_count), 0.0, T)
-    worst = 0.0
-    for t, td, a, b in zip(ts, dts, base, other):
-        diff = semigroup_act(semigroup_step(sg, td), b) - semigroup_act(semigroup_step(sg, t), a)
-        worst = max(worst, float(vector_norm(diff, cloud.norm_kind)))
-    return worst
-
-
 class TestGammaApproximation:
     def test_identity_semigroup_error_below_delta(self):
         sg = diagonal_semigroup([0.0])
         cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
-        table = gamma_approximation(sg, cloud, 1.0, 0.1, seed=1)
+        table = gamma_approximation(sg, cloud, 1.0, 0.1)
         assert table.certified_bound < table.delta <= 0.1 + 1e-12
 
     def test_single_point_cloud(self):
         sg = diagonal_semigroup([-1.0])
-        table = gamma_approximation(sg, state_cloud([[0.7]]), 1.0, 0.05, seed=1)
+        table = gamma_approximation(sg, state_cloud([[0.7]]), 1.0, 0.05)
         assert table.n_state_cells == 1
         assert table.certified_bound < 0.05
         # one-column table: values are the semigroup orbit of the center
@@ -224,13 +205,13 @@ class TestGammaApproximation:
     def test_scalar_decay_grid(self):
         sg = diagonal_semigroup([-1.0])
         cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
-        table = gamma_approximation(sg, cloud, 1.0, 0.1, seed=1)
+        table = gamma_approximation(sg, cloud, 1.0, 0.1)
         assert table.certified_bound < 0.1
 
     def test_cells_partition_and_cover(self):
         sg = diagonal_semigroup([-1.0])
         cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
-        table = gamma_approximation(sg, cloud, 1.0, 0.1, seed=1)
+        table = gamma_approximation(sg, cloud, 1.0, 0.1)
         # time cells partition (0, T]; first cell closed at 0
         assert table.time_cell(0.0) == 1
         assert table.time_cell(1.0) == table.n_time_cells
@@ -266,9 +247,6 @@ class TestGammaApproximation:
         stacked = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, -1)
         assert np.array_equal(table.state_cell(probe), stacked)
         assert (stacked == -1).any()
-        # the sampled modulus of continuity against its per-sample loop
-        assert _sampled_oscillation(sg, cloud, 1.0, 0.3, np.random.default_rng(5), 64) \
-            == looped_oscillation(sg, cloud, 1.0, 0.3, np.random.default_rng(5), 64)
 
     @pytest.mark.parametrize("case", ["heat16-p1", "heat16-p2", "heat64-p1", "heat64-p2",
                                       "dense2", "dense8"])
@@ -290,8 +268,8 @@ class TestGammaApproximation:
     def test_determinism(self):
         sg = diagonal_semigroup([-2.0])
         cloud = state_cloud(np.linspace(0, 1, 33)[:, None])
-        t1 = gamma_approximation(sg, cloud, 1.0, 0.1, seed=3)
-        t2 = gamma_approximation(sg, cloud, 1.0, 0.1, seed=3)
+        t1 = gamma_approximation(sg, cloud, 1.0, 0.1)
+        t2 = gamma_approximation(sg, cloud, 1.0, 0.1)
         assert t1.delta == t2.delta
         assert np.array_equal(t1.values, t2.values)
 
@@ -338,7 +316,9 @@ class TestGammaSweep:
     def test_sweep_matches_state_cell_and_brute_force_radii(self, case):
         sg, cloud, delta = sweep_case(case)
         net, radii = _net_cells(cloud, delta)
-        assert net.tolist() == greedy_net(cloud, delta).net_indices
+        oracle_net, oracle_radii = greedy_cells_oracle(cloud, delta)
+        assert net.tolist() == oracle_net == greedy_net(cloud, delta).net_indices
+        assert np.array_equal(radii, oracle_radii)
         table = _build_gamma_table(sg, cloud, 10 * delta, 0.1, delta)  # 11 time cells
         assert table.n_state_cells == len(net) > 3
         assert np.array_equal(table.centers, cloud.points[net])
@@ -365,33 +345,21 @@ class TestGammaSweep:
             sg = dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)
             cloud = state_cloud(np.random.default_rng(3).uniform(-1.0, 1.0, (120, 2)))
             ladder = [0.6, 0.4]
-        else:  # an eps above T and 2 spread starts its own halving sequence
+        else:  # eps above T and the cloud's spread: single-cell tables
             sg = diagonal_semigroup([-1.0])
             cloud = state_cloud(np.linspace(0, 1, 101)[:, None])
             ladder = [5.0, 3.0, 0.1, 0.05]
-        tables = gamma_tables(sg, cloud, T, ladder, seed=7)
+        tables = gamma_tables(sg, cloud, T, ladder)
         assert len(tables) == len(ladder)
         for eps, table in zip(ladder, tables):
-            assert_tables_equal(table, gamma_approximation_oracle(sg, cloud, T, eps, seed=7))
-            assert_tables_equal(reachset.gamma_approximation(sg, cloud, T, eps, seed=7), table)
+            assert_tables_equal(table, gamma_approximation_oracle(sg, cloud, T, eps))
+            assert_tables_equal(reachset.gamma_approximation(sg, cloud, T, eps), table)
+            if table.builds > 1:  # the build before it, at twice its delta, did not pass
+                before = _build_gamma_table(sg, cloud, T, eps, 2.0 * table.delta)
+                assert _certified_bound(sg, before) >= eps
         if case == "heat":  # the ladder sees several cells and a rebuild
             assert max(t.n_state_cells for t in tables) > 1
             assert max(t.builds for t in tables) > 1
-
-    def test_ladder_runs_one_halving_sequence(self, monkeypatch):
-        # the whole ladder samples the oscillation as often as its finest eps alone
-        sg, cloud = heat_field_cloud()
-        calls = []
-
-        def counted(*args):
-            calls.append(args[3])
-            return _sampled_oscillation(*args)
-
-        monkeypatch.setattr(reachset, "_sampled_oscillation", counted)
-        gamma_tables(sg, cloud, 1.0, [0.1, 0.05, 0.02, 0.01], seed=7)
-        ladder, calls[:] = list(calls), []
-        gamma_approximation(sg, cloud, 1.0, 0.01, seed=7)
-        assert ladder == calls and len(calls) > 1
 
     def test_build_and_bound_never_call_state_cell(self, monkeypatch):
         sg, cloud = heat_field_cloud()
@@ -400,7 +368,7 @@ class TestGammaSweep:
             raise AssertionError("state_cell called")
 
         monkeypatch.setattr(GammaTable, "state_cell", refuse)
-        tables = gamma_tables(sg, cloud, 1.0, [0.02, 0.01], seed=5)
+        tables = gamma_tables(sg, cloud, 1.0, [0.02, 0.01])
         assert all(t.n_state_cells > 1 for t in tables)
         with pytest.raises(AssertionError, match="state_cell called"):
             tables[0].state_cell(cloud.points)
@@ -414,19 +382,51 @@ class TestGammaSweep:
             with pytest.raises(ValueError, match="nonempty and strictly decreasing"):
                 gamma_tables(sg, cloud, 1.0, ladder)
 
-    def test_oscillation_that_never_passes_raises(self, monkeypatch):
-        monkeypatch.setattr(reachset, "_MAX_HALVINGS", 3)
-        sg, cloud = diagonal_semigroup([-1.0]), state_cloud(np.linspace(0, 1, 11)[:, None])
-        with pytest.raises(VerificationError, match=r"eps 1\.000e-06 at any of 3 deltas halved from 1\.000e\+00 \(last 2\.500e-01\)"):
-            gamma_approximation(sg, cloud, 1.0, 1e-6)
+    def test_dense_start_is_below_eps(self, rng):
+        # 0.5 I plus a skew part: |e^{At}|_2 = e^{t / 2}, so class (2, 0.5) holds
+        skew = 0.5 * rng.standard_normal((3, 3))
+        sg = dense_semigroup(0.5 * np.eye(3) + skew - skew.T, 2.0, 0.5)
+        cloud = state_cloud(rng.uniform(-1.0, 1.0, (60, 3)))
+        ladder = [0.4, 0.2]
+        for eps, table in zip(ladder, gamma_tables(sg, cloud, 1.0, ladder)):
+            start = eps / (2.0 * math.exp(0.5))
+            assert start < eps
+            assert table.delta == pytest.approx(start * 0.5 ** (table.builds - 1), rel=1e-15)
+            assert_tables_equal(table, gamma_approximation_oracle(sg, cloud, 1.0, eps))
+            n = table.n_time_cells
+            brute, _ = verify_gamma(sg, cloud, table, np.linspace(0.0, 1.0, 4 * n + 1))
+            assert brute <= table.certified_bound < eps
 
     def test_table_over_the_time_cell_cap_raises_before_building(self, monkeypatch):
         sg, cloud = diagonal_semigroup([-1.0]), state_cloud(np.linspace(0, 1, 11)[:, None])
         assert gamma_approximation(sg, cloud, 1.0, 0.05).n_time_cells > 8
-        monkeypatch.setattr(reachset, "_MAX_TIME_CELLS", 8)
+        monkeypatch.setattr(reachset, "_MAX_TABLE_CELLS", 8)
         monkeypatch.setattr(reachset, "_net_cells", None)  # no sweep may start
         with pytest.raises(VerificationError, match=r"eps 5\.000e-02 at delta .* 8 time cells"):
             gamma_approximation(sg, cloud, 1.0, 0.05)
+
+    def test_table_over_the_cell_cap_raises_before_any_orbit(self, monkeypatch):
+        # the first build (delta = eps on a heat system) has N time cells and
+        # M > 1 state cells: a cap between N and N * M stops it after the sweep
+        sg, cloud = heat_field_cloud()
+        eps = float(cloud.distances_to(cloud.points.mean(axis=0)).max()) / 10
+        n_cells, n_state = math.floor(1.0 / eps) + 1, _net_cells(cloud, eps)[0].size
+        assert n_state > 1
+
+        def refuse(*args):
+            raise AssertionError("semigroup_step called")
+
+        monkeypatch.setattr(reachset, "_MAX_TABLE_CELLS", n_cells * n_state - 1)
+        monkeypatch.setattr(reachset, "semigroup_step", refuse)
+        with pytest.raises(VerificationError,
+                           match=rf"needs {n_cells} x {n_state} cells, more than"):
+            gamma_approximation(sg, cloud, 1.0, eps)
+
+    def test_start_that_underflows_raises(self, monkeypatch):
+        # e^{-mu T} underflows to 0 at mu = 800: no table, and no division by 0
+        monkeypatch.setattr(reachset, "_net_cells", None)  # no sweep may start
+        with pytest.raises(VerificationError, match=r"at delta 0\.000e\+00 needs more than"):
+            gamma_approximation(diagonal_semigroup([800.0]), state_cloud([[0.5]]), 1.0, 0.1)
 
 
 def bound_case(case, rng):
@@ -440,7 +440,7 @@ def bound_case(case, rng):
         sample = sample_reachset(xi0, 20, 5, fields, sg, cert, 32)
         cloud = field_value_cloud(sample, fields)
         spread = float(cloud.distances_to(cloud.points.mean(axis=0)).max())
-        return sg, cloud, [gamma_approximation(sg, cloud, 1.0, 0.1, seed=5),
+        return sg, cloud, [gamma_approximation(sg, cloud, 1.0, 0.1),
                            _build_gamma_table(sg, cloud, 1.0, 0.1, spread / 4)]
     if case == "dense2":
         sg = dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)
@@ -525,7 +525,7 @@ class TestConvolutionCheck:
         xi0 = StateVector([0.0])
         sample = self._sample(f, sg, xi0, 1.0, 1.0, 10, 64, seed=9)
         cloud = field_value_cloud(sample, [f])
-        table = gamma_approximation(sg, cloud, 1.0, 0.05, seed=2)
+        table = gamma_approximation(sg, cloud, 1.0, 0.05)
         report = convolution_compactness_check(sample, table, [f], sg)
         assert report.max_reconstruction_error <= 1e-12
         assert report.max_coefficient <= report.max_l1_norm + 1e-12
@@ -544,7 +544,7 @@ class TestConvolutionCheck:
         sample = ReachSetSample(xi0, cert, [Control(1.0, np.zeros((1, 32)))], [orbit],
                                 evaluation_set([orbit]))
         cloud = field_value_cloud(sample, [f])
-        table = gamma_approximation(sg, cloud, 1.0, 0.05, seed=2)
+        table = gamma_approximation(sg, cloud, 1.0, 0.05)
         report = convolution_compactness_check(sample, table, [f], sg)
         assert report.max_coefficient == 0.0
         assert report.max_reconstruction_error == 0.0
@@ -554,7 +554,7 @@ class TestConvolutionCheck:
         sg, (f,), _, xi0 = diagnostic_system(dim, 0.5)
         sample = self._sample(f, sg, xi0, 1.0, 1.0, 20, n_t, seed=21)
         cloud = field_value_cloud(sample, [f])
-        table = gamma_approximation(sg, cloud, 1.0, eps / 2, seed=4)
+        table = gamma_approximation(sg, cloud, 1.0, eps / 2)
         report = convolution_compactness_check(sample, table, [f], sg)
         # each quadrature term is within h |u_c| certified_bound of its table term
         assert report.max_reconstruction_error <= report.max_l1_norm * table.certified_bound \
@@ -582,7 +582,7 @@ class TestConvolutionCheck:
         xi0 = StateVector([0.0])
         sample = self._sample(f, sg, xi0, 1.0, 1.0, 5, 32, seed=9)
         stranger = state_cloud([[40.0]])
-        table = gamma_approximation(sg, stranger, 1.0, 0.05, seed=2)
+        table = gamma_approximation(sg, stranger, 1.0, 0.05)
         with pytest.raises(ValueError, match="cover"):
             convolution_compactness_check(sample, table, [f], sg)
 
