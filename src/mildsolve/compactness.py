@@ -65,6 +65,10 @@ def _distances(points: np.ndarray, metric_kind: str, norm_kind: NormKind, q: np.
                scratch: np.ndarray | None = None, own: int | None = None) -> np.ndarray:
     """The exact kernel: distances from every row of a checked cloud array to q.
 
+    q may also be a stack of k points, shaped (k, 1) + a point's shape, with
+    `scratch` (2, k) + points.shape: the result is then (k, rows), each row
+    the distances to one of them.
+
     `scratch`, of shape (2,) + points.shape, takes the differences and
     their elementwise pass (a new one is made when it is None).  `own`,
     the index of q when q is a cloud point, reads 0: its zero difference
@@ -184,6 +188,11 @@ _BLOCK = 64
 # Floats in the buffer through which a block's centers lower the running
 # values: 64 KB, 128 rows at b = 64.
 _BUFFER = 8192
+# Floats in a plane of the scratch through which `_exact_nearest` takes rival
+# rows again against the whole net: 512 KB.  On a 40 x 40 lattice (spacing
+# 0.1, offset 7.3, ladder 2 to 0.1) the pass took 38 ms at 2^16 and 48 ms at
+# 2^13 (process CPU, median of 15).
+_RETAKE_FLOATS = 1 << 16
 
 
 class _ExactSweep:
@@ -294,12 +303,19 @@ def _sweep(cloud: PointCloud) -> _ExactSweep | _GramSweep:
 def _exact_nearest(cloud: PointCloud, rows: np.ndarray, centers: Sequence[int]) -> np.ndarray:
     """The exact kernel's distance from each cloud point in `rows` to its nearest
     center, bit for bit the running minimum of the sweeps (`vector_norm` is even
-    in each coordinate, see `_net_cells`).  One row at a time through one
-    scratch, so a retake holds one (centers, n) block, not one per row."""
+    in each coordinate, see `_net_cells`).  A block of rows at a time goes
+    through one `_distances` call against every center (q a stack of
+    points): a plane of its scratch holds `_RETAKE_FLOATS` floats, or one
+    row against the net if that is more."""
     net = cloud.points[np.asarray(centers)]
-    scratch = np.empty((2,) + net.shape)
-    return np.array([_distances(net, cloud.metric_kind, cloud.norm_kind, cloud.points[i],
-                                scratch).min() for i in rows])
+    step = max(1, _RETAKE_FLOATS // net.size)
+    scratch = np.empty((2, min(step, rows.size)) + net.shape)
+    m = np.empty(rows.size)
+    for lo in range(0, rows.size, step):
+        q = cloud.points[rows[lo:lo + step], None]
+        m[lo:lo + len(q)] = _distances(net, cloud.metric_kind, cloud.norm_kind, q,
+                                       scratch[:, :len(q)]).min(axis=-1)
+    return m
 
 
 def _settle_block(sweep: _GramSweep, x: np.ndarray, level: float) -> np.ndarray:

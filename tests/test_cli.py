@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -79,6 +80,15 @@ def dense_system():
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def run_fresh(script):
+    """Run a Python script in a fresh interpreter that imports this mildsolve."""
+    src = str(Path(mildsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def strip_metadata(payload):
@@ -414,7 +424,7 @@ class TestConfigErrors:
 
 
 class TestSystemBuild:
-    def test_diagonal_system_leaves_scipy_unloaded(self, tmp_path):
+    def test_diagonal_and_dense_systems_leave_scipy_unloaded(self, tmp_path):
         dense = write_config(tmp_path, dense_system())
         out = str(tmp_path / "out")
         script = "\n".join([
@@ -425,15 +435,37 @@ class TestSystemBuild:
             "cfg.build_fields(cfg.build_semigroup().dim)",
             "assert 'scipy' not in sys.modules, 'a diagonal system loaded scipy'",
             f"assert mildsolve.cli.main(['solve', '--config', {dense!r}, '--out', {out!r}]) == 0",
-            "assert 'scipy' in sys.modules",
+            "assert 'scipy' not in sys.modules, 'a dense system loaded scipy'",
         ])
-        src = str(Path(mildsolve.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_fresh(script)
         assert done.returncode == 0, done.stderr
         assert load_json(tmp_path / "out" / "solve.json")["a_posteriori_bound"] < 1e-8
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+    def test_repeated_requests_keep_their_heap(self, tmp_path):
+        # a scalar and a heat n = 64 solve, one after another: without the
+        # primer in `main`, glibc trims the heap top after requests, and three
+        # rounds take 230-650 page faults; with it, about 10
+        heat = yaml.safe_load((REPO / "configs" / "heat.yaml").read_text())
+        heat["system"]["semigroup"]["dim"] = 64
+        heat["system"]["xi0"] = [0.0025] * 64
+        heat["control"]["count"] = 1
+        requests = [["solve", "--config", str(REPO / "configs" / "scalar.yaml")],
+                    ["solve", "--config", write_config(tmp_path, heat)]]
+        requests = [argv + ["--out", str(tmp_path / "out")] for argv in requests]
+        script = "\n".join([
+            "import resource, mildsolve.cli",
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            f"runs = [mildsolve.cli.main(argv) for argv in 2 * {requests!r}]",
+            "start = faults()",
+            f"runs += [mildsolve.cli.main(argv) for argv in 3 * {requests!r}]",
+            "print(runs, faults() - start)",
+        ])
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        runs, faults = done.stdout.splitlines()[-1].rsplit("]", 1)
+        assert runs == "[" + ", ".join(["0"] * 10)
+        assert int(faults) < 100
 
     def test_dense_solve_certifies_class_constants_once(self, tmp_path, monkeypatch):
         real = mildsolve.config.certify_class_constants

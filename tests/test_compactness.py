@@ -213,6 +213,11 @@ class TestGramCovering:
         square = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
         assert_matches_oracle(state_cloud(square), [6.0, 3.0, math.sqrt(2.0), 1.0, 0.5])
         assert retaken and takeovers  # exact ties are taken again, then swept exactly
+        # 40 x 40, spacing 0.1, offset 7.3: about a hundred retakes a pass
+        retaken.clear()
+        large = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0)), -1).reshape(-1, 2)
+        assert_matches_oracle(state_cloud(large * 0.1 + 7.3), [2.0, 1.0, 0.5, 0.2, 0.1])
+        assert len(retaken) > 50
         small = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), -1).reshape(-1, 3)
         base = rng.standard_normal((12, 5))
         # off the origin, the Gram values of tied points differ in their last bits
@@ -222,6 +227,17 @@ class TestGramCovering:
                        rng.standard_normal((150, 6)) + 40.0]:
             cloud = state_cloud(points)
             assert_matches_oracle(cloud, exact_ladder(cloud))
+
+    def test_retakes_match_the_kernel_in_any_block(self, rng, monkeypatch):
+        clouds = [state_cloud(rng.standard_normal((50, 3)) + 7.3),
+                  trajectory_cloud([random_trajectory(rng, 8, 3) for _ in range(50)])]
+        rows, centers = rng.permutation(50)[:23], [0, 5, 9, 30]
+        for cloud in clouds:
+            brute = [min(cloud.distances_to(cloud.points[c])[i] for c in centers) for i in rows]
+            for step in (1, 5, 23, 100):  # rows a block: a partial last block at 5
+                monkeypatch.setattr(compactness, "_RETAKE_FLOATS",
+                                    step * len(centers) * cloud.points[0].size)
+                assert np.array_equal(compactness._exact_nearest(cloud, rows, centers), brute)
 
     def test_extreme_scales_sweep_exactly(self, rng):
         points = rng.standard_normal((120, 5))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from mildsolve import (
     saturation_field,
 )
 from mildsolve.config import ConfigError, RunConfig
-from mildsolve.spaces import operator_norm, vector_norm
+from mildsolve.spaces import _THETA13, expm, operator_norm, vector_norm
 
 
 def series_exp_apply(matrix, t, xi, terms=60):
@@ -27,6 +28,93 @@ def series_exp_apply(matrix, t, xi, terms=60):
         term = (matrix @ term) * (t / k)
         acc = acc + term
     return acc
+
+
+def mpmath_expm(matrix):
+    """Independent oracle: mpmath's e^A at 40 digits, rounded to floats."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(matrix.tolist())).tolist(), dtype=float)
+
+
+def rel_error_1(x, exact):
+    """|x - exact|_1 / |exact|_1 in the induced 1-norm."""
+    return operator_norm(x - exact, 1) / operator_norm(exact, 1)
+
+
+def seeded_matrices(count=60, seed=2005):
+    """Normal n x n matrices, n <= 8, scaled to 1-norms from 1e-2 to 1e2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n))
+        yield a * (10.0 ** rng.uniform(-2.0, 2.0) / operator_norm(a, 1))
+
+
+def shifted_jordan(n=32, c=40.0):
+    """A = -I + c e_1 e_n^T (1-norm 1 + c) and its closed form e^{-1}(I + c e_1 e_n^T)."""
+    a = -np.eye(n)
+    a[0, -1] = c
+    exact = np.exp(-1.0) * np.eye(n)
+    exact[0, -1] = c * np.exp(-1.0)
+    return a, exact
+
+
+class TestExpm:
+    def test_matches_mpmath_on_seeded_matrices(self):
+        errors = [rel_error_1(expm(a), mpmath_expm(a)) for a in seeded_matrices()]
+        assert max(errors) <= 1e-13
+
+    def test_jordan_block(self):
+        for lam, t in [(-0.7, 0.5), (-0.7, 3.0), (1.3, 4.0)]:
+            exact = math.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+            got = expm(t * np.array([[lam, 1.0], [0.0, lam]]))
+            assert rel_error_1(got, exact) <= 1e-14
+
+    def test_rotation(self):
+        for k in (0.5, 3.0, 20.0):
+            c, s = math.cos(k), math.sin(k)
+            assert np.abs(expm(np.array([[0.0, k], [-k, 0.0]])) - [[c, s], [-s, c]]).max() <= 1e-14
+
+    def test_diagonal_matches_exp(self):
+        d = np.array([-30.0, -1.0, 0.0, 0.5, 7.0])
+        got = expm(np.diag(d))
+        assert np.array_equal(got, np.diag(np.diagonal(got)))  # off-diagonal exactly 0
+        assert np.allclose(np.diagonal(got), np.exp(d), rtol=1e-13, atol=0.0)
+
+    def test_zero_is_identity(self):
+        for n in (1, 4, 9):
+            assert np.abs(expm(np.zeros((n, n))) - np.eye(n)).max() <= 4 * np.finfo(float).eps
+
+    def test_scaling_path(self):
+        a, exact = shifted_jordan()
+        assert operator_norm(a, 1) > 2 * _THETA13  # s >= 1 squarings
+        assert rel_error_1(expm(a), exact) <= 1e-14
+        product = expm(a) @ expm(-a)
+        assert np.abs(product - np.eye(a.shape[0])).max() <= 1e-13
+
+    def test_stack_equals_each_matrix(self, rng):
+        # 1-norms from 1e-3 to 1e2: stacked matrices take different squaring counts
+        stack = rng.standard_normal((2, 6, 5, 5)) * np.logspace(-3, 2, 12).reshape(2, 6, 1, 1)
+        got = expm(stack)
+        assert got.shape == stack.shape
+        for i in np.ndindex(*stack.shape[:2]):
+            assert np.array_equal(got[i], expm(stack[i]))
+
+    def test_rejects_non_square_and_non_finite(self):
+        for bad in (np.ones(3), np.ones((2, 3)), np.array([[0.0, np.inf], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match="expm"):
+                expm(bad)
+
+    def test_matrix_exp_of_a_time_grid(self, rng):
+        a = rng.standard_normal((4, 4))
+        dense, diag = dense_semigroup(a, 10.0, 2.0), diagonal_semigroup([-2.0, 0.5, -1.0])
+        times = np.array([0.0, 0.3, 1.7])
+        for sg in (dense, diag):
+            stack = sg.matrix_exp(times)
+            for t, et in zip(times, stack):
+                assert np.array_equal(et, sg.matrix_exp(t))
+        assert np.array_equal(diag.matrix_exp(1.7), np.diag(np.exp(diag.eigenvalues * 1.7)))
+        assert np.array_equal(dense.matrix_exp(1.7), expm(a * 1.7))
 
 
 class TestApplySemigroup:
@@ -115,6 +203,24 @@ class TestCertifyClassConstants:
                 xi = rng.standard_normal(sg.dim)
                 image = sg.matrix_exp(t) @ xi
                 assert vector_norm(image, 2) <= m_const * math.exp(mu * t) * vector_norm(xi, 2) + 1e-12
+
+    def test_grid_matches_one_time_at_a_time(self, rng):
+        # the stacked grid against a loop over its times; A is far from
+        # normal, so a transposed exponential would give another M in norms 1, inf
+        a, _ = shifted_jordan(n=6, c=4.0)
+        cases = [dense_semigroup(a, 1.0, 0.0), dense_semigroup(rng.standard_normal((4, 4)), 1.0, 0.0),
+                 diagonal_semigroup([1.5, -0.5, 0.0])]
+        t_grid = np.linspace(0.0, 2.0, 17)[1:]
+        for sg in cases:
+            for norm_kind in (1, 2, np.inf):
+                xs = np.random.default_rng(0).standard_normal((64, sg.dim))
+                mu = 1.1 * max(0.0, sg.spectral_abscissa())
+                ratio = max(float((vector_norm(xs @ sg.matrix_exp(t).T, norm_kind)
+                                   / (math.exp(mu * t) * vector_norm(xs, norm_kind))).max())
+                            for t in t_grid)
+                got = certify_class_constants(sg, t_grid, 64, norm_kind)
+                assert got[1] == mu
+                assert got[0] == pytest.approx(max(1.0, 1.1 * ratio), rel=1e-13)
 
     def test_degenerate_sampling_rejected(self):
         sg = diagonal_semigroup([-1.0])
