@@ -191,8 +191,9 @@ class RunConfig:
     @_library_errors_are_config_errors
     def build_semigroup(self, dim: int | None = None) -> Semigroup:
         """The configured semigroup and its class (M, mu): exact for diagonal
-        and heat kinds, certified at load for a dense one.  `dim`, when given,
-        replaces a heat semigroup's dimension and must equal any other kind's."""
+        and heat kinds, `certify_class_constants` on [0, T] in the run's norm
+        for a dense one.  `dim`, when given, replaces a heat semigroup's
+        dimension and must equal any other kind's."""
         spec = self.system["semigroup"]
         kind = spec["kind"]
         if kind not in _SEMIGROUP_KEYS:
@@ -204,11 +205,8 @@ class RunConfig:
             sg = heat_semigroup(int(spec["dim"]) if dim is None else dim)
         else:
             matrix = np.asarray(spec["matrix"], dtype=float)
-            probe = dense_semigroup(matrix, 1.0, 0.0)
-            t_grid = np.linspace(0.0, self.system["T"], 17)[1:]
-            m_const, mu = certify_class_constants(
-                probe, t_grid, sample_count=256, norm_kind=self.system["norm_kind"])
-            sg = dense_semigroup(matrix, m_const, mu)
+            sg = dense_semigroup(matrix, *certify_class_constants(
+                matrix, self.system["T"], self.system["norm_kind"]))
         if dim is not None and sg.dim != dim:
             raise ConfigError(f"system.semigroup: a {kind} semigroup has dimension "
                               f"{sg.dim}, not {dim}")

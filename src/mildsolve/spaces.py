@@ -10,6 +10,7 @@ linear-growth constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -72,14 +73,27 @@ def vector_norm(coords: np.ndarray, norm_kind: NormKind,
     return r[()]
 
 
-def operator_norm(matrix: np.ndarray, norm_kind: NormKind) -> float:
-    """Induced operator norm matching the state p-norm."""
+def operator_norm(matrix: np.ndarray, norm_kind: NormKind):
+    """Induced operator norm matching the state p-norm: a float for one
+    matrix, the array of norms for a stack (..., n, n)."""
     m = np.asarray(matrix, dtype=float)
-    if norm_kind == 1:
-        return float(np.abs(m).sum(axis=0).max())
-    if norm_kind == np.inf:
-        return float(np.abs(m).sum(axis=1).max())
-    return float(np.linalg.norm(m, 2))
+    if norm_kind == 2:
+        norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    else:  # largest column (norm 1) or row (norm inf) sum
+        norms = np.abs(m).sum(axis=-2 if norm_kind == 1 else -1).max(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
+
+
+def log_norm(matrix: np.ndarray, norm_kind: NormKind) -> float:
+    """mu[A] = lim_{h->0+} (|I + hA| - 1) / h, so |e^{At}| <= e^{mu[A] t} for
+    t >= 0 (Soderlind, BIT 46, 2006): lambda_max((A + A^T)/2) in norm 2, else
+    the largest column (norm 1) or row (norm inf) sum of a_kk + |a_lk|, l != k."""
+    m = np.asarray(matrix, dtype=float)
+    if norm_kind == 2:
+        return float(np.linalg.eigvalsh(m / 2 + m.T / 2)[-1])
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    return float((m.diagonal() + off.sum(axis=0 if norm_kind == 1 else 1)).max())
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,8 @@ def expm(a) -> np.ndarray:
     float operations as it does alone.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("expm needs a square matrix or a stack of them")
-    if not all_finite(a):
-        raise ValueError("expm needs finite entries")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not all_finite(a):
+        raise ValueError("expm needs a finite square matrix or a stack of them")
     norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     with np.errstate(divide="ignore"):  # log2(0) = -inf: s = 0
         s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0).astype(int)
@@ -175,10 +187,8 @@ class Semigroup:
             object.__setattr__(self, "eigenvalues", eigs)
         else:
             gen = np.asarray(self.generator, dtype=float)
-            if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-                raise ValueError("generator must be a square matrix")
-            if not np.all(np.isfinite(gen)):
-                raise ValueError("generator entries must be finite")
+            if gen.ndim != 2 or gen.shape[0] != gen.shape[1] or not all_finite(gen):
+                raise ValueError("generator must be a finite square matrix")
             object.__setattr__(self, "generator", gen)
         if not 1.0 <= self.class_M < np.inf:
             raise ValueError("class_M must be finite and >= 1")
@@ -190,18 +200,11 @@ class Semigroup:
 
     @property
     def dim(self) -> int:
-        if self.eigenvalues is not None:
-            return self.eigenvalues.size
-        return self.generator.shape[0]
+        return self.eigenvalues.size if self.is_diagonal else self.generator.shape[0]
 
     @property
     def is_diagonal(self) -> bool:
         return self.eigenvalues is not None
-
-    def spectral_abscissa(self) -> float:
-        if self.is_diagonal:
-            return float(self.eigenvalues.max())
-        return float(np.linalg.eigvals(self.generator).real.max())
 
     def matrix_exp(self, t) -> np.ndarray:
         """e^{At} for a time t, or the stack (..., n, n) of e^{A t_i} for an
@@ -223,8 +226,7 @@ def diagonal_semigroup(eigenvalues) -> Semigroup:
 
 
 def dense_semigroup(generator, class_M: float, class_mu: float) -> Semigroup:
-    return Semigroup(generator=np.asarray(generator, dtype=float),
-                     class_M=class_M, class_mu=class_mu)
+    return Semigroup(generator=generator, class_M=class_M, class_mu=class_mu)
 
 
 def heat_semigroup(dim: int) -> Semigroup:
@@ -234,11 +236,8 @@ def heat_semigroup(dim: int) -> Semigroup:
 
 
 def apply_semigroup(sg: Semigroup, t: float, xi: StateVector) -> StateVector:
-    """Evaluate e^{At} xi.
-
-    Exact (up to exp rounding) for diagonal generators; a dense one applies
-    `expm` of At (Pade [13/13] with scaling and squaring).
-    """
+    """e^{At} xi: exact up to exp rounding for a diagonal generator, `expm` of At
+    for a dense one."""
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
     if xi.dim != sg.dim:
@@ -250,41 +249,45 @@ def apply_semigroup(sg: Semigroup, t: float, xi: StateVector) -> StateVector:
     return StateVector(out, xi.norm_kind)
 
 
-# Factor by which certified class constants exceed what the samples show
-_CLASS_SAFETY = 1.1
+_GRID_FACTOR, _GRID_FLOATS = 1.1, 1 << 22  # see certify_class_constants
 
 
-def certify_class_constants(sg: Semigroup, t_grid, sample_count: int,
+def certify_class_constants(generator, T: float,
                             norm_kind: NormKind = 2) -> tuple[float, float]:
-    """Numerically certify (M, mu) with ``|e^{At} xi| <= M e^{mu t} |xi|``.
+    """(M, mu) with |e^{At}| <= M e^{mu t} on [0, T] in the induced norm.
 
-    mu is fixed first as s * max(0, spectral abscissa), s = `_CLASS_SAFETY`;
-    M is then s times the largest ratio |e^{At} xi| / (e^{mu t} |xi|) over
-    `sample_count` normal samples xi (seed 0) and every grid time, floored
-    at 1.  The exponentials of the whole grid come from one stacked
-    `matrix_exp` call and the images from one batched product.  The returned
-    pair satisfies the bound on every sample.
+    mu = max(0, spectral abscissa of A) and B = A - mu I, so e^{At} =
+    e^{mu t} e^{Bt}, and e^{Bt} does not overflow for purely exponential
+    growth.  N_i = |e^{B t_i}| on t_i = i h, h = T / K, come from one stacked
+    `expm` call (N_0 = 1).  On [t_i, t_i + h], |e^{Bt}| <= N_i e^{nu h} with
+    nu = max(0, log_norm(B)), so M = e^{nu h} max_i N_i.  K is the smallest
+    power of two with e^{nu h} <= `_GRID_FACTOR`, unless its stack would hold
+    more than `_GRID_FLOATS` floats; past that cap the factor is larger and M
+    still a bound.  `expm`'s rounding of the N_i, near unit roundoff times
+    |B t_i| (Higham 2005), is not added.  A generator that is not square and
+    finite, a T not finite and > 0, or an M that overflows raise ValueError.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid times must be >= 0")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-
-    rng = np.random.default_rng(0)
-    xs = rng.standard_normal((sample_count, sg.dim))
-    norms = vector_norm(xs, norm_kind)
-    if np.all(norms == 0.0):
-        raise ValueError("degenerate sampling: all sample states are zero")
-    xs = xs[norms > 0]
-    norms = norms[norms > 0]
-
-    mu = _CLASS_SAFETY * max(0.0, sg.spectral_abscissa())
-    images = xs @ sg.matrix_exp(t_grid).swapaxes(-1, -2)  # (times, samples, n)
-    ratios = vector_norm(images, norm_kind) / (np.exp(mu * t_grid)[:, None] * norms)
-    return max(1.0, _CLASS_SAFETY * float(ratios.max())), mu
+    a = np.asarray(generator, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not all_finite(a):
+        raise ValueError("generator must be a finite square matrix")
+    if not 0.0 < T < np.inf:
+        raise ValueError("T must be finite and > 0")
+    mu = max(float(np.linalg.eigvals(a).real.max()), 0.0)
+    b = a - mu * np.eye(len(a))
+    nu = max(log_norm(b, norm_kind), 0.0)  # max(nan, 0.0) is nan: no M below
+    k = 1
+    while nu * T / k > math.log(_GRID_FACTOR) and 2 * k * a.size <= _GRID_FLOATS:
+        k *= 2
+    h = T / k
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf
+        m_const = np.exp(nu * h)
+        if m_const < np.inf:
+            stack = expm(b * (h * np.arange(1, k + 1))[:, None, None])
+            peak = operator_norm(stack, norm_kind).max() if all_finite(stack) else np.inf
+            m_const *= max(1.0, peak)
+    if not m_const < np.inf:
+        raise ValueError(f"the class constant M of this generator on [0, {T:g}] overflows")
+    return float(m_const), mu
 
 
 @dataclass(frozen=True)
@@ -335,10 +338,8 @@ def bilinear_field(matrix, norm_kind: NormKind = 2) -> VectorField:
     the declared error doubles gamma_n to cover the bound's own rounding.
     """
     b = np.asarray(matrix, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("bilinear field needs a square matrix")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("bilinear field matrix must be finite")
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or not all_finite(b):
+        raise ValueError("bilinear field needs a finite square matrix")
     nrm = operator_norm(b, norm_kind)
     n = b.shape[0]
     identity = np.array_equal(b, np.eye(n))

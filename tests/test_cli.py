@@ -416,6 +416,24 @@ class TestConfigErrors:
         assert (outs[0] / "trajectory.csv").read_bytes() == \
             (outs[1] / "trajectory.csv").read_bytes()
 
+    def test_overflowing_dense_class_rejected(self, tmp_path):
+        # e^{At} of this nilpotent chain holds 1e400 / 2: (M, mu) overflow
+        chain = [[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]]
+        cfg = write_config(tmp_path, scalar_system(system={
+            "semigroup": {"kind": "dense", "matrix": chain}, "xi0": [1.0, 1.0, 1.0],
+            "fields": [{"kind": "bilinear", "identity": True}]}))
+        out = tmp_path / "out"
+        done = run_fresh("\n".join([
+            "import sys, warnings",
+            "warnings.simplefilter('error')",
+            "from mildsolve.cli import main",
+            f"sys.exit(main(['certify', '--config', {cfg!r}, '--out', {str(out)!r}]))",
+        ]))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error:") and "overflows" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not out.exists()
+
     def test_overflowing_omega_search_falls_back_to_hidden(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system(control={"p": 2, "r": 1e200}))
         out = tmp_path / "out"

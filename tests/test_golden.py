@@ -20,6 +20,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -27,6 +28,10 @@ from mildsolve.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_DENSE = {("system", "semigroup"): {"kind": "dense", "matrix": [[-1.0, 4.0], [0.0, -1.0]]},
+          ("system", "fields"): [{"kind": "bilinear", "identity": True}],
+          ("system", "xi0"): [1.0, 1.0]}
 
 # case -> (subcommand, config, overrides of config settings)
 CASES = {
@@ -53,6 +58,10 @@ CASES = {
     "heat_gamma_cells": ("gamma", "heat.yaml",
                          {("control", "count"): 12, ("gamma", "max_controls"): 3,
                           ("gamma", "eps"): 0.02}),
+    # a dense generator, e^{At} = e^{-t} [[1, 4t], [0, 1]]: (M, mu) from
+    # `certify_class_constants`
+    "dense_certify": ("certify", "scalar.yaml", _DENSE),
+    "dense_solve": ("solve", "scalar.yaml", _DENSE),
 }
 
 
@@ -85,6 +94,16 @@ def test_outputs_match_golden(case, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == want
     for name in want:
         assert _comparable(out / name) == (GOLDEN / case / name).read_bytes(), name
+
+
+def test_dense_class_bounds_its_closed_form():
+    # |[[1, 4t], [0, 1]]|_2 = 2t + sqrt(4t^2 + 1)
+    t = np.linspace(0.0, 1.0, 100_001)
+    sup = float((np.exp(-t) * (2.0 * t + np.sqrt(4.0 * t * t + 1.0))).max())
+    for case in ("dense_certify", "dense_solve"):
+        name = "certificate.json" if case == "dense_certify" else "solve.json"
+        constants = json.loads((GOLDEN / case / name).read_text())["certificate"]["constants"]
+        assert constants["mu"] == 0.0 and constants["M"] >= sup
 
 
 def regenerate(work: Path, cases) -> None:

@@ -16,8 +16,9 @@ from mildsolve import (
     heat_semigroup,
     saturation_field,
 )
+import mildsolve.spaces
 from mildsolve.config import ConfigError, RunConfig
-from mildsolve.spaces import _THETA13, expm, operator_norm, vector_norm
+from mildsolve.spaces import _THETA13, expm, log_norm, operator_norm, vector_norm
 
 
 def series_exp_apply(matrix, t, xi, terms=60):
@@ -168,64 +169,118 @@ class TestApplySemigroup:
                 assert np.linalg.norm(once.coords - direct.coords) <= 1e-10 * max(xi.norm(), 1.0)
 
 
+def brute_force_class(a, T, mu, norm_kind, count=4001):
+    """max |e^{At}| e^{-mu t} over `count` equally spaced times of [0, T]."""
+    b = a - mu * np.eye(a.shape[0])
+    return float(operator_norm(expm(b * np.linspace(0.0, T, count)[:, None, None]), norm_kind).max())
+
+
 class TestCertifyClassConstants:
     def test_contraction_semigroup(self):
-        sg = diagonal_semigroup([-1.0, -4.0])
-        m_const, mu = certify_class_constants(sg, np.linspace(0, 2, 33), 200)
+        m_const, mu = certify_class_constants(np.diag([-1.0, -4.0]), 2.0)
         assert mu == 0.0
         assert 1.0 <= m_const <= 1.1 + 1e-12
 
     def test_spectral_abscissa_scaling(self):
-        sg = diagonal_semigroup([2.0, -1.0])
-        _, mu = certify_class_constants(sg, np.linspace(0, 1, 17), 100)
-        assert mu == pytest.approx(2.2)
+        _, mu = certify_class_constants(np.diag([2.0, -1.0]), 1.0)
+        assert mu == pytest.approx(2.0)
 
     def test_nilpotent_growth_absorbed_into_M(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        sg = dense_semigroup(a, 1.0, 0.0)
-        m_short, _ = certify_class_constants(sg, np.linspace(0, 1, 17), 400)
-        m_long, _ = certify_class_constants(sg, np.linspace(0, 5, 17), 400)
+        m_short, _ = certify_class_constants(a, 1.0)
+        m_long, _ = certify_class_constants(a, 5.0)
         # |e^{At}| = |I + At| grows with t, so the flat constant must grow too
         assert m_long > m_short >= 1.0
         # brute-force operator-norm comparison at the largest time
         assert m_long >= 1.1 * operator_norm(np.eye(2) + 5 * a, 2) / 1.2
 
     def test_certified_bound_holds_on_fresh_samples(self, rng):
-        cases = [
-            diagonal_semigroup([-1.0, -4.0]),
-            diagonal_semigroup([1.5, -0.5, 0.0]),
-            dense_semigroup(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 0.0),
-        ]
-        for sg in cases:
-            m_const, mu = certify_class_constants(sg, np.linspace(0, 2, 65), 300)
+        cases = [np.diag([-1.0, -4.0]), np.diag([1.5, -0.5, 0.0]),
+                 np.array([[0.0, 1.0], [0.0, 0.0]])]
+        for a in cases:
+            m_const, mu = certify_class_constants(a, 2.0)
             for _ in range(1000 // len(cases)):
                 t = rng.uniform(0, 2)
-                xi = rng.standard_normal(sg.dim)
-                image = sg.matrix_exp(t) @ xi
+                xi = rng.standard_normal(a.shape[0])
+                image = expm(a * t) @ xi
                 assert vector_norm(image, 2) <= m_const * math.exp(mu * t) * vector_norm(xi, 2) + 1e-12
 
-    def test_grid_matches_one_time_at_a_time(self, rng):
-        # the stacked grid against a loop over its times; A is far from
-        # normal, so a transposed exponential would give another M in norms 1, inf
-        a, _ = shifted_jordan(n=6, c=4.0)
-        cases = [dense_semigroup(a, 1.0, 0.0), dense_semigroup(rng.standard_normal((4, 4)), 1.0, 0.0),
-                 diagonal_semigroup([1.5, -0.5, 0.0])]
-        t_grid = np.linspace(0.0, 2.0, 17)[1:]
-        for sg in cases:
-            for norm_kind in (1, 2, np.inf):
-                xs = np.random.default_rng(0).standard_normal((64, sg.dim))
-                mu = 1.1 * max(0.0, sg.spectral_abscissa())
-                ratio = max(float((vector_norm(xs @ sg.matrix_exp(t).T, norm_kind)
-                                   / (math.exp(mu * t) * vector_norm(xs, norm_kind))).max())
-                            for t in t_grid)
-                got = certify_class_constants(sg, t_grid, 64, norm_kind)
-                assert got[1] == mu
-                assert got[0] == pytest.approx(max(1.0, 1.1 * ratio), rel=1e-13)
+    @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+    def test_jordan_block(self, norm_kind):
+        # e^{At} = e^{-t} [[1, t], [0, 1]]: its norm is 1 at t = 0 and falls
+        # from there in every norm, and mu[A] <= 0 puts the grid at K = 1
+        m_const, mu = certify_class_constants(np.array([[-1.0, 1.0], [0.0, -1.0]]), 3.0, norm_kind)
+        assert (m_const, mu) == (1.0, 0.0)
 
-    def test_degenerate_sampling_rejected(self):
-        sg = diagonal_semigroup([-1.0])
-        with pytest.raises(ValueError, match="t_grid"):
-            certify_class_constants(sg, [], 10)
+    @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+    def test_far_from_normal_within_grid_factor(self, norm_kind):
+        a, _ = shifted_jordan()  # sup |e^{At}| is 14.7 in norm 2, 15.1 in norms 1 and inf
+        m_const, mu = certify_class_constants(a, 1.0, norm_kind)
+        brute = brute_force_class(a, 1.0, mu, norm_kind)
+        assert mu == 0.0
+        assert brute <= m_const <= 1.1 * brute
+
+    def test_seeded_generators_bounded(self):
+        rng = np.random.default_rng(2006)
+        for _ in range(20):
+            a = rng.standard_normal((5, 5)) * rng.uniform(0.1, 3.0)
+            for norm_kind in (1, 2, np.inf):
+                m_const, mu = certify_class_constants(a, 2.0, norm_kind)
+                assert m_const >= brute_force_class(a, 2.0, mu, norm_kind)
+
+    def test_exponential_growth_does_not_overflow(self):
+        # e^{At} overflows past t = 0.89, e^{(A - 800 I)t} = [[1, 1000 t], [0, 1]] does not
+        a = np.array([[800.0, 1000.0], [0.0, 800.0]])
+        m_const, mu = certify_class_constants(a, 1.0, 2)
+        assert mu == 800.0
+        assert m_const >= brute_force_class(a, 1.0, mu, 2) > 1000.0
+
+    def test_capped_grid_still_bounds(self, monkeypatch):
+        # 64 floats hold two 5 x 5 matrices: K = 2, far from the factor 1.1
+        monkeypatch.setattr(mildsolve.spaces, "_GRID_FLOATS", 64)
+        a = np.random.default_rng(7).standard_normal((5, 5)) * 2.0
+        for norm_kind in (1, 2, np.inf):
+            m_const, mu = certify_class_constants(a, 2.0, norm_kind)
+            assert m_const >= brute_force_class(a, 2.0, mu, norm_kind)
+
+    def test_overflowing_class_rejected(self):
+        chain = np.diag([1e200, 1e200], 1)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows"):
+            certify_class_constants(chain, 1.0)
+
+    def test_non_finite_exponential_rejected(self, monkeypatch):
+        # a NaN norm must not read as M = 1, as max(1.0, nan) would
+        monkeypatch.setattr(mildsolve.spaces, "expm", lambda a: np.full(a.shape, np.nan))
+        with pytest.raises(ValueError, match="overflows"):
+            certify_class_constants(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0)
+
+    def test_bad_input_rejected(self):
+        for T in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="T must be"):
+                certify_class_constants(-np.eye(2), T)
+        with pytest.raises(ValueError, match="square"):
+            certify_class_constants([[1.0, 2.0]], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            certify_class_constants([[math.nan]], 1.0)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+    def test_log_norm_matches_its_definition(self, norm_kind):
+        # (|I + hA| - 1) / h is within h |A|_2^2 of mu[A], and its rounding near 1e-9
+        h = 1e-7
+        for a in seeded_matrices(count=20, seed=46):
+            defined = (operator_norm(np.eye(a.shape[0]) + h * a, norm_kind) - 1.0) / h
+            assert log_norm(a, norm_kind) == pytest.approx(defined, abs=1e-8 + h * operator_norm(a, 2) ** 2)
+
+    @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+    def test_operator_norm_of_a_stack(self, norm_kind, rng):
+        stack = rng.standard_normal((3, 4, 5, 5))
+        got = operator_norm(stack, norm_kind)
+        assert got.shape == (3, 4)
+        for i in np.ndindex(3, 4):
+            assert got[i] == operator_norm(stack[i], norm_kind)
+        assert type(operator_norm(stack[0, 0], norm_kind)) is float
 
 
 class TestBuiltinFields:
