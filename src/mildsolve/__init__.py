@@ -5,7 +5,6 @@ from .spaces import (
     Semigroup,
     StateVector,
     VectorField,
-    apply_semigroup,
     bilinear_field,
     certify_class_constants,
     constant_field,
@@ -50,7 +49,6 @@ from .compactness import (
     interval_covering_net,
     greedy_net,
     hausdorff_distance,
-    iterated_images,
     net_transfer,
     packing_number,
     state_cloud,

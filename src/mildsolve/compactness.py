@@ -13,12 +13,11 @@ union is totally bounded in the state space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .controls import Control
-from .operator import ContractionCertificate, TrajectoryGrid
+from .operator import TrajectoryGrid
 from .spaces import NormKind, all_finite, check_norm_kind, vector_norm
 
 
@@ -532,38 +531,6 @@ def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
         raise AssertionError("transferred net failed coverage verification")
     packing = _net_cells(ev, epsilon, ev_indices)[0].size
     return NetReport(epsilon, ev_indices, len(ev_indices), packing)
-
-
-def iterated_images(x0: TrajectoryGrid, u_sample: Sequence[Control],
-                    apply_F: Callable[[TrajectoryGrid, Control], TrajectoryGrid],
-                    n: int, budget: int = 256, subsample: bool = True,
-                    seed: int = 0,
-                    cert: ContractionCertificate | None = None) -> list[PointCloud]:
-    """Iterated image clouds W_0 = {x0}, W_{k+1} = {F(x, u) : x in W_k, u in sample}.
-
-    Cloud sizes grow like |u_sample|^k, so each generation is capped at
-    `budget` members by seeded uniform subsampling (error if subsampling is
-    disabled and the budget would be exceeded).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not u_sample:
-        raise ValueError("u_sample must be nonempty")
-    if cert is not None:
-        for u in u_sample:
-            cert.control_norm(u)
-    rng = np.random.default_rng(seed)
-    generations = [[x0]]
-    for _ in range(n):
-        prev = generations[-1]
-        if len(prev) * len(u_sample) > budget and not subsample:
-            raise ValueError("iterated image budget exceeded with subsampling disabled")
-        nxt = [apply_F(x, u) for x in prev for u in u_sample]
-        if len(nxt) > budget:
-            keep = np.sort(rng.choice(len(nxt), size=budget, replace=False))
-            nxt = [nxt[i] for i in keep]
-        generations.append(nxt)
-    return [trajectory_cloud(gen) for gen in generations]
 
 
 def _hausdorff_separated(clouds: Sequence[PointCloud], s: float) -> list[int]:

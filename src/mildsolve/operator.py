@@ -122,7 +122,9 @@ def semigroup_act(step: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
     """Row states y times E from `semigroup_step` (or a tiled table of
     `scan_powers`): e^{At} applied to each row, into `out` when given.
 
-    The one place that tells a diagonal step (elementwise) from a matrix one.
+    It tells a diagonal step (elementwise) from a matrix one; the one other
+    place is `reachset._build_gamma_table`, which takes a dense table's
+    orbits from one stacked `Semigroup.matrix_exp`.
     """
     return np.matmul(y, step, out=out) if step.ndim == 2 else np.multiply(y, step, out=out)
 
@@ -401,25 +403,6 @@ class ContractionCertificate:
             if self.rate_C == 0.0 and self.N > 1:  # d' would divide by 0 ** (m / N)
                 raise ValueError("a hidden certificate with rate 0 has N = 1")
 
-    @property
-    def block(self) -> int:
-        """Applications of F per contraction step: N on the hidden route, 1 on the omega route."""
-        return self.N if self.mode == "hidden" else 1
-
-    def residual_tails(self) -> np.ndarray:
-        """T_i = sum_{1 <= k <= i} base^k / k! for i < `block`, base =
-        `hidden_step_lipschitz` (T = [0] on the omega route).
-
-        The factorial estimate |F^k x - F^k y| <= base^k / k! |x - y| behind
-        the hidden route gives d(F^j x, F^N x) <= T_{N-j} d(F^{j-1} x, F^j x).
-        A T_i past the floats reads inf.
-        """
-        if self.block == 1:
-            return np.zeros(1)
-        with np.errstate(over="ignore"):
-            terms = np.cumprod(hidden_step_lipschitz(self) / np.arange(1.0, self.block))
-            return np.concatenate([[0.0], np.cumsum(terms)])
-
     def control_norm(self, u: Control) -> float | np.ndarray:
         """|u|_p of a control on the certificate's horizon with |u|_p <= radius_r (up to
         a relative 1e-12); any other control raises `CertificateRadiusError`.  A
@@ -432,21 +415,6 @@ class ContractionCertificate:
             raise CertificateRadiusError(
                 f"|u|_p = {np.max(norm):.6g} exceeds certificate radius {self.radius_r:.6g}")
         return norm
-
-    def distance(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
-                 times: np.ndarray, norm_kind: NormKind) -> np.ndarray:
-        """Distance of x and y in the certificate's metric, per row of a stack.
-
-        ``xs[m]`` and ``ys[m]`` are the iterates F^m x and F^m y, m < `block`,
-        as (..., n_t + 1, n) arrays on the grid `times`.  The omega route
-        reads max_j e^{-omega t_j} |x(t_j) - y(t_j)|; the hidden route reads
-        d'(x, y) = max_{m < N} sup|F^m x - F^m y| / C^{m/N}.
-        """
-        if self.mode == "omega":
-            weight = np.exp(-self.omega * times)
-            return (weight * vector_norm(xs[0] - ys[0], norm_kind)).max(axis=-1)
-        return np.max([vector_norm(x - y, norm_kind).max(axis=-1) / self.rate_C ** (m / self.N)
-                       for m, (x, y) in enumerate(zip(xs, ys))], axis=0)
 
     def to_dict(self) -> dict:
         out = {
@@ -587,8 +555,8 @@ def renormed_distance(x: TrajectoryGrid, y: TrajectoryGrid,
         raise ValueError("renormed distance requires a hidden certificate")
     _check_same_grid(x, y)
     xs, ys = [x], [y]
-    while len(xs) < cert.block:
+    while len(xs) < cert.N:
         xs.append(apply_F(xs[-1]))
         ys.append(apply_F(ys[-1]))
-    return float(cert.distance([fx.states for fx in xs], [fy.states for fy in ys],
-                               x.times, x.norm_kind))
+    return max(sup_norm(fx, fy) / cert.rate_C ** (n / cert.N)
+               for n, (fx, fy) in enumerate(zip(xs, ys)))

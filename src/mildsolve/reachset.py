@@ -407,8 +407,11 @@ def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
             f"Gamma_eps table for eps {eps:.3e} at delta {delta:.3e} needs {n_cells} x "
             f"{net.size} cells, more than {_MAX_TABLE_CELLS}")
     centers = K.points[net]
-    values = np.stack([semigroup_act(semigroup_step(sg, i * T / n_cells), centers)
-                       for i in range(1, n_cells + 1)])
+    times = [i * T / n_cells for i in range(1, n_cells + 1)]
+    if sg.is_diagonal:
+        values = np.stack([semigroup_act(semigroup_step(sg, t), centers) for t in times])
+    else:  # one stacked expm for every cell time
+        values = centers @ sg.matrix_exp(np.array(times)).swapaxes(-1, -2)
     return GammaTable(T, eps, delta, n_cells, centers, values, radii, K.norm_kind, np.inf)
 
 

@@ -1,29 +1,31 @@
 """Certified solves of the discretized mild equation ``x = F(x, u)``.
 
-`picard_solve` iterates from the constant trajectory at xi0.  The
-contraction certificate supplies the metric in which the Banach estimate
-``d(fixed point, x_k) <= C^k / (1 - C) * d(x_1, x_0)`` is valid: the
-omega-weighted norm for omega certificates, the renormed metric d' (one step
-= N applications) for hidden ones.  Iteration stops as soon as that bound
-falls below the requested tolerance, which therefore is an honest
-a-posteriori error bound on the returned trajectory.
+Every solve stops by one rule, whose bound is in the sup norm max_j |x(t_j) -
+y(t_j)|.  For a control u of the certificate's ball, F(., u) obeys the
+factorial estimate ``|F^k x - F^k y|_mu <= c^k / k! |x - y|_mu`` with the
+control's own c = M L |u|_1, on either route, in the weighted norm |z|_mu =
+max_j e^{-mu t_j} |z(t_j)|: e^{-mu t_m} |Fx - Fy|(t_m) <= M L sum_{i < m} h
+|u_i| e^{-mu t_i} |x - y|(t_i).  Summed, it bounds the error of F^j y
+against the discrete fixed point x* by the tails Q_j(c) = sum_{k >= j} c^k /
+k!, and |z|_sup <= e^{mu T} |z|_mu converts the bound once:
 
-`solve_batch` serves reach-set sampling, where only the states matter.  It
-computes every control's discrete fixed point x in one causal forward pass
-(`BatchOperator.fixed_point`), returns it as it is and certifies it by
-``d(x, fixed point) <= d(x, F^N x) / (1 - C)``, N = `cert.block`: in the
-sup-norm on the hidden route (F^N contracts it) and in the omega-weighted
-norm on the omega route (N = 1).  The factorial estimate bounds
-d(x, F^N x) by ``d(x, F^j x) + T_{N-j} d(F^{j-1} x, F^j x)`` (T = 0 on the
-omega route), and one stopping rule stops each control at the first stage
-j = 0, 1, ..., N whose bound meets the tolerance:
+    |F^j y - x*|_sup <= e^{mu T} min(Q_j(c) |y - F y|_mu,
+                                     (e^c - 1) |F^{j-1} y - F^j y|_mu).
 
-* j = 0 takes no application: the pass's proved rounding bound rho >=
-  sup|x - F x| gives ``(1 + T_{N-1}) rho / (1 - C)``.  It certifies every
-  control of a diagonal semigroup whose fields declare their evaluation
-  error, unless the tail T_{N-1} is huge;
-* j >= 1 applies F j times (`_forward_bounds`), to the controls that j = 0
-  leaves: a dense semigroup, a field with no declared error, a huge tail.
+The certificate proves that x* exists and that u lies in its ball; the rule
+reads none of its rates.  `picard_solve` iterates x_k = F^k x_0 from the
+constant trajectory at xi0 and returns x_k at the first k where this bound,
+y = x_0, is <= tol.  `solve_batch` serves reach-set sampling: it computes
+every control's x* in one causal forward pass (`BatchOperator.fixed_point`),
+returns that x as it is, and certifies it at the first stage j = 0, 1, ...
+where |x - F^j x|_sup plus the bound, y = x, is <= tol.  Stage 0 takes no
+application: the pass's proved rounding bound rho >= |x - F x|_sup gives
+e^{mu T} e^c rho, which certifies a diagonal semigroup whose fields declare
+their evaluation error unless c is large.  A control fails once |x - F^j
+x|_sup minus the bound is > tol, as no later stage can pass then, and before
+any application when its rule cannot stop within `_MAX_APPLICATIONS`.  The
+bounds leave out the O(h) error of the left-endpoint quadrature against the
+mild solution.
 """
 
 from __future__ import annotations
@@ -34,17 +36,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controls import Control, lp_norm
-from .spaces import Semigroup, StateVector, VectorField, vector_norm
+from .controls import Control, lp_norm, stack_controls
+from .spaces import _EPS, _ETA, Semigroup, StateVector, VectorField, vector_norm
 from .operator import BatchOperator, CertificateRadiusError, ContractionCertificate, TrajectoryGrid
 
 _MAX_APPLICATIONS = 100_000
-# The certificate's applications run on chunks of controls whose (chunk,
-# n_t + 1, n) stack stays near this many bytes, keeping an application's
-# temporaries in cache (1.2-1.4x faster than one stack for 50-500 heat
-# controls, n = 16..64, 2-vCPU Xeon).
+# The stage applications run on chunks of controls whose (chunk, n_t + 1, n)
+# stack stays near this many bytes, keeping an application's temporaries in
+# cache (1.2-1.4x faster than one stack for 50-500 heat controls, n = 16..64,
+# 2-vCPU Xeon).
 _CHUNK_BYTES = 1 << 18
-_CAP_EXCEEDED = "Picard iteration exceeded the application cap"
+_CAP_EXCEEDED = f"the stopping rule needs more than the application cap ({_MAX_APPLICATIONS})"
 
 
 class NonFiniteIterateError(ValueError):
@@ -61,35 +63,95 @@ class SolveResult:
     # batch solve reads 0 when the forward pass's rounding bound certified it
     iterations: int
     certificate: ContractionCertificate
-    a_posteriori_bound: float  # in the certificate's metric (see `solve_batch` for its own)
+    a_posteriori_bound: float  # sup-norm error bound against the discrete fixed point
 
 
-def _stop_index(rate: float, gap1: float, tol: float) -> int:
-    """Smallest k >= 1 with rate^k / (1 - rate) * gap1 <= tol."""
-    if gap1 <= tol * (1.0 - rate) or rate == 0.0:
-        return 1
-    k = math.ceil(math.log(tol * (1.0 - rate) / gap1) / math.log(rate))
-    return max(1, k)
+def _tail(c, j: int) -> np.ndarray:
+    """Q_j(c) = sum_{k >= j} c^k / k! for each c >= 0 of an array, rounded up;
+    past the floats reads inf.
+
+    Q_0 = e^c and Q_1 = e^c - 1.  For j >= 2, Q_j <= e^c, and when j + 1 > c
+    each term after c^j / j! is at most c / (j + 1) < 1 times the one before,
+    so Q_j <= c^j / j! / (1 - c / (j + 1)) (`lgamma`): the smaller is taken.
+    The logarithm is raised by 1e-14 of its parts' magnitude plus 1e-15, more
+    than log, log1p, expm1, lgamma and exp lose, and Q_j by at least one
+    subnormal.
+    """
+    c = np.asarray(c, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts = [c]
+        if j == 1:  # log(e^c - 1) = c + log(1 - e^-c)
+            parts = [c, np.log(-np.expm1(-c))]
+        elif j > 1:
+            geometric = [j * np.log(c), np.full_like(c, -math.lgamma(j + 1)),
+                         -np.log1p(-c / (j + 1))]
+            use = (j + 1 > c) & (sum(geometric) < c)
+            parts = [np.where(use, g, e) for g, e in zip(geometric, (c, 0.0, 0.0))]
+        log_q = sum(parts) + 1e-14 * sum(map(np.abs, parts)) + 1e-15
+        q = np.where(log_q > 709.0, np.inf, np.maximum(np.exp(log_q), _ETA))
+    return np.where(c == 0.0, float(j == 0), q)
+
+
+def _tail_bound(c, j: int, first, last) -> np.ndarray:
+    """min(Q_j(c) first, (e^c - 1) last) >= |F^j y - x*|_mu for the steps
+    first = |y - F y|_mu and last = |F^{j-1} y - F^j y|_mu (module
+    docstring); a zero last step reads 0, whatever the tails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(last > 0.0, np.minimum(_tail(c, j) * first, _tail(c, 1) * last), 0.0)
+
+
+def _weighting(mu: float, times: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights e^{-mu t_j} of the norm |.|_mu the factorial estimate
+    holds in, and e^{mu T} rounded up, which bounds |.|_sup by |.|_mu; all
+    are 1 when mu = 0."""
+    lift = math.exp(mu * times[-1])
+    return np.exp(-mu * times), (math.nextafter(lift, math.inf) if lift > 1.0 else lift)
+
+
+def _factorial_bases(apply_F: BatchOperator, xi0: StateVector, fields: Sequence[VectorField],
+                     cert: ContractionCertificate, l1_norms: np.ndarray, tol: float,
+                     fail: Callable[[int, Exception], Exception]) -> np.ndarray:
+    """Each control's c = M L |u|_1, rounded up, from its L^1 norm, after
+    checking that its stopping rule ends within `_MAX_APPLICATIONS`.
+
+    gap_1 = |F x_0 - x_0|_mu is at most G = |e^{At} xi0 - xi0|_sup + M
+    e^{mu T} |u|_1 (alpha |xi0| + beta), the fields' largest growth
+    constants, so e^{mu T} Q_cap(c) G <= tol stops `picard_solve` within the
+    cap.  Both c and G grow with |u|_1, so the control of largest mass is
+    checked for all: if it fails, it raises ``fail(i, error)``, before any
+    application.
+    """
+    bases = l1_norms * (cert.M * cert.L_bound * (1.0 + 16.0 * _EPS))
+    i = int(np.argmax(l1_norms))
+    if bases[i] > 0.0:  # else every c = 0 and the rule stops at the first application
+        lift = _weighting(cert.mu, apply_F.times)[1]
+        alpha = max(f.growth_alpha for f in fields)
+        beta = max(f.growth_beta for f in fields)
+        displacement = vector_norm(apply_F.orbit.states - xi0.coords, xi0.norm_kind).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            first_gap = displacement + cert.M * lift * l1_norms[i] * (alpha * xi0.norm() + beta)
+            if lift * _tail(bases[i], _MAX_APPLICATIONS) * first_gap > tol:  # inf * 0 stops
+                raise fail(i, RuntimeError(_CAP_EXCEEDED))
+    return bases
 
 
 def _check_controls(controls: Sequence[Control], fields: Sequence[VectorField],
                     cert: ContractionCertificate, tol: float,
-                    fail: Callable[[int, Exception], Exception]) -> np.ndarray:
-    """The controls' p-norms (`cert.control_norm`), after checking every
-    control before any work; a failed check of control i raises
+                    fail: Callable[[int, Exception], Exception]) -> None:
+    """Check every control before any work: one channel per field, one
+    shared grid and membership of the certificate's ball
+    (`cert.control_norm`); a failed check of control i raises
     ``fail(i, error)``."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    norms = np.empty(len(controls))
     grid = (controls[0].n_t, controls[0].horizon_T) if controls else None
     for i, u in enumerate(controls):
         if u.channels != len(fields) or (u.n_t, u.horizon_T) != grid:
             raise fail(i, ValueError("controls need one channel per field and one shared grid"))
         try:
-            norms[i] = cert.control_norm(u)
+            cert.control_norm(u)
         except CertificateRadiusError as error:
             raise fail(i, error) from None
-    return norms
 
 
 def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
@@ -97,88 +159,65 @@ def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
                  tol: float = 1e-8) -> SolveResult:
     """Solve the mild equation for one control with certified accuracy.
 
-    One contraction step is `cert.block` = N applications of F (N = 1 on the
-    omega route).  The first step's gap, in the certificate's metric, needs
-    the iterates up to x_{2N-1} and fixes the stop index k; the result is
-    x_{kN}.  A zero control stops after one application, at the control-free
-    orbit.  Raises `CertificateRadiusError` when u lies outside the
-    certificate's ball (see `ContractionCertificate.control_norm`).
+    Returns x_k at the first k whose bound (module docstring, y = x_0) is <=
+    `tol`, and that bound.  A control with c = 0 (a zero control, or fields
+    that do not depend on the state) stops after one application with bound
+    0.  Raises `CertificateRadiusError` when u lies outside the certificate's
+    ball (see `ContractionCertificate.control_norm`).
     """
-    norm = _check_controls([u], fields, cert, tol, lambda i, error: error)[0]
-    n, kind = cert.block, xi0.norm_kind
-    window = 1 if norm == 0.0 else 2 * n - 1  # the applications that fix the stop index
-    if window > _MAX_APPLICATIONS:
-        raise RuntimeError(_CAP_EXCEEDED)
+    _check_controls([u], fields, cert, tol, lambda i, error: error)
+    kind = xi0.norm_kind
     apply_F = BatchOperator(xi0, fields, sg, u.horizon_T, u.n_t)
+    base = _factorial_bases(apply_F, xi0, fields, cert, np.atleast_1d(lp_norm(u, 1)), tol,
+                            lambda i, error: error)[0]
+    weight, lift = _weighting(cert.mu, apply_F.times)
     gaps: list[float] = []
-
-    def advance(x: np.ndarray) -> np.ndarray:
+    x = np.broadcast_to(xi0.coords, (1,) + apply_F.orbit.states.shape)
+    for k in range(1, _MAX_APPLICATIONS + 1):
         nxt = apply_F(x, u.values[None])
-        gap = float(vector_norm(nxt - x, kind).max())
+        norms = vector_norm(nxt - x, kind)[0]
+        gap = float(norms.max())
         if not math.isfinite(gap):
             raise NonFiniteIterateError("trajectory states must be finite")
         gaps.append(gap)
-        return nxt
-
-    iterates = [np.broadcast_to(xi0.coords, (1,) + apply_F.orbit.states.shape)]
-    for _ in range(window):
-        iterates.append(advance(iterates[-1]))
-    if norm == 0.0:
-        total, bound = 1, 0.0
-    else:
-        gap1 = float(cert.distance(iterates[:n], iterates[n:], apply_F.times, kind)[0])
-        k = _stop_index(cert.rate_C, gap1, tol)
-        total, bound = k * n, cert.rate_C ** k / (1.0 - cert.rate_C) * gap1
-        if total > _MAX_APPLICATIONS:
-            raise RuntimeError(_CAP_EXCEEDED)
-    x = iterates[min(total, window)]
-    del iterates  # keep only the running iterate
-    for _ in range(window, total):
-        x = advance(x)
-    return SolveResult(TrajectoryGrid(u.horizon_T, x[0], kind), gaps[:total], total, cert,
-                       float(bound))
+        x = nxt
+        last = (weight * norms).max()
+        first = last if k == 1 else first
+        bound = lift * float(_tail_bound(base, k, first, last))
+        if bound <= tol:
+            return SolveResult(TrajectoryGrid(u.horizon_T, x[0], kind), gaps, k, cert, bound)
+    raise RuntimeError(_CAP_EXCEEDED)
 
 
-def _forward_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarray,
-                    cert: ContractionCertificate, tails: np.ndarray, tol: float,
-                    kind) -> tuple[np.ndarray, np.ndarray]:
-    """Banach bounds on d(x, x*) for candidate trajectories x (B, n_t + 1, n),
-    in `cert.distance`'s metric of one step (the sup-norm on the hidden
-    route), and the applications of F each bound took: the stages j >= 1 of
-    the stopping rule, for the controls its stage j = 0 leaves (`_solve_stack`).
-
-    After j <= N = `cert.block` applications, d(x, F^N x) <= d(x, F^j x) +
-    T_{N-j} d(F^{j-1} x, F^j x) with `tails` = `cert.residual_tails()`, and
-    d(x, x*) <= d(x, F^N x) / (1 - C).  Each candidate stops at the first j
-    whose bound is <= `tol`, else at j = N with d(x, F^N x) / (1 - C).  A
-    zero residual adds nothing, even to an infinite tail.  A non-finite bound
-    at j = N reads inf when x and F^N x are finite, NaN when they are not.
+def _stage_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarray,
+                  bases: np.ndarray, mu: float, tol: float,
+                  kind) -> tuple[np.ndarray, np.ndarray]:
+    """The stages j >= 1 of the stopping rule (module docstring) for
+    candidates x (B, n_t + 1, n), mu the class growth: their bounds on |x -
+    x*|_sup and the applications j they took.  A candidate stops at the
+    first j that passes or fails, or at the application cap; one whose
+    iterate is not finite reads NaN.
     """
+    weight, lift = _weighting(mu, apply_F.times)
     bounds, taken = np.empty(len(states)), np.empty(len(states), dtype=int)
-    live, x, prev = np.arange(len(states)), states, states
-    for j in range(1, cert.block + 1):
-        image = apply_F(prev, values[live])
-        bound = cert.distance([x], [image], apply_F.times, kind)
-        tail = tails[cert.block - j]
-        with np.errstate(over="ignore"):  # a bound past the floats is inf
-            if tail > 0.0:
-                step = bound if j == 1 else cert.distance([prev], [image], apply_F.times, kind)
-                moved = step > 0.0
-                bound[moved] += step[moved] * tail
-            bound /= 1.0 - cert.rate_C
-        if j == cert.block:
-            done = np.ones(len(live), dtype=bool)
-            blown = ~np.isfinite(bound)
-            if blown.any():
-                finite = (np.isfinite(x[blown]).all(axis=(1, 2))
-                          & np.isfinite(image[blown]).all(axis=(1, 2)))
-                bound[blown] = np.where(finite, np.inf, np.nan)
-        else:
-            done = bound <= tol
-        bounds[live[done]], taken[live[done]] = bound[done], j
+    live, x, image = np.arange(len(states)), states, states
+    for j in range(1, _MAX_APPLICATIONS + 1):
+        step = apply_F(image, values[live])
+        norms = vector_norm(image - step, kind)
+        last = (weight * norms).max(axis=-1)
+        moved = norms.max(axis=-1) if j == 1 else vector_norm(x - step, kind).max(axis=-1)
+        image = step
+        first = last if j == 1 else first
+        spread = lift * _tail_bound(bases[live], j, first, last)
+        bound = moved + spread
+        finite = np.isfinite(moved)
+        done = (bound <= tol) | (moved - spread > tol) | ~finite | (j == _MAX_APPLICATIONS)
+        bounds[live[done]] = np.where(finite[done], bound[done], np.nan)
+        taken[live[done]] = j
         if done.all():
             break
-        live, x, prev = live[~done], x[~done], image[~done]
+        keep = ~done
+        live, x, image, first = live[keep], x[keep], image[keep], first[keep]
     return bounds, taken
 
 
@@ -190,33 +229,29 @@ def _solve_stack(xi0: StateVector, controls: Sequence[Control],
                  fields: Sequence[VectorField], sg: Semigroup, cert: ContractionCertificate,
                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward-pass states (B, n_t + 1, n) of B >= 1 controls on one
-    grid with one channel per field, each within its bound of its discrete
-    fixed point, the bounds and the applications taken (see the module
-    docstring): 0 for a control the pass's rounding bound certifies, else
-    those of `_forward_bounds`, which runs on the other controls only.
-
-    A non-finite iterate, or a bound that is not <= `tol`, raises
-    RuntimeError with the control's index.  Ball membership is the caller's
-    check.
+    grid with one channel per field, their sup-norm bounds and the
+    applications taken (module docstring): 0 where e^{mu T} e^c rho
+    certifies, else those of `_stage_bounds`, run on the other controls
+    only.  A failed rule or a non-finite iterate raises RuntimeError with
+    the control's index.  Ball membership is the caller's check.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    values = np.stack([u.values for u in controls])
-    if cert.block > _MAX_APPLICATIONS:
-        raise _control_failed(int(np.argmax(values.any(axis=(1, 2)))), RuntimeError(
-            f"the certificate's block of {cert.block} applications exceeds the application cap"))
-    apply_F = BatchOperator(xi0, fields, sg, controls[0].horizon_T, controls[0].n_t)
+    stack = stack_controls(controls)
+    values = stack.values
+    apply_F = BatchOperator(xi0, fields, sg, stack.horizon_T, stack.n_t)
+    bases = _factorial_bases(apply_F, xi0, fields, cert, lp_norm(stack, 1), tol,
+                             _control_failed)
     states, residuals = apply_F.fixed_point(values)
-    tails = cert.residual_tails()
     with np.errstate(over="ignore", invalid="ignore"):  # j = 0: past the floats reads inf
-        bounds = (1.0 + tails[-1]) * residuals / (1.0 - cert.rate_C)
+        bounds = _weighting(cert.mu, apply_F.times)[1] * _tail(bases, 0) * residuals
     taken = np.zeros(len(controls), dtype=int)
     left = np.flatnonzero(~(bounds <= tol))
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
     for first in range(0, len(left), size):
         chunk = left[first:first + size]
-        bounds[chunk], taken[chunk] = _forward_bounds(apply_F, states[chunk], values[chunk],
-                                                      cert, tails, tol, xi0.norm_kind)
+        bounds[chunk], taken[chunk] = _stage_bounds(apply_F, states[chunk], values[chunk],
+                                                    bases[chunk], cert.mu, tol, xi0.norm_kind)
     bad = np.isnan(bounds)
     if bad.any():
         raise _control_failed(int(np.argmax(bad)),
@@ -235,13 +270,13 @@ def solve_batch(xi0: StateVector, controls: Sequence[Control],
     """Certified discrete fixed points of many controls on one grid.
 
     Each control's forward-pass candidate x is returned as it is, certified
-    by the first stage of the stopping rule whose bound meets `tol` (see the
-    module docstring): `iterations` counts the applications its bound took,
-    0 for the pass's rounding bound, and `iterate_gaps` is empty.  The
-    trajectories are row views of one (B, n_t + 1, n) array.  Results are in
-    input order and agree with `picard_solve` up to rounding.  A failed
-    check, or a bound that is not <= `tol`, raises RuntimeError with the
-    control's index.
+    in the sup norm by the first stage of the stopping rule whose bound
+    meets `tol` (see the module docstring): `iterations` counts the
+    applications its bound took, 0 for the pass's rounding bound, and
+    `iterate_gaps` is empty.  The trajectories are row views of one
+    (B, n_t + 1, n) array.  Results are in input order and agree with
+    `picard_solve` up to rounding.  A failed check, or a bound that is not
+    <= `tol`, raises RuntimeError with the control's index.
     """
     controls = list(controls)
     _check_controls(controls, fields, cert, tol, _control_failed)

@@ -235,20 +235,6 @@ def heat_semigroup(dim: int) -> Semigroup:
     return diagonal_semigroup(-k * k)
 
 
-def apply_semigroup(sg: Semigroup, t: float, xi: StateVector) -> StateVector:
-    """e^{At} xi: exact up to exp rounding for a diagonal generator, `expm` of At
-    for a dense one."""
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
-    if xi.dim != sg.dim:
-        raise ValueError(f"dimension mismatch: state {xi.dim}, semigroup {sg.dim}")
-    if sg.is_diagonal:
-        out = np.exp(sg.eigenvalues * t) * xi.coords
-    else:
-        out = sg.matrix_exp(t) @ xi.coords
-    return StateVector(out, xi.norm_kind)
-
-
 _GRID_FACTOR, _GRID_FLOATS = 1.1, 1 << 22  # see certify_class_constants
 
 

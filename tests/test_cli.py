@@ -158,6 +158,22 @@ class TestSolve:
         assert sidecar["iterations"] >= 1
         assert sidecar["a_posteriori_bound"] < 1e-8
 
+    def test_control_past_the_application_cap_exits_3(self, tmp_path, capsys):
+        # |u|_1 = 5e4 in a ball of that radius: its stopping rule would need
+        # ~e 5e4 applications, so the solve fails before the first one
+        cfg = write_config(tmp_path, scalar_system(control={"p": 1, "r": 5e4}))
+        control_path = tmp_path / "u.csv"
+        with open(control_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_start", "u0"])
+            for j in range(500):
+                writer.writerow([repr(j / 500.0), "5e4"])
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--control", str(control_path)]) == 3
+        assert "application cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metadata_records_timings_and_counters(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system())
         out = tmp_path / "out"

@@ -5,25 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mildsolve import (
-    Control,
     StateVector,
-    bilinear_field,
-    certify_hidden_contraction,
     collection_union_nets,
     compactness_diagnostic,
-    constant_field,
     constant_trajectory,
     covering_net,
     covering_sizes,
-    diagonal_semigroup,
     evaluation_set,
     greedy_net,
     hausdorff_distance,
-    integral_operator,
-    iterated_images,
     net_transfer,
     packing_number,
-    sample_ball,
     state_cloud,
     sup_norm,
     trajectory_cloud,
@@ -535,69 +527,6 @@ class TestNetTransfer:
         bogus = greedy_net(trajectory_cloud(family[:1]), 1e-6)
         with pytest.raises(ValueError, match="not a valid"):
             net_transfer(bogus, family, 1e-5)
-
-
-class TestIteratedImages:
-    @pytest.fixture
-    def operator_setup(self):
-        sg = diagonal_semigroup([0.0])
-        xi0 = StateVector([1.0])
-
-        def apply_f(field):
-            return lambda x, u: integral_operator(x, u, xi0, [field], sg)
-
-        return sg, xi0, apply_f
-
-    def test_zeroth_generation(self, operator_setup, rng):
-        _, xi0, apply_f = operator_setup
-        x0 = constant_trajectory(xi0, 1.0, 16)
-        u = sample_ball(1.0, 1.0, 1.0, 1, 16, 1, seed=0)
-        clouds = iterated_images(x0, u, apply_f(bilinear_field([[1.0]])), 0)
-        assert len(clouds) == 1
-        assert clouds[0].size == 1
-
-    def test_constant_field_stabilizes_after_one_step(self, operator_setup):
-        _, xi0, apply_f = operator_setup
-        x0 = constant_trajectory(xi0, 1.0, 16)
-        us = sample_ball(1.0, 1.0, 1.0, 1, 16, 4, seed=1)
-        clouds = iterated_images(x0, us, apply_f(constant_field([1.0])), 2)
-        # F does not depend on x, so W_2 and W_1 agree as sets
-        assert hausdorff_distance(clouds[2], clouds[1]) <= 1e-12
-
-    def test_generation_counting(self, operator_setup):
-        _, xi0, apply_f = operator_setup
-        x0 = constant_trajectory(xi0, 1.0, 16)
-        us = sample_ball(1.0, 1.0, 1.0, 1, 16, 3, seed=2)
-        clouds = iterated_images(x0, us, apply_f(bilinear_field([[1.0]])), 2)
-        assert clouds[1].size == 3
-        assert clouds[2].size <= 9
-
-    def test_budget_without_subsampling_rejected(self, operator_setup):
-        _, xi0, apply_f = operator_setup
-        x0 = constant_trajectory(xi0, 1.0, 16)
-        us = sample_ball(1.0, 1.0, 1.0, 1, 16, 5, seed=3)
-        with pytest.raises(ValueError, match="budget"):
-            iterated_images(x0, us, apply_f(bilinear_field([[1.0]])), 2,
-                            budget=10, subsample=False)
-
-    def test_budget_subsampling_is_seeded(self, operator_setup):
-        _, xi0, apply_f = operator_setup
-        x0 = constant_trajectory(xi0, 1.0, 16)
-        us = sample_ball(1.0, 1.0, 1.0, 1, 16, 5, seed=3)
-        a = iterated_images(x0, us, apply_f(bilinear_field([[1.0]])), 2,
-                            budget=10, seed=5)
-        b = iterated_images(x0, us, apply_f(bilinear_field([[1.0]])), 2,
-                            budget=10, seed=5)
-        assert a[2].size == 10
-        assert np.array_equal(a[2].points, b[2].points)
-
-    def test_certificate_radius_enforced(self, operator_setup):
-        _, xi0, apply_f = operator_setup
-        x0 = constant_trajectory(xi0, 1.0, 16)
-        cert = certify_hidden_contraction(0.1, 1.0, 0.0, 1.0, 1.0)
-        us = [Control(1.0, np.full((1, 16), 2.0))]
-        with pytest.raises(ValueError, match="radius"):
-            iterated_images(x0, us, apply_f(bilinear_field([[1.0]])), 1, cert=cert)
 
 
 class TestCollectionUnionNets:

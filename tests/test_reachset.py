@@ -30,6 +30,7 @@ from mildsolve import (
 )
 from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
 import mildsolve.reachset as reachset
+import mildsolve.spaces
 from mildsolve import GammaTable, gamma_tables, greedy_net
 from mildsolve.compactness import _net_cells
 from mildsolve.reachset import ReachSetSample, _build_gamma_table, _certified_bound
@@ -396,6 +397,16 @@ class TestGammaSweep:
             n = table.n_time_cells
             brute, _ = verify_gamma(sg, cloud, table, np.linspace(0.0, 1.0, 4 * n + 1))
             assert brute <= table.certified_bound < eps
+
+    def test_dense_table_takes_one_expm(self, monkeypatch):
+        # every time cell's orbit comes from one stacked expm, not one per cell
+        sg = dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)
+        cloud = state_cloud(np.random.default_rng(3).uniform(-1.0, 1.0, (40, 2)))
+        calls, expm = [], mildsolve.spaces.expm
+        monkeypatch.setattr(mildsolve.spaces, "expm", lambda a: calls.append(a.shape) or expm(a))
+        table = _build_gamma_table(sg, cloud, 1.0, 0.1, 0.1)
+        assert table.n_time_cells == 11
+        assert calls == [(11, 2, 2)]
 
     def test_table_over_the_time_cell_cap_raises_before_building(self, monkeypatch):
         sg, cloud = diagonal_semigroup([-1.0]), state_cloud(np.linspace(0, 1, 11)[:, None])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,11 +22,10 @@ from mildsolve import (
     dense_semigroup,
     diagonal_semigroup,
     gronwall_radius,
+    heat_semigroup,
     iterate_differences,
     lp_norm,
-    omega_norm_distance,
     picard_solve,
-    renormed_distance,
     sample_ball,
     saturation_field,
     semigroup_orbit,
@@ -33,8 +33,10 @@ from mildsolve import (
     sup_norm,
 )
 
-from mildsolve.operator import BatchOperator, ContractionCertificate
-from mildsolve.solver import _forward_bounds
+from mildsolve.operator import BatchOperator
+from mildsolve import solver
+from mildsolve.solver import _stage_bounds, _tail
+from mildsolve.spaces import vector_norm
 
 from conftest import constant_control, diagnostic_system
 
@@ -113,14 +115,18 @@ class TestPicardSolve:
             solve_batch(StateVector([1.0]), controls, [f], sg, cert)
 
     def test_application_cap_fails_before_iterating(self):
-        # N ~ e * 5e4: the first hidden window alone, 2N - 1, passes the cap
+        # |u|_1 = 5e4 gives c = 5e4: Q_k(c) stays above 1 up to k ~ e c, past the cap
         rows = []
         f = counted(bilinear_field([[1.0]]), rows)
         cert = certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(RuntimeError, match="application cap"):
-            picard_solve(StateVector([1.0]), constant_control(1.0, 16), [f],
+            picard_solve(StateVector([1.0]), constant_control(5e4, 16), [f],
                          diagonal_semigroup([0.0]), cert)
         assert rows == []
+        # the same ball, a control of small mass: c = 1 stops within the cap
+        res = picard_solve(StateVector([1.0]), constant_control(1.0, 16), [f],
+                           diagonal_semigroup([0.0]), cert)
+        assert res.a_posteriori_bound <= 1e-8 and sum(rows) == 16 * res.iterations
 
     def test_invalid_tolerance(self):
         sg = diagonal_semigroup([0.0])
@@ -144,7 +150,8 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_a_posteriori_honesty(self, p):
-        # 20 further contraction steps move the iterate less than the bound
+        # no number of further applications moves the iterate, in the sup
+        # norm, by more than the bound
         sg = diagonal_semigroup([0.0])
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
@@ -155,15 +162,10 @@ class TestPicardSolve:
             cert = certify_omega_contraction(p, 1.0, 1.0, 0.0, 1.0, 1.0)
         res = picard_solve(xi0, u, [f], sg, cert, tol=1e-6)
         apply_F = bind_operator(u, xi0, [f], sg)
-        extra_steps = 20 * (cert.N if cert.mode == "hidden" else 1)
         cur = res.trajectory
-        for _ in range(extra_steps):
+        for _ in range(20):
             cur = apply_F(cur)
-        if cert.mode == "hidden":
-            moved = renormed_distance(res.trajectory, cur, apply_F, cert)
-        else:
-            moved = omega_norm_distance(res.trajectory, cur, cert.omega)
-        assert moved <= res.a_posteriori_bound + 1e-15
+            assert sup_norm(res.trajectory, cur) <= res.a_posteriori_bound + 1e-15
 
     def test_bound_holds_for_tiny_states(self):
         # gaps near 1e-171 square below the smallest normal float: the bound
@@ -175,47 +177,45 @@ class TestPicardSolve:
         tiny = picard_solve(StateVector([1e-170]), u, [f], sg, cert, tol=1e-8)
         unit = picard_solve(StateVector([1.0]), u, [f], sg, cert, tol=1e-8)
         reference = TrajectoryGrid(1.0, 1e-170 * unit.trajectory.states)
-        error = omega_norm_distance(tiny.trajectory, reference, cert.omega)
+        error = sup_norm(tiny.trajectory, reference)
         assert tiny.a_posteriori_bound >= error > 0.0
 
     @pytest.mark.parametrize("route", ["hidden", "omega"])
     def test_bound_reads_first_gap_in_public_metric(self, route):
-        # the stopping bound is C^k / (1 - C) * gap_1 bit for bit, k contraction
-        # steps of `block` applications and gap_1 = d(x_0, x_block) in the
-        # certificate's own metric, as the public distance functions give it
+        # the stopping bound is min(Q_k(c) gap_1, Q_1(c) gap_k) bit for bit,
+        # with the sup-norm gaps as the public distance gives them (mu = 0,
+        # so the weighted norm is the sup norm) and c = M L |u|_1 rounded up;
+        # k is the first index it meets tol at
         sg = diagonal_semigroup([0.0])
         f = bilinear_field([[1.0]])
         xi0 = StateVector([1.0])
         if route == "hidden":
             cert = certify_hidden_contraction(2.0, 1.0, 0.0, 1.0, 1.0)
             u = constant_control(1.5, 200)
-            assert (cert.N, cert.block) == (4, 4)
         else:
             cert = certify_omega_contraction(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
             u = constant_control(0.8, 200)
-            assert cert.block == 1
+        assert cert.mode == route
         rows = []
-        res = picard_solve(xi0, u, [counted(f, rows)], sg, cert, tol=1e-8)
+        tol = 1e-8
+        res = picard_solve(xi0, u, [counted(f, rows)], sg, cert, tol=tol)
         apply_F = bind_operator(u, xi0, [f], sg)
-        x0 = constant_trajectory(xi0, u.horizon_T, u.n_t)
-        x_block = x0
-        for _ in range(cert.block):
-            x_block = apply_F(x_block)
-        if route == "hidden":
-            gap1 = renormed_distance(x0, x_block, apply_F, cert)
-        else:
-            gap1 = omega_norm_distance(x0, x_block, cert.omega)
-        k, rest = divmod(res.iterations, cert.block)
-        assert rest == 0 and k >= 2
-        assert res.a_posteriori_bound == cert.rate_C ** k / (1.0 - cert.rate_C) * gap1
-        assert res.a_posteriori_bound <= 1e-8
-        # F runs as often as the stop index needs, and at least through the
-        # first step's window of 2N - 1; the result is the iterate x_{kN}
-        assert sum(rows) == u.n_t * max(res.iterations, 2 * cert.block - 1)
-        x = x0
+        iterates = [constant_trajectory(xi0, u.horizon_T, u.n_t)]
         for _ in range(res.iterations):
-            x = apply_F(x)
-        assert np.array_equal(x.states, res.trajectory.states)
+            iterates.append(apply_F(iterates[-1]))
+        gaps = [sup_norm(x, y) for x, y in zip(iterates, iterates[1:])]
+        assert res.iterate_gaps == gaps
+        c = factorial_bases([u], cert)[0]
+
+        def bound(k):
+            return min(_tail(c, k) * gaps[0], _tail(c, 1) * gaps[k - 1])
+
+        k = res.iterations
+        assert k >= 2 and bound(k - 1) > tol
+        assert res.a_posteriori_bound == bound(k) <= tol
+        # F runs once per iterate, and the result is the iterate x_k
+        assert sum(rows) == u.n_t * res.iterations
+        assert np.array_equal(iterates[-1].states, res.trajectory.states)
 
 
 class TestIterateDifferences:
@@ -402,54 +402,126 @@ def test_solve_batch_returns_input_order():
     assert min(gaps) > 1e-6  # neighbours are told apart far above the tolerance
 
 
+def factorial_bases(controls, cert):
+    """c = M L |u|_1 per control, rounded up as the solver rounds it."""
+    return np.array([lp_norm(u, 1) for u in controls]) * (
+        cert.M * cert.L_bound * (1.0 + 16.0 * 2.0 ** -53))
+
+
 @pytest.mark.parametrize("route", ["hidden", "omega"])
 @pytest.mark.parametrize("name", ["heat16", "dense8"])
 def test_forward_bound_covers_a_perturbed_candidate(name, route):
-    # d(x, x*) <= (d(x, F^j x) + T_{N-j} d(F^{j-1} x, F^j x)) / (1 - C) in the
-    # certificate's one-step metric, for every stopping j
+    # |x - x*| <= |x - F^j x| + min(Q_j(c) |x - F x|, Q_1(c) |F^{j-1} x - F^j x|)
+    # in the sup norm at every j, and the stage helper reads that bound bit
+    # for bit where it stops
     sg, fields, xi0, cert, controls = batch_system(name, route)
     apply_F = BatchOperator(xi0, fields, sg, 1.0, 128)
     values = np.stack([u.values for u in controls])
-    noise = np.random.default_rng(40).standard_normal(apply_F.fixed_point(values)[0].shape)
-    candidate = apply_F.fixed_point(values)[0] + 1e-3 * noise
-    exact = np.stack([picard_solve(xi0, u, fields, sg, cert, tol=1e-13).trajectory.states
-                      for u in controls])
-    true = cert.distance([candidate], [exact], apply_F.times, xi0.norm_kind)
+    exact = apply_F.fixed_point(values)[0]
+    noise = np.random.default_rng(40).standard_normal(exact.shape)
+    candidate = exact + 1e-3 * noise
+    # the pass and F's own iterates agree up to rounding: 1e-15 covers it
+    true = vector_norm(candidate - exact, xi0.norm_kind).max(axis=-1) - 1e-15
     assert np.all(true > 1e-4)
-    tails = cert.residual_tails()
-    # tol = inf stops every candidate at j = 1, tol = 0 runs it to j = N
-    for tol, stop in ((np.inf, 1), (0.0, cert.block)):
-        bounds, taken = _forward_bounds(apply_F, candidate, values, cert, tails, tol,
-                                        xi0.norm_kind)
-        assert np.all(taken == stop)
+    bases = factorial_bases(controls, cert)
+    stage, image = [], candidate
+    for j in range(1, 16):
+        step = apply_F(image, values)
+        last = vector_norm(image - step, xi0.norm_kind).max(axis=-1)
+        image = step
+        moved = vector_norm(candidate - image, xi0.norm_kind).max(axis=-1)
+        first = moved if j == 1 else stage[0][0]
+        spread = np.array([min(_tail(c, j) * a, _tail(c, 1) * b) if b > 0.0 else 0.0
+                           for c, a, b in zip(bases, first, last)])
+        stage.append((moved, spread))
+        assert np.all(moved + spread >= true)
+    # tol = inf stops every candidate at j = 1; tol = 0 runs each until
+    # |x - F^j x| minus that tail bound is > 0, when no later stage can pass
+    for tol in (np.inf, 0.0):
+        bounds, taken = _stage_bounds(apply_F, candidate, values, bases, cert.mu, tol,
+                                      xi0.norm_kind)
         assert np.all(bounds >= true)
-    image = candidate
-    for _ in range(cert.block):
-        image = apply_F(image, values)
-    block_bound = cert.distance([candidate], [image], apply_F.times, xi0.norm_kind)
-    assert np.array_equal(bounds, block_bound / (1.0 - cert.rate_C))  # bit for bit at j = N
+        for b, j in enumerate(taken):
+            moved, spread = stage[j - 1][0][b], stage[j - 1][1][b]
+            assert bounds[b] == moved + spread
+            assert tol == np.inf or moved - spread > 0.0
+        assert tol == 0.0 or np.all(taken == 1)
 
 
-def test_forward_bound_of_finite_states_reads_inf():
-    # 1 - C = 2^-53 sends a 1e300 distance past the floats: finite states read
-    # inf ("exceeds tol"), a non-finite candidate NaN (a non-finite iterate)
+def test_forward_bound_of_finite_states_reads_inf(monkeypatch):
+    # c = 1000 sends Q_j(c) past the floats for every j up to the cap (3
+    # here): finite states read inf at each stage, and at the cap, not NaN
+    # (which names a non-finite iterate); a zero step adds nothing to an
+    # infinite tail
+    monkeypatch.setattr(solver, "_MAX_APPLICATIONS", 3)
     sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
-    cert = ContractionCertificate("hidden", math.nextafter(1.0, 0.0), 1.0, 1.0, 1.0, 0.0,
-                                  1.0, 1.0, N=1, l1_mass=1.0)
     apply_F = BatchOperator(xi0, [f], sg, 1.0, 16)
-    values = np.zeros((2, 1, 16))
-    candidate = np.full((2, 17, 1), 1e300)
+    values = np.full((3, 1, 16), 0.5)
+    values[2] = 0.0
+    candidate = np.full((3, 17, 1), 2.0)
     candidate[1, 3] = np.nan
-    bounds, taken = _forward_bounds(apply_F, candidate, values, cert, cert.residual_tails(),
-                                    1e-8, xi0.norm_kind)
-    assert bounds[0] == np.inf and np.isnan(bounds[1])
-    assert list(taken) == [1, 1]
+    candidate[2] = apply_F.orbit.states
+    bounds, taken = _stage_bounds(apply_F, candidate, values, np.full(3, 1000.0), 0.0, 1e-8,
+                                  xi0.norm_kind)
+    assert bounds[0] == np.inf and np.isnan(bounds[1]) and bounds[2] == 0.0
+    assert list(taken) == [3, 1, 1]
+
+
+@pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_bound_covers_the_true_sup_error(p, norm_kind):
+    # the bound holds against |x - x*|_sup, x* the forward pass on the same
+    # grid, on the hidden (p = 1) and the omega (p = 2) route, in each norm
+    sg = heat_semigroup(4)
+    f = bilinear_field(np.random.default_rng(7).uniform(-1.0, 1.0, (4, 4)), norm_kind)
+    xi0 = StateVector(np.full(4, 0.5), norm_kind)
+    cert = certify(p, 1.5, 1.0, 0.0, f.lipschitz_L, 1.0)
+    assert cert.mode == ("hidden" if p == 1.0 else "omega")
+    apply_F = BatchOperator(xi0, [f], sg, 1.0, 64)
+    for u in sample_ball(p, 1.5, 1.0, 1, 64, 3, seed=8):
+        res = picard_solve(xi0, u, [f], sg, cert, tol=1e-6)
+        exact = apply_F.fixed_point(u.values[None])[0][0]
+        error = vector_norm(res.trajectory.states - exact, norm_kind).max()
+        assert 0.0 < error <= res.a_posteriori_bound <= 1e-6
+
+
+@pytest.mark.parametrize("route", ["hidden", "omega"])
+def test_growing_semigroup_solves_in_few_applications(route):
+    # mu T = 11: e^{11} = 6e4 enters the bound once, not each power of c =
+    # M L |u|_1 = 1, so the rule stops early, and its bound still covers the
+    # true sup error against the forward pass
+    sg, f, xi0 = diagonal_semigroup([11.0]), bilinear_field([[1.0]]), StateVector([1.0])
+    cert = (certify_omega_contraction(2.0, 1.0, 1.0, 11.0, 1.0, 1.0) if route == "omega"
+            else certify_hidden_contraction(1.0, 1.0, 11.0, 1.0, 1.0))
+    assert cert.mode == route
+    u = constant_control(1.0, 256)
+    exact = BatchOperator(xi0, [f], sg, 1.0, 256).fixed_point(u.values[None])[0][0]
+    tol = 1e-8
+    res = picard_solve(xi0, u, [f], sg, cert, tol=tol)
+    assert 1 < res.iterations <= 20
+    assert vector_norm(res.trajectory.states - exact, 2).max() <= res.a_posteriori_bound <= tol
+    batch = solve_batch(xi0, [u], [f], sg, cert, tol=tol)[0]
+    assert batch.iterations <= 1 and batch.a_posteriori_bound <= tol
+    assert np.array_equal(batch.trajectory.states, exact)
+
+
+def test_omega_of_the_certificate_does_not_change_a_solve():
+    # one ball, two omega weights: the rule reads the control's own c alone
+    sg, fields, xi0, cert, controls = batch_system("dense8", "omega")
+    omega = 2.0 * cert.omega
+    other = dataclasses.replace(cert, omega=omega, rate_C=1.0 / math.sqrt(2.0 * omega))
+    assert other.rate_C < cert.rate_C
+    for u in controls[:3]:
+        a, b = (picard_solve(xi0, u, fields, sg, c) for c in (cert, other))
+        assert (a.iterations, a.iterate_gaps, a.a_posteriori_bound) == (
+            b.iterations, b.iterate_gaps, b.a_posteriori_bound)
+        assert np.array_equal(a.trajectory.states, b.trajectory.states)
 
 
 def test_heat_batch_takes_no_application(monkeypatch):
     # the forward pass's rounding bound certifies every control at j = 0
     sg, fields, xi0, cert, controls = batch_system("heat16", "hidden")
-    assert cert.block == 2
+    assert cert.N == 2
     calls = spy_applications(monkeypatch)
     results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-8)
     assert calls == []
@@ -535,16 +607,19 @@ def test_field_error_must_be_a_bound():
 
 
 def test_zero_control_batch_under_overflowing_tails(monkeypatch):
-    # N = 59796: T_{N-1} is inf, and a zero residual adds nothing to it
+    # N = 59796, whose ball's e^{c} is past the floats; the zero control's
+    # own c = 0, so stage 0 certifies it by rho alone, with no application
     cert = certify(1.0, 22000.0, 1.0, 0.0, 1.0, 1.0)
-    assert cert.N == 59796 and cert.residual_tails()[-1] == np.inf
+    assert cert.N == 59796
     calls = spy_applications(monkeypatch)
-    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
+    sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
+    u = constant_control(0.0, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = solve_batch(xi0, [constant_control(0.0, 8)], [bilinear_field([[1.0]])], sg, cert)
-    assert calls == [1]
-    assert (res[0].iterations, res[0].a_posteriori_bound) == (1, 0.0)
+        res = solve_batch(xi0, [u], [f], sg, cert)
+    rho = BatchOperator(xi0, [f], sg, 1.0, 8).fixed_point(u.values[None])[1][0]
+    assert calls == []
+    assert (res[0].iterations, res[0].a_posteriori_bound) == (0, rho)
     assert np.array_equal(res[0].trajectory.states, semigroup_orbit(sg, xi0, 1.0, 8).states)
 
 
@@ -580,8 +655,9 @@ def test_solve_batch_errors_name_the_control():
         ([ok, constant_control(3.0, 16)], [f], cert, 1e-8, r"control #1: .*radius"),
         ([ok, zero, constant_control(0.5, 32)], [f], cert, 1e-8, r"control #2: .*grid"),
         ([ok, constant_control(0.5, 16, channels=2)], [f], cert, 1e-8, r"control #1: .*channel"),
-        # N ~ e * 5e4 passes the cap; the first nonzero control is named
-        ([zero, ok], [f], certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0), 1e-8,
+        # c = 5e4 needs ~e c applications, past the cap; the zero control's c = 0
+        ([zero, constant_control(5e4, 16), ok], [f],
+         certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0), 1e-8,
          r"control #1: .*application cap"),
         ([constant_control(0.3, 16), zero, constant_control(1.0, 16)], [nan_above], cert, 1e-8,
          r"control #2: .*finite"),
@@ -595,7 +671,7 @@ def test_solve_batch_errors_name_the_control():
 
 
 def test_zero_control_computes_one_application(monkeypatch):
-    # N = 59796: a first window of 2N - 1 applications would pass the cap
+    # N = 59796, but the zero control's own c = 0 stops at the first iterate
     cert = certify(1.0, 22000.0, 1.0, 0.0, 1.0, 1.0)
     assert cert.N == 59796
     calls = spy_applications(monkeypatch)
@@ -615,7 +691,7 @@ def test_control_whose_powers_underflow_is_certified_and_ball_checked():
     cert = certify(2000.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     res = picard_solve(xi0, u, [f], sg, cert)
     reference = BatchOperator(xi0, [f], sg, 1.0, 64).fixed_point(u.values[None])[0]
-    error = cert.distance([res.trajectory.states], [reference[0]], res.trajectory.times, 2)
+    error = sup_norm(res.trajectory, TrajectoryGrid(1.0, reference[0]))
     assert res.iterations > 1 and 0.0 < res.a_posteriori_bound <= 1e-8
     assert error <= res.a_posteriori_bound
     with pytest.raises(CertificateRadiusError, match="radius"):
