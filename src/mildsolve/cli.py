@@ -182,6 +182,8 @@ def cmd_counterexample(cfg: RunConfig, out_dir: Path, args) -> int:
 
 def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     sg, fields, cert = build_system(cfg)
+    if len(fields) != 1:  # the table approximates one field's values
+        raise ConfigError(f"gamma needs a single-field system, got {len(fields)} fields")
     xi0 = cfg.build_xi0(sg.dim)
     T = cfg.system["T"]
     start = time.perf_counter()

@@ -54,14 +54,9 @@ class PointCloud:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def distances_to(self, q: np.ndarray, scratch: np.ndarray | None = None,
-                     own: int | None = None) -> np.ndarray:
-        """Distances from every cloud point to the single point q (`_distances`)."""
-        return _distances(self.points, self.metric_kind, self.norm_kind, q, scratch, own)
-
 
 def _distances(points: np.ndarray, metric_kind: str, norm_kind: NormKind, q: np.ndarray,
-               scratch: np.ndarray | None = None, own: int | None = None) -> np.ndarray:
+               scratch: np.ndarray | None = None) -> np.ndarray:
     """The exact kernel: distances from every row of a checked cloud array to q.
 
     q may also be a stack of k points, shaped (k, 1) + a point's shape, with
@@ -69,22 +64,39 @@ def _distances(points: np.ndarray, metric_kind: str, norm_kind: NormKind, q: np.
     the distances to one of them.
 
     `scratch`, of shape (2,) + points.shape, takes the differences and
-    their elementwise pass (a new one is made when it is None).  `own`,
-    the index of q when q is a cloud point, reads 0: its zero difference
-    row is set to ones before the norm, so it never sends `vector_norm`
-    into the underflow rescue; every other row is the same float operation,
-    whichever other rows are passed with it.
+    their elementwise pass (a new one is made when it is None).  Each row
+    is the same float operation whichever other rows are passed with it,
+    and a zero row (q itself) reads 0 through `vector_norm`'s rescue.
     """
     if scratch is None:
         scratch = np.empty((2,) + points.shape)
-    diff = np.subtract(points, q, out=scratch[0])
-    if own is not None:
-        diff[own] = 1.0
-    d = vector_norm(diff, norm_kind, scratch[1])
-    d = d.max(axis=-1) if metric_kind == "sup_norm" else d
-    if own is not None:
-        d[own] = 0.0
-    return d
+    d = vector_norm(np.subtract(points, q, out=scratch[0]), norm_kind, scratch[1])
+    return d.max(axis=-1) if metric_kind == "sup_norm" else d
+
+
+# Floats in a plane of `_nearest`'s scratch: 512 KB.  On a 40 x 40 lattice
+# (spacing 0.1, offset 7.3, ladder 2 to 0.1) the farthest-point pass took
+# 38 ms at 2^16 and 48 ms at 2^13 (process CPU, median of 15).
+_NEAREST_FLOATS = 1 << 16
+
+
+def _nearest(points: np.ndarray, metric_kind: str, norm_kind: NormKind,
+             centers: np.ndarray) -> np.ndarray:
+    """The distance from each row of a checked cloud array to its nearest
+    center (inf when there is none), bit for bit the running minimum of the
+    kernel's rows: a minimum is exact, and `vector_norm` is even in each
+    coordinate (see `_net_cells`).  A block of rows at a time goes through one
+    `_distances` call against every center (q a stack of points): a plane of
+    its scratch holds `_NEAREST_FLOATS` floats, or one row against the
+    centers if that is more."""
+    step = max(1, _NEAREST_FLOATS // max(centers.size, 1))
+    scratch = np.empty((2, min(step, len(points))) + centers.shape)
+    m = np.empty(len(points))
+    for lo in range(0, len(points), step):
+        q = points[lo:lo + step, None]
+        m[lo:lo + len(q)] = _distances(centers, metric_kind, norm_kind, q,
+                                       scratch[:, :len(q)]).min(axis=-1, initial=np.inf)
+    return m
 
 
 def state_cloud(points, norm_kind: NormKind = 2) -> PointCloud:
@@ -125,16 +137,6 @@ class NetReport:
         }
 
 
-def _nearest(cloud: PointCloud, centers: np.ndarray) -> np.ndarray:
-    """Distance from every cloud point to its nearest center, as a running
-    minimum; every sweep reuses one scratch buffer (see `PointCloud.distances_to`)."""
-    min_dist = np.full(cloud.size, np.inf)
-    scratch = np.empty((2,) + cloud.points.shape)
-    for c in centers:
-        np.minimum(min_dist, cloud.distances_to(c, scratch), out=min_dist)
-    return min_dist
-
-
 def _net_cells(cloud: PointCloud, delta: float,
                rows: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The index-order greedy delta-net of the cloud's points (of the points
@@ -144,7 +146,7 @@ def _net_cells(cloud: PointCloud, delta: float,
 
     The first such point becomes the next center: it is >= delta from every
     earlier center.  Its exact-kernel row (`_distances`, its own row 0, the
-    floats `GammaTable.state_cell` compares) puts every such point within
+    rows `GammaTable.state_cell` compares) puts every such point within
     delta in its cell, and their max is the cell's radius.  Distances are
     symmetric bit for bit (`vector_norm` is even in each coordinate), so a
     point joins iff its distance to every earlier center is >= delta.
@@ -155,7 +157,7 @@ def _net_cells(cloud: PointCloud, delta: float,
     net, radii = [], []
     while live.size:
         d = _distances(points, cloud.metric_kind, cloud.norm_kind, points[0],
-                       scratch[:, :live.size], 0)
+                       scratch[:, :live.size])
         inside = d < delta
         net.append(live[0])
         radii.append(d[inside].max())
@@ -187,15 +189,10 @@ _BLOCK = 64
 # Floats in the buffer through which a block's centers lower the running
 # values: 64 KB, 128 rows at b = 64.
 _BUFFER = 8192
-# Floats in a plane of the scratch through which `_exact_nearest` takes rival
-# rows again against the whole net: 512 KB.  On a 40 x 40 lattice (spacing
-# 0.1, offset 7.3, ladder 2 to 0.1) the pass took 38 ms at 2^16 and 48 ms at
-# 2^13 (process CPU, median of 15).
-_RETAKE_FLOATS = 1 << 16
 
 
 class _ExactSweep:
-    """The exact kernel (`_distances`) over the live points: its values x are
+    """The exact kernel over the live points (`_nearest`): its values x are
     the distances m themselves, so `power` is 1 and `width` 0.
 
     It takes no block (`block` 0 candidates): the kernel's values among a
@@ -206,20 +203,15 @@ class _ExactSweep:
 
     power, width, block = 1, 0.0, 0
 
-    def __init__(self, cloud: PointCloud):
-        self.points, self.kinds = cloud.points, (cloud.metric_kind, cloud.norm_kind)
-        self.scratch = np.empty((2,) + cloud.points.shape)
+    def __init__(self, points: np.ndarray, metric_kind: str, norm_kind: NormKind):
+        self.points, self.kinds = points, (metric_kind, norm_kind)
 
     def lower(self, x: np.ndarray, centers: np.ndarray) -> None:
-        """Lower the running values x to the values to the live points
-        `centers`, one sweep per center through one reused buffer."""
-        for j in centers:
-            np.minimum(x, _distances(self.points, *self.kinds, self.points[j], self.scratch, j),
-                       out=x)
+        """Lower the running values x to the values to the live points `centers`."""
+        np.minimum(x, _nearest(self.points, *self.kinds, self.points[centers]), out=x)
 
     def keep(self, mask: np.ndarray) -> None:
         self.points = self.points[mask]
-        self.scratch = self.scratch[:, :self.points.shape[0]]
 
 
 class _GramSweep:
@@ -296,25 +288,7 @@ def _sweep(cloud: PointCloud) -> _ExactSweep | _GramSweep:
             sq = np.einsum("ij,ij->i", cloud.points, cloud.points)
         if np.finfo(float).tiny <= sq.max() <= np.finfo(float).max / 8:
             return _GramSweep(cloud.points, sq)
-    return _ExactSweep(cloud)
-
-
-def _exact_nearest(cloud: PointCloud, rows: np.ndarray, centers: Sequence[int]) -> np.ndarray:
-    """The exact kernel's distance from each cloud point in `rows` to its nearest
-    center, bit for bit the running minimum of the sweeps (`vector_norm` is even
-    in each coordinate, see `_net_cells`).  A block of rows at a time goes
-    through one `_distances` call against every center (q a stack of
-    points): a plane of its scratch holds `_RETAKE_FLOATS` floats, or one
-    row against the net if that is more."""
-    net = cloud.points[np.asarray(centers)]
-    step = max(1, _RETAKE_FLOATS // net.size)
-    scratch = np.empty((2, min(step, rows.size)) + net.shape)
-    m = np.empty(rows.size)
-    for lo in range(0, rows.size, step):
-        q = cloud.points[rows[lo:lo + step], None]
-        m[lo:lo + len(q)] = _distances(net, cloud.metric_kind, cloud.norm_kind, q,
-                                       scratch[:, :len(q)]).min(axis=-1)
-    return m
+    return _ExactSweep(cloud.points, cloud.metric_kind, cloud.norm_kind)
 
 
 def _settle_block(sweep: _GramSweep, x: np.ndarray, level: float) -> np.ndarray:
@@ -357,7 +331,7 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
     settles it: a point whose x is at least 2W below the leader's cannot tie
     or beat it, and the rung test is settled when eps^power is not within W
     of the leader's x.  Any other decision is taken again on the exact kernel
-    for the leader's rivals (`_exact_nearest`).  The exact sweep has W = 0 and
+    for the leader's rivals (`_nearest`).  The exact sweep has W = 0 and
     never takes one again.  Once the rows taken again outnumber the cloud
     (exact ties, as on a lattice, or a cloud far from the origin, whose W is
     large against its distances), the exact sweep takes over from the running
@@ -389,7 +363,7 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
         raise ValueError("epsilon must be > 0")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    sweep = _sweep(cloud)
+    sweep, kinds = _sweep(cloud), (cloud.metric_kind, cloud.norm_kind)
     live, x = np.arange(cloud.size), np.full(cloud.size, np.inf)
     sweep.lower(x, np.array([0]))
     spare = cloud.size  # rows the exact kernel may take again before it takes over
@@ -404,11 +378,10 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
                 rivals = np.flatnonzero(contested)
                 spare -= rivals.size
                 if spare < 0:  # the exact sweep, from the running minimum it would hold
-                    live_cloud = PointCloud(cloud.points[live], cloud.metric_kind,
-                                            cloud.norm_kind)
-                    sweep, x = _ExactSweep(live_cloud), _nearest(live_cloud, cloud.points[net])
+                    sweep = _ExactSweep(cloud.points[live], *kinds)
+                    x = _nearest(sweep.points, *kinds, cloud.points[net])
                     continue
-                m = _exact_nearest(cloud, live[rivals], net)
+                m = _nearest(cloud.points[live[rivals]], *kinds, cloud.points[net])
                 best = int(np.argmax(m))
                 if m[best] <= eps:
                     break
@@ -486,7 +459,9 @@ def hausdorff_distance(k1: PointCloud, k2: PointCloud) -> float:
         raise ValueError("Hausdorff distance needs nonempty clouds")
     if k1.metric_kind != k2.metric_kind or k1.norm_kind != k2.norm_kind:
         raise ValueError("clouds must share metric and norm kind")
-    return float(max(_nearest(k1, k2.points).max(), _nearest(k2, k1.points).max()))
+    kinds = (k1.metric_kind, k1.norm_kind)
+    return float(max(_nearest(k1.points, *kinds, k2.points).max(),
+                     _nearest(k2.points, *kinds, k1.points).max()))
 
 
 def evaluation_set(trajectories: Sequence[TrajectoryGrid]) -> PointCloud:
@@ -501,7 +476,8 @@ def verify_coverage(points: PointCloud, centers: np.ndarray, epsilon: float,
                     slack: float = 1e-12) -> bool:
     """Brute-force check that every cloud point is within epsilon of a center."""
     center_cloud = PointCloud(centers, points.metric_kind, points.norm_kind)
-    return bool(np.all(_nearest(points, center_cloud.points) <= epsilon + slack))
+    return bool(np.all(_nearest(points.points, points.metric_kind, points.norm_kind,
+                                center_cloud.points) <= epsilon + slack))
 
 
 def net_transfer(s_net: NetReport, trajectories: Sequence[TrajectoryGrid],
@@ -578,11 +554,10 @@ def collection_union_nets(family: Sequence[PointCloud],
 
     # if direction: subsets of a union eps-net form a Hausdorff eps-net
     base = greedy_net(union, epsilon)
-    base_cloud = PointCloud(union.points[np.array(base.net_indices)], union.metric_kind,
-                            union.norm_kind)
+    base_points = union.points[np.array(base.net_indices)]
     subsets = []
     for k in family:
-        min_d = _nearest(base_cloud, k.points)
+        min_d = _nearest(base_points, union.metric_kind, union.norm_kind, k.points)
         chosen = tuple(int(base.net_indices[i]) for i in np.nonzero(min_d <= epsilon)[0])
         if not chosen:
             raise AssertionError("union net left a family member uncovered")

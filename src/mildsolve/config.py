@@ -130,6 +130,8 @@ class RunConfig:
                 raw = yaml.load(fh, Loader=_YAML_LOADER)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config file cannot be read: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):

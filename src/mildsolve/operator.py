@@ -451,16 +451,17 @@ def certify_omega_contraction(p: float, r: float, M: float, mu: float,
                               L_bound: float, T: float) -> ContractionCertificate:
     """Certify contraction in the omega-weighted norm for |u|_p <= r, p > 1.
 
-    rate = r M L / (q (omega - mu))^{1/q} with q the conjugate exponent;
-    omega is the smallest weight of the form mu + 2^k (k integer) meeting
-    `_TARGET_RATE`.  The radius factor r extends the unit-ball estimate by
-    homogeneity of the Hoelder step.
+    rate = r M L / (q (omega - mu))^{1/q} with q the conjugate exponent
+    (q = 1 at p = inf: rate r M L / (omega - mu)); omega is the smallest
+    weight of the form mu + 2^k (k integer) meeting `_TARGET_RATE`.  The
+    radius factor r extends the unit-ball estimate by homogeneity of the
+    Hoelder step.
     """
     if not p > 1:
         raise ValueError("omega certificates require p > 1")
     if r <= 0 or M < 1 or mu < 0 or L_bound < 0 or T <= 0:
         raise ValueError("invalid certificate constants")
-    q = p / (p - 1.0)
+    q = 1.0 if math.isinf(p) else p / (p - 1.0)
     if L_bound == 0.0:
         return ContractionCertificate("omega", 0.0, r, p, M, mu, 0.0, T,
                                       omega=mu + 1.0)

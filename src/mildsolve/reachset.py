@@ -26,6 +26,7 @@ import numpy as np
 
 from .compactness import (
     PointCloud,
+    _distances,
     _net_cells,
     covering_net,
     covering_sizes,
@@ -311,7 +312,7 @@ class GammaTable:
         idx = np.full(xi.shape[0], -1)
         rows = np.arange(xi.shape[0])  # the states not assigned yet
         for cell, c in enumerate(self.centers, start=1):
-            inside = vector_norm(xi[rows] - c, self.norm_kind) < self.delta
+            inside = _distances(xi[rows], "state_norm", self.norm_kind, c) < self.delta
             idx[rows[inside]] = cell
             rows = rows[~inside]
             if not rows.size:

@@ -6,7 +6,7 @@ import pytest
 
 from mildsolve import Control, StateVector, TrajectoryGrid, VerificationError
 from mildsolve.cli import build_system
-from mildsolve.compactness import PointCloud, greedy_net
+from mildsolve.compactness import _distances, greedy_net
 from mildsolve.controls import lp_norm
 from mildsolve.config import RunConfig
 from mildsolve.operator import semigroup_act, semigroup_step
@@ -82,11 +82,12 @@ def verify_gamma(sg, K, table, times):
 
 def farthest_point_oracle(cloud, ladder):
     """Exact oracle of `compactness._farthest_point`: the same farthest-point
-    pass with every sweep on the exact kernel (`PointCloud.distances_to`),
+    pass with every sweep a row of the exact kernel (`compactness._distances`),
     skipping the points already within the finest eps of the net."""
+    kinds = (cloud.metric_kind, cloud.norm_kind)
     scratch = np.empty((2,) + cloud.points.shape)
-    live, live_cloud = np.arange(cloud.size), cloud
-    min_dist = cloud.distances_to(cloud.points[0], scratch, 0)
+    live, points = np.arange(cloud.size), cloud.points
+    min_dist = _distances(points, *kinds, points[0], scratch)
     net, sizes = [0], []
     for eps in ladder:
         while live.size:
@@ -94,13 +95,10 @@ def farthest_point_oracle(cloud, ladder):
             if min_dist[far] <= eps:
                 break
             net.append(int(live[far]))
-            np.minimum(min_dist, live_cloud.distances_to(live_cloud.points[far], scratch, far),
-                       out=min_dist)
+            np.minimum(min_dist, _distances(points, *kinds, points[far], scratch), out=min_dist)
             dead = min_dist <= ladder[-1]
             if 8 * np.count_nonzero(dead) >= live.size:
-                live, min_dist = live[~dead], min_dist[~dead]
-                live_cloud = PointCloud(live_cloud.points[~dead], cloud.metric_kind,
-                                        cloud.norm_kind)
+                live, min_dist, points = live[~dead], min_dist[~dead], points[~dead]
                 scratch = scratch[:, :live.size]
         sizes.append(len(net))
     return net, sizes

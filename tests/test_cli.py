@@ -277,6 +277,12 @@ class TestConfigErrors:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--control", str(tmp_path / "nope.csv")]) == 2
 
+    def test_unreadable_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_invalid_values(self, tmp_path):
         bad = scalar_system()
         bad["system"]["T"] = -1.0
@@ -717,6 +723,20 @@ class TestGammaCommand:
                                           for key in ("sample_s", "tables_s")}
         assert tables_meta["counters"] == {**meta["counters"], "applications": 0}
 
+    def test_two_fields_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_reachset called")
+
+        monkeypatch.setattr(cli, "sample_reachset", refuse)
+        cfg_data = scalar_system()
+        cfg_data["system"]["fields"] *= 2
+        out = tmp_path / "out"
+        assert main(["gamma", "--config", write_config(tmp_path, cfg_data),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2 fields" in err
+
     def test_unreachable_eps_exits_4_fast(self, tmp_path, capsys):
         # the table delta would need exceeds the time-cell cap: a verification
         # failure before any table is built, with nothing written
@@ -767,6 +787,20 @@ def test_heat_yaml_solves_take_no_application(tmp_path):
     for solves in [*(d["solves"] for d in reach["dimensions"].values()), gamma["solves"]]:
         assert solves["applications"] == 0 and solves["rounding_certified"] == count
     assert reach["counters"]["applications"] == 0
+
+
+def test_p_infinity_runs_every_command(tmp_path):
+    # configs/heat.yaml with `p: inf` (the omega route at q = 1), at small sizes
+    with open(REPO / "configs" / "heat.yaml") as fh:
+        cfg_data = yaml.safe_load(fh)
+    cfg_data["control"].update(p="inf", count=12)
+    cfg_data["diagnostic"].update(n_t=32, cloud_budget=400)
+    cfg_data["gamma"]["max_controls"] = 3
+    cfg = write_config(tmp_path, cfg_data)
+    for command in ("certify", "solve", "reachset", "gamma"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    cert = load_json(tmp_path / "certify" / "certificate.json")["certificate"]
+    assert cert["mode"] == "omega" and cert["rate"] == 0.5
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):

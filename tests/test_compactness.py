@@ -21,7 +21,8 @@ from mildsolve import (
     trajectory_cloud,
 )
 from mildsolve import compactness, reachset
-from mildsolve.compactness import PointCloud, _farthest_point, _net_cells, verify_coverage
+from mildsolve.compactness import (PointCloud, _distances, _farthest_point, _net_cells,
+                                   verify_coverage)
 from mildsolve.operator import TrajectoryGrid
 
 from conftest import (diagnostic_system, farthest_point_oracle, greedy_cells_oracle,
@@ -196,12 +197,29 @@ class TestGramCovering:
         assert covered == [(1000, 16)] * 2 + [(1000, 32)] * 2 + [(1000, 64)] * 2
 
     def test_ties_duplicates_and_offsets(self, rng, monkeypatch):
-        retaken, takeovers = [], []
-        exact_nearest, nearest = compactness._exact_nearest, compactness._nearest
-        monkeypatch.setattr(compactness, "_exact_nearest",
-                            lambda *a: retaken.append(a[1].size) or exact_nearest(*a))
-        monkeypatch.setattr(compactness, "_nearest",
-                            lambda *a: takeovers.append(1) or nearest(*a))
+        # a retake is a `_nearest` call while the pass still sweeps Gram
+        # values, a takeover an exact sweep built in a pass that began on them
+        retaken, takeovers, exact = [], [], [False]
+        sweep, nearest = compactness._sweep, compactness._nearest
+        init = compactness._ExactSweep.__init__
+
+        def new_pass(cloud):
+            exact[0] = False
+            return sweep(cloud)
+
+        def take_over(self, *args):
+            exact[0] = True
+            takeovers.append(1)
+            init(self, *args)
+
+        def kernel(points, *args):
+            if not exact[0]:
+                retaken.append(len(points))
+            return nearest(points, *args)
+
+        monkeypatch.setattr(compactness, "_sweep", new_pass)
+        monkeypatch.setattr(compactness._ExactSweep, "__init__", take_over)
+        monkeypatch.setattr(compactness, "_nearest", kernel)
         square = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
         assert_matches_oracle(state_cloud(square), [6.0, 3.0, math.sqrt(2.0), 1.0, 0.5])
         assert retaken and takeovers  # exact ties are taken again, then swept exactly
@@ -220,16 +238,22 @@ class TestGramCovering:
             cloud = state_cloud(points)
             assert_matches_oracle(cloud, exact_ladder(cloud))
 
-    def test_retakes_match_the_kernel_in_any_block(self, rng, monkeypatch):
+    def test_nearest_is_the_kernels_minimum_in_any_block(self, rng, monkeypatch):
         clouds = [state_cloud(rng.standard_normal((50, 3)) + 7.3),
+                  state_cloud(rng.standard_normal((50, 3)), np.inf),
                   trajectory_cloud([random_trajectory(rng, 8, 3) for _ in range(50)])]
-        rows, centers = rng.permutation(50)[:23], [0, 5, 9, 30]
+        rows = rng.permutation(50)[:23]
         for cloud in clouds:
-            brute = [min(cloud.distances_to(cloud.points[c])[i] for c in centers) for i in rows]
-            for step in (1, 5, 23, 100):  # rows a block: a partial last block at 5
-                monkeypatch.setattr(compactness, "_RETAKE_FLOATS",
-                                    step * len(centers) * cloud.points[0].size)
-                assert np.array_equal(compactness._exact_nearest(cloud, rows, centers), brute)
+            kinds, points = (cloud.metric_kind, cloud.norm_kind), cloud.points[rows]
+            others = rng.standard_normal(cloud.points[:7].shape)  # centers off the cloud
+            for centers in (cloud.points[[0, 5, 9, 30]], others, cloud.points[:0]):
+                brute = np.full(rows.size, np.inf)
+                for c in centers:
+                    brute = np.minimum(brute, _distances(points, *kinds, c))
+                for step in (1, 5, 23, 100):  # rows a block: a partial last block at 5
+                    monkeypatch.setattr(compactness, "_NEAREST_FLOATS",
+                                        step * max(centers.size, 1))
+                    assert np.array_equal(compactness._nearest(points, *kinds, centers), brute)
 
     def test_extreme_scales_sweep_exactly(self, rng):
         points = rng.standard_normal((120, 5))

@@ -62,6 +62,8 @@ CASES = {
     # `certify_class_constants`
     "dense_certify": ("certify", "scalar.yaml", _DENSE),
     "dense_solve": ("solve", "scalar.yaml", _DENSE),
+    # p = inf takes the omega route at q = 1: rate r M L / (omega - mu)
+    "pinf_certify": ("certify", "scalar.yaml", {("control", "p"): "inf"}),
 }
 
 

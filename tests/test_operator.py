@@ -197,6 +197,24 @@ class TestOmegaCertificate:
         assert cert.rate_C == 0.0
         assert cert.omega == 1.5
 
+    def test_p_infinity_takes_q_one(self, rng):
+        # q = 1: rate r M L / (omega - mu), the limit of the finite-p rates
+        cert = certify_omega_contraction(math.inf, 1.0, 1.0, 0.0, 1.0, 1.0)
+        assert cert.omega == 2.0 and cert.rate_C == 0.5
+        scaled = certify_omega_contraction(math.inf, 3.0, 2.0, 0.5, 1.0, 1.0)
+        assert scaled.omega == 16.5 and scaled.rate_C == 6.0 / 16.0  # 6 / 2^k <= 1/2
+        assert scaled.rate_C == pytest.approx(
+            certify_omega_contraction(1e9, 3.0, 2.0, 0.5, 1.0, 1.0).rate_C, rel=1e-6)
+        assert certify(math.inf, 1.0, 1.0, 0.0, 1.0, 1.0).mode == "omega"
+        # the Hoelder step holds on sup-bounded controls
+        dim, n_t = 4, 32
+        sg, f, xi0 = heat_semigroup(dim), bilinear_field(np.eye(dim)), StateVector(np.zeros(dim))
+        for u in sample_ball(math.inf, 1.0, 1.0, 1, n_t, 20, seed=3):
+            x, y = random_trajectory(rng, n_t, dim), random_trajectory(rng, n_t, dim)
+            lhs = omega_norm_distance(integral_operator(x, u, xi0, [f], sg),
+                                      integral_operator(y, u, xi0, [f], sg), cert.omega)
+            assert lhs <= cert.rate_C * omega_norm_distance(x, y, cert.omega) + 1e-6
+
     def test_radius_monotonicity_scan(self):
         omegas = []
         for r in (0.5, 1.0, 2.0, 4.0, 8.0):

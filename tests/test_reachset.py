@@ -32,7 +32,7 @@ from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
 import mildsolve.reachset as reachset
 import mildsolve.spaces
 from mildsolve import GammaTable, gamma_tables, greedy_net
-from mildsolve.compactness import _net_cells
+from mildsolve.compactness import _distances, _net_cells
 from mildsolve.reachset import ReachSetSample, _build_gamma_table, _certified_bound
 from mildsolve.spaces import vector_norm
 
@@ -288,6 +288,12 @@ def lattice_cloud(norm_kind):
     return state_cloud(np.concatenate([grid, grid[:6]]), norm_kind)
 
 
+def spread(cloud):
+    """The cloud's largest distance from its mean, on the exact kernel."""
+    return float(_distances(cloud.points, cloud.metric_kind, cloud.norm_kind,
+                            cloud.points.mean(axis=0)).max())
+
+
 def sweep_case(case):
     """(semigroup, cloud, delta) of one sweep case, each with several state cells."""
     rng = np.random.default_rng(31)
@@ -302,7 +308,7 @@ def sweep_case(case):
                 state_cloud(1e-160 * rng.uniform(-1.0, 1.0, (200, 3)), kind), 4e-161)
     sg, cloud = heat_field_cloud()
     cloud = state_cloud(cloud.points, kind)
-    return sg, cloud, float(cloud.distances_to(cloud.points.mean(axis=0)).max()) / 10
+    return sg, cloud, spread(cloud) / 10
 
 
 SWEEPS = [f"{cloud}-{kind}" for cloud in ("lattice", "uniform", "tiny", "heat")
@@ -420,7 +426,7 @@ class TestGammaSweep:
         # the first build (delta = eps on a heat system) has N time cells and
         # M > 1 state cells: a cap between N and N * M stops it after the sweep
         sg, cloud = heat_field_cloud()
-        eps = float(cloud.distances_to(cloud.points.mean(axis=0)).max()) / 10
+        eps = spread(cloud) / 10
         n_cells, n_state = math.floor(1.0 / eps) + 1, _net_cells(cloud, eps)[0].size
         assert n_state > 1
 
@@ -450,9 +456,9 @@ def bound_case(case, rng):
         sg, fields, cert, xi0 = diagnostic_system(int(dim), p=p)
         sample = sample_reachset(xi0, 20, 5, fields, sg, cert, 32)
         cloud = field_value_cloud(sample, fields)
-        spread = float(cloud.distances_to(cloud.points.mean(axis=0)).max())
+        radius = spread(cloud)
         return sg, cloud, [gamma_approximation(sg, cloud, 1.0, 0.1),
-                           _build_gamma_table(sg, cloud, 1.0, 0.1, spread / 4)]
+                           _build_gamma_table(sg, cloud, 1.0, 0.1, radius / 4)]
     if case == "dense2":
         sg = dense_semigroup([[-1.0, 2.0], [0.0, -3.0]], 3.0, 0.0)
         deltas = (0.3, 0.05)
