@@ -66,14 +66,6 @@ def _write_csv(path: Path, header: list, table: np.ndarray) -> int:
     return write_csv(path, header, table)
 
 
-def _write_rows(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def build_system(cfg: RunConfig, dim: int | None = None
                  ) -> tuple[Semigroup, list[VectorField], ContractionCertificate]:
     """The configured semigroup and fields, and the certificate for the
@@ -145,18 +137,21 @@ def cmd_reachset(cfg: RunConfig, out_dir: Path, args) -> int:
         systems, diag["eps_ladder"], control["count"], control["seed"], n_t=diag["n_t"],
         xi0_scale=diag["xi0_scale"], norm_kind=cfg.system["norm_kind"],
         cloud_budget=diag["cloud_budget"], tol=cfg.solver["tol"])
-    _write_rows(out_dir / "diagnostic.csv",
-                ["n", "p", "eps", "n_reach", "n_ball", "sample_size"],
-                [[row["n"], row["p"], repr(row["eps"]), row["n_reach"],
-                  row["n_ball"], row["sample_size"]] for row in report.rows])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "diagnostic.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["n", "p", "eps", "n_reach", "n_ball", "sample_size"]] + [
+            [row["n"], row["p"], repr(row["eps"]), row["n_reach"], row["n_ball"],
+             row["sample_size"]] for row in report.rows])
     dims = report.dimensions.values()
     totals = {  # over the dimensions
         "timings": {key: sum(d["timings"][key] for d in dims) for key in ("sample_s", "cover_s")},
         "counters": {"trajectories": control["count"] * len(dims),
                      **{key: sum(d["solves"][key] for d in dims)
                         for key in ("applications", "rounding_certified")}}}
+    null_p = {"p": None} if np.isinf(report.config["p"]) else {}  # as a certificate writes it
     _write_json(out_dir / "reachset.json",
-                {"rows": report.rows, "diagnostic_config": report.config,
+                {"rows": [{**row, **null_p} for row in report.rows],
+                 "diagnostic_config": {**report.config, **null_p},
                  "metadata": {**_metadata(cfg), "dimensions": report.dimensions, **totals}})
     print(f"wrote {out_dir / 'diagnostic.csv'} ({len(report.rows)} rows)")
     return EXIT_OK

@@ -57,45 +57,50 @@ class PointCloud:
 
 def _distances(points: np.ndarray, metric_kind: str, norm_kind: NormKind, q: np.ndarray,
                scratch: np.ndarray | None = None) -> np.ndarray:
-    """The exact kernel: distances from every row of a checked cloud array to q.
-
-    q may also be a stack of k points, shaped (k, 1) + a point's shape, with
-    `scratch` (2, k) + points.shape: the result is then (k, rows), each row
-    the distances to one of them.
-
-    `scratch`, of shape (2,) + points.shape, takes the differences and
-    their elementwise pass (a new one is made when it is None).  Each row
-    is the same float operation whichever other rows are passed with it,
-    and a zero row (q itself) reads 0 through `vector_norm`'s rescue.
-    """
+    """The exact kernel: distances from every row of a checked cloud array to
+    q, or to each of a stack of k points q shaped (k, 1) + a point's shape (a
+    (k, rows) result).  `scratch`, the broadcast shape with a leading 2, takes
+    the differences and their elementwise pass (made for one q when it is None).
+    Each row is the same float operation whichever other rows are passed with
+    it, and a zero row reads 0 through `vector_norm`'s rescue."""
     if scratch is None:
         scratch = np.empty((2,) + points.shape)
     d = vector_norm(np.subtract(points, q, out=scratch[0]), norm_kind, scratch[1])
     return d.max(axis=-1) if metric_kind == "sup_norm" else d
 
 
-# Floats in a plane of `_nearest`'s scratch: 512 KB.  On a 40 x 40 lattice
-# (spacing 0.1, offset 7.3, ladder 2 to 0.1) the farthest-point pass took
+# Floats in a plane of `_scratch` (512 KB), for `_nearest`, the net sweep and the cell lookup.
+# On a 40 x 40 lattice (spacing 0.1, offset 7.3, ladder 2 to 0.1) the farthest-point pass took
 # 38 ms at 2^16 and 48 ms at 2^13 (process CPU, median of 15).
 _NEAREST_FLOATS = 1 << 16
 
 
-def _nearest(points: np.ndarray, metric_kind: str, norm_kind: NormKind,
-             centers: np.ndarray) -> np.ndarray:
-    """The distance from each row of a checked cloud array to its nearest
-    center (inf when there is none), bit for bit the running minimum of the
-    kernel's rows: a minimum is exact, and `vector_norm` is even in each
-    coordinate (see `_net_cells`).  A block of rows at a time goes through one
-    `_distances` call against every center (q a stack of points): a plane of
-    its scratch holds `_NEAREST_FLOATS` floats, or one row against the
-    centers if that is more."""
+def _scratch(rows: int, centers: np.ndarray) -> np.ndarray:
+    """Two planes of a block of `rows` rows against `centers` (`_blocks`):
+    `_NEAREST_FLOATS` floats each, or one row against the centers if more."""
     step = max(1, _NEAREST_FLOATS // max(centers.size, 1))
-    scratch = np.empty((2, min(step, len(points))) + centers.shape)
+    return np.empty((2, min(step, max(rows, 1))) + centers.shape)
+
+
+def _blocks(points: np.ndarray, metric_kind: str, norm_kind: NormKind,
+            centers: np.ndarray, scratch: np.ndarray | None = None):
+    """Yield (lo, d) over blocks of rows of a checked cloud array, d (k, M) the
+    kernel's distances from the rows lo:lo + k to the M centers: one `_distances`
+    call (q a stack of points) per block, into `scratch` (made when None)."""
+    scratch = _scratch(len(points), centers) if scratch is None else scratch
+    for lo in range(0, len(points), scratch.shape[1]):
+        q = points[lo:lo + scratch.shape[1], None]
+        yield lo, _distances(centers, metric_kind, norm_kind, q, scratch[:, :len(q)])
+
+
+def _nearest(points: np.ndarray, metric_kind: str, norm_kind: NormKind,
+             centers: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The distance from each row of a checked cloud array to its nearest center
+    (inf when there is none), by `_blocks`: bit for bit the running minimum of the
+    kernel's rows, as a minimum is exact and `vector_norm` is even in each coordinate."""
     m = np.empty(len(points))
-    for lo in range(0, len(points), step):
-        q = points[lo:lo + step, None]
-        m[lo:lo + len(q)] = _distances(centers, metric_kind, norm_kind, q,
-                                       scratch[:, :len(q)]).min(axis=-1, initial=np.inf)
+    for lo, d in _blocks(points, metric_kind, norm_kind, centers, scratch):
+        m[lo:lo + len(d)] = d.min(axis=-1, initial=np.inf)
     return m
 
 
@@ -139,29 +144,33 @@ class NetReport:
 
 def _net_cells(cloud: PointCloud, delta: float,
                rows: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The index-order greedy delta-net of the cloud's points (of the points
-    `rows`, repeats included, when given; positions index that order) and the
-    radius of each center's first-match cell, from one sweep of the points
-    not in a cell yet.
-
-    The first such point becomes the next center: it is >= delta from every
-    earlier center.  Its exact-kernel row (`_distances`, its own row 0, the
-    rows `GammaTable.state_cell` compares) puts every such point within
-    delta in its cell, and their max is the cell's radius.  Distances are
-    symmetric bit for bit (`vector_norm` is even in each coordinate), so a
-    point joins iff its distance to every earlier center is >= delta.
-    """
+    """The index-order greedy delta-net of the cloud's points (of the points `rows`,
+    repeats included, when given; positions index that order) and the radius of each
+    center's first-match cell, from one sweep of the points not in a cell yet.  The
+    first such point becomes the next center, >= delta from every earlier one.  Its
+    `_nearest` row over them, a block at a time through one gather buffer and one
+    scratch, puts each within delta in its cell (the rows `GammaTable.state_cell`
+    compares), their max the radius.  Distances are symmetric bit for bit (see `_nearest`), so a
+    point joins iff it is >= delta from every earlier center."""
     points = cloud.points if rows is None else cloud.points[np.asarray(rows, dtype=np.intp)]
-    scratch = np.empty((2,) + points.shape)
-    live = np.arange(points.shape[0])
+    live = np.arange(points.shape[0])  # positions not in a cell yet, compacted in place
+    scratch = _scratch(live.size, points[:1])
+    block = np.empty(scratch.shape[1:2] + points.shape[1:])
     net, radii = [], []
     while live.size:
-        d = _distances(points, cloud.metric_kind, cloud.norm_kind, points[0],
-                       scratch[:, :live.size])
-        inside = d < delta
         net.append(live[0])
-        radii.append(d[inside].max())
-        live, points = live[~inside], points[~inside]
+        kept, radius, center = 0, 0.0, points[live[:1]]
+        for lo in range(0, live.size, len(block)):
+            pos = live[lo:lo + len(block)]
+            q = np.take(points, pos, axis=0, out=block[:pos.size], mode="clip")
+            d = _nearest(q, cloud.metric_kind, cloud.norm_kind, center, scratch)
+            inside = d < delta
+            radius = max(radius, d[inside].max(initial=0.0))
+            out = pos[~inside]
+            live[kept:kept + out.size] = out
+            kept += out.size
+        radii.append(radius)
+        live = live[:kept]
     return np.array(net, dtype=np.intp), np.array(radii)
 
 

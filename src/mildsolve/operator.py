@@ -269,21 +269,21 @@ class BatchOperator:
         batch = values.shape[0]
         states = np.empty((batch,) + self.orbit.states.shape)
         states[:, 0] = self.orbit.states[0]
-        integral = np.zeros(states[:, 0].shape)
+        integral, term = np.zeros(states[:, 0].shape), np.empty(states[:, 0].shape)
         weights = self.h * values  # a_i per control and cell
         errors = [f.eval_error for f in self.fields]
         bounded = self.eigenvalues is not None and None not in errors
         if bounded:
-            sizes, scratch, field_errors = (np.zeros_like(integral), np.empty_like(integral),
-                                            np.zeros_like(integral))
-        for j, t in enumerate(self.times[:-1]):
-            times, x = np.full(batch, t), states[:, j]
+            sizes, field_errors = np.zeros_like(integral), np.zeros_like(integral)
+        for j, times in enumerate(np.broadcast_to(self.times[:-1, None], (values.shape[2], batch))):
+            x = states[:, j]
             for i, f in enumerate(self.fields):
-                integral += weights[:, i, j, None] * f(times, x)
+                integral += np.multiply(weights[:, i, j, None], f(times, x), out=term)
                 if bounded:
-                    sizes += np.abs(integral, out=scratch)
+                    sizes += np.abs(integral, out=term)
                     if callable(errors[i]):
-                        field_errors += np.abs(weights[:, i, j, None]) * errors[i](times, x)
+                        field_errors += np.multiply(np.abs(weights[:, i, j, None]),
+                                                    errors[i](times, x), out=term)
             semigroup_act(self.step, integral, integral)
             np.add(integral, self.orbit.states[j + 1], out=states[:, j + 1])
         if not bounded:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .compactness import (
     PointCloud,
-    _distances,
+    _blocks,
     _net_cells,
     covering_net,
     covering_sizes,
@@ -307,16 +307,12 @@ class GammaTable:
         return np.clip(idx, 1, self.n_time_cells)
 
     def state_cell(self, xi: np.ndarray) -> np.ndarray:
-        """1-based first-match cell index of the state(s); -1 when uncovered."""
+        """1-based first-match cell index of the state(s), -1 when uncovered, by `_blocks`."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        idx = np.full(xi.shape[0], -1)
-        rows = np.arange(xi.shape[0])  # the states not assigned yet
-        for cell, c in enumerate(self.centers, start=1):
-            inside = _distances(xi[rows], "state_norm", self.norm_kind, c) < self.delta
-            idx[rows[inside]] = cell
-            rows = rows[~inside]
-            if not rows.size:
-                break
+        idx = np.empty(xi.shape[0], dtype=int)
+        for lo, d in _blocks(xi, "state_norm", self.norm_kind, self.centers):
+            inside = d < self.delta
+            idx[lo:lo + len(d)] = np.where(inside.any(axis=-1), inside.argmax(axis=-1) + 1, -1)
         return idx
 
     def to_dict(self) -> dict:

@@ -136,6 +136,22 @@ def gamma_cells_oracle(table, K):
     return cells, radii
 
 
+def state_cell_oracle(table, xi):
+    """Per-center reference of `GammaTable.state_cell`: each center in turn
+    takes the states not assigned yet that lie strictly within delta of it on
+    the exact kernel (`compactness._distances`); -1 where no center does."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    idx = np.full(xi.shape[0], -1)
+    rows = np.arange(xi.shape[0])  # the states not assigned yet
+    for cell, c in enumerate(table.centers, start=1):
+        inside = _distances(xi[rows], "state_norm", table.norm_kind, c) < table.delta
+        idx[rows[inside]] = cell
+        rows = rows[~inside]
+        if not rows.size:
+            break
+    return idx
+
+
 def greedy_cells_oracle(cloud, delta):
     """Brute-force oracle of `compactness._net_cells`: a point joins the net
     iff its distance (`vector_norm` of its difference from the center, the

@@ -796,11 +796,25 @@ def test_p_infinity_runs_every_command(tmp_path):
     cfg_data["control"].update(p="inf", count=12)
     cfg_data["diagnostic"].update(n_t=32, cloud_budget=400)
     cfg_data["gamma"]["max_controls"] = 3
+    cfg_data["counterexample"].update(n_max=8, n_t=64)
     cfg = write_config(tmp_path, cfg_data)
-    for command in ("certify", "solve", "reachset", "gamma"):
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for command in ("certify", "solve", "reachset", "counterexample", "gamma"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        written = sorted((tmp_path / command).glob("*.json"))
+        assert written
+        for path in written:  # strict JSON: p = inf is null, no Infinity or NaN token
+            json.loads(path.read_text(), parse_constant=refuse)
     cert = load_json(tmp_path / "certify" / "certificate.json")["certificate"]
     assert cert["mode"] == "omega" and cert["rate"] == 0.5
+    reach = load_json(tmp_path / "reachset" / "reachset.json")
+    assert reach["diagnostic_config"]["p"] is None
+    assert {row["p"] for row in reach["rows"]} == {None}
+    with open(tmp_path / "reachset" / "diagnostic.csv") as fh:
+        assert {row["p"] for row in csv.DictReader(fh)} == {"inf"}
 
 
 def test_env_var_overrides_out(tmp_path, monkeypatch):

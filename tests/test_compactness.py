@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,9 @@ class TestGramCovering:
                     monkeypatch.setattr(compactness, "_NEAREST_FLOATS",
                                         step * max(centers.size, 1))
                     assert np.array_equal(compactness._nearest(points, *kinds, centers), brute)
+                    scratch = compactness._scratch(rows.size, centers)  # a caller's scratch
+                    assert np.array_equal(
+                        compactness._nearest(points, *kinds, centers, scratch), brute)
 
     def test_extreme_scales_sweep_exactly(self, rng):
         points = rng.standard_normal((120, 5))
@@ -395,6 +399,38 @@ class TestPackingNumber:
             assert net.tolist() == oracle_net and np.array_equal(radii, oracle_radii)
             assert packing_number(cloud, s) == len(oracle_net) > 1
             assert greedy_net(cloud, s).net_indices == oracle_net
+
+    @pytest.mark.parametrize("norm_kind", [1, 2, np.inf])
+    def test_sweep_crosses_block_boundaries_as_brute_force(self, rng, norm_kind, monkeypatch):
+        # blocks of 7 live points, and the default blocks on a cloud longer than one
+        pts = rng.uniform(-1.0, 1.0, (300, 3))
+        pts[150:160] = pts[:10]  # duplicates share a cell
+        small = state_cloud(pts, norm_kind)
+        cloud = state_cloud(0.3 * rng.standard_normal((5000, 16)), norm_kind)
+        step = compactness._scratch(cloud.size, cloud.points[:1]).shape[1]
+        assert step < cloud.size
+        for c, q, rows in [(small, 0.02, 7), (small, 0.1, 7), (cloud, 0.03, None)]:
+            s = float(np.quantile(_distances(c.points, "state_norm", norm_kind, c.points[0]), q))
+            if rows:
+                monkeypatch.setattr(compactness, "_NEAREST_FLOATS", rows * c.points.shape[1])
+            net, radii = _net_cells(c, s)
+            oracle_net, oracle_radii = greedy_cells_oracle(c, s)
+            assert net.tolist() == oracle_net and np.array_equal(radii, oracle_radii)
+            assert len(net) > 10
+            monkeypatch.undo()
+
+    def test_memory_stays_bounded(self):
+        # 100 000 x 16 points (12.8 MB) sweep within a quarter of that
+        cloud = state_cloud(0.3 * np.random.default_rng(8).standard_normal((100_000, 16)))
+        _net_cells(state_cloud(cloud.points[:10]), 1.6)
+        tracemalloc.start()
+        try:
+            net, _ = _net_cells(cloud, 1.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net) > 100
+        assert peak < cloud.points.nbytes / 4
 
 
 class TestHausdorffDistance:

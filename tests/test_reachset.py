@@ -32,12 +32,13 @@ from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
 import mildsolve.reachset as reachset
 import mildsolve.spaces
 from mildsolve import GammaTable, gamma_tables, greedy_net
+from mildsolve import compactness
 from mildsolve.compactness import _distances, _net_cells
 from mildsolve.reachset import ReachSetSample, _build_gamma_table, _certified_bound
 from mildsolve.spaces import vector_norm
 
 from conftest import (assert_tables_equal, diagnostic_system, gamma_approximation_oracle,
-                      gamma_cells_oracle, greedy_cells_oracle, verify_gamma)
+                      gamma_cells_oracle, greedy_cells_oracle, state_cell_oracle, verify_gamma)
 
 
 class TestSampleReachset:
@@ -444,6 +445,53 @@ class TestGammaSweep:
         monkeypatch.setattr(reachset, "_net_cells", None)  # no sweep may start
         with pytest.raises(VerificationError, match=r"at delta 0\.000e\+00 needs more than"):
             gamma_approximation(diagonal_semigroup([800.0]), state_cloud([[0.5]]), 1.0, 0.1)
+
+
+class TestStateCell:
+    """The blocked cell lookup equals the per-center first-match loop."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7, None])  # None: the default blocks
+    @pytest.mark.parametrize("case", SWEEPS)
+    def test_matches_the_per_center_loop(self, case, block_rows, monkeypatch):
+        sg, cloud, delta = sweep_case(case)
+        table = _build_gamma_table(sg, cloud, 10 * delta, 0.1, delta)
+        assert table.n_state_cells > 3
+        points = cloud.points
+        far = points.max(axis=0) + 2 * delta  # in no cell
+        # the cloud, its reverse (duplicates of every point), points at exactly
+        # delta from a center where that is exact, and points no cell covers
+        probes = np.concatenate([points, points[::-1], table.centers + delta * np.eye(
+            points.shape[1])[0], far[None], -far[None]])
+        if block_rows:
+            monkeypatch.setattr(compactness, "_NEAREST_FLOATS", block_rows * table.centers.size)
+        cells = table.state_cell(probes)
+        assert np.array_equal(cells, state_cell_oracle(table, probes))
+        assert np.all(cells[:2 * len(points)] >= 1) and np.all(cells[-2:] == -1)
+        assert np.array_equal(cells[:len(points)], cells[2 * len(points) - 1:len(points) - 1:-1])
+
+    @pytest.mark.parametrize("kind", [1, 2, np.inf])
+    def test_points_at_exactly_delta_read_uncovered(self, kind):
+        table = GammaTable(1.0, 0.1, 1.0, 1, np.array([[0.0, 0.0], [5.0, 5.0]]),
+                           np.zeros((1, 2, 2)), np.zeros(2), kind, 0.0)
+        probes = [[1.0, 0.0], [0.0, -1.0], [6.0, 5.0], [0.5, 0.0], [5.0, 4.5], [5.0, 4.0]]
+        assert table.state_cell(probes).tolist() == [-1, -1, -1, 1, 2, -1]
+        assert table.state_cell([0.0, 0.0]).tolist() == [1]  # one state
+
+    def test_memory_stays_bounded(self):
+        # 100 000 x 16 states (12.8 MB) against 40 centers within a quarter of that
+        points = np.random.default_rng(8).standard_normal((100_000, 16))
+        table = GammaTable(1.0, 0.1, 5.0, 1, points[:40].copy(), np.zeros((1, 40, 16)),
+                           np.zeros(40), 2, 0.0)
+        table.state_cell(points[:10])
+        tracemalloc.start()
+        try:
+            cells = table.state_cell(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(cells, state_cell_oracle(table, points))
+        assert np.unique(cells).size > 20 and np.any(cells == -1)
+        assert peak < points.nbytes / 4
 
 
 def bound_case(case, rng):
