@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controls import Control, _unchecked, lp_norm
+from .controls import Control, lp_norm
 from .spaces import (_EPS, _ETA, _TINY, NormKind, Semigroup, StateVector, VectorField, all_finite,
                      check_norm_kind, vector_norm)
 
@@ -42,17 +42,15 @@ class TrajectoryGrid:
     norm_kind: NormKind = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "states",
-                           _checked_states(self.horizon_T, self.states, self.norm_kind, 2))
-
-    @classmethod
-    def rows(cls, horizon_T: float, stack: np.ndarray,
-             norm_kind: NormKind = 2) -> list["TrajectoryGrid"]:
-        """The trajectories of a (B, n_t + 1, n) stack as its row views: the
-        stack is checked once, as a whole, and the rows are not checked again."""
-        stack = _checked_states(horizon_T, stack, norm_kind, 3)
-        return [_unchecked(cls, horizon_T=horizon_T, states=x, norm_kind=norm_kind)
-                for x in stack]
+        if self.horizon_T <= 0:
+            raise ValueError("horizon_T must be > 0")
+        states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        if states.ndim != 2 or states.shape[0] < 2:
+            raise ValueError("states must be an (n_t + 1, n) array with n_t >= 1")
+        if not all_finite(states):
+            raise ValueError("trajectory states must be finite")
+        check_norm_kind(self.norm_kind)
+        object.__setattr__(self, "states", states)
 
     @property
     def n_t(self) -> int:
@@ -65,21 +63,6 @@ class TrajectoryGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon_T, self.n_t + 1)
-
-
-def _checked_states(horizon_T: float, states, norm_kind: NormKind, ndim: int) -> np.ndarray:
-    """`states` as a float array of `ndim` axes whose last two are (n_t + 1, n),
-    n_t >= 1, all finite, on a horizon > 0 and a valid norm kind."""
-    if horizon_T <= 0:
-        raise ValueError("horizon_T must be > 0")
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    if states.ndim != ndim or states.shape[-2] < 2:
-        shape = "an (n_t + 1, n) array" if ndim == 2 else "a (B, n_t + 1, n) stack"
-        raise ValueError(f"states must be {shape} with n_t >= 1")
-    if not all_finite(states):
-        raise ValueError("trajectory states must be finite")
-    check_norm_kind(norm_kind)
-    return states
 
 
 def constant_trajectory(xi0: StateVector, T: float, n_t: int) -> TrajectoryGrid:
@@ -160,14 +143,18 @@ def semigroup_scan(powers: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
 
 
 def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> TrajectoryGrid:
-    """The control-free trajectory t_j -> e^{A t_j} xi0."""
+    """The control-free trajectory t_j -> e^{A t_j} xi0; one that leaves the
+    floats raises OverflowError."""
     times = np.linspace(0.0, T, n_t + 1)
-    if sg.is_diagonal:
-        states = np.exp(np.outer(times, sg.eigenvalues)) * xi0.coords
-    else:
-        y = np.zeros((1, n_t + 1, sg.dim))
-        y[0, 0] = xi0.coords
-        states = semigroup_scan(scan_powers(semigroup_step(sg, T / n_t), n_t + 1), y)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sg.is_diagonal:
+            states = np.exp(np.outer(times, sg.eigenvalues)) * xi0.coords
+        else:
+            y = np.zeros((1, n_t + 1, sg.dim))
+            y[0, 0] = xi0.coords
+            states = semigroup_scan(scan_powers(semigroup_step(sg, T / n_t), n_t + 1), y)[0]
+    if not all_finite(states):
+        raise OverflowError(f"the control-free orbit e^(At) xi0 leaves the floats by T = {T:.6g}")
     return TrajectoryGrid(T, states, xi0.norm_kind)
 
 
@@ -215,9 +202,9 @@ class BatchOperator:
         self.fields = list(fields)
         self.h = T / n_t
         self.times = np.linspace(0.0, T, n_t + 1)
+        self.orbit = semigroup_orbit(sg, xi0, T, n_t)  # first: it raises if e^{At} overflows
         self.step = semigroup_step(sg, self.h)
         self.powers = scan_powers(self.step, n_t + 1)
-        self.orbit = semigroup_orbit(sg, xi0, T, n_t)
         self.eigenvalues = sg.eigenvalues  # None for a dense generator
 
     def fixed_point(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,9 +440,9 @@ def certify_omega_contraction(p: float, r: float, M: float, mu: float,
 
     rate = r M L / (q (omega - mu))^{1/q} with q the conjugate exponent
     (q = 1 at p = inf: rate r M L / (omega - mu)); omega is the smallest
-    weight of the form mu + 2^k (k integer) meeting `_TARGET_RATE`.  The
-    radius factor r extends the unit-ball estimate by homogeneity of the
-    Hoelder step.
+    weight of the form mu + 2^k (k integer) meeting `_TARGET_RATE`, with 2^k
+    at least the ulp of mu so that omega > mu in floats.  The radius factor r
+    extends the unit-ball estimate by homogeneity of the Hoelder step.
     """
     if not p > 1:
         raise ValueError("omega certificates require p > 1")
@@ -469,11 +456,12 @@ def certify_omega_contraction(p: float, r: float, M: float, mu: float,
     def rate(omega: float) -> float:
         return r * M * L_bound / (q * (omega - mu)) ** (1.0 / q)
 
-    gap_needed = (r * M * L_bound / _TARGET_RATE) ** q / q
-    k = math.ceil(math.log2(gap_needed))
+    k_min = int(math.log2(math.ulp(mu)))  # omega = mu + 2^k > mu in floats
+    k = max(k_min, math.ceil(q * (math.log2(r) + math.log2(M * L_bound / _TARGET_RATE))
+                             - math.log2(q)))  # log2 of the gap (r M L / target)^q / q
     while rate(mu + 2.0 ** k) > _TARGET_RATE:  # guard log2 rounding
         k += 1
-    while k > -60 and rate(mu + 2.0 ** (k - 1)) <= _TARGET_RATE:
+    while k > k_min and rate(mu + 2.0 ** (k - 1)) <= _TARGET_RATE:
         k -= 1
     omega = mu + 2.0 ** k
     return ContractionCertificate("omega", rate(omega), r, p, M, mu, L_bound,

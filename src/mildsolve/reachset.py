@@ -35,11 +35,10 @@ from .compactness import (
     state_cloud,
     trajectory_cloud,
 )
-from .controls import lp_norm, sample_ball, spike_control, stack_controls
+from .controls import Control, lp_norm, sample_ball, spike_control, stack_controls
 from .operator import (
     BatchOperator,
     ContractionCertificate,
-    TrajectoryGrid,
     certify,
     semigroup_act,
     semigroup_step,
@@ -63,23 +62,29 @@ class VerificationError(RuntimeError):
 @dataclass(frozen=True)
 class ReachSetSample:
     """Monte-Carlo approximation of the reachable set up to time T under the
-    control ball of `cert`: controls and trajectories each on one grid, and
-    the trajectories' states, trajectory-major, in `endpoints`."""
+    control ball of `cert`: B controls as one stack, their trajectories'
+    states on its grid, and those states, trajectory-major, in `endpoints`."""
 
     xi0: StateVector
     cert: ContractionCertificate
-    controls: list
-    trajectories: list
+    controls: Control  # the (B, m, n_t) stack
+    states: np.ndarray  # (B, n_t + 1, n), trajectory b at the grid times `times`
     endpoints: PointCloud  # evaluation set of the trajectories
     # the applications of F that certified the solves, the controls the
     # forward pass's rounding bound certified alone and the largest bound
     solves: dict = field(default_factory=dict)
 
-    def __post_init__(self):  # one ball check and one start check, on the whole stack
-        self.cert.control_norm(stack_controls(self.controls))
-        starts = np.stack([tr.states[0] for tr in self.trajectories])
-        if starts.shape[1:] != self.xi0.coords.shape or np.any(starts != self.xi0.coords):
+    def __post_init__(self):  # the ball, the grid and the start, each checked once on the stacks
+        self.cert.control_norm(self.controls)
+        if self.states.shape[:2] != (len(self.controls.values), self.controls.n_t + 1):
+            raise ValueError("a sample needs one trajectory per control, on its grid")
+        if self.states.shape[2:] != self.xi0.coords.shape or np.any(
+                self.states[:, 0] != self.xi0.coords):
             raise ValueError("trajectory does not start at xi0")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.cert.horizon_T, self.states.shape[1])
 
 
 def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[VectorField],
@@ -88,19 +93,18 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
-    The controls, row views of `sample_ball`'s one array, take one forward
-    pass, each trajectory certified within `tol` of its discrete fixed
-    point (see `solve_batch`), and `ReachSetSample` checks their stack
-    against the ball in one call.  The trajectories are row views of the
-    pass's (count, n_t + 1, n) stack, checked once as a whole, and the
-    endpoint cloud is that stack reshaped, so the states are held once.
+    `sample_ball`'s draw, stacked once, takes one forward pass, each
+    trajectory certified within `tol` of its discrete fixed point (see
+    `solve_batch`), and `ReachSetSample` checks the stack against the ball in
+    one call.  The sample holds the pass's (count, n_t + 1, n) states, and
+    the endpoint cloud is that array reshaped, so the states are held once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
+    controls = stack_controls(
+        sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed))
     states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
-    trajectories = TrajectoryGrid.rows(cert.horizon_T, states, xi0.norm_kind)
-    return ReachSetSample(xi0, cert, controls, trajectories, state_cloud(states, xi0.norm_kind),
+    return ReachSetSample(xi0, cert, controls, states, state_cloud(states, xi0.norm_kind),
                           {"applications": int(taken.sum()),
                            "rounding_certified": int(np.count_nonzero(taken == 0)),
                            "bound_max": float(bounds.max())})
@@ -375,22 +379,19 @@ def gamma_tables(sg: Semigroup, K: PointCloud, T: float,
     tables = []
     for eps in eps_ladder:
         delta, builds = eps / sg.class_M * math.exp(-sg.class_mu * T), 1
-        while True:
-            table = _build_gamma_table(sg, K, T, eps, delta)
-            bound = _certified_bound(sg, table)
-            if bound < eps:
-                break
+        while (table := _build_gamma_table(sg, K, T, eps, delta, builds)).certified_bound >= eps:
             delta, builds = 0.5 * delta, builds + 1
-        tables.append(replace(table, certified_bound=bound, builds=builds))
+        tables.append(table)
     return tables
 
 
-def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
-                       delta: float) -> GammaTable:
+def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float, delta: float,
+                       builds: int = 1) -> GammaTable:
     """The table of time step T/N < delta on the greedy delta-net of K
-    (`compactness._net_cells`), not yet certified.  Its N time cells are
-    checked against `_MAX_TABLE_CELLS` before the sweep, and its N * M cells
-    after it, before any orbit is computed."""
+    (`compactness._net_cells`) with its `_certified_bound`, the `builds`-th
+    of its eps.  Its N time cells are checked against `_MAX_TABLE_CELLS`
+    before the sweep, and its N * M cells after it, before any orbit is
+    computed."""
     if not delta > 0 or T / delta >= _MAX_TABLE_CELLS:  # floor(T / delta) + 1 time cells
         raise VerificationError(
             f"Gamma_eps table for eps {eps:.3e} at delta {delta:.3e} needs more than "
@@ -404,12 +405,13 @@ def _build_gamma_table(sg: Semigroup, K: PointCloud, T: float, eps: float,
             f"Gamma_eps table for eps {eps:.3e} at delta {delta:.3e} needs {n_cells} x "
             f"{net.size} cells, more than {_MAX_TABLE_CELLS}")
     centers = K.points[net]
-    times = [i * T / n_cells for i in range(1, n_cells + 1)]
-    if sg.is_diagonal:
-        values = np.stack([semigroup_act(semigroup_step(sg, t), centers) for t in times])
+    times = np.arange(1, n_cells + 1) * T / n_cells
+    if sg.is_diagonal:  # (N, 1, n): one elementwise step per cell time, over every center
+        values = semigroup_act(semigroup_step(sg, times[:, None])[:, None], centers)
     else:  # one stacked expm for every cell time
-        values = centers @ sg.matrix_exp(np.array(times)).swapaxes(-1, -2)
-    return GammaTable(T, eps, delta, n_cells, centers, values, radii, K.norm_kind, np.inf)
+        values = centers @ sg.matrix_exp(times).swapaxes(-1, -2)
+    table = GammaTable(T, eps, delta, n_cells, centers, values, radii, K.norm_kind, np.inf, builds)
+    return replace(table, certified_bound=_certified_bound(sg, table))
 
 
 def _certified_bound(sg: Semigroup, table: GammaTable) -> float:
@@ -441,7 +443,7 @@ def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> 
     one field call on the endpoint stack: an identity field's cloud is that stack."""
     if len(fields) != 1:
         raise ValueError("field-value cloud expects a single-channel system")
-    times = np.tile(sample.trajectories[0].times, len(sample.trajectories))
+    times = np.tile(sample.times, len(sample.states))
     return state_cloud(fields[0](times, sample.endpoints.points), sample.endpoints.norm_kind)
 
 
@@ -472,7 +474,7 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     times that bound, up to rounding on the quadrature's scale.
     Controls are rescaled to |u|_1 <= 1 first.  At most `max_controls`
     controls are checked; fewer than one would pass vacuously and raises.
-    F is applied once to the stack of checked trajectories and controls, whose
+    F is applied once to the checked slices of the sample's two stacks, whose
     field values are located in the table in one call.
     """
     if len(fields) != 1:
@@ -480,20 +482,18 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     if max_controls is not None and max_controls < 1:
         raise ValueError(f"max_controls must be >= 1, got {max_controls}")
     f = fields[0]
-    u = stack_controls(sample.controls[:max_controls])
-    trajectories = sample.trajectories[:len(u.values)]
-    x = np.stack([tr.states for tr in trajectories])
-    if u.channels != 1 or x.shape[:2] != (len(u.values), u.n_t + 1) or not all(
-            math.isclose(u.horizon_T, tr.horizon_T) for tr in trajectories):
-        raise ValueError("each control needs one channel and its trajectory's horizon and grid")
-    first, batch, n_t, h = trajectories[0], len(x), u.n_t, u.cell_width
+    u = Control(sample.controls.horizon_T, sample.controls.values[:max_controls])
+    if u.channels != 1:
+        raise ValueError("each control needs one channel")
+    x, times, kind = sample.states[:max_controls], sample.times, sample.xi0.norm_kind
+    batch, n_t, h = len(x), u.n_t, u.cell_width
     u1 = lp_norm(u, 1)
     values = u.values * (1.0 / np.maximum(u1, 1.0))[:, None, None]  # |u|_1 <= 1
     u1 = np.minimum(u1, 1.0)
     zero = StateVector(np.zeros(sample.xi0.dim), sample.xi0.norm_kind)  # checks the dimension
-    direct = BatchOperator(zero, [f], sg, first.horizon_T, n_t)(x, values)
+    direct = BatchOperator(zero, [f], sg, sample.cert.horizon_T, n_t)(x, values)
 
-    phi = f(np.tile(first.times[:-1], batch), x[:, :-1].reshape(-1, x.shape[2]))  # per cell
+    phi = f(np.tile(times[:-1], batch), x[:, :-1].reshape(-1, x.shape[2]))  # per cell
     j_cell = gamma.state_cell(phi).reshape(batch, n_t) - 1
     if np.any(j_cell < 0):
         raise ValueError("Gamma table does not cover the sampled field values")
@@ -501,7 +501,7 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     # of a control's one bincount's (l, i, j) bins sums its cells in order
     row, c = np.tril_indices(n_t)  # row = l - 1
     n_state, n_cells = gamma.n_state_cells, gamma.n_time_cells * gamma.n_state_cells
-    lag = (row * gamma.n_time_cells + gamma.time_cell(first.times[1:])[row - c] - 1) * n_state
+    lag = (row * gamma.n_time_cells + gamma.time_cell(times[1:])[row - c] - 1) * n_state
     per_control = []
     for b in range(batch):
         lam = np.bincount(lag + j_cell[b, c], weights=(h * values[b, 0])[c],
@@ -511,8 +511,8 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
             raise VerificationError(
                 f"coefficient {coeff:.3e} exceeds the control mass {u1[b]:.3e}")
         error = vector_norm(direct[b, 1:] - lam @ gamma.values.reshape(n_cells, -1),
-                            first.norm_kind).max()
+                            kind).max()
         per_control.append({"coeff": coeff, "error": float(error)})
-    quadrature = float(vector_norm(direct[:, 1:], first.norm_kind).max())
+    quadrature = float(vector_norm(direct[:, 1:], kind).max())
     return ConvolutionReport(batch, max(entry["coeff"] for entry in per_control), float(u1.max()),
                              max(entry["error"] for entry in per_control), quadrature, per_control)

@@ -225,11 +225,11 @@ def _control_failed(i: int, error: Exception) -> Exception:
     return RuntimeError(f"solve failed for control #{i}: {error}")
 
 
-def _solve_stack(xi0: StateVector, controls: Sequence[Control],
+def _solve_stack(xi0: StateVector, stack: Control,
                  fields: Sequence[VectorField], sg: Semigroup, cert: ContractionCertificate,
                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward-pass states (B, n_t + 1, n) of B >= 1 controls on one
-    grid with one channel per field, their sup-norm bounds and the
+    """The forward-pass states (B, n_t + 1, n) of a (B, m, n_t) control
+    stack with one channel per field, their sup-norm bounds and the
     applications taken (module docstring): 0 where e^{mu T} e^c rho
     certifies, else those of `_stage_bounds`, run on the other controls
     only.  A failed rule or a non-finite iterate raises RuntimeError with
@@ -237,7 +237,6 @@ def _solve_stack(xi0: StateVector, controls: Sequence[Control],
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    stack = stack_controls(controls)
     values = stack.values
     apply_F = BatchOperator(xi0, fields, sg, stack.horizon_T, stack.n_t)
     bases = _factorial_bases(apply_F, xi0, fields, cert, lp_norm(stack, 1), tol,
@@ -245,7 +244,7 @@ def _solve_stack(xi0: StateVector, controls: Sequence[Control],
     states, residuals = apply_F.fixed_point(values)
     with np.errstate(over="ignore", invalid="ignore"):  # j = 0: past the floats reads inf
         bounds = _weighting(cert.mu, apply_F.times)[1] * _tail(bases, 0) * residuals
-    taken = np.zeros(len(controls), dtype=int)
+    taken = np.zeros(len(values), dtype=int)
     left = np.flatnonzero(~(bounds <= tol))
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
     for first in range(0, len(left), size):
@@ -273,19 +272,21 @@ def solve_batch(xi0: StateVector, controls: Sequence[Control],
     in the sup norm by the first stage of the stopping rule whose bound
     meets `tol` (see the module docstring): `iterations` counts the
     applications its bound took, 0 for the pass's rounding bound, and
-    `iterate_gaps` is empty.  The trajectories are row views of one
-    (B, n_t + 1, n) array.  Results are in input order and agree with
-    `picard_solve` up to rounding.  A failed check, or a bound that is not
-    <= `tol`, raises RuntimeError with the control's index.
+    `iterate_gaps` is empty.  The list is stacked once, for `_solve_stack`,
+    and the trajectories are row views of its (B, n_t + 1, n) states.
+    Results are in input order and agree with `picard_solve` up to
+    rounding.  A failed check, or a bound that is not <= `tol`, raises
+    RuntimeError with the control's index.
     """
     controls = list(controls)
     _check_controls(controls, fields, cert, tol, _control_failed)
     if not controls:
         return []
-    states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
-    return [SolveResult(TrajectoryGrid(u.horizon_T, x, xi0.norm_kind), [], int(n), cert,
+    stack = stack_controls(controls)
+    states, bounds, taken = _solve_stack(xi0, stack, fields, sg, cert, tol)
+    return [SolveResult(TrajectoryGrid(stack.horizon_T, x, xi0.norm_kind), [], int(n), cert,
                         float(bound))
-            for u, x, bound, n in zip(controls, states, bounds, taken)]
+            for x, bound, n in zip(states, bounds, taken)]
 
 
 def iterate_differences(result: SolveResult, u: Control, sg: Semigroup,

@@ -27,6 +27,15 @@ def write_config(tmp_path, payload, name="run.yaml"):
     return str(path)
 
 
+def repo_config(tmp_path, name, overrides):
+    """configs/<name> with its (block, key) settings replaced by `overrides`."""
+    with open(REPO / "configs" / name) as fh:
+        payload = yaml.safe_load(fh)
+    for (block, key), value in overrides.items():
+        payload[block][key] = value
+    return write_config(tmp_path, payload)
+
+
 def scalar_system(**overrides):
     cfg = {
         "system": {
@@ -461,6 +470,46 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
         assert load_json(out / "certificate.json")["certificate"]["mode"] == "hidden"
+
+
+# balls whose omega gap lies below the ulp of mu = 1, or underflows at mu = 0
+SMALL_BALLS = {"below-ulp": {("system", "semigroup"): {"kind": "diagonal", "eigenvalues": [1.0]},
+                             ("control", "r"): 1e-9},
+               "underflow": {("control", "r"): 1e-300}}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_BALLS))
+def test_small_ball_certifies_and_solves_on_the_omega_route(tmp_path, case):
+    cfg = repo_config(tmp_path, "scalar.yaml", SMALL_BALLS[case])
+    for command in ("certify", "solve"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    cert = load_json(tmp_path / "certify" / "certificate.json")["certificate"]
+    assert load_json(tmp_path / "solve" / "solve.json")["certificate"] == cert
+    assert cert["mode"] == "omega" and cert["rate"] <= 0.5
+    assert cert["omega"] > cert["constants"]["mu"]
+
+
+# e^{800 t} xi0 leaves the floats before T = 1
+OVERFLOWING_ORBITS = {
+    "solve-diagonal": ("solve", "scalar.yaml", {
+        ("system", "semigroup"): {"kind": "diagonal", "eigenvalues": [800.0]}}),
+    "solve-dense": ("solve", "scalar.yaml", {
+        ("system", "semigroup"): {"kind": "dense", "matrix": [[800.0]]}}),
+    "gamma": ("gamma", "heat.yaml", {
+        ("system", "semigroup"): {"kind": "diagonal", "eigenvalues": [800.0] * 16},
+        ("control", "p"): 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_ORBITS))
+def test_overflowing_orbit_exits_3(tmp_path, capsys, case):
+    command, name, overrides = OVERFLOWING_ORBITS[case]
+    out = tmp_path / "out"
+    assert main([command, "--config", repo_config(tmp_path, name, overrides),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "leaves the floats" in err
+    assert not out.exists()
 
 
 class TestSystemBuild:

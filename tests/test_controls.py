@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mildsolve import Control, TrajectoryGrid, lp_norm, sample_ball, spike_control
+from mildsolve import Control, lp_norm, sample_ball, spike_control
 from mildsolve.controls import control_from_csv, control_to_csv, stack_controls
 
 from conftest import constant_control, sample_ball_oracle
@@ -159,8 +159,8 @@ def test_control_validation():
 
 
 class TestStackRows:
-    """`Control.rows` and `TrajectoryGrid.rows` check a stack once and build
-    its rows as views that equal the per-row checked objects."""
+    """`Control.rows` checks a stack once and builds its rows as views that
+    equal the per-row checked controls."""
 
     def test_control_rows_equal_checked_controls(self, rng):
         stack = rng.standard_normal((5, 2, 8))
@@ -181,28 +181,3 @@ class TestStackRows:
             Control.rows(0.0, np.ones((2, 1, 4)))
         with pytest.raises(ValueError, match="stack"):
             Control.rows(1.0, np.ones((1, 4)))
-
-    def test_trajectory_rows_equal_checked_trajectories(self, rng):
-        stack = rng.standard_normal((3, 9, 4))
-        rows = TrajectoryGrid.rows(2.0, stack, np.inf)
-        for x, states in zip(rows, stack):
-            checked = TrajectoryGrid(2.0, states, np.inf)
-            assert (x.horizon_T, x.norm_kind, x.n_t, x.dim) \
-                == (checked.horizon_T, checked.norm_kind, checked.n_t, checked.dim)
-            assert np.array_equal(x.states, checked.states)
-            assert np.array_equal(x.times, checked.times)
-            assert np.shares_memory(x.states, stack)
-
-    def test_trajectory_stack_is_checked_once_as_a_whole(self, rng):
-        stack = rng.standard_normal((3, 5, 2))
-        stack[1, 4, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            TrajectoryGrid.rows(1.0, stack)
-        with pytest.raises(ValueError, match="stack"):
-            TrajectoryGrid.rows(1.0, np.ones((5, 2)))
-        with pytest.raises(ValueError, match="n_t >= 1"):
-            TrajectoryGrid.rows(1.0, np.ones((3, 1, 2)))
-        with pytest.raises(ValueError, match="horizon"):
-            TrajectoryGrid.rows(-1.0, np.ones((3, 5, 2)))
-        with pytest.raises(ValueError, match="norm"):
-            TrajectoryGrid.rows(1.0, np.ones((3, 5, 2)), 3)

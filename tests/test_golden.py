@@ -64,6 +64,10 @@ CASES = {
     "dense_solve": ("solve", "scalar.yaml", _DENSE),
     # p = inf takes the omega route at q = 1: rate r M L / (omega - mu)
     "pinf_certify": ("certify", "scalar.yaml", {("control", "p"): "inf"}),
+    # a ball so small that the omega gap lies below ulp(mu): omega = mu + ulp(mu)
+    "small_ball_certify": ("certify", "scalar.yaml",
+                           {("system", "semigroup"): {"kind": "diagonal", "eigenvalues": [1.0]},
+                            ("control", "r"): 1e-9}),
 }
 
 

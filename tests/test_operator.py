@@ -160,7 +160,29 @@ class TestIntegralOperator:
                               [bilinear_field([[1.0]])], sg)
 
 
+@pytest.mark.parametrize("sg", [diagonal_semigroup([800.0]),
+                                dense_semigroup([[800.0]], 1.0, 800.0)], ids=["diagonal", "dense"])
+def test_overflowing_orbit_raises_overflow_error(sg):
+    # e^{800 t} leaves the floats past t ~ 0.89: no warning, and no trajectory
+    with pytest.raises(OverflowError, match="leaves the floats"):
+        semigroup_orbit(sg, StateVector([1.0]), 1.0, 16)
+    assert np.isfinite(semigroup_orbit(sg, StateVector([1.0]), 0.8, 16).states).all()
+
+
 class TestCurveNorms:
+    def test_trajectory_grid_checks(self):
+        grid = TrajectoryGrid(2.0, [[1.0, 2.0], [3.0, 4.0]], np.inf)
+        assert (grid.n_t, grid.dim, grid.norm_kind) == (1, 2, np.inf)
+        assert grid.states.dtype == float
+        bad = np.ones((5, 2))
+        bad[4, 0] = np.inf
+        for horizon, states, norm_kind, message in [
+                (1.0, bad, 2, "finite"), (1.0, np.ones((3, 5, 2)), 2, "n_t >= 1"),
+                (1.0, np.ones((1, 2)), 2, "n_t >= 1"), (-1.0, np.ones((5, 2)), 2, "horizon"),
+                (1.0, np.ones((5, 2)), 3, "norm")]:
+            with pytest.raises(ValueError, match=message):
+                TrajectoryGrid(horizon, states, norm_kind)
+
     def test_sup_norm_examples(self, rng):
         x = constant_trajectory(StateVector([0.0]), 1.0, 10)
         y = TrajectoryGrid(1.0, x.times[:, None].copy())
@@ -214,6 +236,20 @@ class TestOmegaCertificate:
             lhs = omega_norm_distance(integral_operator(x, u, xi0, [f], sg),
                                       integral_operator(y, u, xi0, [f], sg), cert.omega)
             assert lhs <= cert.rate_C * omega_norm_distance(x, y, cert.omega) + 1e-6
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("mu, r", [(1.0, 1e-9), (0.5, 1e-20), (0.0, 1e-300), (0.0, 1e-30)])
+    def test_small_ball_keeps_a_weight_above_mu(self, p, mu, r):
+        # the gap the rate needs lies below the ulp of mu, or underflows: the
+        # weight is the smallest mu + 2^k with 2^k at least that ulp
+        cert = certify(p, r, 1.0, mu, 1.0, 1.0)
+        assert cert.mode == "omega" and cert.omega > mu and 0.0 < cert.rate_C <= 0.5
+        gap, ulp = cert.omega - mu, math.ulp(mu)
+        assert gap >= ulp and math.log2(gap).is_integer()
+        lower = mu + gap / 2
+        if gap > ulp:  # a smaller power of two misses the target rate
+            q = 1.0 if math.isinf(p) else p / (p - 1.0)
+            assert r / (q * (lower - mu)) ** (1.0 / q) > 0.5
 
     def test_radius_monotonicity_scan(self):
         omegas = []

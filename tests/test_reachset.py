@@ -17,7 +17,6 @@ from mildsolve import (
     counterexample_report,
     dense_semigroup,
     diagonal_semigroup,
-    evaluation_set,
     field_value_cloud,
     gamma_approximation,
     gronwall_radius,
@@ -28,7 +27,7 @@ from mildsolve import (
     semigroup_orbit,
     state_cloud,
 )
-from mildsolve.operator import BatchOperator, semigroup_act, semigroup_step
+from mildsolve.operator import BatchOperator, TrajectoryGrid, semigroup_act, semigroup_step
 import mildsolve.reachset as reachset
 import mildsolve.spaces
 from mildsolve import GammaTable, gamma_tables, greedy_net
@@ -73,18 +72,25 @@ class TestSampleReachset:
 
     def test_zero_control_orbit_is_a_valid_sample(self):
         # the degenerate one-member sample is exactly the semigroup orbit
-        from mildsolve import Control
         sg = diagonal_semigroup([-1.0, -4.0])
         xi0 = StateVector([1.0, 1.0])
         orbit = semigroup_orbit(sg, xi0, 1.0, 32)
         cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
-        sample = ReachSetSample(xi0, cert, [Control(1.0, np.zeros((1, 32)))], [orbit],
-                                evaluation_set([orbit]))
+        sample = hand_sample(xi0, cert, np.zeros((1, 1, 32)), orbit.states[None])
         assert np.array_equal(sample.endpoints.points, orbit.states)
+        assert np.array_equal(sample.states[0], orbit.states)
+        assert np.array_equal(sample.times, orbit.times)
 
-    def test_states_are_held_once(self):
-        # trajectories and endpoint cloud share the forward pass's one stack,
-        # and sampling peaks well below two copies of it
+    def test_states_are_held_once(self, monkeypatch):
+        # the sample holds the forward pass's own state array, the endpoint
+        # cloud shares it, and sampling peaks well below two copies of it
+        passes, solve_stack = [], reachset._solve_stack
+
+        def recorded(*args):
+            passes.append(solve_stack(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(reachset, "_solve_stack", recorded)
         sg, fields, cert, xi0 = diagnostic_system(64)
         sample_reachset(xi0, 2, 1, fields, sg, cert, 128, tol=1e-4)  # warm the caches
         tracemalloc.start()
@@ -93,28 +99,44 @@ class TestSampleReachset:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for trajectory in sample.trajectories:
-            assert np.shares_memory(sample.endpoints.points, trajectory.states)
+        assert sample.states is passes[-1][0]
+        assert sample.states.shape == (50, 129, 64)
+        assert np.shares_memory(sample.endpoints.points, sample.states)
+        assert np.array_equal(sample.endpoints.points, sample.states.reshape(-1, 64))
+        assert sample.controls.values.shape == (50, 1, 128)
         assert peak <= 1.6 * 50 * 129 * 64 * 8
 
     def test_start_violation_rejected(self):
         sg = diagonal_semigroup([0.0])
         xi0 = StateVector([1.0])
-        orbits = [semigroup_orbit(sg, StateVector([start]), 1.0, 8) for start in (1.0, 2.0)]
+        states = np.stack([semigroup_orbit(sg, StateVector([start]), 1.0, 8).states
+                           for start in (1.0, 2.0)])
         with pytest.raises(ValueError, match="start at xi0"):
-            ReachSetSample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
-                           [Control(1.0, np.zeros((1, 8)))] * 2, orbits,
-                           evaluation_set(orbits))
+            hand_sample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
+                        np.zeros((2, 1, 8)), states)
 
     def test_ball_violation_rejected(self):
-        from mildsolve import Control
         sg = diagonal_semigroup([0.0])
         xi0 = StateVector([1.0])
         orbit = semigroup_orbit(sg, xi0, 1.0, 8)
         with pytest.raises(ValueError, match="radius"):
-            ReachSetSample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
-                           [Control(1.0, np.full((1, 8), 5.0))],
-                           [orbit], evaluation_set([orbit]))
+            hand_sample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
+                        np.full((1, 1, 8), 5.0), orbit.states[None])
+
+    def test_one_trajectory_per_control_on_its_grid(self):
+        sg = diagonal_semigroup([0.0])
+        xi0 = StateVector([1.0])
+        states = semigroup_orbit(sg, xi0, 1.0, 8).states[None]
+        cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+        for values in (np.zeros((2, 1, 8)), np.zeros((1, 1, 4))):
+            with pytest.raises(ValueError, match="one trajectory per control, on its grid"):
+                hand_sample(xi0, cert, values, states)
+
+
+def hand_sample(xi0, cert, values, states):
+    """A sample of given (B, m, n_t) control values and (B, n_t + 1, n) states."""
+    return ReachSetSample(xi0, cert, Control(cert.horizon_T, values), states,
+                          state_cloud(states, xi0.norm_kind))
 
 
 class TestCompactnessDiagnostic:
@@ -256,7 +278,7 @@ class TestGammaApproximation:
         sg, cloud, tables = bound_case(case, rng)
         for table in tables:
             bound = _certified_bound(sg, table)
-            assert table.certified_bound in (bound, np.inf)  # inf: built, not certified
+            assert table.certified_bound == bound  # each build certifies its table
             n = table.n_time_cells
             starts = np.arange(n) * 1.0 / n  # every t_{i-1}, and just inside cell i
             times = np.unique(np.concatenate([
@@ -546,7 +568,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("kind", BATCHED)
     def test_field_value_cloud_matches_per_trajectory(self, kind):
         _, f, sample = batched_case(kind)
-        looped = np.concatenate([f(tr.times, tr.states) for tr in sample.trajectories])
+        looped = np.concatenate([f(sample.times, x) for x in sample.states])
         assert np.array_equal(field_value_cloud(sample, [f]).points, looped)
 
     def test_identity_field_cloud_is_the_endpoint_stack(self):
@@ -560,9 +582,9 @@ class TestBatchedEvaluation:
         sg, f, sample = batched_case(kind)
         table = _build_gamma_table(sg, field_value_cloud(sample, [f]), 1.0, 0.1, 0.05)
         batched = convolution_compactness_check(sample, table, [f], sg)
-        assert batched.n_controls == len(sample.controls)
-        for b, (x, u) in enumerate(zip(sample.trajectories, sample.controls)):
-            alone = ReachSetSample(sample.xi0, sample.cert, [u], [x], evaluation_set([x]))
+        assert batched.n_controls == len(sample.controls.values)
+        for b, (values, x) in enumerate(zip(sample.controls.values, sample.states)):
+            alone = hand_sample(sample.xi0, sample.cert, values[None], x[None])
             assert convolution_compactness_check(alone, table, [f], sg).per_control \
                 == [batched.per_control[b]]
 
@@ -571,10 +593,9 @@ class TestBatchedEvaluation:
         # the convolution check's one application of F to its whole stack
         sg, f, sample = batched_case(kind)
         zero = StateVector(np.zeros(sg.dim), sample.xi0.norm_kind)
-        stacked = BatchOperator(zero, [f], sg, 1.0, 32)(
-            np.stack([x.states for x in sample.trajectories]),
-            np.stack([u.values for u in sample.controls]))
-        for x, u, fx in zip(sample.trajectories, sample.controls, stacked):
+        stacked = BatchOperator(zero, [f], sg, 1.0, 32)(sample.states, sample.controls.values)
+        for x, u, fx in zip(sample.states, Control.rows(1.0, sample.controls.values), stacked):
+            x = TrajectoryGrid(1.0, x, sample.xi0.norm_kind)
             assert np.array_equal(fx, integral_operator(x, u, zero, [f], sg).states)
 
 
@@ -600,14 +621,12 @@ class TestConvolutionCheck:
             convolution_compactness_check(sample, table, [f], sg, max_controls=0)
 
     def test_zero_control_reconstructs_zero(self):
-        from mildsolve import Control
         sg = diagonal_semigroup([0.0])
         f = constant_field([1.0])
         xi0 = StateVector([0.0])
         orbit = semigroup_orbit(sg, xi0, 1.0, 32)
         cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
-        sample = ReachSetSample(xi0, cert, [Control(1.0, np.zeros((1, 32)))], [orbit],
-                                evaluation_set([orbit]))
+        sample = hand_sample(xi0, cert, np.zeros((1, 1, 32)), orbit.states[None])
         cloud = field_value_cloud(sample, [f])
         table = gamma_approximation(sg, cloud, 1.0, 0.05)
         report = convolution_compactness_check(sample, table, [f], sg)
@@ -636,7 +655,9 @@ class TestConvolutionCheck:
         table = _build_gamma_table(sg, cloud, 1.0, 0.05, 0.02)
         assert table.n_state_cells > 3
         report = convolution_compactness_check(sample, table, [f], sg)
-        for row, (x, u) in zip(report.per_control, zip(sample.trajectories, sample.controls)):
+        controls = Control.rows(1.0, sample.controls.values)
+        for row, x, u in zip(report.per_control, sample.states, controls):
+            x = TrajectoryGrid(1.0, x, xi0.norm_kind)
             coeff, error = looped_convolution(x, u, table, f, sg)
             assert row["coeff"] == coeff
             assert row["error"] == pytest.approx(error, rel=1e-12, abs=1e-16)
