@@ -15,14 +15,16 @@ from typing import Sequence
 import numpy as np
 
 from .floatcsv import write_csv
+from .spaces import all_finite
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class Control:
-    """Piecewise-constant control: values[i, j] on cell j of channel i; values of
-    shape (B, m, n_t) hold a stack of B controls on one grid (`stack_controls`)."""
+    """Piecewise-constant control: values[i, j] on cell j of channel i.  A (B, m, n_t)
+    stack of B >= 1 controls on one grid indexes like a sequence: `stack[k]` is control
+    k, a view of its row, and `stack[a:b]` a stack; a single control has neither."""
 
     horizon_T: float
     values: np.ndarray  # shape (m, n_t), or (B, m, n_t) for a stack
@@ -31,9 +33,9 @@ class Control:
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be > 0")
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if vals.ndim > 3 or vals.shape[-2] < 1 or vals.shape[-1] < 1:
-            raise ValueError("values must be (m, n_t) or a (B, m, n_t) stack, m, n_t >= 1")
-        if not np.all(np.isfinite(vals)):
+        if vals.ndim > 3 or min(vals.shape) < 1:
+            raise ValueError("values must be (m, n_t) or a (B, m, n_t) stack, B, m, n_t >= 1")
+        if not all_finite(vals):
             raise ValueError("control values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -52,26 +54,21 @@ class Control:
     def scaled(self, factor: float) -> "Control":
         return Control(self.horizon_T, self.values * factor)
 
-    @classmethod
-    def rows(cls, horizon_T: float, stack: np.ndarray) -> list["Control"]:
-        """The controls of a (B, m, n_t) stack as its row views: the stack is
-        checked once, as a whole, and the rows are not checked again."""
-        stack = cls(horizon_T, stack).values
-        if stack.ndim != 3:
-            raise ValueError("rows need a (B, m, n_t) stack")
-        return [_unchecked(cls, horizon_T=horizon_T, values=row) for row in stack]
+    @property
+    def _rows(self) -> np.ndarray:
+        if self.values.ndim != 3:
+            raise TypeError("a single control is not a stack")
+        return self.values
 
+    def __len__(self) -> int:
+        return len(self._rows)
 
-def _unchecked(cls, **fields):
-    """An instance of the dataclass `cls` from fields its caller has already
-    checked: `__post_init__` does not run."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    def __getitem__(self, index) -> "Control":
+        return Control(self.horizon_T, self._rows[index])
 
 
 def stack_controls(controls: Sequence[Control]) -> Control:
-    """The controls as one (B, m, n_t) stack; they must share one horizon and grid."""
+    """Controls built one at a time as one (B, m, n_t) stack, on one horizon and grid."""
     if len({(u.horizon_T, u.values.shape) for u in controls}) != 1:
         raise ValueError("a control stack needs controls on one horizon and grid")
     return Control(controls[0].horizon_T, np.stack([u.values for u in controls]))
@@ -107,14 +104,14 @@ def lp_norm(u: Control, p: float) -> float | np.ndarray:
 
 
 def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
-                count: int, seed: int) -> list[Control]:
-    """Draw `count` controls with lp_norm <= r, deterministically from `seed`.
+                count: int, seed: int) -> Control:
+    """Draw a (count, m, n_t) stack of controls with lp_norm <= r, deterministically from `seed`.
 
     Cell values are i.i.d. standard normal, rescaled so the norm is r U^(1/(m n_t)),
     U uniform(0, 1): most draws lie near the sphere (norm >= 0.97 r with
     probability 0.98 at m n_t = 128), few are small.  Each (m, n_t) draw, then its
-    uniform, fills a row of one array; the controls are its row views, their
-    norms taken in one `lp_norm` call and the scaled stack checked once.
+    uniform, fills a row of the stack, the norms are taken in one `lp_norm` call,
+    and a ball whose scaled draws leave the floats raises OverflowError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -126,8 +123,11 @@ def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
         while not rng.standard_normal(out=values[k]).any():
             pass  # a zero draw (norm 0) is astronomically unlikely; keep the sampler total
         targets[k] = r * rng.uniform() ** (1.0 / (m * n_t))
-    values *= (targets / lp_norm(Control(T, values), p))[:, None, None]
-    return Control.rows(T, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values *= (targets / lp_norm(Control(T, values), p))[:, None, None]
+    if not all_finite(values):
+        raise OverflowError(f"controls of the ball of radius {r:.6g} leave the floats")
+    return Control(T, values)
 
 
 def spike_control(n: int, n_t: int) -> Control:

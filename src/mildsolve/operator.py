@@ -347,7 +347,11 @@ def bind_operator(u: Control, xi0: StateVector, fields: Sequence[VectorField],
 
 
 class CertificateRadiusError(ValueError):
-    """A control lies outside the ball a certificate was issued for."""
+    """A control lies outside a certificate's ball; `index` is the first such control of a stack."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -392,15 +396,16 @@ class ContractionCertificate:
 
     def control_norm(self, u: Control) -> float | np.ndarray:
         """|u|_p of a control on the certificate's horizon with |u|_p <= radius_r (up to
-        a relative 1e-12); any other control raises `CertificateRadiusError`.  A
-        control stack (`stack_controls`) is checked in one call and gets its norms."""
+        a relative 1e-12); any other control raises `CertificateRadiusError`.  A stack
+        is checked in one call, gets its norms and names its first control outside."""
         if not math.isclose(u.horizon_T, self.horizon_T):
             raise CertificateRadiusError(f"control horizon {u.horizon_T:.6g} is not the "
                                          f"certificate horizon {self.horizon_T:.6g}")
         norm = lp_norm(u, self.p)
-        if np.max(norm) > self.radius_r * (1.0 + 1e-12):
-            raise CertificateRadiusError(
-                f"|u|_p = {np.max(norm):.6g} exceeds certificate radius {self.radius_r:.6g}")
+        outside = np.flatnonzero(np.atleast_1d(norm) > self.radius_r * (1.0 + 1e-12))
+        if outside.size:
+            raise CertificateRadiusError(f"|u|_p = {np.atleast_1d(norm)[outside[0]]:.6g} exceeds "
+                                         f"certificate radius {self.radius_r:.6g}", int(outside[0]))
         return norm
 
     def to_dict(self) -> dict:

@@ -35,7 +35,7 @@ from .compactness import (
     state_cloud,
     trajectory_cloud,
 )
-from .controls import Control, lp_norm, sample_ball, spike_control, stack_controls
+from .controls import Control, lp_norm, sample_ball, spike_control
 from .operator import (
     BatchOperator,
     ContractionCertificate,
@@ -76,7 +76,7 @@ class ReachSetSample:
 
     def __post_init__(self):  # the ball, the grid and the start, each checked once on the stacks
         self.cert.control_norm(self.controls)
-        if self.states.shape[:2] != (len(self.controls.values), self.controls.n_t + 1):
+        if self.states.shape[:2] != (len(self.controls), self.controls.n_t + 1):
             raise ValueError("a sample needs one trajectory per control, on its grid")
         if self.states.shape[2:] != self.xi0.coords.shape or np.any(
                 self.states[:, 0] != self.xi0.coords):
@@ -93,16 +93,15 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
-    `sample_ball`'s draw, stacked once, takes one forward pass, each
-    trajectory certified within `tol` of its discrete fixed point (see
-    `solve_batch`), and `ReachSetSample` checks the stack against the ball in
-    one call.  The sample holds the pass's (count, n_t + 1, n) states, and
-    the endpoint cloud is that array reshaped, so the states are held once.
+    `sample_ball`'s stack takes one forward pass, each trajectory certified
+    within `tol` of its discrete fixed point (see `solve_batch`), and
+    `ReachSetSample` checks it against the ball in one call.  The sample holds
+    that stack and the pass's (count, n_t + 1, n) states as they are, and the
+    endpoint cloud is the states reshaped, so each is held once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    controls = stack_controls(
-        sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed))
+    controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
     states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
     return ReachSetSample(xi0, cert, controls, states, state_cloud(states, xi0.norm_kind),
                           {"applications": int(taken.sum()),
@@ -482,7 +481,7 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     if max_controls is not None and max_controls < 1:
         raise ValueError(f"max_controls must be >= 1, got {max_controls}")
     f = fields[0]
-    u = Control(sample.controls.horizon_T, sample.controls.values[:max_controls])
+    u = sample.controls[:max_controls]
     if u.channels != 1:
         raise ValueError("each control needs one channel")
     x, times, kind = sample.states[:max_controls], sample.times, sample.xi0.norm_kind

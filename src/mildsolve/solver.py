@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controls import Control, lp_norm, stack_controls
+from .controls import Control, lp_norm
 from .spaces import _EPS, _ETA, Semigroup, StateVector, VectorField, vector_norm
 from .operator import BatchOperator, CertificateRadiusError, ContractionCertificate, TrajectoryGrid
 
@@ -135,23 +135,20 @@ def _factorial_bases(apply_F: BatchOperator, xi0: StateVector, fields: Sequence[
     return bases
 
 
-def _check_controls(controls: Sequence[Control], fields: Sequence[VectorField],
+def _check_controls(controls: Control, fields: Sequence[VectorField],
                     cert: ContractionCertificate, tol: float,
                     fail: Callable[[int, Exception], Exception]) -> None:
-    """Check every control before any work: one channel per field, one
-    shared grid and membership of the certificate's ball
-    (`cert.control_norm`); a failed check of control i raises
-    ``fail(i, error)``."""
+    """Check a control or a stack before any work: one channel per field and
+    membership of the certificate's ball, in one `cert.control_norm` call; a
+    failed check of control i raises ``fail(i, error)``."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    grid = (controls[0].n_t, controls[0].horizon_T) if controls else None
-    for i, u in enumerate(controls):
-        if u.channels != len(fields) or (u.n_t, u.horizon_T) != grid:
-            raise fail(i, ValueError("controls need one channel per field and one shared grid"))
-        try:
-            cert.control_norm(u)
-        except CertificateRadiusError as error:
-            raise fail(i, error) from None
+    if controls.channels != len(fields):
+        raise fail(0, ValueError("controls need one channel per field"))
+    try:
+        cert.control_norm(controls)
+    except CertificateRadiusError as error:
+        raise fail(error.index, error) from None
 
 
 def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
@@ -165,7 +162,7 @@ def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
     0.  Raises `CertificateRadiusError` when u lies outside the certificate's
     ball (see `ContractionCertificate.control_norm`).
     """
-    _check_controls([u], fields, cert, tol, lambda i, error: error)
+    _check_controls(u, fields, cert, tol, lambda i, error: error)
     kind = xi0.norm_kind
     apply_F = BatchOperator(xi0, fields, sg, u.horizon_T, u.n_t)
     base = _factorial_bases(apply_F, xi0, fields, cert, np.atleast_1d(lp_norm(u, 1)), tol,
@@ -263,28 +260,23 @@ def _solve_stack(xi0: StateVector, stack: Control,
     return states, bounds, taken
 
 
-def solve_batch(xi0: StateVector, controls: Sequence[Control],
+def solve_batch(xi0: StateVector, controls: Control,
                 fields: Sequence[VectorField], sg: Semigroup,
                 cert: ContractionCertificate, tol: float = 1e-8) -> list[SolveResult]:
-    """Certified discrete fixed points of many controls on one grid.
+    """Certified discrete fixed points of a (B, m, n_t) control stack.
 
     Each control's forward-pass candidate x is returned as it is, certified
     in the sup norm by the first stage of the stopping rule whose bound
     meets `tol` (see the module docstring): `iterations` counts the
     applications its bound took, 0 for the pass's rounding bound, and
-    `iterate_gaps` is empty.  The list is stacked once, for `_solve_stack`,
-    and the trajectories are row views of its (B, n_t + 1, n) states.
-    Results are in input order and agree with `picard_solve` up to
-    rounding.  A failed check, or a bound that is not <= `tol`, raises
-    RuntimeError with the control's index.
+    `iterate_gaps` is empty.  The trajectories are row views of
+    `_solve_stack`'s (B, n_t + 1, n) states, in stack order, and agree with
+    `picard_solve` up to rounding.  A failed check, or a bound that is not
+    <= `tol`, raises RuntimeError with the control's index.
     """
-    controls = list(controls)
     _check_controls(controls, fields, cert, tol, _control_failed)
-    if not controls:
-        return []
-    stack = stack_controls(controls)
-    states, bounds, taken = _solve_stack(xi0, stack, fields, sg, cert, tol)
-    return [SolveResult(TrajectoryGrid(stack.horizon_T, x, xi0.norm_kind), [], int(n), cert,
+    states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
+    return [SolveResult(TrajectoryGrid(controls.horizon_T, x, xi0.norm_kind), [], int(n), cert,
                         float(bound))
             for x, bound, n in zip(states, bounds, taken)]
 

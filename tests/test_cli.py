@@ -512,6 +512,29 @@ def test_overflowing_orbit_exits_3(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# ball controls of radius 1.7e308 leave the floats once scaled at p = 1 and
+# p = 2; the constant fields certify any radius
+OVERFLOWING_BALLS = {
+    "solve": ("scalar.yaml", {("system", "fields"): [{"kind": "constant", "vector": [1.0]}]}),
+    "reachset": ("heat.yaml", {("system", "fields"): [{"kind": "constant", "vector": [1.0] * 16}],
+                               ("diagnostic", "dims"): [16]}),
+    "gamma": ("heat.yaml", {("system", "fields"): [{"kind": "constant", "vector": [1.0] * 16}]}),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("command", sorted(OVERFLOWING_BALLS))
+def test_overflowing_ball_controls_exit_3(tmp_path, capsys, command, p):
+    name, overrides = OVERFLOWING_BALLS[command]
+    overrides = {**overrides, ("control", "r"): 1.7e308, ("control", "p"): p}
+    out = tmp_path / "out"
+    assert main([command, "--config", repo_config(tmp_path, name, overrides),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "leave the floats" in err
+    assert not out.exists()
+
+
 class TestSystemBuild:
     def test_diagonal_and_dense_systems_leave_scipy_unloaded(self, tmp_path):
         dense = write_config(tmp_path, dense_system())

@@ -60,6 +60,8 @@ class TestLpNorm:
             stack_controls([constant_control(1.0, 8), constant_control(1.0, 8, T=2.0)])
         with pytest.raises(ValueError, match="one horizon and grid"):
             stack_controls([constant_control(1.0, 8), constant_control(1.0, 4)])
+        with pytest.raises(ValueError, match="one horizon and grid"):
+            stack_controls([constant_control(1.0, 8), constant_control(1.0, 8, channels=2)])
         stacked = stack_controls([constant_control(1.0, 8), constant_control(2.0, 8)])
         assert stacked.values.shape == (2, 1, 8)
         assert stacked.channels == 1 and stacked.n_t == 8
@@ -156,28 +158,33 @@ def test_control_validation():
         Control(0.0, np.ones((1, 4)))
     with pytest.raises(ValueError, match="finite"):
         Control(1.0, np.array([[np.inf, 0.0]]))
+    stack = np.ones((4, 1, 6))
+    stack[2, 0, 3] = np.nan  # one bad cell in one row of a stack
+    with pytest.raises(ValueError, match="finite"):
+        Control(1.0, stack)
 
 
-class TestStackRows:
-    """`Control.rows` checks a stack once and builds its rows as views that
-    equal the per-row checked controls."""
-
-    def test_control_rows_equal_checked_controls(self, rng):
-        stack = rng.standard_normal((5, 2, 8))
-        rows = Control.rows(1.5, stack)
-        assert len(rows) == 5
-        for u, values in zip(rows, stack):
-            assert np.array_equal(u.values, values)
-            assert (u.horizon_T, u.channels, u.n_t) == (1.5, 2, 8)
-            assert np.shares_memory(u.values, stack)
-            assert lp_norm(u, 2) == lp_norm(Control(1.5, values), 2)
-
-    def test_control_stack_is_checked_once_as_a_whole(self, rng):
-        stack = rng.standard_normal((4, 1, 6))
-        stack[2, 0, 3] = np.nan  # one bad cell in one row
-        with pytest.raises(ValueError, match="finite"):
-            Control.rows(1.0, stack)
-        with pytest.raises(ValueError, match="horizon"):
-            Control.rows(0.0, np.ones((2, 1, 4)))
-        with pytest.raises(ValueError, match="stack"):
-            Control.rows(1.0, np.ones((1, 4)))
+def test_control_stack_indexes_like_a_sequence(rng):
+    values = rng.standard_normal((5, 2, 8))
+    stack = Control(1.5, values)
+    assert len(stack) == 5
+    for k, u in enumerate(stack):  # iteration ends at the IndexError past the last row
+        assert (u.horizon_T, u.values.shape) == (1.5, (2, 8))
+        assert np.array_equal(u.values, values[k])
+        assert np.shares_memory(u.values, stack.values)
+        assert lp_norm(u, 2) == lp_norm(stack, 2)[k]
+    assert k == 4
+    part = stack[1:3]
+    assert isinstance(part, Control) and len(part) == 2
+    assert np.array_equal(part.values, values[1:3])
+    with pytest.raises(IndexError):
+        stack[5]
+    single = stack[0]
+    with pytest.raises(TypeError):
+        len(single)
+    with pytest.raises(TypeError):
+        single[0]
+    with pytest.raises(ValueError, match="B, m, n_t >= 1"):
+        Control(1.0, np.ones((0, 1, 4)))
+    with pytest.raises(ValueError, match="B, m, n_t >= 1"):
+        stack[5:]

@@ -438,6 +438,15 @@ def test_control_norm_is_the_ball_membership_test():
         cert.control_norm(u.scaled(1.0 + 1e-9))
     with pytest.raises(CertificateRadiusError, match="horizon"):  # |u|_2 = 0.71 on [0, 2]
         cert.control_norm(constant_control(0.5, 16, T=2.0))
+    # a stack is checked in one call; the error names its first control outside
+    stack = Control(1.0, np.array([0.5, 1.5, 1.0, 3.0])[:, None, None] * u.values)
+    assert cert.control_norm(stack[::2]).tolist() == [0.5, 1.0]
+    with pytest.raises(CertificateRadiusError, match="1.5 exceeds") as raised:
+        cert.control_norm(stack)
+    assert raised.value.index == 1
+    with pytest.raises(CertificateRadiusError, match="horizon") as raised:
+        cert.control_norm(Control(2.0, stack.values))
+    assert raised.value.index == 0
 
 
 def test_certificate_serialization_round_trip():

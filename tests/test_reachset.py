@@ -106,6 +106,20 @@ class TestSampleReachset:
         assert sample.controls.values.shape == (50, 1, 128)
         assert peak <= 1.6 * 50 * 129 * 64 * 8
 
+    def test_controls_are_the_drawn_stack(self, monkeypatch):
+        # the sample keeps `sample_ball`'s own array: no control is copied
+        draws, draw = [], reachset.sample_ball
+
+        def recorded(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(reachset, "sample_ball", recorded)
+        sg, fields, cert, xi0 = diagnostic_system(16)
+        sample = sample_reachset(xi0, 20, 3, fields, sg, cert, 32, tol=1e-4)
+        assert np.shares_memory(sample.controls.values, draws[-1][0].values)
+        assert sample.controls.values is draws[-1].values
+
     def test_start_violation_rejected(self):
         sg = diagonal_semigroup([0.0])
         xi0 = StateVector([1.0])
@@ -594,7 +608,7 @@ class TestBatchedEvaluation:
         sg, f, sample = batched_case(kind)
         zero = StateVector(np.zeros(sg.dim), sample.xi0.norm_kind)
         stacked = BatchOperator(zero, [f], sg, 1.0, 32)(sample.states, sample.controls.values)
-        for x, u, fx in zip(sample.states, Control.rows(1.0, sample.controls.values), stacked):
+        for x, u, fx in zip(sample.states, sample.controls, stacked):
             x = TrajectoryGrid(1.0, x, sample.xi0.norm_kind)
             assert np.array_equal(fx, integral_operator(x, u, zero, [f], sg).states)
 
@@ -655,8 +669,7 @@ class TestConvolutionCheck:
         table = _build_gamma_table(sg, cloud, 1.0, 0.05, 0.02)
         assert table.n_state_cells > 3
         report = convolution_compactness_check(sample, table, [f], sg)
-        controls = Control.rows(1.0, sample.controls.values)
-        for row, x, u in zip(report.per_control, sample.states, controls):
+        for row, x, u in zip(report.per_control, sample.states, sample.controls):
             x = TrajectoryGrid(1.0, x, xi0.norm_kind)
             coeff, error = looped_convolution(x, u, table, f, sg)
             assert row["coeff"] == coeff

@@ -22,6 +22,7 @@ from mildsolve import (
     sample_ball,
     solve_batch,
 )
+from mildsolve.controls import stack_controls
 from mildsolve.operator import EXP_ULPS, BatchOperator, exp_rounding
 
 DIGITS = 50
@@ -94,8 +95,8 @@ def system(name, p):
     sg = diagonal_semigroup(eigenvalues)
     fields = [np_field(spec, kind) for spec in specs]
     cert = certify(p, 0.8, sg.class_M, sg.class_mu, max(f.lipschitz_L for f in fields), T)
-    controls = sample_ball(p, 0.8, T, len(fields), n_t, 3, seed=len(eigenvalues))
-    controls.append(controls[0].scaled(0.0))
+    ball = sample_ball(p, 0.8, T, len(fields), n_t, 3, seed=len(eigenvalues))
+    controls = stack_controls([*ball, ball[0].scaled(0.0)])
     return sg, fields, StateVector(xi0, kind), cert, controls, specs
 
 
@@ -107,7 +108,7 @@ def test_rounding_bound_covers_50_digit_truth(name, p):
     kind, tol = xi0.norm_kind, 1e-6
     T, n_t = controls[0].horizon_T, controls[0].n_t
     op = BatchOperator(xi0, fields, sg, T, n_t)
-    values = np.stack([u.values for u in controls])
+    values = controls.values
     states, rho = op.fixed_point(values)
     results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
     weight = (np.exp(-cert.omega * op.times) if cert.mode == "omega"
@@ -153,7 +154,7 @@ def test_matrix_field_error_enters_the_bound():
     specs = [("matrix", [[1e8, -1e8], [1e8, -1e8]])]
     sg, xi0 = diagonal_semigroup([-1.5, -1.5]), StateVector([0.3, 0.3 * (1.0 + 1e-12)])
     op = BatchOperator(xi0, [np_field(specs[0], 2)], sg, 1.0, 8)
-    values = np.stack([u.values for u in sample_ball(1.0, 1.0, 1.0, 1, 8, 2, seed=9)])
+    values = sample_ball(1.0, 1.0, 1.0, 1, 8, 2, seed=9).values
     states, rho = op.fixed_point(values)
     with mp.workdps(DIGITS):
         for b in range(len(values)):

@@ -33,6 +33,7 @@ from mildsolve import (
     sup_norm,
 )
 
+from mildsolve.controls import stack_controls
 from mildsolve.operator import BatchOperator
 from mildsolve import solver
 from mildsolve.solver import _stage_bounds, _tail
@@ -110,7 +111,7 @@ class TestPicardSolve:
         cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
             picard_solve(StateVector([1.0]), constant_control(1.0, 64), [f], sg, cert)
-        controls = [constant_control(0.1, 64), constant_control(1.0, 64)]
+        controls = stack_controls([constant_control(0.1, 64), constant_control(1.0, 64)])
         with pytest.raises(RuntimeError, match="control #1: .*finite"):
             solve_batch(StateVector([1.0]), controls, [f], sg, cert)
 
@@ -372,7 +373,7 @@ def batch_system(name, route):
 def test_solve_batch_matches_picard(name, route):
     # the forward pass is the discrete fixed point: a tight Picard solve agrees
     sg, fields, xi0, cert, controls = batch_system(name, route)
-    controls.insert(2, controls[0].scaled(0.0))
+    controls = stack_controls([*controls[:2], controls[0].scaled(0.0), *controls[2:]])
     tol = 1e-8
     results = solve_batch(xi0, controls, fields, sg, cert, tol=tol)
     assert len(results) == len(controls)
@@ -392,11 +393,12 @@ def test_solve_batch_matches_picard(name, route):
 def test_solve_batch_returns_input_order():
     # heat n = 64 chunks its certificate three controls at a time
     sg, fields, xi0, cert, controls = batch_system("heat64", "hidden")
-    controls = [u.scaled(0.9 ** i) for i, u in enumerate(controls + controls[:2])]
+    controls = stack_controls([u.scaled(0.9 ** i)
+                               for i, u in enumerate([*controls, *controls[:2]])])
     for batch in (controls, controls[::-1]):
         results = solve_batch(xi0, batch, fields, sg, cert, tol=1e-8)
         for u, res in zip(batch, results):
-            alone = solve_batch(xi0, [u], fields, sg, cert, tol=1e-8)[0]
+            alone = solve_batch(xi0, stack_controls([u]), fields, sg, cert, tol=1e-8)[0]
             assert np.abs(res.trajectory.states - alone.trajectory.states).max() <= 1e-15
     gaps = [sup_norm(a.trajectory, b.trajectory) for a, b in zip(results, results[1:])]
     assert min(gaps) > 1e-6  # neighbours are told apart far above the tolerance
@@ -500,7 +502,7 @@ def test_growing_semigroup_solves_in_few_applications(route):
     res = picard_solve(xi0, u, [f], sg, cert, tol=tol)
     assert 1 < res.iterations <= 20
     assert vector_norm(res.trajectory.states - exact, 2).max() <= res.a_posteriori_bound <= tol
-    batch = solve_batch(xi0, [u], [f], sg, cert, tol=tol)[0]
+    batch = solve_batch(xi0, stack_controls([u]), [f], sg, cert, tol=tol)[0]
     assert batch.iterations <= 1 and batch.a_posteriori_bound <= tol
     assert np.array_equal(batch.trajectory.states, exact)
 
@@ -576,9 +578,9 @@ def test_only_uncertified_controls_go_on_to_applications(monkeypatch):
     # h u = 1e-310 / 128 is subnormal: its product's rounding is not relative,
     # so that control alone takes the applications, in a batch of one
     sg, fields, xi0, cert, controls = batch_system("heat16", "hidden")
-    values = controls[3].values.copy()
-    values[0, 7] = 1e-310
-    controls[3] = Control(1.0, values)
+    values = controls.values.copy()
+    values[3, 0, 7] = 1e-310
+    controls = Control(1.0, values)
     calls = spy_applications(monkeypatch)
     results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-8)
     assert calls == [1]
@@ -593,8 +595,9 @@ def test_non_finite_pass_with_declared_field_error_raises():
     nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0,
                             eval_error=0.0)
     apply_F = BatchOperator(xi0, [nan_above], sg, 1.0, 16)
-    controls = [constant_control(0.3, 16), constant_control(0.0, 16), constant_control(1.0, 16)]
-    states, rho = apply_F.fixed_point(np.stack([u.values for u in controls]))
+    controls = stack_controls([constant_control(0.3, 16), constant_control(0.0, 16),
+                               constant_control(1.0, 16)])
+    states, rho = apply_F.fixed_point(controls.values)
     assert np.isfinite(rho[:2]).all() and np.isnan(rho[2])
     with pytest.raises(RuntimeError, match=r"control #2: .*finite"):
         solve_batch(xi0, controls, [nan_above], sg, cert)
@@ -616,7 +619,7 @@ def test_zero_control_batch_under_overflowing_tails(monkeypatch):
     u = constant_control(0.0, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = solve_batch(xi0, [u], [f], sg, cert)
+        res = solve_batch(xi0, stack_controls([u]), [f], sg, cert)
     rho = BatchOperator(xi0, [f], sg, 1.0, 8).fixed_point(u.values[None])[1][0]
     assert calls == []
     assert (res[0].iterations, res[0].a_posteriori_bound) == (0, rho)
@@ -628,7 +631,7 @@ def test_solve_batch_attaches_control_index_on_error():
     f = bilinear_field([[1.0]])
     xi0 = StateVector([1.0])
     cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
-    controls = [constant_control(0.5, 16), constant_control(3.0, 16)]
+    controls = stack_controls([constant_control(0.5, 16), constant_control(3.0, 16)])
     with pytest.raises(RuntimeError, match="control #1"):
         solve_batch(xi0, controls, [f], sg, cert)
 
@@ -643,7 +646,7 @@ def test_control_off_the_certificate_horizon_rejected():
     with pytest.raises(CertificateRadiusError, match="horizon"):
         picard_solve(xi0, u, [f], sg, cert)
     with pytest.raises(RuntimeError, match=r"control #0: .*horizon"):
-        solve_batch(xi0, [u], [f], sg, cert)
+        solve_batch(xi0, stack_controls([u]), [f], sg, cert)
 
 
 def test_solve_batch_errors_name_the_control():
@@ -653,8 +656,7 @@ def test_solve_batch_errors_name_the_control():
     ok, zero = constant_control(0.5, 16), constant_control(0.0, 16)
     cases = [
         ([ok, constant_control(3.0, 16)], [f], cert, 1e-8, r"control #1: .*radius"),
-        ([ok, zero, constant_control(0.5, 32)], [f], cert, 1e-8, r"control #2: .*grid"),
-        ([ok, constant_control(0.5, 16, channels=2)], [f], cert, 1e-8, r"control #1: .*channel"),
+        ([constant_control(0.5, 16, channels=2)] * 2, [f], cert, 1e-8, r"control #0: .*channel"),
         # c = 5e4 needs ~e c applications, past the cap; the zero control's c = 0
         ([zero, constant_control(5e4, 16), ok], [f],
          certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0), 1e-8,
@@ -667,7 +669,12 @@ def test_solve_batch_errors_name_the_control():
     ]
     for controls, fields, c, tol, message in cases:
         with pytest.raises(RuntimeError, match=message):
-            solve_batch(xi0, controls, fields, sg, c, tol=tol)
+            solve_batch(xi0, stack_controls(controls), fields, sg, c, tol=tol)
+    # a stack has one grid and one channel count: mixed controls never form one
+    for controls in ([ok, zero, constant_control(0.5, 32)],
+                     [ok, constant_control(0.5, 16, channels=2)]):
+        with pytest.raises(ValueError, match="one horizon and grid"):
+            stack_controls(controls)
 
 
 def test_zero_control_computes_one_application(monkeypatch):
