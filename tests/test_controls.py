@@ -158,33 +158,43 @@ def test_control_validation():
         Control(0.0, np.ones((1, 4)))
     with pytest.raises(ValueError, match="finite"):
         Control(1.0, np.array([[np.inf, 0.0]]))
-    stack = np.ones((4, 1, 6))
-    stack[2, 0, 3] = np.nan  # one bad cell in one row of a stack
-    with pytest.raises(ValueError, match="finite"):
-        Control(1.0, stack)
 
 
-def test_control_stack_indexes_like_a_sequence(rng):
-    values = rng.standard_normal((5, 2, 8))
-    stack = Control(1.5, values)
-    assert len(stack) == 5
-    for k, u in enumerate(stack):  # iteration ends at the IndexError past the last row
-        assert (u.horizon_T, u.values.shape) == (1.5, (2, 8))
-        assert np.array_equal(u.values, values[k])
-        assert np.shares_memory(u.values, stack.values)
-        assert lp_norm(u, 2) == lp_norm(stack, 2)[k]
-    assert k == 4
-    part = stack[1:3]
-    assert isinstance(part, Control) and len(part) == 2
-    assert np.array_equal(part.values, values[1:3])
-    with pytest.raises(IndexError):
-        stack[5]
-    single = stack[0]
-    with pytest.raises(TypeError):
-        len(single)
-    with pytest.raises(TypeError):
-        single[0]
-    with pytest.raises(ValueError, match="B, m, n_t >= 1"):
-        Control(1.0, np.ones((0, 1, 4)))
-    with pytest.raises(ValueError, match="B, m, n_t >= 1"):
-        stack[5:]
+class TestStackRows:
+    """A (B, m, n_t) `Control` stack is checked once as a whole, and its rows are
+    checked views that equal the controls built from them one at a time."""
+
+    def test_control_rows_equal_checked_controls(self, rng):
+        values = rng.standard_normal((5, 2, 8))
+        stack = Control(1.5, values)
+        assert len(stack) == 5
+        for k, u in enumerate(stack):  # iteration ends at the IndexError past the last row
+            assert (u.horizon_T, u.channels, u.n_t) == (1.5, 2, 8)
+            assert np.array_equal(u.values, values[k])
+            assert np.shares_memory(u.values, stack.values)
+            assert lp_norm(u, 2) == lp_norm(Control(1.5, values[k]), 2) == lp_norm(stack, 2)[k]
+        assert k == 4
+        part = stack[1:3]
+        assert isinstance(part, Control) and len(part) == 2
+        assert np.array_equal(part.values, values[1:3])
+        with pytest.raises(IndexError):
+            stack[5]
+        single = stack[0]
+        with pytest.raises(TypeError):
+            len(single)
+        with pytest.raises(TypeError):
+            single[0]
+
+    def test_control_stack_is_checked_once_as_a_whole(self, rng):
+        stack = rng.standard_normal((4, 1, 6))
+        stack[2, 0, 3] = np.nan  # one bad cell in one row
+        with pytest.raises(ValueError, match="finite"):
+            Control(1.0, stack)
+        with pytest.raises(ValueError, match="horizon"):
+            Control(0.0, np.ones((2, 1, 4)))
+        with pytest.raises(ValueError, match="stack"):
+            Control(1.0, np.ones((2, 2, 1, 4)))
+        with pytest.raises(ValueError, match="B, m, n_t >= 1"):
+            Control(1.0, np.ones((0, 1, 4)))
+        with pytest.raises(ValueError, match="B, m, n_t >= 1"):
+            Control(1.0, np.ones((3, 1, 4)))[3:]
