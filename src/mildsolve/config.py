@@ -50,7 +50,8 @@ _SEMIGROUP_KEYS = {"diagonal": "eigenvalues", "heat": "dim", "dense": "matrix"}
 _FIELD_KEYS = {"bilinear": ("identity", "matrix"), "constant": ("vector",),
                "saturation": ("scale",)}
 # Settings that must be finite and > 0, and counts that must be >= 1.
-_POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("gamma", "eps")]
+_POSITIVE = [("system", "T"), ("control", "r"), ("solver", "tol"), ("diagnostic", "xi0_scale"),
+             ("gamma", "eps")]
 _COUNTS = [("system", "n_t"), ("control", "count"), ("diagnostic", "n_t"),
            ("diagnostic", "cloud_budget"), ("counterexample", "n_max"),
            ("counterexample", "n_t"), ("gamma", "max_controls")]
@@ -175,8 +176,6 @@ class RunConfig:
         dims = self.diagnostic["dims"]
         if not dims or dims != sorted(set(dims)):
             raise ConfigError("diagnostic.dims must be nonempty and strictly increasing")
-        if not np.isfinite(self.diagnostic["xi0_scale"]):
-            raise ConfigError("diagnostic.xi0_scale must be finite")
         ladder = self.diagnostic["eps_ladder"]
         if not all(0 < e < np.inf for e in ladder):
             raise ConfigError("diagnostic.eps_ladder entries must be finite and > 0")

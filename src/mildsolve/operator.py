@@ -22,6 +22,7 @@ Two contraction routes are certified:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -158,6 +159,11 @@ def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> Traj
     return TrajectoryGrid(T, states, xi0.norm_kind)
 
 
+# A streamed `BatchOperator.fixed_point` keeps its last rows in a ring of
+# about this many bytes (at least one row): each block of rows is checked and
+# its kept rows gathered in one call, not one per row.
+_RING_BYTES = 1 << 18
+
 # np.exp(a) is taken to lie within this many ulps of e^a.  The tests check it
 # against 50-digit values on the arguments the rounding bound meets.
 EXP_ULPS = 4
@@ -191,8 +197,8 @@ def _power_bound(base: np.ndarray, k: int) -> np.ndarray:
 class BatchOperator:
     """The discretized F(x, u) on the grid t_j = j T / n_t, applied to stacks.
 
-    The orbit e^{At} xi0, the grid times, the step E = e^{Ah} and its scan
-    factors are computed once.
+    The orbit e^{At} xi0, the grid times, the step E = e^{Ah} and, at the
+    first application, its scan factors are computed once.
     """
 
     def __init__(self, xi0: StateVector, fields: Sequence[VectorField],
@@ -204,13 +210,31 @@ class BatchOperator:
         self.times = np.linspace(0.0, T, n_t + 1)
         self.orbit = semigroup_orbit(sg, xi0, T, n_t)  # first: it raises if e^{At} overflows
         self.step = semigroup_step(sg, self.h)
-        self.powers = scan_powers(self.step, n_t + 1)
         self.eigenvalues = sg.eigenvalues  # None for a dense generator
+        # whether `fixed_point` proves its rho: else every rho reads inf
+        self.bounded = self.eigenvalues is not None and all(
+            f.eval_error is not None for f in self.fields)
 
-    def fixed_point(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def powers(self) -> list[np.ndarray]:
+        """`scan_powers` of the step, for `__call__`: the forward pass needs none."""
+        return scan_powers(self.step, len(self.times))
+
+    def fixed_point(self, values: np.ndarray,
+                    keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The discrete fixed points x_b = F(x_b, u_b) for control values
         (B, m, n_t), and bounds rho_b >= max_j |x_bj - F(x_b, u_b)_j| in the
         state norm.
+
+        With `keep` None the states come as one (B, n_t + 1, n) stack.  Else
+        `keep` holds flat row indices b (n_t + 1) + j, as the stack's
+        ``reshape(-1, n)`` numbers them, and the pass returns only those rows,
+        a (len(keep), n) array in `keep`'s order.  It holds its latest (B, n)
+        rows in a ring of about `_RING_BYTES`, and as each block of the ring's
+        rows is complete it checks every state finite and stores the block's
+        kept rows.  A control with a non-finite state reads rho = inf.  Rows and
+        rho otherwise equal the whole stack's bit for bit: both take the same
+        loop.
 
         F is strictly causal: cell c feeds only the states j >= c + 1.  So
         its fixed point is the exponential-Euler recursion S_{j+1} =
@@ -253,29 +277,52 @@ class BatchOperator:
         proved error) or a field with no `eval_error` reads rho = inf; a
         non-finite pass reads inf or NaN.
         """
-        batch = values.shape[0]
-        states = np.empty((batch,) + self.orbit.states.shape)
-        states[:, 0] = self.orbit.states[0]
-        integral, term = np.zeros(states[:, 0].shape), np.empty(states[:, 0].shape)
+        batch, (length, n) = values.shape[0], self.orbit.states.shape
+        if keep is None:  # row j of the stack is rows[j]
+            held = np.empty((batch, length, n))
+            rows = held.swapaxes(0, 1)
+        else:  # row j is rows[j % ring]; each block of `ring` rows is checked, its kept rows held
+            ring = min(length, max(1, _RING_BYTES // (8 * batch * n)))
+            rows, held = np.empty((ring, batch, n)), np.empty((len(keep), n))
+            owner, row = np.divmod(keep, length)
+            source = row % ring * batch + owner  # a kept row's place in its block
+            order = np.argsort(row, kind="stable")
+            cuts = np.searchsorted(row[order], np.arange(length + 1))
+            finite = np.ones(batch, dtype=bool)
+
+            def hold(lo: int, hi: int) -> None:  # rows lo <= j < hi, lo a multiple of `ring`
+                block = rows[:hi - lo]
+                if not all_finite(block):
+                    finite[~np.isfinite(block).all(axis=(0, 2))] = False
+                taken = order[cuts[lo]:cuts[hi]]
+                held[taken] = block.reshape(-1, n)[source[taken]]
+        rows[0] = self.orbit.states[0]
+        integral, term = np.zeros((batch, n)), np.empty((batch, n))
         weights = self.h * values  # a_i per control and cell
         errors = [f.eval_error for f in self.fields]
-        bounded = self.eigenvalues is not None and None not in errors
-        if bounded:
+        if self.bounded:
             sizes, field_errors = np.zeros_like(integral), np.zeros_like(integral)
         for j, times in enumerate(np.broadcast_to(self.times[:-1, None], (values.shape[2], batch))):
-            x = states[:, j]
+            x = rows[j % len(rows)]
+            if keep is not None and (j + 1) % ring == 0:  # row j ends a block
+                hold(j + 1 - ring, j + 1)
             for i, f in enumerate(self.fields):
                 integral += np.multiply(weights[:, i, j, None], f(times, x), out=term)
-                if bounded:
+                if self.bounded:
                     sizes += np.abs(integral, out=term)
                     if callable(errors[i]):
                         field_errors += np.multiply(np.abs(weights[:, i, j, None]),
                                                     errors[i](times, x), out=term)
             semigroup_act(self.step, integral, integral)
-            np.add(integral, self.orbit.states[j + 1], out=states[:, j + 1])
-        if not bounded:
-            return states, np.full(batch, np.inf)
-        return states, self._residual_bounds(weights, values, sizes, field_errors)
+            np.add(integral, self.orbit.states[j + 1], out=rows[(j + 1) % len(rows)])
+        if keep is not None:
+            hold(length - 1 - (length - 1) % ring, length)
+        if not self.bounded:
+            return held, np.full(batch, np.inf)
+        rho = self._residual_bounds(weights, values, sizes, field_errors)
+        if keep is not None:
+            rho[~finite] = np.inf
+        return held, rho
 
     def _residual_bounds(self, weights: np.ndarray, values: np.ndarray, sizes: np.ndarray,
                          field_errors: np.ndarray) -> np.ndarray:

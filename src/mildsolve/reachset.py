@@ -63,33 +63,44 @@ class VerificationError(RuntimeError):
 class ReachSetSample:
     """Monte-Carlo approximation of the reachable set up to time T under the
     control ball of `cert`: B controls as one stack, their trajectories'
-    states on its grid, and those states, trajectory-major, in `endpoints`."""
+    states on its grid, and those states, trajectory-major, in `endpoints`.
+
+    A streamed sample holds only the rows `held` of the states (flat indices
+    b (n_t + 1) + j, see `BatchOperator.fixed_point`) as `endpoints`, and
+    `states` is None."""
 
     xi0: StateVector
     cert: ContractionCertificate
     controls: Control  # the (B, m, n_t) stack
-    states: np.ndarray  # (B, n_t + 1, n), trajectory b at the grid times `times`
+    states: np.ndarray | None  # (B, n_t + 1, n), trajectory b at the grid times `times`
     endpoints: PointCloud  # evaluation set of the trajectories
     # the applications of F that certified the solves, the controls the
-    # forward pass's rounding bound certified alone and the largest bound
+    # forward pass's rounding bound certified alone and the largest bound;
+    # a streamed sample adds its `held_rows` and whether the whole stack was
+    # solved (`full_stack`)
     solves: dict = field(default_factory=dict)
+    held: np.ndarray | None = None
 
     def __post_init__(self):  # the ball, the grid and the start, each checked once on the stacks
         self.cert.control_norm(self.controls)
-        if self.states.shape[:2] != (len(self.controls), self.controls.n_t + 1):
+        length = self.controls.n_t + 1
+        if self.states is None:
+            starts = self.endpoints.points[self.held % length == 0]
+        elif self.states.shape[:2] != (len(self.controls), length):
             raise ValueError("a sample needs one trajectory per control, on its grid")
-        if self.states.shape[2:] != self.xi0.coords.shape or np.any(
-                self.states[:, 0] != self.xi0.coords):
+        else:
+            starts = self.states[:, 0]
+        if starts.shape[1:] != self.xi0.coords.shape or np.any(starts != self.xi0.coords):
             raise ValueError("trajectory does not start at xi0")
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.cert.horizon_T, self.states.shape[1])
+        return np.linspace(0.0, self.cert.horizon_T, self.controls.n_t + 1)
 
 
 def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[VectorField],
                     sg: Semigroup, cert: ContractionCertificate, n_t: int,
-                    tol: float = 1e-8) -> ReachSetSample:
+                    tol: float = 1e-8, keep: np.ndarray | None = None) -> ReachSetSample:
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
@@ -97,16 +108,21 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     within `tol` of its discrete fixed point (see `solve_batch`), and
     `ReachSetSample` checks it against the ball in one call.  The sample holds
     that stack and the pass's (count, n_t + 1, n) states as they are, and the
-    endpoint cloud is the states reshaped, so each is held once.
+    endpoint cloud is the states reshaped, so each is held once.  With
+    `keep`, flat row indices of the states, the sample is streamed: it holds
+    only those rows (`_solve_stack`).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
-    states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
-    return ReachSetSample(xi0, cert, controls, states, state_cloud(states, xi0.norm_kind),
-                          {"applications": int(taken.sum()),
-                           "rounding_certified": int(np.count_nonzero(taken == 0)),
-                           "bound_max": float(bounds.max())})
+    states, bounds, taken, whole = _solve_stack(xi0, controls, fields, sg, cert, tol, keep)
+    solves = {"applications": int(taken.sum()),
+              "rounding_certified": int(np.count_nonzero(taken == 0)),
+              "bound_max": float(bounds.max())}
+    if keep is not None:
+        solves.update(held_rows=len(states), full_stack=whole)
+    return ReachSetSample(xi0, cert, controls, states if keep is None else None,
+                          state_cloud(states, xi0.norm_kind), solves, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +164,13 @@ def compactness_diagnostic(
     by one farthest-point pass (`covering_sizes`), next to a same-size
     sample of the sphere around xi0 whose radius is the Gronwall bound from
     the semigroup's class and the fields' largest growth constants.
+
+    The subsample's row indices are drawn before the solve, and the sample is
+    streamed (`sample_reachset` with `keep`): the forward pass holds only
+    those rows, unless its rounding bound leaves a control to the stages
+    j >= 1, when the whole (count, n_t + 1, n) stack is solved and the rows
+    are taken from it.  Either way the rows, and the sphere draw after them
+    from the same generator, are those of subsampling the whole stack.
     """
     dims = [sg.dim for sg, _, _ in systems]
     eps_ladder = list(eps_ladder)
@@ -161,14 +184,14 @@ def compactness_diagnostic(
         dim, p, r, T = sg.dim, cert.p, cert.radius_r, cert.horizon_T
         xi0 = StateVector(np.full(dim, xi0_scale / vector_norm(np.ones(dim), norm_kind)),
                           norm_kind)
+        rng = np.random.default_rng(seed + 7919 * dim)
+        size = count * (n_t + 1)
+        keep = (np.sort(rng.choice(size, size=cloud_budget, replace=False))
+                if size > cloud_budget else np.arange(size))
         start = time.perf_counter()
-        sample = sample_reachset(xi0, count, seed, fields, sg, cert, n_t, tol=tol)
+        sample = sample_reachset(xi0, count, seed, fields, sg, cert, n_t, tol=tol, keep=keep)
         sampled = time.perf_counter()
         cloud = sample.endpoints
-        rng = np.random.default_rng(seed + 7919 * dim)
-        if cloud.size > cloud_budget:
-            keep = np.sort(rng.choice(cloud.size, size=cloud_budget, replace=False))
-            cloud = state_cloud(cloud.points[keep], cloud.norm_kind)
         radius = gronwall_radius(xi0, K=r, p=p, T=T, M=sg.class_M, mu=sg.class_mu,
                                  alpha=max(f.growth_alpha for f in fields),
                                  beta=max(f.growth_beta for f in fields))
@@ -442,6 +465,8 @@ def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> 
     one field call on the endpoint stack: an identity field's cloud is that stack."""
     if len(fields) != 1:
         raise ValueError("field-value cloud expects a single-channel system")
+    if sample.states is None:
+        raise ValueError("field-value cloud needs a sample's whole state stack")
     times = np.tile(sample.times, len(sample.states))
     return state_cloud(fields[0](times, sample.endpoints.points), sample.endpoints.norm_kind)
 
@@ -480,6 +505,8 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
         raise ValueError("reconstruction check expects a single-channel system")
     if max_controls is not None and max_controls < 1:
         raise ValueError(f"max_controls must be >= 1, got {max_controls}")
+    if sample.states is None:
+        raise ValueError("reconstruction check needs a sample's whole state stack")
     f = fields[0]
     u = sample.controls[:max_controls]
     if u.channels != 1:

@@ -224,13 +224,22 @@ def _control_failed(i: int, error: Exception) -> Exception:
 
 def _solve_stack(xi0: StateVector, stack: Control,
                  fields: Sequence[VectorField], sg: Semigroup, cert: ContractionCertificate,
-                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 tol: float, keep: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """The forward-pass states (B, n_t + 1, n) of a (B, m, n_t) control
-    stack with one channel per field, their sup-norm bounds and the
-    applications taken (module docstring): 0 where e^{mu T} e^c rho
-    certifies, else those of `_stage_bounds`, run on the other controls
-    only.  A failed rule or a non-finite iterate raises RuntimeError with
-    the control's index.  Ball membership is the caller's check.
+    stack with one channel per field, their sup-norm bounds, the
+    applications taken (module docstring) and whether the whole stack was
+    solved: 0 applications where e^{mu T} e^c rho certifies, else those of
+    `_stage_bounds`, run on the other controls only.  A failed rule or a
+    non-finite iterate raises RuntimeError with the control's index.  Ball
+    membership is the caller's check.
+
+    With `keep`, flat row indices of the stack (see
+    `BatchOperator.fixed_point`), only those rows come back, as a
+    (len(keep), n) array, and the pass holds no stack when stage 0
+    certifies every control.  Stages j >= 1 apply F to whole trajectories:
+    when stage 0 leaves a control, or the operator proves no rho, the
+    stack is solved whole, as without `keep`, and the rows are taken from it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -238,9 +247,18 @@ def _solve_stack(xi0: StateVector, stack: Control,
     apply_F = BatchOperator(xi0, fields, sg, stack.horizon_T, stack.n_t)
     bases = _factorial_bases(apply_F, xi0, fields, cert, lp_norm(stack, 1), tol,
                              _control_failed)
-    states, residuals = apply_F.fixed_point(values)
-    with np.errstate(over="ignore", invalid="ignore"):  # j = 0: past the floats reads inf
-        bounds = _weighting(cert.mu, apply_F.times)[1] * _tail(bases, 0) * residuals
+    lift = _weighting(cert.mu, apply_F.times)[1]
+
+    def stage_zero(held):
+        states, residuals = apply_F.fixed_point(values, held)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the floats reads inf
+            return states, lift * _tail(bases, 0) * residuals
+
+    whole = keep is None or not apply_F.bounded
+    states, bounds = stage_zero(None if whole else keep)
+    if not whole and not (bounds <= tol).all():  # a control is left: solve the whole stack
+        whole = True
+        states, bounds = stage_zero(None)
     taken = np.zeros(len(values), dtype=int)
     left = np.flatnonzero(~(bounds <= tol))
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)
@@ -257,7 +275,9 @@ def _solve_stack(xi0: StateVector, stack: Control,
         b = int(np.argmax(over))
         raise _control_failed(b, RuntimeError(f"bound {bounds[b]:.3e} of the forward solution "
                                               f"exceeds tol {tol:.3e}"))
-    return states, bounds, taken
+    if keep is not None and whole:
+        states = states.reshape(-1, states.shape[-1])[keep]
+    return states, bounds, taken, whole
 
 
 def solve_batch(xi0: StateVector, controls: Control,
@@ -275,7 +295,7 @@ def solve_batch(xi0: StateVector, controls: Control,
     <= `tol`, raises RuntimeError with the control's index.
     """
     _check_controls(controls, fields, cert, tol, _control_failed)
-    states, bounds, taken = _solve_stack(xi0, controls, fields, sg, cert, tol)
+    states, bounds, taken, _ = _solve_stack(xi0, controls, fields, sg, cert, tol)
     return [SolveResult(TrajectoryGrid(controls.horizon_T, x, xi0.norm_kind), [], int(n), cert,
                         float(bound))
             for x, bound, n in zip(states, bounds, taken)]

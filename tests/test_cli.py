@@ -351,6 +351,8 @@ class TestConfigErrors:
         ("counterexample", "counterexample", {"separation": math.inf}),
         ("reachset", "diagnostic", {"eps_ladder": [math.inf, 0.1]}),
         ("reachset", "diagnostic", {"xi0_scale": math.inf}),
+        ("certify", "diagnostic", {"xi0_scale": 0.0}),
+        ("certify", "diagnostic", {"xi0_scale": -1.0}),
         ("solve", "system", {"fields": [{"kind": "constant", "vector": None}]}),
         ("solve", "system", {"fields": [{"kind": "constant", "vector": [math.nan]}]}),
         ("solve", "system", {"fields": [{"kind": "bilinear", "matrix": [[math.nan]]}]}),
@@ -385,7 +387,8 @@ class TestConfigErrors:
             "seed-fraction", "seed-negative", "count-bool", "check-string",
             "max-controls-zero", "dims-float",
             "T-inf", "r-inf", "gamma-eps-inf", "tol-inf", "separation-inf",
-            "eps-ladder-inf", "xi0-scale-inf", "constant-null", "constant-nan",
+            "eps-ladder-inf", "xi0-scale-inf", "xi0-scale-zero", "xi0-scale-negative",
+            "constant-null", "constant-nan",
             "bilinear-nan", "saturation-nan", "saturation-inf", "class-M-inf",
             "class-mu-inf", "unknown-solver-key", "unknown-control-key",
             "unknown-semigroup-key", "unknown-field-key", "class-mu-alone",
@@ -662,6 +665,8 @@ class TestReachsetCommand:
             assert record["solves"]["applications"] == 0
             assert record["solves"]["rounding_certified"] == 6
             assert 0.0 < record["solves"]["bound_max"] <= 1e-4
+            # the pass held the 40 budgeted of 6 x 17 rows and no whole stack
+            assert (record["solves"]["held_rows"], record["solves"]["full_stack"]) == (40, False)
         assert meta["timings"] == {key: sum(d["timings"][key] for d in dims)
                                    for key in ("cover_s", "sample_s")}
         assert meta["counters"] == {"applications": 0, "rounding_certified": 12,
@@ -674,6 +679,8 @@ class TestReachsetCommand:
         assert meta["counters"]["applications"] >= 12
         assert meta["counters"]["applications"] == sum(
             d["solves"]["applications"] for d in meta["dimensions"].values())
+        assert all((d["solves"]["held_rows"], d["solves"]["full_stack"]) == (40, True)
+                   for d in meta["dimensions"].values())
 
     def test_dimension_mismatch_exits_2_before_any_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scalar_system())  # diagonal, dimension 1

@@ -175,6 +175,51 @@ class TestCompactnessDiagnostic:
         diameter = vals.max() - vals.min()
         assert rep.rows[0]["n_reach"] <= math.ceil(diameter / 0.1) + 1
 
+    @pytest.mark.parametrize("case", ["heat", "saturation"])
+    def test_streamed_rows_equal_the_whole_stack(self, case, monkeypatch):
+        # the streamed sample covers the rows that subsampling the whole
+        # stack gives; a saturation field proves no rho (its eval_error is
+        # None), so its stack is solved whole
+        sg, fields, cert, _ = diagnostic_system(8)
+        if case == "saturation":
+            fields = [saturation_field(1.0)]
+        kwargs = dict(systems=[(sg, fields, cert)], eps_ladder=[0.02, 0.01], count=12, seed=4,
+                      n_t=32, xi0_scale=0.5, cloud_budget=100)
+        streamed = compactness_diagnostic(**kwargs)
+        sample = reachset.sample_reachset
+
+        def whole(xi0, count, seed, fields, sg, cert, n_t, tol, keep):
+            full = sample(xi0, count, seed, fields, sg, cert, n_t, tol)
+            rows = full.states.reshape(-1, xi0.dim)[keep]
+            return ReachSetSample(xi0, cert, full.controls, None, state_cloud(rows),
+                                  {**full.solves, "held_rows": len(keep), "full_stack": True},
+                                  keep)
+
+        monkeypatch.setattr(reachset, "sample_reachset", whole)
+        reference = compactness_diagnostic(**kwargs)
+        assert streamed.rows == reference.rows
+        solves = streamed.dimensions[8]["solves"]
+        assert solves == {**reference.dimensions[8]["solves"], "full_stack": case == "saturation"}
+        assert solves["held_rows"] == 100
+        assert (solves["applications"] > 0) == (case == "saturation")
+
+    def test_streamed_sample_holds_no_state_stack(self):
+        # 200 controls x 129 grid times x 64 coordinates are a 13.2 MB stack,
+        # of which the diagnostic covers 200 rows: it peaks far below the stack
+        system = diagnostic_system(64)[:3]
+        compactness_diagnostic([system], [0.05], count=2, seed=1, cloud_budget=20)  # warm up
+        tracemalloc.start()
+        try:
+            report = compactness_diagnostic([system], [0.05], count=200, seed=1, n_t=128,
+                                            cloud_budget=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        solves = report.dimensions[64]["solves"]
+        assert (solves["held_rows"], solves["full_stack"]) == (200, False)
+        assert solves["applications"] == 0
+        assert peak < 200 * 129 * 64 * 8 / 4
+
     def test_invalid_ladders_rejected(self):
         systems = [diagnostic_system(d)[:3] for d in (2, 4)]
         with pytest.raises(ValueError, match="increasing"):

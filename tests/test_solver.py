@@ -34,9 +34,10 @@ from mildsolve import (
 )
 
 from mildsolve.controls import stack_controls
+import mildsolve.operator
 from mildsolve.operator import BatchOperator
 from mildsolve import solver
-from mildsolve.solver import _stage_bounds, _tail
+from mildsolve.solver import _solve_stack, _stage_bounds, _tail
 from mildsolve.spaces import vector_norm
 
 from conftest import constant_control, diagnostic_system
@@ -601,6 +602,96 @@ def test_non_finite_pass_with_declared_field_error_raises():
     assert np.isfinite(rho[:2]).all() and np.isnan(rho[2])
     with pytest.raises(RuntimeError, match=r"control #2: .*finite"):
         solve_batch(xi0, controls, [nan_above], sg, cert)
+
+
+def streamed_system(case):
+    """A bounded forward pass (rho finite) and five ball controls on 32 cells:
+    the diagnostic's heat system, a diagonal generator with a non-identity
+    bilinear field (callable `eval_error`) or with a constant field."""
+    if case == "heat":
+        sg, fields, cert, xi0 = diagnostic_system(16)
+    else:
+        sg, xi0 = diagonal_semigroup([-1.0, -2.5, 0.5]), StateVector([0.3, -0.2, 0.1])
+        fields = [bilinear_field(np.random.default_rng(5).standard_normal((3, 3)))
+                  if case == "bilinear" else constant_field([0.4, -1.0, 0.2])]
+        cert = certify_hidden_contraction(1.0, 1.0, 0.5, fields[0].lipschitz_L, 1.0)
+    controls = sample_ball(cert.p, cert.radius_r, 1.0, 1, 32, 5, seed=7)
+    return sg, fields, xi0, cert, controls
+
+
+@pytest.mark.parametrize("ring_rows", [1, 3, None])
+@pytest.mark.parametrize("case", ["heat", "bilinear", "constant"])
+def test_streamed_pass_holds_the_full_pass_rows(case, ring_rows, monkeypatch):
+    # the kept rows of a streamed pass and its rho equal the full stack's bit
+    # for bit, whatever the ring (one row, blocks of 3 that leave a remainder
+    # of 33 rows, or the default) and whichever rows are kept
+    sg, fields, xi0, _, controls = streamed_system(case)
+    apply_F = BatchOperator(xi0, fields, sg, 1.0, 32)
+    batch, n = len(controls), xi0.dim
+    if ring_rows is not None:
+        monkeypatch.setattr(mildsolve.operator, "_RING_BYTES", 8 * batch * n * ring_rows)
+    states, rho = apply_F.fixed_point(controls.values)
+    assert apply_F.bounded and np.isfinite(rho).all()
+    rng = np.random.default_rng(11)
+    size = batch * 33
+    for keep in (np.sort(rng.choice(size, 40, replace=False)), np.arange(size),
+                 np.array([0, 32, size - 1]), np.array([], dtype=int)):
+        held, streamed = apply_F.fixed_point(controls.values, keep)
+        assert held.shape == (len(keep), n)
+        assert np.array_equal(held, states.reshape(-1, n)[keep])
+        assert np.array_equal(streamed, rho)
+
+
+def test_streamed_pass_checks_every_row():
+    # x_2 = 2e308 leaves the floats at the last row, which no field reads, and
+    # the full pass's rho stays finite; the streamed pass reads inf for that
+    # control alone, whichever rows it keeps
+    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1e308])
+    apply_F = BatchOperator(xi0, [constant_field([1e308])], sg, 1.0, 2)
+    values = np.array([[[1.0, 1.0]], [[0.0, 0.0]]])
+    with np.errstate(over="ignore"):
+        states, rho = apply_F.fixed_point(values)
+        held, streamed = apply_F.fixed_point(values, np.array([0, 3]))
+    assert states[0, 2, 0] == np.inf and np.isfinite(rho).all()
+    assert streamed[0] == np.inf and streamed[1] == rho[1]
+    assert np.array_equal(held, states.reshape(-1, 1)[[0, 3]])
+
+
+def test_streamed_solve_falls_back_to_the_whole_stack(monkeypatch):
+    # a subnormal h u leaves control 3 uncertified at stage 0: the stack is
+    # solved whole, as without `keep`, and the kept rows are taken from it
+    sg, fields, xi0, cert, controls = batch_system("heat16", "hidden")
+    values = controls.values.copy()
+    values[3, 0, 7] = 1e-310
+    controls = Control(1.0, values)
+    keep = np.sort(np.random.default_rng(2).choice(6 * 129, 50, replace=False))
+    passes, fixed_point = [], BatchOperator.fixed_point
+
+    def recorded(self, values, keep=None):
+        passes.append(keep is None)
+        return fixed_point(self, values, keep)
+
+    monkeypatch.setattr(BatchOperator, "fixed_point", recorded)
+    states, bounds, taken, whole = _solve_stack(xi0, controls, fields, sg, cert, 1e-8)
+    rows, streamed_bounds, streamed_taken, fallback = _solve_stack(
+        xi0, controls, fields, sg, cert, 1e-8, keep)
+    assert passes == [True, False, True] and whole and fallback
+    assert np.array_equal(rows, states.reshape(-1, 16)[keep])
+    assert np.array_equal(streamed_bounds, bounds) and list(streamed_taken) == [0, 0, 0, 1, 0, 0]
+    assert np.array_equal(streamed_taken, taken)
+
+
+def test_streamed_solve_of_a_non_finite_pass_raises_as_the_whole_one():
+    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+    nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0,
+                            eval_error=0.0)
+    controls = stack_controls([constant_control(0.3, 16), constant_control(1.0, 16)])
+    held, rho = BatchOperator(xi0, [nan_above], sg, 1.0, 16).fixed_point(controls.values,
+                                                                           np.arange(34))
+    assert np.isfinite(rho[0]) and rho[1] == np.inf
+    with pytest.raises(RuntimeError, match=r"control #1: .*finite"):
+        _solve_stack(xi0, controls, [nan_above], sg, cert, 1e-8, np.array([0, 5]))
 
 
 def test_field_error_must_be_a_bound():
