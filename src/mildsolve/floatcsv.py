@@ -192,10 +192,10 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exponent = k + 16 - short
     if has_tiny:
         digits[tiny], exponent[tiny] = 0, 0
-        for i in np.flatnonzero(tiny & (x != 0)):
-            mantissa, e = repr(abs(float(x[i]))).split("e")
-            digits[i] = int(mantissa.replace(".", "").ljust(17, "0"))
-            exponent[i] = int(e)
+        rest = np.flatnonzero(tiny & (x != 0))  # from repr, in one list pass
+        parts = [repr(v).split("e") for v in np.abs(x[rest]).tolist()]
+        digits[rest] = [int(m.replace(".", "").ljust(17, "0")) for m, _ in parts]
+        exponent[rest] = [int(e) for _, e in parts]
     return digits, exponent
 
 

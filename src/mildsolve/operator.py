@@ -164,6 +164,10 @@ def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> Traj
 # its kept rows gathered in one call, not one per row.
 _RING_BYTES = 1 << 18
 
+# The product path's rho takes blocks of controls whose (rows, n_t + 1) arrays
+# hold about this many bytes, so its temporaries stay small.
+_BOUND_BYTES = 1 << 15
+
 # np.exp(a) is taken to lie within this many ulps of e^a.  The tests check it
 # against 50-digit values on the arguments the rounding bound meets.
 EXP_ULPS = 4
@@ -194,6 +198,24 @@ def _power_bound(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _diagonal_couplings(fields: Sequence[VectorField], sg: Semigroup) -> np.ndarray | None:
+    """The diagonals beta_i of fields f_i(x) = diag(beta_i) x, which commute
+    with e^{At}: an (m, 1) array when each is a multiple of I, an (m, n) one
+    under a diagonal generator, else None.  A field is read as diag(beta) x
+    when it is of kind "bilinear" with an n x n diagonal `params["matrix"]`
+    (`bilinear_field`)."""
+    diagonals = []
+    for f in fields:
+        b = f.params.get("matrix") if f.kind == "bilinear" else None
+        if b is None or b.shape != (sg.dim, sg.dim) or np.count_nonzero(b - np.diag(b.diagonal())):
+            return None
+        diagonals.append(b.diagonal())
+    beta = np.array(diagonals)
+    if (beta == beta[:, :1]).all():
+        return beta[:, :1]
+    return beta if sg.is_diagonal else None
+
+
 class BatchOperator:
     """The discretized F(x, u) on the grid t_j = j T / n_t, applied to stacks.
 
@@ -211,9 +233,13 @@ class BatchOperator:
         self.orbit = semigroup_orbit(sg, xi0, T, n_t)  # first: it raises if e^{At} overflows
         self.step = semigroup_step(sg, self.h)
         self.eigenvalues = sg.eigenvalues  # None for a dense generator
+        self.coupling = _diagonal_couplings(self.fields, sg)  # the product path's beta_i
         # whether `fixed_point` proves its rho: else every rho reads inf
-        self.bounded = self.eigenvalues is not None and all(
-            f.eval_error is not None for f in self.fields)
+        self.bounded = self.eigenvalues is not None and (self.coupling is not None or all(
+            f.eval_error is not None for f in self.fields))
+        # fields that do not read the state under A = 0: see `free_point`
+        self.state_free = (self.eigenvalues is not None and not self.eigenvalues.any()
+                           and not any(f.lipschitz_L for f in self.fields))
 
     @functools.cached_property
     def powers(self) -> list[np.ndarray]:
@@ -276,7 +302,42 @@ class BatchOperator:
         roundings of its own evaluation.  A dense semigroup (expm's E^ has no
         proved error) or a field with no `eval_error` reads rho = inf; a
         non-finite pass reads inf or NaN.
+
+        Product path.  When every field is diag(beta_i) x
+        (`_diagonal_couplings`), B x commutes with e^{At} and the fixed point
+        is x_j = P_j o_j, P_j = prod_{c<j} g_c, g_c = 1 + h w_c, w_c =
+        sum_i u_i(c) beta_i, up to the grid-time term below.  The pass forms
+        g^_c = fl(1 + s^_c) (s^ the coupling sum of the a_i), one `np.cumprod`
+        P^ and x^_j = fl(P^_j o^_j), only the kept rows with `keep`: no field
+        is evaluated, and a multiple of I makes P^ (B, n_t + 1, 1).  With P,
+        o_j = e^{A t_j} xi0 exact, e_j = x^_j - P_j o_j and eta_cj =
+        e^{A((j - c) h + t_c - t_j)} - 1, P_{c+1} - P_c = h w_c P_c gives
+
+            F(x^)_j - x^_j = o_j sum_{c<j} h w_c P_c eta_cj
+                             + sum_{c<j} E^{j-c} h w_c e_c - e_j.
+
+        * a_i normal or 0 (else rho = inf) gives |g^_c - g_c| <= d_c = u
+          |g^_c| + (m + 2) u S_c + m eta, S_c = sum_i |a_i| |beta_i|.  While P^
+          is normal (else rho = inf) P_j / P^_j is the product of the g_c /
+          g^_c and of j roundings (1 + delta)^-1, so |P_j / P^_j - 1| <= Pi =
+          e^sigma - 1 <= sigma / (1 - sigma), sigma = sum_c (d_c / |g^_c| +
+          2u): each factor's rounding carried through the product.
+        * |e_c| <= |P^_c| (u (1 + u)|o^_c| + omega_c + Pi O_c) + eta, omega_c =
+          (u + 2 kappa_c)|o^_c| + kappa_c tau |xi0| + eta the orbit's rounding
+          (above), O_c = |o^_c| + omega_c >= |o_c|.
+        * The t_j are floats: |t_j - j h| <= eps_t (against fl(j h)), so
+          |eta_cj| <= H = 4 eps_t max |lambda| while that is <= 1.
+        * |E^{j-c}| <= G >= max(1, E-)^{n_t}, and h |w_c| <= |g^_c - 1| + d_c.
+
+        With p and s the largest |P^| and |g^ - 1| + d over the components,
+        rho = max_j |O_j| H (1 + Pi) sum_c s_c p_c + G sum_c s_c |e_c| +
+        max_j |e_j| in the state norm: |F x~ - x~| + (1 + M e^{mu T} L
+        |u|_1) |x^ - x~| for the exact product x~.  sigma, Pi and rho are
+        raised for their own rounding (k <= n_t + n + m + 32).  A dense
+        generator or a state that is not finite reads rho = inf.
         """
+        if self.coupling is not None:
+            return self._product(values, keep)
         batch, (length, n) = values.shape[0], self.orbit.states.shape
         if keep is None:  # row j of the stack is rows[j]
             held = np.empty((batch, length, n))
@@ -346,6 +407,105 @@ class BatchOperator:
         subnormal = (np.abs(weights) < _TINY) & (values != 0.0)
         rho[subnormal.any(axis=(1, 2))] = np.inf
         return rho
+
+    def _product(self, values: np.ndarray,
+                 keep: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The product path of `fixed_point`: x_bj = P^_bj o^_j (see there)."""
+        length, n = self.orbit.states.shape
+        # the states first, as the loop takes them: allocated after the
+        # smaller arrays, they left ~0.4 MB more heap over a gamma-table run
+        held = np.empty((len(values), length, n) if keep is None else (len(keep), n))
+        weights = self.h * values  # a_i per control and cell
+        factors = weights.swapaxes(1, 2) @ self.coupling  # s^_c, (B, n_t, 1 or n)
+        factors += 1.0
+        gains = np.empty((len(values), length, factors.shape[2]))  # P^
+        gains[:, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(factors, axis=1, out=gains[:, 1:])
+            rho = (self._product_bounds(weights, values, factors, gains) if self.bounded
+                   else np.full(len(values), np.inf))
+            if keep is None:
+                return np.multiply(gains, self.orbit.states, out=held), rho
+            owner, row = np.divmod(keep, length)
+            return np.multiply(gains[owner, row], self.orbit.states[row], out=held), rho
+
+    def _product_bounds(self, weights: np.ndarray, values: np.ndarray, factors: np.ndarray,
+                        gains: np.ndarray) -> np.ndarray:
+        """rho of the product path from its factors g^ and products P^ (see
+        `fixed_point`), taken over blocks of controls whose (rows, n_t + 1)
+        arrays stay near `_BOUND_BYTES`."""
+        n_t, m, n = len(self.times) - 1, len(self.fields), self.orbit.dim
+        kind = self.orbit.norm_kind
+        orbit = np.abs(self.orbit.states)
+        lags = np.abs(np.outer(self.times, self.eigenvalues))  # |t_j lambda|
+        scale = vector_norm(orbit, kind)
+        # |omega_j| from kappa_j = 2 (2 K u + u |t_j lambda| + eta), K = EXP_ULPS
+        miss = ((1.0 + 8.0 * EXP_ULPS) * _EPS + 4.0 * _ETA) * scale + 4.0 * _EPS * vector_norm(
+            lags * orbit, kind) + exp_rounding(lags.max()) * _TINY * scale[0] + n * _ETA
+        near, far = _EPS * (1.0 + _EPS) * scale + miss, scale + miss  # |O_j| <= far_j
+        grid = np.arange(n_t + 1) * self.h
+        shift = 4.0 * (np.abs(self.times - grid).max() + _EPS * grid[-1]) * np.abs(
+            self.eigenvalues).max()  # H
+        step_kappa = exp_rounding(self.eigenvalues * self.h)
+        peak = orbit.max(axis=-1)
+        rho = np.empty(len(values))
+        size = max(1, _BOUND_BYTES // gains[0].nbytes)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slip = (shift if shift <= 1.0 else np.inf) * far.max()
+            growth = _power_bound((1.0 + step_kappa) * (self.step + _TINY), n_t).max()
+            for lo in range(0, len(values), size):
+                block = slice(lo, lo + size)
+                sizes = np.abs(weights[block]).swapaxes(1, 2) @ np.abs(self.coupling)  # S_c
+                gain = np.abs(factors[block])
+                slack = _EPS * gain + (m + 2) * _EPS * sizes + m * _ETA  # d_c
+                lips = (np.abs(factors[block] - 1.0) + slack).max(axis=-1)  # s_c
+                total = ((slack / gain).sum(axis=1).max(axis=-1) + 2.0 * n_t * _EPS) * (
+                    1.0 + 2.0 * (n_t + 8) * _EPS)  # sigma
+                pi = np.where(total < 1.0, total / (1.0 - total) * (1.0 + 4.0 * _EPS), np.inf)
+                spread = np.abs(gains[block]).max(axis=-1)  # p_j
+                errors = spread * (near + pi[:, None] * far) + n * _ETA  # |e_j|
+                bound = slip * (1.0 + pi) * (lips * spread[:, :-1]).sum(axis=1)
+                bound += growth * (lips * errors[:, :-1]).sum(axis=1) + errors.max(axis=1)
+                subnormal = (np.abs(weights[block]) < _TINY) & (values[block] != 0.0)
+                bound[subnormal.any(axis=(1, 2)) | ~(spread.min(axis=1) >= _TINY)
+                      | ~((spread * peak).max(axis=1) < np.inf)] = np.inf  # x^ leaves the floats
+                rho[block] = bound
+        return rho * (1.0 + 2.0 * (n_t + n + m + 32) * _EPS)
+
+    def free_point(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For `state_free` fields (f_i(t, x) = f_i(t): every Lipschitz
+        constant 0) under A = 0: x = F of the orbit, F's fixed point, for
+        control values (B, m, n_t), and rho_b >= max_j |x_bj - F(x_b)_j| as
+        `fixed_point` gives it.
+
+        Every scan factor is e^0 = 1, so `__call__` sums q^_c = fl(h fl(sum_i
+        t_ic)), t_ic = fl(u_i(c) f^_i), over a tree of depth K, one level per
+        scan pass, and adds xi0: |y^_j - sum_{c<j} q^_c| <= gamma_K sum_c
+        |q^_c| (Higham 2002, sec. 4.2), and |f^_i| <= alpha_i |xi0| + beta_i +
+        phi_i, the declared growth and `eval_error` at the states read (xi0).
+        With V = sum_c sum_i |u_i(c)| (alpha_i |xi0| + beta_i + phi_i) and W =
+        sum_c sum_i |u_i(c)| phi_i, rho = u max_j |x^_j| + (K + m + 8) u h V +
+        h W + 2 n n_t (m + 2)(1 + h) eta, raised for its own rounding.  A
+        field with no `eval_error` reads rho = inf.
+        """
+        n_t, m, n = len(self.times) - 1, len(self.fields), self.orbit.dim
+        orbit, kind = self.orbit.states, self.orbit.norm_kind
+        states = self(np.broadcast_to(orbit, (len(values),) + orbit.shape), values)
+        if any(f.eval_error is None for f in self.fields):
+            return states, np.full(len(values), np.inf)
+        start = vector_norm(orbit[0], kind)
+        errors = [vector_norm(f.eval_error(self.times[:-1], orbit[:-1]), kind).max()
+                  if callable(f.eval_error) else 0.0 for f in self.fields]
+        sizes = np.abs(values).sum(axis=2)  # sum_c |u_i(c)|, (B, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sizes @ np.array([f.growth_alpha * start + f.growth_beta + e
+                                      for f, e in zip(self.fields, errors)])
+            rho = (len(self.powers) + m + 8) * _EPS * self.h * total
+            rho += self.h * (sizes @ np.array(errors))
+            rho += 2.0 * n * n_t * (m + 2) * (1.0 + self.h) * _ETA
+            rho += _EPS * vector_norm(states, kind).max(axis=1)
+            rho *= 1.0 + 2.0 * (m * n_t + n + 16) * _EPS
+        return states, rho
 
     def __call__(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
         """F(x_b, u_b) for states (B, n_t + 1, n) and control values (B, m, n_t).

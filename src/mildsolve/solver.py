@@ -15,17 +15,20 @@ k!, and |z|_sup <= e^{mu T} |z|_mu converts the bound once:
 The certificate proves that x* exists and that u lies in its ball; the rule
 reads none of its rates.  `picard_solve` iterates x_k = F^k x_0 from the
 constant trajectory at xi0 and returns x_k at the first k where this bound,
-y = x_0, is <= tol.  `solve_batch` serves reach-set sampling: it computes
-every control's x* in one causal forward pass (`BatchOperator.fixed_point`),
-returns that x as it is, and certifies it at the first stage j = 0, 1, ...
-where |x - F^j x|_sup plus the bound, y = x, is <= tol.  Stage 0 takes no
-application: the pass's proved rounding bound rho >= |x - F x|_sup gives
-e^{mu T} e^c rho, which certifies a diagonal semigroup whose fields declare
-their evaluation error unless c is large.  A control fails once |x - F^j
-x|_sup minus the bound is > tol, as no later stage can pass then, and before
-any application when its rule cannot stop within `_MAX_APPLICATIONS`.  The
-bounds leave out the O(h) error of the left-endpoint quadrature against the
-mild solution.
+y = x_0, is <= tol; it serves the library and the factorial-gap checks.
+Every other solve (`solve_batch`, reach-set samples, the CLI's `solve` and
+spike family) takes `_solve_stack`: it computes every control's x* in one
+causal forward pass (`BatchOperator.fixed_point`: a cumulative product for
+diagonal couplings, else a loop over the cells), returns that x as it is,
+and certifies it at the first stage j = 0, 1, ... where |x - F^j x|_sup plus
+the bound, y = x, is <= tol.  Stage 0 takes no application: the pass's
+proved rounding bound rho >= |x - F x|_sup gives e^{mu T} e^c rho, which
+certifies a diagonal semigroup whose couplings are diagonal or whose fields
+declare their evaluation error, unless c is large.  A control fails once |x
+- F^j x|_sup minus the bound is > tol, as no later stage can pass then, and
+before any application when its rule cannot stop within `_MAX_APPLICATIONS`.
+The bounds leave out the O(h) error of the left-endpoint quadrature against
+the mild solution, and a stage j >= 1 the rounding of F's own applications.
 """
 
 from __future__ import annotations
@@ -230,16 +233,21 @@ def _solve_stack(xi0: StateVector, stack: Control,
     stack with one channel per field, their sup-norm bounds, the
     applications taken (module docstring) and whether the whole stack was
     solved: 0 applications where e^{mu T} e^c rho certifies, else those of
-    `_stage_bounds`, run on the other controls only.  A failed rule or a
-    non-finite iterate raises RuntimeError with the control's index.  Ball
-    membership is the caller's check.
+    `_stage_bounds`, run on the other controls only.  When every field's
+    Lipschitz constant is 0 and the generator is 0
+    (`BatchOperator.state_free`), F of the orbit and its proved rho
+    (`BatchOperator.free_point`) take the place of the pass, whose per-cell
+    loop is long on a long grid.  A failed rule or a non-finite iterate
+    raises RuntimeError with the control's index.  Ball membership is the
+    caller's check.
 
     With `keep`, flat row indices of the stack (see
     `BatchOperator.fixed_point`), only those rows come back, as a
     (len(keep), n) array, and the pass holds no stack when stage 0
     certifies every control.  Stages j >= 1 apply F to whole trajectories:
-    when stage 0 leaves a control, or the operator proves no rho, the
-    stack is solved whole, as without `keep`, and the rows are taken from it.
+    when stage 0 leaves a control, the operator proves no rho or its fields
+    are state-free, the stack is solved whole, as without `keep`, and the
+    rows are taken from it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -249,16 +257,19 @@ def _solve_stack(xi0: StateVector, stack: Control,
                              _control_failed)
     lift = _weighting(cert.mu, apply_F.times)[1]
 
-    def stage_zero(held):
-        states, residuals = apply_F.fixed_point(values, held)
+    def stage_zero(solve, *held):
+        states, residuals = solve(values, *held)
         with np.errstate(over="ignore", invalid="ignore"):  # past the floats reads inf
             return states, lift * _tail(bases, 0) * residuals
 
-    whole = keep is None or not apply_F.bounded
-    states, bounds = stage_zero(None if whole else keep)
-    if not whole and not (bounds <= tol).all():  # a control is left: solve the whole stack
-        whole = True
-        states, bounds = stage_zero(None)
+    whole = keep is None or not apply_F.bounded or apply_F.state_free
+    if apply_F.state_free:
+        states, bounds = stage_zero(apply_F.free_point)
+    else:
+        states, bounds = stage_zero(apply_F.fixed_point, None if whole else keep)
+        if not whole and not (bounds <= tol).all():  # a control is left: solve the whole stack
+            whole = True
+            states, bounds = stage_zero(apply_F.fixed_point, None)
     taken = np.zeros(len(values), dtype=int)
     left = np.flatnonzero(~(bounds <= tol))
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)

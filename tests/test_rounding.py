@@ -3,9 +3,11 @@
 `BatchOperator.fixed_point` returns rho_b >= max_j |x_j - F(x)_j| for the
 exact discrete operator F (exact arithmetic and exponentials on the floats
 held), and `solve_batch` certifies a control with it, taking no application
-of F, when ``(1 + T_{N-1}) rho / (1 - C)`` meets the tolerance.  These tests
-recompute F and its fixed point with mpmath and check both bounds, and check
-the ulp allowance `EXP_ULPS` assumed of ``np.exp``.
+of F, when ``e^{mu T} e^c rho`` meets the tolerance.  These tests recompute F
+and its fixed point with mpmath and check both bounds, on the per-cell loop
+(the `matrix` and `constant` systems) and on the product path of diagonal
+couplings (`identity`, `diagonal`, `scalar`), and check the ulp allowance
+`EXP_ULPS` assumed of ``np.exp``.
 """
 
 import mpmath as mp
@@ -17,13 +19,16 @@ from mildsolve import (
     bilinear_field,
     certify,
     constant_field,
+    dense_semigroup,
     diagonal_semigroup,
     heat_semigroup,
+    lp_norm,
     sample_ball,
     solve_batch,
 )
 from mildsolve.controls import stack_controls
-from mildsolve.operator import EXP_ULPS, BatchOperator, exp_rounding
+from mildsolve.operator import EXP_ULPS, BatchOperator, TrajectoryGrid, exp_rounding
+from mildsolve.spaces import saturation_field, vector_norm
 
 DIGITS = 50
 TINY = 2.0 ** -1022
@@ -87,7 +92,15 @@ SYSTEMS = {
                  [("constant", [0.4, -0.25]), ("identity", [0, 0])], 1, 1.3, 10),
     # xi0 = 0: no orbit, so only the integral's rounding makes the residual
     "forced": ([-4.0, 2.5], [0.0, 0.0], [("constant", [0.7, -1.1])], 2, 0.9, 14),
+    # the product path: a diagonal coupling that is not a multiple of I, and
+    # two multiples of I (a coupling sum of two terms)
+    "diagonal": ([-1.5, 0.4, -6.0], [0.2, -0.1, 0.3],
+                 [("matrix", [[0.7, 0.0, 0.0], [0.0, -1.3, 0.0], [0.0, 0.0, 2.1]])], 2, 0.9, 11),
+    "scalar": ([-3.0, 1.2], [0.4, 0.25],
+               [("matrix", [[-0.6, 0.0], [0.0, -0.6]]), ("identity", [0, 0])], np.inf, 1.1, 13),
 }
+# the systems whose pass is the product P_j e^{lambda t_j} xi0; the others take the loop
+PRODUCT = {"identity", "diagonal", "scalar"}
 
 
 def system(name, p):
@@ -133,6 +146,96 @@ def test_rounding_bound_covers_50_digit_truth(name, p):
     assert rho.max() <= 1e-12
     assert [res.iterations for res in results] == [0] * len(controls)
     assert all(res.a_posteriori_bound <= tol for res in results)
+
+
+def residuals(op, eigenvalues, xi0, values, specs, states):
+    """max_j |x_j - F(x)_j| in 50 digits for each control of a stack."""
+    out = []
+    with mp.workdps(DIGITS):
+        for b in range(len(values)):
+            image = exact_pass(op, eigenvalues, xi0.coords, values[b], specs, states[b])
+            out.append(max(mp_norm([mp.mpf(a) - c for a, c in zip(xj, fj)], xi0.norm_kind)
+                           for xj, fj in zip(states[b], image)))
+    return out
+
+
+def test_pass_takes_the_product_for_diagonal_couplings():
+    for name in SYSTEMS:
+        sg, fields, xi0, _, controls, _ = system(name, 1.0)
+        op = BatchOperator(xi0, fields, sg, controls.horizon_T, controls.n_t)
+        assert (op.coupling is not None) == (name in PRODUCT)
+    # a multiple of I takes it under a dense generator too, with rho = inf
+    dense = dense_semigroup([[-1.0, 2.0], [0.0, -1.0]], 3.0, 0.0)
+    op = BatchOperator(StateVector([1.0, 1.0]), [bilinear_field(2.0 * np.eye(2))], dense, 1.0, 8)
+    assert op.coupling.shape == (1, 1) and not op.bounded
+    assert np.isinf(op.fixed_point(np.ones((2, 1, 8)))[1]).all()
+    for fields in ([bilinear_field(np.diag([1.0, 2.0]))], [saturation_field(1.0)]):
+        assert BatchOperator(StateVector([1.0, 1.0]), fields, dense, 1.0, 8).coupling is None
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT))
+def test_product_and_loop_agree_within_their_bounds(name):
+    # both passes lie within e^{mu T} e^c rho of the one discrete fixed point
+    sg, fields, xi0, cert, controls, _ = system(name, 1.0)
+    op = BatchOperator(xi0, fields, sg, controls.horizon_T, controls.n_t)
+    product, rho = op.fixed_point(controls.values)
+    op.coupling = None  # the per-cell loop, on the same operator
+    loop, loop_rho = op.fixed_point(controls.values)
+    c = lp_norm(controls, 1) * cert.M * cert.L_bound * (1.0 + 1e-12)
+    reach = np.exp(cert.mu * controls.horizon_T + c) * (rho + loop_rho)
+    gap = vector_norm(product - loop, xi0.norm_kind).max(axis=1)
+    assert np.all(gap <= reach) and gap.max() > 0.0
+
+
+def test_product_bound_covers_grid_times_off_j_h():
+    # rho takes the held grid times as data.  Times that stray up to 1e-10
+    # from j h leave x_j = P_j e^{lambda t_j} xi0 off F's fixed point by
+    # about 1e-10, far above every rounding: only the grid-time term covers it
+    sg, fields, xi0, _, controls, specs = system("diagonal", 2.0)
+    T, n_t = controls.horizon_T, controls.n_t
+    op = BatchOperator(xi0, fields, sg, T, n_t)
+    op.times = op.times + 1e-10 * np.random.default_rng(3).uniform(-1.0, 1.0, n_t + 1)
+    op.times[0] = 0.0
+    op.orbit = TrajectoryGrid(T, np.exp(np.outer(op.times, sg.eigenvalues)) * xi0.coords,
+                              xi0.norm_kind)
+    states, rho = op.fixed_point(controls.values)
+    truth = residuals(op, sg.eigenvalues, xi0, controls.values, specs, states)
+    assert all(mp.mpf(r) >= t for r, t in zip(rho, truth))
+    assert max(truth[:-1]) > 1e-12 and truth[-1] < 1e-15  # the zero control stays on its orbit
+
+
+def test_product_bound_covers_a_cancelling_coupling_sum():
+    # u_1 beta_1 + u_2 beta_2 cancels: each h u_i is near 1e6 and their sum
+    # near 1, so the roundings of h u_i and of the sum put each factor 1 + s
+    # about 1e-10 off, relative, far above the product's own rounding
+    specs = [("identity", [0, 0]), ("matrix", [[-1.0, 0.0], [0.0, -1.0]])]
+    sg, xi0 = diagonal_semigroup([-0.8, 0.3]), StateVector([0.5, -0.4])
+    fields = [np_field(spec, 2) for spec in specs]
+    op = BatchOperator(xi0, fields, sg, 0.7, 7)
+    rng = np.random.default_rng(4)
+    values = 1e7 + rng.uniform(-1.0, 1.0, (2, 2, 7))
+    states, rho = op.fixed_point(values)
+    truth = residuals(op, sg.eigenvalues, xi0, values, specs, states)
+    assert all(mp.mpf(r) >= t for r, t in zip(rho, truth))
+    assert min(truth) > 1e-12
+
+
+def test_state_free_point_covers_50_digit_truth():
+    # fields that do not read the state, under the zero generator: F of the
+    # orbit is the fixed point, and `free_point` proves its rounding bound
+    specs = [("constant", [0.4, -0.25]), ("constant", [1.0 / 3.0, 0.7])]
+    sg, xi0 = diagonal_semigroup([0.0, 0.0]), StateVector([0.05, -0.4], 1)
+    fields = [np_field(spec, 1) for spec in specs]
+    cert = certify(1.0, 0.8, sg.class_M, sg.class_mu, 0.0, 1.3)
+    controls = sample_ball(1.0, 0.8, 1.3, 2, 10, 3, seed=6)
+    op = BatchOperator(xi0, fields, sg, 1.3, 10)
+    assert op.state_free
+    states, rho = op.free_point(controls.values)
+    truth = residuals(op, sg.eigenvalues, xi0, controls.values, specs, states)
+    assert all(mp.mpf(r) >= t for r, t in zip(rho, truth)) and max(truth) > 0
+    results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-12)
+    assert [res.iterations for res in results] == [0, 0, 0]
+    assert all(np.array_equal(res.trajectory.states, x) for res, x in zip(results, states))
 
 
 def test_matrix_field_error_covers_50_digit_products():

@@ -606,21 +606,23 @@ def test_non_finite_pass_with_declared_field_error_raises():
 
 def streamed_system(case):
     """A bounded forward pass (rho finite) and five ball controls on 32 cells:
-    the diagnostic's heat system, a diagonal generator with a non-identity
-    bilinear field (callable `eval_error`) or with a constant field."""
+    the diagnostic's heat system or a diagonal bilinear field (both take the
+    product path), or a diagonal generator with a non-diagonal bilinear field
+    (callable `eval_error`) or with a constant field (both take the loop)."""
     if case == "heat":
         sg, fields, cert, xi0 = diagnostic_system(16)
     else:
         sg, xi0 = diagonal_semigroup([-1.0, -2.5, 0.5]), StateVector([0.3, -0.2, 0.1])
-        fields = [bilinear_field(np.random.default_rng(5).standard_normal((3, 3)))
-                  if case == "bilinear" else constant_field([0.4, -1.0, 0.2])]
+        fields = [{"bilinear": bilinear_field(np.random.default_rng(5).standard_normal((3, 3))),
+                   "diagonal": bilinear_field(np.diag([0.5, -1.0, 2.0])),
+                   "constant": constant_field([0.4, -1.0, 0.2])}[case]]
         cert = certify_hidden_contraction(1.0, 1.0, 0.5, fields[0].lipschitz_L, 1.0)
     controls = sample_ball(cert.p, cert.radius_r, 1.0, 1, 32, 5, seed=7)
     return sg, fields, xi0, cert, controls
 
 
 @pytest.mark.parametrize("ring_rows", [1, 3, None])
-@pytest.mark.parametrize("case", ["heat", "bilinear", "constant"])
+@pytest.mark.parametrize("case", ["heat", "diagonal", "bilinear", "constant"])
 def test_streamed_pass_holds_the_full_pass_rows(case, ring_rows, monkeypatch):
     # the kept rows of a streamed pass and its rho equal the full stack's bit
     # for bit, whatever the ring (one row, blocks of 3 that leave a remainder
