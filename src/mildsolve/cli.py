@@ -55,9 +55,8 @@ def _metadata(cfg: RunConfig) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w") as fh:  # one write: `json.dump` makes one per token
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list, table: np.ndarray) -> int:

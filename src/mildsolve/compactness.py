@@ -258,7 +258,7 @@ class _GramSweep:
         self.points, self.sq = points, sq
         info = np.finfo(float)
         ku = (points.shape[1] + 8) * info.eps / 2  # gamma_{n+8} = ku / (1 - ku)
-        self.width = (20.0 * ku / (1.0 - ku) * float(sq.max())
+        self.width = (20.0 * ku / (1.0 - ku) * float(sq.max(initial=0.0))
                       + 8.0 * (points.shape[1] + 1) * info.smallest_subnormal)
 
     def values(self, centers: np.ndarray, rows: np.ndarray | slice,
@@ -274,14 +274,21 @@ class _GramSweep:
         """Lower the running values x to the values to the live points
         `centers`, a chunk of rows at a time through one buffer of `_BUFFER`
         floats (the minimum over centers runs along contiguous rows); the
-        centers' own values read 0."""
+        centers' own values read 0.  The rows' squared norms are added after
+        the minimum: rounding is monotone, so min_c fl(y_c + s) = fl(min_c y_c + s)
+        and the values are `values`' bit for bit."""
         step = _BUFFER // len(centers)  # at most one block's centers
         buf = np.empty(step * len(centers))
+        scaled, sq = -2.0 * self.points[centers], self.sq[centers, None]
         for start in range(0, x.size, step):
             rows = slice(start, start + step)
             chunk = x[rows]
             out = buf[:len(centers) * chunk.size].reshape(len(centers), chunk.size)
-            np.minimum(chunk, self.values(centers, rows, out).min(axis=0), out=chunk)
+            np.matmul(scaled, self.points[rows].T, out=out)
+            out += sq
+            least = out.min(axis=0)
+            least += self.sq[rows]
+            np.minimum(chunk, least, out=chunk)
         x[centers] = 0.0
 
     def keep(self, mask: np.ndarray) -> None:
@@ -324,14 +331,103 @@ def _settle_block(sweep: _GramSweep, x: np.ndarray, level: float) -> np.ndarray:
     return cand[picks]
 
 
-def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[int], list[int]]:
+def _graph_sizes(cloud: PointCloud, sweep: _GramSweep, x: np.ndarray, live: np.ndarray,
+                 net: list[int], rungs: Sequence[float]) -> list[int] | None:
+    """The pass's sizes at the finer rungs `rungs`, read off the eps-graph once
+    the net `net` has served a coarser rung (see `covering_sizes`), or None
+    when the graph does not settle them.
+
+    Edges are exact-kernel distances <= rungs[0], found from the sweep's
+    values (|m^2 - x| <= W): a non-center's running value x bounds its
+    distance to the nearest center, so only those with x <= rungs[0]^2 + W
+    are taken to every center on the exact kernel, and the non-centers'
+    own pairs are blocks of Gram values over the upper triangle, each pair
+    within the same bound taken again on the kernel.  The graph is declined
+    once its candidate pairs outnumber the cloud's points, counted before
+    each block is gathered, or once the non-centers surely near a center
+    would need more pairs than that to make cliques.  Each rung's graph is
+    then a union of cliques iff every point's least neighbour (or itself) is
+    shared along every edge and each such class holds as many edges as
+    pairs; its size is the number of classes.
+    """
+    n_points, kinds, top = cloud.size, (cloud.metric_kind, cloud.norm_kind), rungs[0]
+    center = np.zeros(n_points, dtype=bool)
+    center[net] = True
+    seen = center.copy()
+    seen[live] = True
+    if not seen.all():  # a dead non-center: the running values no longer track it
+        return None
+    level, budget = top * top + sweep.width, n_points
+    rest = np.flatnonzero(~center[live])  # live positions of the non-centers
+    xr = x[rest]
+    near = rest[xr <= level]
+    # K points surely within `top` of the M centers need K (K / M - 1) / 2 pairs or more
+    # among them for cliques (by convexity), and more than `budget` of both is declined
+    sure = np.count_nonzero(xr <= top * top - sweep.width)
+    budget -= near.size
+    if budget < 0 or sure * (sure / len(net) - 1.0) / 2.0 > budget:
+        return None
+    us, vs, dists, net = [live[:0]], [live[:0]], [np.empty(0)], np.asarray(net)
+    for lo, d in _blocks(cloud.points[live[near]], *kinds, cloud.points[net]):
+        i, c = np.nonzero(d <= top)
+        us.append(live[near[lo + i]])
+        vs.append(net[c])
+        dists.append(d[i, c])
+    # the non-centers' Gram values, from their rows gathered once (their W is at most
+    # the sweep's), in blocks of rows that double from 8 to `_BLOCK` (on the 4000-point
+    # sphere clouds 32 and 64 rows measured fastest of 32 to 256), so a dense graph is
+    # declined early
+    pairs = _GramSweep(sweep.points[rest], sweep.sq[rest])
+    step = min(rest.size, _BLOCK)
+    upper = np.arange(step)[:, None] < np.arange(step)  # a block's own pairs, each once
+    lo, rows = 0, min(8, step)
+    while lo < rest.size:
+        close = pairs.values(slice(lo, lo + rows), slice(lo, None)) <= level
+        close[:, :len(close)] &= upper[:len(close), :len(close)]
+        count = np.count_nonzero(close)
+        budget -= count
+        if budget < 0:
+            return None
+        if count:
+            i, j = np.nonzero(close)
+            a, b = lo + i, lo + j
+            d = _distances(pairs.points[a], *kinds, pairs.points[b])
+            us.append(live[rest[a[d <= top]]])
+            vs.append(live[rest[b[d <= top]]])
+            dists.append(d[d <= top])
+        lo, rows = lo + rows, min(2 * rows, step)
+    u, v, dists = np.concatenate(us), np.concatenate(vs), np.concatenate(dists)
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    sizes, points = [], np.arange(n_points)
+    for eps in rungs:
+        a, b = low[dists <= eps], high[dists <= eps]
+        # each point's least neighbour or itself: on a graph of cliques, the
+        # least point of its component
+        least = points.copy()
+        np.minimum.at(least, b, a)
+        if not np.array_equal(least[a], least[b]):
+            return None
+        members = np.bincount(least, minlength=n_points)
+        if not np.array_equal(np.bincount(least[a], minlength=n_points),
+                              members * (members - 1) // 2):  # as many edges as pairs
+            return None
+        sizes.append(int(np.count_nonzero(least == points)))
+    return sizes
+
+
+def _farthest_point(cloud: PointCloud, ladder: Sequence[float],
+                    graph: bool = False) -> tuple[list[int], list[int], float | None]:
     """Farthest-point (Gonzalez) order read off at every radius of a decreasing ladder.
 
     Centers are added at the currently worst-covered point, starting from
     point 0.  The order does not depend on the radius, so each radius
     continues from where the previous one stopped: its covering size is the
     first prefix whose coverage radius is <= eps.  Returns the centers of
-    the finest covering and the size at each radius.
+    the finest covering, the size at each radius and None.  With `graph`,
+    after each rung but the last the finer sizes are sought on the eps-graph
+    (`_graph_sizes`, Gram sweep only); once it settles them the pass stops
+    there and returns the centers it has, every size, and the first rung
+    read off the graph.
 
     The decisions are those of the exact kernel's distances m to the nearest
     center: the argmax (ties to the lowest index), the rung test m <= eps, and
@@ -377,7 +473,7 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
     sweep.lower(x, np.array([0]))
     spare = cloud.size  # rows the exact kernel may take again before it takes over
     net, sizes = [0], []
-    for eps in ladder:
+    for j, eps in enumerate(ladder):
         while live.size:
             far, width, level = int(np.argmax(x)), sweep.width, eps ** sweep.power
             if x[far] + width <= level:
@@ -404,7 +500,11 @@ def _farthest_point(cloud: PointCloud, ladder: Sequence[float]) -> tuple[list[in
                 live, x = live[~dead], x[~dead]
                 sweep.keep(~dead)
         sizes.append(len(net))
-    return net, sizes
+        if graph and j + 1 < len(ladder) and isinstance(sweep, _GramSweep):
+            finer = _graph_sizes(cloud, sweep, x, live, net, ladder[j + 1:])
+            if finer is not None:
+                return net, sizes + finer, ladder[j + 1]
+    return net, sizes, None
 
 
 def interval_covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
@@ -438,19 +538,46 @@ def covering_net(cloud: PointCloud, epsilon: float) -> NetReport:
     size tracks the k-center optimum within a factor of two)."""
     if cloud.metric_kind == "state_norm" and cloud.points.shape[1] == 1:
         return interval_covering_net(cloud, epsilon)
-    net, _ = _farthest_point(cloud, [epsilon])
+    net = _farthest_point(cloud, [epsilon])[0]
     return NetReport(epsilon, net, len(net), len(net))
 
 
 def covering_sizes(cloud: PointCloud, ladder: Sequence[float]) -> list[int]:
     """``covering_net(cloud, eps).covering_size`` for every eps of a strictly
-    decreasing ladder, from one farthest-point pass outside dimension one."""
+    decreasing ladder, from one farthest-point pass outside dimension one.
+
+    The pass stops early when the eps-graph settles the finer rungs.  Once it
+    has served a rung eps_j with centers S, take a finer rung e and the graph
+    G_e joining two points whose exact-kernel distance is <= e (the pass's own
+    rung test).  Every center was picked at a distance > eps_j > e from the
+    earlier ones, so no two centers are joined and each component of G_e
+    holds at most one center.  If every component is a clique, the pass's
+    size at e is the number of components: a component without a center has
+    every point farther than e from the net, so the pass cannot stop before
+    it gets one, and a center covers its whole clique, so no point of it is
+    the farthest again.  The proof needs every non-center's distances, so a
+    pass that has dropped a non-center as dead is not shortcut.  When every
+    finer rung passes the test (`_graph_sizes`: Gram sweep only, declined
+    past one candidate pair per point), those sizes are filled in and the
+    pass stops; otherwise it serves the next rung and tries again.  The
+    sizes are the full pass's either way.
+    """
+    return _covering_pass(cloud, ladder)[0]
+
+
+def _covering_pass(cloud: PointCloud,
+                   ladder: Sequence[float]) -> tuple[list[int], int, float | None]:
+    """`covering_sizes`, the centers its pass picked (the interval nets'
+    summed in dimension one) and the first rung it read off the eps-graph
+    (None when it read none)."""
     ladder = list(ladder)
     if not ladder or any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be nonempty and strictly decreasing")
     if cloud.metric_kind == "state_norm" and cloud.points.shape[1] == 1:
-        return [interval_covering_net(cloud, eps).covering_size for eps in ladder]
-    return _farthest_point(cloud, ladder)[1]
+        sizes = [interval_covering_net(cloud, eps).covering_size for eps in ladder]
+        return sizes, sum(sizes), None
+    net, sizes, graph_rung = _farthest_point(cloud, ladder, graph=True)
+    return sizes, len(net), graph_rung
 
 
 def packing_number(cloud: PointCloud, s: float) -> int:

@@ -115,6 +115,8 @@ def sample_ball(p: float, r: float, T: float, m: int, n_t: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if m < 1 or n_t < 1:  # an empty draw is all zero: it would be redrawn for ever
+        raise ValueError("m and n_t must be >= 1")
     if r <= 0:
         raise ValueError("r must be > 0")
     rng = np.random.default_rng(seed)

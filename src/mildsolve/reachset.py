@@ -27,9 +27,9 @@ import numpy as np
 from .compactness import (
     PointCloud,
     _blocks,
+    _covering_pass,
     _net_cells,
     covering_net,
-    covering_sizes,
     packing_number,
     state_cloud,
 )
@@ -138,13 +138,17 @@ class DiagnosticReport:
     dimensions: dict = field(default_factory=dict)
 
 
-def _covering_record(seconds: float, sizes: Sequence[int], eps_ladder: Sequence[float],
-                     sample_size: int) -> dict:
-    """Wall seconds of one cloud's farthest-point pass, and the rungs whose
-    covering is a single center (`degenerate`) or the whole sample (`censored`)."""
+def _covering_record(seconds: float, covered: tuple[list[int], int, float | None],
+                     eps_ladder: Sequence[float], sample_size: int) -> dict:
+    """Wall seconds of one cloud's farthest-point pass, the rungs whose
+    covering is a single center (`degenerate`) or the whole sample (`censored`),
+    the centers the pass picked (`picks`) and the first rung it read off the
+    eps-graph (`graph_rung`, None when it read none; see `covering_sizes`)."""
+    sizes, picks, graph_rung = covered
     return {"seconds": seconds,
             "degenerate": [eps for eps, size in zip(eps_ladder, sizes) if size == 1],
-            "censored": [eps for eps, size in zip(eps_ladder, sizes) if size == sample_size]}
+            "censored": [eps for eps, size in zip(eps_ladder, sizes) if size == sample_size],
+            "picks": picks, "graph_rung": graph_rung}
 
 
 def compactness_diagnostic(
@@ -162,6 +166,18 @@ def compactness_diagnostic(
     by one farthest-point pass (`covering_sizes`), next to a same-size
     sample of the sphere around xi0 whose radius is the Gronwall bound from
     the semigroup's class and the fields' largest growth constants.
+
+    A pass stops early once the eps-graph settles the finer rungs: after it
+    serves a rung eps_j, its centers are pairwise farther apart than eps_j,
+    so each component of the graph joining points within a finer e holds at
+    most one center; if every component is a clique, the pass would give
+    each exactly one center (none is the farthest point once its clique is
+    covered, and none can be left without), so its size at e is the number
+    of components.  A sphere sample is nearly censored below its first rung
+    and stops there; a reach sample's dense graph is declined at once.  Each
+    cloud's record (`dimensions[n]["covering"]`) gives the centers the pass
+    picked (`picks`) and the first rung read off the graph (`graph_rung`,
+    None when none was).
 
     The subsample's row indices are drawn before the solve, and the sample is
     streamed (`sample_reachset` with `keep`): the forward pass holds only
@@ -199,17 +215,17 @@ def compactness_diagnostic(
         dirs += xi0.coords
         ball = state_cloud(dirs, norm_kind)
         covering = time.perf_counter()
-        reach_sizes = covering_sizes(cloud, eps_ladder)
+        reach = _covering_pass(cloud, eps_ladder)
         reached = time.perf_counter()
-        ball_sizes = covering_sizes(ball, eps_ladder)
+        sphere = _covering_pass(ball, eps_ladder)
         covered = time.perf_counter()
         dimensions[dim] = {
             "certificate": cert.to_dict(), "gronwall_radius": radius, "solves": sample.solves,
             "timings": {"sample_s": sampled - start, "cover_s": covered - covering},
             "covering": {
-                "reach": _covering_record(reached - covering, reach_sizes, eps_ladder, cloud.size),
-                "sphere": _covering_record(covered - reached, ball_sizes, eps_ladder, cloud.size)}}
-        for eps, n_reach, n_ball in zip(eps_ladder, reach_sizes, ball_sizes):
+                "reach": _covering_record(reached - covering, reach, eps_ladder, cloud.size),
+                "sphere": _covering_record(covered - reached, sphere, eps_ladder, cloud.size)}}
+        for eps, n_reach, n_ball in zip(eps_ladder, reach[0], sphere[0]):
             rows.append({"n": dim, "p": p, "eps": eps, "n_reach": n_reach,
                          "n_ball": n_ball, "sample_size": cloud.size})
         del sample, cloud, dirs, ball  # freed before the next dimension samples

@@ -655,11 +655,11 @@ class TestReachsetCommand:
         for record in dims.values():  # wall seconds of the sample and solve, and of covering
             assert sorted(record["timings"]) == ["cover_s", "sample_s"]
             assert all(t >= 0.0 for t in record["timings"].values())
-            # each cloud's pass apart: its seconds and its flagged rungs
+            # each cloud's pass apart: its seconds, its flagged rungs, its picks and graph rung
             passes = record["covering"]
             assert sorted(passes) == ["reach", "sphere"]
-            assert all(sorted(p) == ["censored", "degenerate", "seconds"] and p["seconds"] >= 0.0
-                       for p in passes.values())
+            assert all(sorted(p) == ["censored", "degenerate", "graph_rung", "picks", "seconds"]
+                       and p["seconds"] >= 0.0 for p in passes.values())
             assert (passes["reach"]["seconds"] + passes["sphere"]["seconds"]
                     == pytest.approx(record["timings"]["cover_s"], abs=1e-9))
         for row in summary["rows"]:
@@ -667,6 +667,8 @@ class TestReachsetCommand:
             for cloud, size in [("reach", row["n_reach"]), ("sphere", row["n_ball"])]:
                 assert (row["eps"] in passes[cloud]["degenerate"]) == (size == 1)
                 assert (row["eps"] in passes[cloud]["censored"]) == (size == row["sample_size"])
+                # a one-rung ladder has no finer rung: the pass picks every center itself
+                assert passes[cloud]["picks"] == size and passes[cloud]["graph_rung"] is None
         assert all(d["certificate"]["mode"] == "hidden" and d["certificate"]["p"] == 1.0
                    for d in dims.values())
         p2 = self.run(tmp_path, heat_system(control={"p": 2}), "p2")

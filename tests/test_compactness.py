@@ -146,7 +146,7 @@ class TestCoveringNets:
             for points, rungs in [(pts, ladder), (lattice, fine)]:
                 d = full_distance_matrix(points, points, norm_kind)
                 normed = state_cloud(points, norm_kind)
-                assert _farthest_point(normed, rungs) == full_sweep_fps(d, rungs)
+                assert _farthest_point(normed, rungs)[:2] == full_sweep_fps(d, rungs)
                 for eps in rungs:  # one-rung ladders
                     assert covering_net(normed, eps).net_indices == full_sweep_fps(d, [eps])[0]
             assert covering_sizes(state_cloud(lattice, norm_kind), fine)[-2:] == [25, 25]
@@ -160,11 +160,25 @@ class TestCoveringNets:
             covering_sizes(cloud, (0.1, 0.0))
 
 
+BENCH_LADDER = [0.1, 0.05, 0.02, 0.01]
+
+
+def bench_clouds(monkeypatch, p=1.0):
+    """The clouds of a diagnostic at the benchmark's size (1000 points at n = 16,
+    32 and 64), in the order it covers them: each reach cloud, then its sphere."""
+    clouds, cover = [], compactness._covering_pass
+    monkeypatch.setattr(reachset, "_covering_pass",
+                        lambda cloud, ladder: clouds.append(cloud) or cover(cloud, ladder))
+    systems = [diagnostic_system(dim, p=p)[:3] for dim in (16, 32, 64)]
+    compactness_diagnostic(systems, BENCH_LADDER, count=50, seed=5, cloud_budget=1000)
+    return clouds
+
+
 def assert_matches_oracle(cloud, ladder):
     """(net, sizes) of the pass, of `covering_sizes` and of the one-rung nets
     are the exact oracle's."""
     net, sizes = farthest_point_oracle(cloud, ladder)
-    assert _farthest_point(cloud, ladder) == (net, sizes)
+    assert _farthest_point(cloud, ladder) == (net, sizes, None)
     assert covering_sizes(cloud, ladder) == sizes
     assert covering_net(cloud, ladder[-1]).net_indices == net
     assert covering_net(cloud, ladder[0]).net_indices == net[:sizes[0]]
@@ -184,18 +198,10 @@ class TestGramCovering:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_diagnostic_clouds(self, monkeypatch, p):
-        covered = []
-
-        def checked(cloud, ladder):
-            covered.append(cloud.points.shape)
-            assert_matches_oracle(cloud, ladder)
-            return covering_sizes(cloud, ladder)
-
-        monkeypatch.setattr(reachset, "covering_sizes", checked)
-        systems = [diagnostic_system(dim, p=p)[:3] for dim in (16, 32, 64)]
-        compactness_diagnostic(systems, [0.1, 0.05, 0.02, 0.01], count=50, seed=5,
-                               cloud_budget=1000)
-        assert covered == [(1000, 16)] * 2 + [(1000, 32)] * 2 + [(1000, 64)] * 2
+        clouds = bench_clouds(monkeypatch, p)
+        assert [c.points.shape for c in clouds] == [(1000, n) for n in (16, 32, 64) for _ in "ab"]
+        for cloud in clouds:
+            assert_matches_oracle(cloud, BENCH_LADDER)
 
     def test_ties_duplicates_and_offsets(self, rng, monkeypatch):
         # a retake is a `_nearest` call while the pass still sweeps Gram
@@ -347,16 +353,96 @@ class TestBlockCovering:
             assert any(live <= compactness._BLOCK and settled for live, settled, _ in blocks)
 
     def test_bench_sphere_clouds_settle_in_blocks(self, monkeypatch):
-        spheres, ladder = [], [0.1, 0.05, 0.02, 0.01]
-        monkeypatch.setattr(reachset, "covering_sizes",
-                            lambda cloud, eps: spheres.append(cloud) or covering_sizes(cloud, eps))
-        systems = [diagnostic_system(dim)[:3] for dim in (16, 32, 64)]
-        compactness_diagnostic(systems, ladder, count=50, seed=5, cloud_budget=1000)
-        for ball in spheres[1::2]:  # each dimension covers its reach cloud, then the sphere
+        for ball in bench_clouds(monkeypatch)[1::2]:  # each reach cloud, then its sphere
             blocks = record_blocks(monkeypatch)
-            net, sizes = _farthest_point(ball, ladder)
+            net, sizes, _ = _farthest_point(ball, BENCH_LADDER)
             assert ball.size == 1000 and len(net) > 900
             assert sum(settled for _, settled, _ in blocks) >= 0.8 * (len(net) - 1)
+
+
+def planted(rng, *groups):
+    """A 4 x 4 x 4 grid of spacing 2, off the origin and jittered by up to 0.2
+    (no ties: a lattice would make the pass take over on the exact sweep), in
+    random order, one point of each planted group at a grid point: each group
+    is a list of offsets from it."""
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3) * 2.0 + 5.25
+    grid += rng.uniform(-0.2, 0.2, grid.shape)
+    points = [grid]
+    for k, group in enumerate(groups):
+        points.append(grid[3 * k + 1] + np.array(group, dtype=float))
+    return np.concatenate(points)[rng.permutation(len(grid) + sum(map(len, groups)))]
+
+
+class TestGraphCovering:
+    """Finer rungs read off the eps-graph are the exact oracle's sizes."""
+
+    @staticmethod
+    def assert_pass(points, ladder, graph_rung):
+        cloud = state_cloud(points)
+        net, sizes = farthest_point_oracle(cloud, ladder)
+        covered = compactness._covering_pass(cloud, ladder)
+        assert covered[0] == sizes and covered[2] == graph_rung
+        assert covered[1] == (sizes[ladder.index(graph_rung) - 1] if graph_rung else len(net))
+        assert covering_sizes(cloud, ladder) == sizes
+
+    def test_censored_finer_rungs(self, rng):
+        # the grid's points are 2 apart: every rung finer than the first is censored
+        self.assert_pass(planted(rng), [3.0, 1.0, 0.5], 1.0)
+
+    def test_pairs_and_triangles(self, rng):
+        # planted cliques at 0.3: one component each at 0.5, split at 0.2
+        h = 0.3 * math.sqrt(3.0) / 2.0
+        groups = [[[0.3, 0.0, 0.0]], [[0.0, 0.0, 0.3]], [[0.3, 0.0, 0.0], [0.15, h, 0.0]],
+                  [[0.0, 0.3, 0.0], [0.0, 0.15, h]], [[0.25, 0.1, 0.0]]]
+        points = planted(rng, *groups)
+        self.assert_pass(points, [3.0, 0.5, 0.2], 0.5)
+        self.assert_pass(points, [3.0, 0.5, 0.25, 0.1], 0.5)  # a rung between the sides
+
+    def test_path_is_declined(self, rng):
+        # a - b - c at 0.3 with |ac| = 0.6 > 0.5: not a clique at 0.5, so the pass
+        # serves 0.5 itself and reads 0.2 off the graph
+        points = planted(rng, [[0.3, 0.0, 0.0], [0.6, 0.0, 0.0]], [[0.0, 0.3, 0.0]])
+        self.assert_pass(points, [3.0, 0.5, 0.2], 0.2)
+        self.assert_pass(points, [3.0, 0.7, 0.2], 0.7)  # a triangle at 0.7
+        self.assert_pass(points, [3.0, 0.7, 0.5, 0.2], 0.2)  # ... but a path at 0.5
+        # a path of four points, least index second along it: each edge count
+        # matches a clique's, and only the shared least neighbour fails
+        path = np.array([[0.3, 0.0, 0.0], [0.6, 0.0, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        grid = planted(rng)
+        self.assert_pass(np.concatenate([grid, grid[5] + [0.0, 1.0, 1.0] + path]),
+                         [20.0, 0.5, 0.2], 0.2)
+
+    def test_pair_at_exactly_eps(self, rng):
+        # dyadic coordinates: the kernel reads exactly 0.5, an edge of the 0.5 rung
+        points = planted(rng, [[0.5, 0.0, 0.0]], [[0.0, 0.0, -0.5]], [[0.375, 0.0, 0.0]])
+        assert 0.5 in full_distance_matrix(points, points, 2)
+        self.assert_pass(points, [3.0, 0.5, 0.25], 0.5)
+        self.assert_pass(points, [3.0, 0.4, 0.25], 0.4)
+
+    def test_duplicates(self, rng):
+        groups = [[[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                  [[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]]]
+        points = planted(rng, *groups)
+        points = np.concatenate([points, points[:1]])  # and one of the first center
+        # the first rung takes one center: no point is dropped before the graph
+        self.assert_pass(points, [20.0, 0.5, 0.1], 0.5)
+
+    def test_dead_non_center_is_declined(self, rng):
+        # every grid point has two duplicates: once an eighth of the points is
+        # within the finest eps of the net they are dropped, non-centers included
+        points = planted(rng, *[[[0.0, 0.0, 0.0]] * 2] * 21)
+        ladder = [1.0, 0.5, 0.1]
+        self.assert_pass(points, ladder, None)
+
+    def test_bench_sphere_clouds_stop_early(self, monkeypatch):
+        # a counting check: the shortcut fires on every sphere cloud of the
+        # benchmark's size, and spares most picks at n = 16
+        for ball in bench_clouds(monkeypatch)[1::2]:
+            sizes, picks, graph_rung = compactness._covering_pass(ball, BENCH_LADDER)
+            assert sizes == farthest_point_oracle(ball, BENCH_LADDER)[1]
+            assert graph_rung == 0.05 and picks == sizes[0]
+            if ball.points.shape[1] == 16:
+                assert picks < 400
 
 
 class TestPackingNumber:
@@ -509,7 +595,7 @@ def test_nets_match_full_distance_matrix_oracle(rng, norm_kind, shape):
     assert sizes == [covering_net(cloud, e).covering_size for e in ladder]
     assert sizes == [len(fps(e)) for e in ladder]
     assert sizes[-2:] == [len(pts) - 1] * 2
-    assert _farthest_point(cloud, ladder) == full_sweep_fps(d, ladder)
+    assert _farthest_point(cloud, ladder)[:2] == full_sweep_fps(d, ladder)
     for e in ladder:  # one-rung ladders
         assert covering_net(cloud, e).net_indices == fps(e)
 
@@ -678,4 +764,4 @@ def test_farthest_point_matches_full_sweep_on_mixed_clouds(points, norm_kind, da
         st.sampled_from(gaps.tolist()) | st.floats(gaps[0] / 4, 2 * gaps[-1]),
         min_size=1, max_size=6, unique=True))
     ladder = sorted(rungs, reverse=True)
-    assert _farthest_point(state_cloud(points, norm_kind), ladder) == full_sweep_fps(d, ladder)
+    assert _farthest_point(state_cloud(points, norm_kind), ladder)[:2] == full_sweep_fps(d, ladder)

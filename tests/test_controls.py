@@ -124,6 +124,12 @@ class TestSampleBall:
         with pytest.raises(ValueError, match="count"):
             sample_ball(2.0, 1.0, 1.0, 1, 8, 0, seed=0)
 
+    def test_empty_draws_raise(self):
+        # an empty draw has no nonzero cell: it must raise, not be redrawn for ever
+        for m, n_t in [(1, 0), (0, 8), (0, 0)]:
+            with pytest.raises(ValueError, match="m and n_t"):
+                sample_ball(1.0, 1.0, 1.0, m, n_t, 1, 0)
+
 
 class TestSpikeControl:
     def test_n1_is_constant_one(self):
