@@ -159,11 +159,6 @@ def semigroup_orbit(sg: Semigroup, xi0: StateVector, T: float, n_t: int) -> Traj
     return TrajectoryGrid(T, states, xi0.norm_kind)
 
 
-# A streamed `BatchOperator.fixed_point` keeps its last rows in a ring of
-# about this many bytes (at least one row): each block of rows is checked and
-# its kept rows gathered in one call, not one per row.
-_RING_BYTES = 1 << 18
-
 # The product path's rho takes blocks of controls whose (rows, n_t + 1) arrays
 # hold about this many bytes, so its temporaries stay small.
 _BOUND_BYTES = 1 << 15
@@ -237,13 +232,14 @@ class BatchOperator:
         # whether `fixed_point` proves its rho: else every rho reads inf
         self.bounded = self.eigenvalues is not None and (self.coupling is not None or all(
             f.eval_error is not None for f in self.fields))
-        # fields that do not read the state under A = 0: see `free_point`
+        # fields that do not read the state under A = 0: see `_free_point`
         self.state_free = (self.eigenvalues is not None and not self.eigenvalues.any()
                            and not any(f.lipschitz_L for f in self.fields))
 
     @functools.cached_property
     def powers(self) -> list[np.ndarray]:
-        """`scan_powers` of the step, for `__call__`: the forward pass needs none."""
+        """`scan_powers` of the step, for `__call__` (and `_free_point`): the
+        product path and the loop need none."""
         return scan_powers(self.step, len(self.times))
 
     def fixed_point(self, values: np.ndarray,
@@ -252,15 +248,17 @@ class BatchOperator:
         (B, m, n_t), and bounds rho_b >= max_j |x_bj - F(x_b, u_b)_j| in the
         state norm.
 
-        With `keep` None the states come as one (B, n_t + 1, n) stack.  Else
-        `keep` holds flat row indices b (n_t + 1) + j, as the stack's
-        ``reshape(-1, n)`` numbers them, and the pass returns only those rows,
-        a (len(keep), n) array in `keep`'s order.  It holds its latest (B, n)
-        rows in a ring of about `_RING_BYTES`, and as each block of the ring's
-        rows is complete it checks every state finite and stores the block's
-        kept rows.  A control with a non-finite state reads rho = inf.  Rows and
-        rho otherwise equal the whole stack's bit for bit: both take the same
-        loop.
+        The one entry to the forward pass, over three kernels: the product
+        path below for diagonal couplings, `_free_point` for `state_free`
+        fields, else a loop over the cells.  With `keep` None the states come
+        as one (B, n_t + 1, n) stack.  Else `keep` holds flat row indices
+        b (n_t + 1) + j, as the stack's ``reshape(-1, n)`` numbers them, and
+        the pass returns only those rows, a (len(keep), n) array in `keep`'s
+        order, bit for bit the whole stack's, with the same rho: the product
+        and the loop form only those rows (the loop gathers them from each
+        (B, n) row as it makes it), `_free_point` takes them from its stack.
+        Every kernel reads rho = inf for a control with a non-finite state;
+        the loop checks each row finite as it makes it, with or without `keep`.
 
         F is strictly causal: cell c feeds only the states j >= c + 1.  So
         its fixed point is the exponential-Euler recursion S_{j+1} =
@@ -300,8 +298,8 @@ class BatchOperator:
         So |x^_j - F(x^)_j| <= z_j + D_j, and rho = |G (...)| + max_j |D_j|
         in the state norm, raised by 2 k u for the k <= m n_t + n + 24
         roundings of its own evaluation.  A dense semigroup (expm's E^ has no
-        proved error) or a field with no `eval_error` reads rho = inf; a
-        non-finite pass reads inf or NaN.
+        proved error) or a field with no `eval_error` reads rho = inf, and so
+        does a control with a non-finite state.
 
         Product path.  When every field is diag(beta_i) x
         (`_diagonal_couplings`), B x commutes with e^{At} and the fixed point
@@ -338,51 +336,50 @@ class BatchOperator:
         """
         if self.coupling is not None:
             return self._product(values, keep)
+        if self.state_free:
+            return self._free_point(values, keep)
         batch, (length, n) = values.shape[0], self.orbit.states.shape
-        if keep is None:  # row j of the stack is rows[j]
+        # row j is made in x, checked finite and stored: whole into held[:, j],
+        # or its kept rows gathered into held
+        x = np.tile(self.orbit.states[0], (batch, 1))
+        if keep is None:
             held = np.empty((batch, length, n))
-            rows = held.swapaxes(0, 1)
-        else:  # row j is rows[j % ring]; each block of `ring` rows is checked, its kept rows held
-            ring = min(length, max(1, _RING_BYTES // (8 * batch * n)))
-            rows, held = np.empty((ring, batch, n)), np.empty((len(keep), n))
+        else:
+            held = np.empty((len(keep), n))
             owner, row = np.divmod(keep, length)
-            source = row % ring * batch + owner  # a kept row's place in its block
             order = np.argsort(row, kind="stable")
             cuts = np.searchsorted(row[order], np.arange(length + 1))
-            finite = np.ones(batch, dtype=bool)
-
-            def hold(lo: int, hi: int) -> None:  # rows lo <= j < hi, lo a multiple of `ring`
-                block = rows[:hi - lo]
-                if not all_finite(block):
-                    finite[~np.isfinite(block).all(axis=(0, 2))] = False
-                taken = order[cuts[lo]:cuts[hi]]
-                held[taken] = block.reshape(-1, n)[source[taken]]
-        rows[0] = self.orbit.states[0]
+        finite = np.ones(batch, dtype=bool)
         integral, term = np.zeros((batch, n)), np.empty((batch, n))
         weights = self.h * values  # a_i per control and cell
         errors = [f.eval_error for f in self.fields]
         if self.bounded:
             sizes, field_errors = np.zeros_like(integral), np.zeros_like(integral)
-        for j, times in enumerate(np.broadcast_to(self.times[:-1, None], (values.shape[2], batch))):
-            x = rows[j % len(rows)]
-            if keep is not None and (j + 1) % ring == 0:  # row j ends a block
-                hold(j + 1 - ring, j + 1)
-            for i, f in enumerate(self.fields):
-                integral += np.multiply(weights[:, i, j, None], f(times, x), out=term)
-                if self.bounded:
-                    sizes += np.abs(integral, out=term)
-                    if callable(errors[i]):
-                        field_errors += np.multiply(np.abs(weights[:, i, j, None]),
-                                                    errors[i](times, x), out=term)
-            semigroup_act(self.step, integral, integral)
-            np.add(integral, self.orbit.states[j + 1], out=rows[(j + 1) % len(rows)])
-        if keep is not None:
-            hold(length - 1 - (length - 1) % ring, length)
+        cell_times = np.broadcast_to(self.times[:-1, None], (values.shape[2], batch))
+        with np.errstate(over="ignore", invalid="ignore"):  # a row past the floats reads rho = inf
+            for j in range(length):
+                if j:  # row j from row j - 1 = x
+                    times, w = cell_times[j - 1], weights[:, :, j - 1, None]
+                    for i, f in enumerate(self.fields):
+                        integral += np.multiply(w[:, i], f(times, x), out=term)
+                        if self.bounded:
+                            sizes += np.abs(integral, out=term)
+                            if callable(errors[i]):
+                                field_errors += np.multiply(np.abs(w[:, i]), errors[i](times, x),
+                                                            out=term)
+                    semigroup_act(self.step, integral, integral)
+                    np.add(integral, self.orbit.states[j], out=x)
+                if not all_finite(x):
+                    finite &= np.isfinite(x).all(axis=1)
+                if keep is None:
+                    held[:, j] = x
+                else:
+                    taken = order[cuts[j]:cuts[j + 1]]
+                    held[taken] = x[owner[taken]]
         if not self.bounded:
             return held, np.full(batch, np.inf)
         rho = self._residual_bounds(weights, values, sizes, field_errors)
-        if keep is not None:
-            rho[~finite] = np.inf
+        rho[~finite] = np.inf
         return held, rho
 
     def _residual_bounds(self, weights: np.ndarray, values: np.ndarray, sizes: np.ndarray,
@@ -472,11 +469,11 @@ class BatchOperator:
                 rho[block] = bound
         return rho * (1.0 + 2.0 * (n_t + n + m + 32) * _EPS)
 
-    def free_point(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For `state_free` fields (f_i(t, x) = f_i(t): every Lipschitz
-        constant 0) under A = 0: x = F of the orbit, F's fixed point, for
-        control values (B, m, n_t), and rho_b >= max_j |x_bj - F(x_b)_j| as
-        `fixed_point` gives it.
+    def _free_point(self, values: np.ndarray,
+                    keep: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel of `fixed_point` for `state_free` fields (f_i(t, x) =
+        f_i(t): every Lipschitz constant 0) under A = 0: x = F of the orbit,
+        F's fixed point, and its rho; with `keep`, the kept rows of that stack.
 
         Every scan factor is e^0 = 1, so `__call__` sums q^_c = fl(h fl(sum_i
         t_ic)), t_ic = fl(u_i(c) f^_i), over a tree of depth K, one level per
@@ -486,13 +483,16 @@ class BatchOperator:
         With V = sum_c sum_i |u_i(c)| (alpha_i |xi0| + beta_i + phi_i) and W =
         sum_c sum_i |u_i(c)| phi_i, rho = u max_j |x^_j| + (K + m + 8) u h V +
         h W + 2 n n_t (m + 2)(1 + h) eta, raised for its own rounding.  A
-        field with no `eval_error` reads rho = inf.
+        field with no `eval_error`, or a state that is not finite, reads rho =
+        inf.
         """
         n_t, m, n = len(self.times) - 1, len(self.fields), self.orbit.dim
         orbit, kind = self.orbit.states, self.orbit.norm_kind
-        states = self(np.broadcast_to(orbit, (len(values),) + orbit.shape), values)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the floats reads rho = inf
+            states = self(np.broadcast_to(orbit, (len(values),) + orbit.shape), values)
+        held = states if keep is None else states.reshape(-1, n)[keep]
         if any(f.eval_error is None for f in self.fields):
-            return states, np.full(len(values), np.inf)
+            return held, np.full(len(values), np.inf)
         start = vector_norm(orbit[0], kind)
         errors = [vector_norm(f.eval_error(self.times[:-1], orbit[:-1]), kind).max()
                   if callable(f.eval_error) else 0.0 for f in self.fields]
@@ -505,7 +505,8 @@ class BatchOperator:
             rho += 2.0 * n * n_t * (m + 2) * (1.0 + self.h) * _ETA
             rho += _EPS * vector_norm(states, kind).max(axis=1)
             rho *= 1.0 + 2.0 * (m * n_t + n + 16) * _EPS
-        return states, rho
+        rho[np.isnan(rho)] = np.inf  # a NaN state
+        return held, rho
 
     def __call__(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
         """F(x_b, u_b) for states (B, n_t + 1, n) and control values (B, m, n_t).

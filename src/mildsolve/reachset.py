@@ -61,44 +61,44 @@ class VerificationError(RuntimeError):
 class ReachSetSample:
     """Monte-Carlo approximation of the reachable set up to time T under the
     control ball of `cert`: B controls as one stack, their trajectories'
-    states on its grid, and those states, trajectory-major, in `endpoints`.
-
-    A streamed sample holds only the rows `held` of the states (flat indices
-    b (n_t + 1) + j, see `BatchOperator.fixed_point`) as `endpoints`, and
-    `states` is None."""
+    states on its grid, and those states, trajectory-major, in `endpoints`."""
 
     xi0: StateVector
     cert: ContractionCertificate
     controls: Control  # the (B, m, n_t) stack
-    states: np.ndarray | None  # (B, n_t + 1, n), trajectory b at the grid times `times`
+    states: np.ndarray  # (B, n_t + 1, n), trajectory b at the grid times `times`
     endpoints: PointCloud  # evaluation set of the trajectories
     # the applications of F that certified the solves, the controls the
-    # forward pass's rounding bound certified alone and the largest bound;
-    # a streamed sample adds its `held_rows` and whether the whole stack was
-    # solved (`full_stack`)
+    # forward pass's rounding bound certified alone and the largest bound
     solves: dict = field(default_factory=dict)
-    held: np.ndarray | None = None
 
     def __post_init__(self):  # the ball, the grid and the start, each checked once on the stacks
         self.cert.control_norm(self.controls)
-        length = self.controls.n_t + 1
-        if self.states is None:
-            starts = self.endpoints.points[self.held % length == 0]
-        elif self.states.shape[:2] != (len(self.controls), length):
+        if self.states.shape[:2] != (len(self.controls), self.controls.n_t + 1):
             raise ValueError("a sample needs one trajectory per control, on its grid")
-        else:
-            starts = self.states[:, 0]
-        if starts.shape[1:] != self.xi0.coords.shape or np.any(starts != self.xi0.coords):
-            raise ValueError("trajectory does not start at xi0")
+        _check_starts(self.states[:, 0], self.xi0)
 
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.cert.horizon_T, self.controls.n_t + 1)
 
 
+def _check_starts(starts: np.ndarray, xi0: StateVector) -> None:
+    if starts.shape[1:] != xi0.coords.shape or np.any(starts != xi0.coords):
+        raise ValueError("trajectory does not start at xi0")
+
+
+def _solve_record(bounds: np.ndarray, taken: np.ndarray) -> dict:
+    """A sample's `solves`: the applications of F, the controls the forward
+    pass's rounding bound certified alone and the largest bound."""
+    return {"applications": int(taken.sum()),
+            "rounding_certified": int(np.count_nonzero(taken == 0)),
+            "bound_max": float(bounds.max())}
+
+
 def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[VectorField],
                     sg: Semigroup, cert: ContractionCertificate, n_t: int,
-                    tol: float = 1e-8, keep: np.ndarray | None = None) -> ReachSetSample:
+                    tol: float = 1e-8) -> ReachSetSample:
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
@@ -106,21 +106,14 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     within `tol` of its discrete fixed point (see `solve_batch`), and
     `ReachSetSample` checks it against the ball in one call.  The sample holds
     that stack and the pass's (count, n_t + 1, n) states as they are, and the
-    endpoint cloud is the states reshaped, so each is held once.  With
-    `keep`, flat row indices of the states, the sample is streamed: it holds
-    only those rows (`_solve_stack`).
+    endpoint cloud is the states reshaped, so each is held once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
-    states, bounds, taken, whole = _solve_stack(xi0, controls, fields, sg, cert, tol, keep)
-    solves = {"applications": int(taken.sum()),
-              "rounding_certified": int(np.count_nonzero(taken == 0)),
-              "bound_max": float(bounds.max())}
-    if keep is not None:
-        solves.update(held_rows=len(states), full_stack=whole)
-    return ReachSetSample(xi0, cert, controls, states if keep is None else None,
-                          state_cloud(states, xi0.norm_kind), solves, keep)
+    states, bounds, taken, _ = _solve_stack(xi0, controls, fields, sg, cert, tol)
+    return ReachSetSample(xi0, cert, controls, states, state_cloud(states, xi0.norm_kind),
+                          _solve_record(bounds, taken))
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +172,16 @@ def compactness_diagnostic(
     picked (`picks`) and the first rung read off the graph (`graph_rung`,
     None when none was).
 
-    The subsample's row indices are drawn before the solve, and the sample is
-    streamed (`sample_reachset` with `keep`): the forward pass holds only
-    those rows, unless its rounding bound leaves a control to the stages
-    j >= 1, when the whole (count, n_t + 1, n) stack is solved and the rows
-    are taken from it.  Either way the rows, and the sphere draw after them
-    from the same generator, are those of subsampling the whole stack.
+    The sample is streamed: the subsample's row indices are drawn before
+    the solve, and the `sample_ball` stack, checked against the ball once,
+    goes to `_solve_stack` with them, so the forward pass holds only those
+    rows, unless its rounding bound leaves a control to the stages j >= 1,
+    when the whole (count, n_t + 1, n) stack is solved and the rows are taken
+    from it.  Either way the rows, and the sphere draw after them from the
+    same generator, are those of subsampling `sample_reachset`'s states.
+    The held rows at j = 0 are checked against xi0, and the dimension's
+    `solves` adds the rows held (`held_rows`) and whether the whole stack
+    was solved (`full_stack`).
     """
     dims = [sg.dim for sg, _, _ in systems]
     eps_ladder = list(eps_ladder)
@@ -203,9 +200,13 @@ def compactness_diagnostic(
         keep = (np.sort(rng.choice(size, size=cloud_budget, replace=False))
                 if size > cloud_budget else np.arange(size))
         start = time.perf_counter()
-        sample = sample_reachset(xi0, count, seed, fields, sg, cert, n_t, tol=tol, keep=keep)
+        controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
+        cert.control_norm(controls)
+        states, bounds, taken, whole = _solve_stack(xi0, controls, fields, sg, cert, tol, keep)
+        _check_starts(states[keep % (n_t + 1) == 0], xi0)
+        solves = {**_solve_record(bounds, taken), "held_rows": len(states), "full_stack": whole}
         sampled = time.perf_counter()
-        cloud = sample.endpoints
+        cloud = state_cloud(states, norm_kind)
         radius = gronwall_radius(xi0, K=r, p=p, T=T, M=sg.class_M, mu=sg.class_mu,
                                  alpha=max(f.growth_alpha for f in fields),
                                  beta=max(f.growth_beta for f in fields))
@@ -220,7 +221,7 @@ def compactness_diagnostic(
         sphere = _covering_pass(ball, eps_ladder)
         covered = time.perf_counter()
         dimensions[dim] = {
-            "certificate": cert.to_dict(), "gronwall_radius": radius, "solves": sample.solves,
+            "certificate": cert.to_dict(), "gronwall_radius": radius, "solves": solves,
             "timings": {"sample_s": sampled - start, "cover_s": covered - covering},
             "covering": {
                 "reach": _covering_record(reached - covering, reach, eps_ladder, cloud.size),
@@ -228,7 +229,7 @@ def compactness_diagnostic(
         for eps, n_reach, n_ball in zip(eps_ladder, reach[0], sphere[0]):
             rows.append({"n": dim, "p": p, "eps": eps, "n_reach": n_reach,
                          "n_ball": n_ball, "sample_size": cloud.size})
-        del sample, cloud, dirs, ball  # freed before the next dimension samples
+        del controls, states, cloud, dirs, ball  # freed before the next dimension samples
     cfg = {"dims": dims, "eps_ladder": eps_ladder, "p": p, "r": r, "T": T,
            "count": count, "seed": seed, "n_t": n_t, "xi0_scale": xi0_scale,
            "cloud_budget": cloud_budget, "gronwall_radius": radius}
@@ -476,8 +477,6 @@ def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> 
     one field call on the endpoint stack: an identity field's cloud is that stack."""
     if len(fields) != 1:
         raise ValueError("field-value cloud expects a single-channel system")
-    if sample.states is None:
-        raise ValueError("field-value cloud needs a sample's whole state stack")
     times = np.tile(sample.times, len(sample.states))
     return state_cloud(fields[0](times, sample.endpoints.points), sample.endpoints.norm_kind)
 
@@ -516,8 +515,6 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
         raise ValueError("reconstruction check expects a single-channel system")
     if max_controls is not None and max_controls < 1:
         raise ValueError(f"max_controls must be >= 1, got {max_controls}")
-    if sample.states is None:
-        raise ValueError("reconstruction check needs a sample's whole state stack")
     f = fields[0]
     u = sample.controls[:max_controls]
     if u.channels != 1:

@@ -18,15 +18,17 @@ constant trajectory at xi0 and returns x_k at the first k where this bound,
 y = x_0, is <= tol; it serves the library and the factorial-gap checks.
 Every other solve (`solve_batch`, reach-set samples, the CLI's `solve` and
 spike family) takes `_solve_stack`: it computes every control's x* in one
-causal forward pass (`BatchOperator.fixed_point`: a cumulative product for
-diagonal couplings, else a loop over the cells), returns that x as it is,
-and certifies it at the first stage j = 0, 1, ... where |x - F^j x|_sup plus
-the bound, y = x, is <= tol.  Stage 0 takes no application: the pass's
-proved rounding bound rho >= |x - F x|_sup gives e^{mu T} e^c rho, which
-certifies a diagonal semigroup whose couplings are diagonal or whose fields
-declare their evaluation error, unless c is large.  A control fails once |x
-- F^j x|_sup minus the bound is > tol, as no later stage can pass then, and
-before any application when its rule cannot stop within `_MAX_APPLICATIONS`.
+causal forward pass (`BatchOperator.fixed_point`, the one entry to its three
+kernels: a cumulative product for diagonal couplings, F of the orbit for
+fields that do not read the state under A = 0, else a loop over the cells),
+returns that x as it is, and certifies it at the first stage j = 0, 1, ...
+where |x - F^j x|_sup plus the bound, y = x, is <= tol.  Stage 0 takes no
+application: the pass's proved rounding bound rho >= |x - F x|_sup gives
+e^{mu T} e^c rho, which certifies a diagonal semigroup whose couplings are
+diagonal or whose fields declare their evaluation error, unless c is large.
+A control fails once |x - F^j x|_sup minus the bound is > tol, as no later
+stage can pass then, and before any application when its rule cannot stop
+within `_MAX_APPLICATIONS`.
 The bounds leave out the O(h) error of the left-endpoint quadrature against
 the mild solution, and a stage j >= 1 the rounding of F's own applications.
 """
@@ -46,8 +48,9 @@ from .operator import BatchOperator, CertificateRadiusError, ContractionCertific
 _MAX_APPLICATIONS = 100_000
 # The stage applications run on chunks of controls whose (chunk, n_t + 1, n)
 # stack stays near this many bytes, keeping an application's temporaries in
-# cache (1.2-1.4x faster than one stack for 50-500 heat controls, n = 16..64,
-# 2-vCPU Xeon).
+# cache: 500 heat controls at n = 16 under a dense generator (no stage-0
+# bound) take 28.7 ms in chunks, 37.4 ms as one stack (process CPU, median
+# of 7 alternating pairs, one BLAS thread, 2-vCPU Xeon, numpy 2.4).
 _CHUNK_BYTES = 1 << 18
 _CAP_EXCEEDED = f"the stopping rule needs more than the application cap ({_MAX_APPLICATIONS})"
 
@@ -196,22 +199,23 @@ def _stage_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarray
     candidates x (B, n_t + 1, n), mu the class growth: their bounds on |x -
     x*|_sup and the applications j they took.  A candidate stops at the
     first j that passes or fails, or at the application cap; one whose
-    iterate is not finite reads NaN.
+    iterate is not finite reads NaN, with no warning.
     """
     weight, lift = _weighting(mu, apply_F.times)
     bounds, taken = np.empty(len(states)), np.empty(len(states), dtype=int)
     live, x, image = np.arange(len(states)), states, states
     for j in range(1, _MAX_APPLICATIONS + 1):
-        step = apply_F(image, values[live])
-        norms = vector_norm(image - step, kind)
-        last = (weight * norms).max(axis=-1)
-        moved = norms.max(axis=-1) if j == 1 else vector_norm(x - step, kind).max(axis=-1)
-        image = step
-        first = last if j == 1 else first
-        spread = lift * _tail_bound(bases[live], j, first, last)
-        bound = moved + spread
-        finite = np.isfinite(moved)
-        done = (bound <= tol) | (moved - spread > tol) | ~finite | (j == _MAX_APPLICATIONS)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the floats reads NaN
+            step = apply_F(image, values[live])
+            norms = vector_norm(image - step, kind)
+            last = (weight * norms).max(axis=-1)
+            moved = norms.max(axis=-1) if j == 1 else vector_norm(x - step, kind).max(axis=-1)
+            image = step
+            first = last if j == 1 else first
+            spread = lift * _tail_bound(bases[live], j, first, last)
+            bound = moved + spread
+            finite = np.isfinite(moved)
+            done = (bound <= tol) | (moved - spread > tol) | ~finite | (j == _MAX_APPLICATIONS)
         bounds[live[done]] = np.where(finite[done], bound[done], np.nan)
         taken[live[done]] = j
         if done.all():
@@ -233,21 +237,16 @@ def _solve_stack(xi0: StateVector, stack: Control,
     stack with one channel per field, their sup-norm bounds, the
     applications taken (module docstring) and whether the whole stack was
     solved: 0 applications where e^{mu T} e^c rho certifies, else those of
-    `_stage_bounds`, run on the other controls only.  When every field's
-    Lipschitz constant is 0 and the generator is 0
-    (`BatchOperator.state_free`), F of the orbit and its proved rho
-    (`BatchOperator.free_point`) take the place of the pass, whose per-cell
-    loop is long on a long grid.  A failed rule or a non-finite iterate
-    raises RuntimeError with the control's index.  Ball membership is the
-    caller's check.
+    `_stage_bounds`, run on the other controls only.  A failed rule or a
+    non-finite iterate raises RuntimeError with the control's index.  Ball
+    membership is the caller's check.
 
     With `keep`, flat row indices of the stack (see
     `BatchOperator.fixed_point`), only those rows come back, as a
-    (len(keep), n) array, and the pass holds no stack when stage 0
-    certifies every control.  Stages j >= 1 apply F to whole trajectories:
-    when stage 0 leaves a control, the operator proves no rho or its fields
-    are state-free, the stack is solved whole, as without `keep`, and the
-    rows are taken from it.
+    (len(keep), n) array, from one stage-0 pass given `keep`.  Stages j >= 1
+    apply F to whole trajectories: when that pass leaves a control, or the
+    operator proves no rho, the stack is solved whole, as without `keep`,
+    and the rows are taken from it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -257,19 +256,16 @@ def _solve_stack(xi0: StateVector, stack: Control,
                              _control_failed)
     lift = _weighting(cert.mu, apply_F.times)[1]
 
-    def stage_zero(solve, *held):
-        states, residuals = solve(values, *held)
+    def stage_zero(rows):
+        states, residuals = apply_F.fixed_point(values, rows)
         with np.errstate(over="ignore", invalid="ignore"):  # past the floats reads inf
             return states, lift * _tail(bases, 0) * residuals
 
-    whole = keep is None or not apply_F.bounded or apply_F.state_free
-    if apply_F.state_free:
-        states, bounds = stage_zero(apply_F.free_point)
-    else:
-        states, bounds = stage_zero(apply_F.fixed_point, None if whole else keep)
-        if not whole and not (bounds <= tol).all():  # a control is left: solve the whole stack
-            whole = True
-            states, bounds = stage_zero(apply_F.fixed_point, None)
+    whole = keep is None or not apply_F.bounded
+    states, bounds = stage_zero(None if whole else keep)
+    if not whole and not (bounds <= tol).all():  # a control is left: solve the whole stack
+        whole = True
+        states, bounds = stage_zero(None)
     taken = np.zeros(len(values), dtype=int)
     left = np.flatnonzero(~(bounds <= tol))
     size = max(1, _CHUNK_BYTES // apply_F.orbit.states.nbytes)

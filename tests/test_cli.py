@@ -187,6 +187,23 @@ class TestSolve:
         assert "application cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_row_past_the_last_field_read_that_overflows_exits_3(self, tmp_path, capsys):
+        # x_2 = 2e308 leaves the floats after the last field read: the pass
+        # reads rho = inf for it, and the stage j = 1 reads the iterate as NaN
+        cfg = write_config(tmp_path, {
+            "system": {"semigroup": {"kind": "diagonal", "eigenvalues": [0.001]},
+                       "fields": [{"kind": "constant", "vector": [1e308]}],
+                       "xi0": [1e308], "T": 1.0, "n_t": 2},
+            "control": {"p": 2, "r": 2.0}, "solver": {"tol": 1e300}})
+        control_path = tmp_path / "u.csv"
+        control_path.write_text("t_start,u0\n0.0,1.0\n0.5,1.0\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--control", str(control_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "control #0" in err and "finite" in err
+        assert not out.exists()
+
     def test_metadata_records_timings_and_counters(self, tmp_path):
         cfg = write_config(tmp_path, scalar_system())
         out = tmp_path / "out"
@@ -268,11 +285,11 @@ class TestSolve:
             # bound (states near 1e200) misses tol, and stage 1, which leaves out
             # F's own rounding, reads 0
             assert (sidecar["iterations"], sidecar["a_posteriori_bound"]) == (1, 0.0)
-        # states beyond the largest float: a numeric failure, not a traceback
+        # states beyond the largest float: a numeric failure, with no traceback
+        # and no RuntimeWarning
         cfg_data["system"]["fields"] = [{"kind": "constant", "vector": [1e300]}]
         cfg = write_config(tmp_path, cfg_data, name="overflow.yaml")
-        with pytest.warns(RuntimeWarning):
-            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 3
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bad")]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
     def test_seed_flag_changes_sampled_control(self, tmp_path):

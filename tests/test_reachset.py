@@ -177,30 +177,36 @@ class TestCompactnessDiagnostic:
 
     @pytest.mark.parametrize("case", ["heat", "saturation"])
     def test_streamed_rows_equal_the_whole_stack(self, case, monkeypatch):
-        # the streamed sample covers the rows that subsampling the whole
-        # stack gives; a saturation field proves no rho (its eval_error is
-        # None), so its stack is solved whole
+        # the streamed pass covers the rows that subsampling `sample_reachset`'s
+        # whole stack with the diagnostic's own draw gives, and the sphere
+        # cloud comes from the same generator after them; a saturation field
+        # proves no rho (its eval_error is None), so its stack is solved whole
         sg, fields, cert, _ = diagnostic_system(8)
         if case == "saturation":
             fields = [saturation_field(1.0)]
-        kwargs = dict(systems=[(sg, fields, cert)], eps_ladder=[0.02, 0.01], count=12, seed=4,
-                      n_t=32, xi0_scale=0.5, cloud_budget=100)
-        streamed = compactness_diagnostic(**kwargs)
-        sample = reachset.sample_reachset
+        clouds, covering_pass = [], reachset._covering_pass
 
-        def whole(xi0, count, seed, fields, sg, cert, n_t, tol, keep):
-            full = sample(xi0, count, seed, fields, sg, cert, n_t, tol)
-            rows = full.states.reshape(-1, xi0.dim)[keep]
-            return ReachSetSample(xi0, cert, full.controls, None, state_cloud(rows),
-                                  {**full.solves, "held_rows": len(keep), "full_stack": True},
-                                  keep)
+        def recorded(cloud, eps_ladder):
+            clouds.append(cloud)
+            return covering_pass(cloud, eps_ladder)
 
-        monkeypatch.setattr(reachset, "sample_reachset", whole)
-        reference = compactness_diagnostic(**kwargs)
-        assert streamed.rows == reference.rows
-        solves = streamed.dimensions[8]["solves"]
-        assert solves == {**reference.dimensions[8]["solves"], "full_stack": case == "saturation"}
-        assert solves["held_rows"] == 100
+        monkeypatch.setattr(reachset, "_covering_pass", recorded)
+        ladder = [0.02, 0.01]
+        report = compactness_diagnostic([(sg, fields, cert)], ladder, count=12, seed=4, n_t=32,
+                                        xi0_scale=0.5, cloud_budget=100)
+        xi0 = StateVector(np.full(8, 0.5 / vector_norm(np.ones(8), 2)))
+        sample = sample_reachset(xi0, 12, 4, fields, sg, cert, 32, tol=1e-4)
+        rng = np.random.default_rng(4 + 7919 * 8)
+        rows = sample.states.reshape(-1, 8)[np.sort(rng.choice(12 * 33, 100, replace=False))]
+        sphere = rng.standard_normal((100, 8))
+        sphere /= vector_norm(sphere, 2)[:, None]
+        assert np.array_equal(clouds[0].points, rows)
+        assert np.array_equal(clouds[1].points, sphere * report.config["gronwall_radius"]
+                              + xi0.coords)
+        assert [row["n_reach"] for row in report.rows] == covering_pass(state_cloud(rows),
+                                                                         ladder)[0]
+        solves = report.dimensions[8]["solves"]
+        assert solves == {**sample.solves, "held_rows": 100, "full_stack": case == "saturation"}
         assert (solves["applications"] > 0) == (case == "saturation")
 
     def test_streamed_sample_holds_no_state_stack(self):

@@ -5,8 +5,9 @@ exact discrete operator F (exact arithmetic and exponentials on the floats
 held), and `solve_batch` certifies a control with it, taking no application
 of F, when ``e^{mu T} e^c rho`` meets the tolerance.  These tests recompute F
 and its fixed point with mpmath and check both bounds, on the per-cell loop
-(the `matrix` and `constant` systems) and on the product path of diagonal
-couplings (`identity`, `diagonal`, `scalar`), and check the ulp allowance
+(the `matrix` and `constant` systems), on the product path of diagonal
+couplings (`identity`, `diagonal`, `scalar`) and on the state-free kernel of
+fields that do not read the state under A = 0, and check the ulp allowance
 `EXP_ULPS` assumed of ``np.exp``.
 """
 
@@ -222,7 +223,8 @@ def test_product_bound_covers_a_cancelling_coupling_sum():
 
 def test_state_free_point_covers_50_digit_truth():
     # fields that do not read the state, under the zero generator: F of the
-    # orbit is the fixed point, and `free_point` proves its rounding bound
+    # orbit is the fixed point, and `fixed_point` proves its rounding bound
+    # on the state-free kernel
     specs = [("constant", [0.4, -0.25]), ("constant", [1.0 / 3.0, 0.7])]
     sg, xi0 = diagonal_semigroup([0.0, 0.0]), StateVector([0.05, -0.4], 1)
     fields = [np_field(spec, 1) for spec in specs]
@@ -230,7 +232,7 @@ def test_state_free_point_covers_50_digit_truth():
     controls = sample_ball(1.0, 0.8, 1.3, 2, 10, 3, seed=6)
     op = BatchOperator(xi0, fields, sg, 1.3, 10)
     assert op.state_free
-    states, rho = op.free_point(controls.values)
+    states, rho = op.fixed_point(controls.values)
     truth = residuals(op, sg.eigenvalues, xi0, controls.values, specs, states)
     assert all(mp.mpf(r) >= t for r, t in zip(rho, truth)) and max(truth) > 0
     results = solve_batch(xi0, controls, fields, sg, cert, tol=1e-12)

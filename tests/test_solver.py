@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +35,6 @@ from mildsolve import (
 )
 
 from mildsolve.controls import stack_controls
-import mildsolve.operator
 from mildsolve.operator import BatchOperator
 from mildsolve import solver
 from mildsolve.solver import _solve_stack, _stage_bounds, _tail
@@ -590,7 +590,8 @@ def test_only_uncertified_controls_go_on_to_applications(monkeypatch):
 
 def test_non_finite_pass_with_declared_field_error_raises():
     # a field that declares itself exact but returns NaN past 1.5: the pass's
-    # bound reads NaN, and the applications name the control
+    # bound reads inf for the control whose row is NaN, and the applications
+    # name the control
     sg, xi0 = diagonal_semigroup([0.0]), StateVector([1.0])
     cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
     nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0,
@@ -599,7 +600,7 @@ def test_non_finite_pass_with_declared_field_error_raises():
     controls = stack_controls([constant_control(0.3, 16), constant_control(0.0, 16),
                                constant_control(1.0, 16)])
     states, rho = apply_F.fixed_point(controls.values)
-    assert np.isfinite(rho[:2]).all() and np.isnan(rho[2])
+    assert np.isfinite(rho[:2]).all() and rho[2] == np.inf
     with pytest.raises(RuntimeError, match=r"control #2: .*finite"):
         solve_batch(xi0, controls, [nan_above], sg, cert)
 
@@ -621,41 +622,40 @@ def streamed_system(case):
     return sg, fields, xi0, cert, controls
 
 
-@pytest.mark.parametrize("ring_rows", [1, 3, None])
+@pytest.mark.parametrize("batch", [1, 3, None])
 @pytest.mark.parametrize("case", ["heat", "diagonal", "bilinear", "constant"])
-def test_streamed_pass_holds_the_full_pass_rows(case, ring_rows, monkeypatch):
+def test_streamed_pass_holds_the_full_pass_rows(case, batch):
     # the kept rows of a streamed pass and its rho equal the full stack's bit
-    # for bit, whatever the ring (one row, blocks of 3 that leave a remainder
-    # of 33 rows, or the default) and whichever rows are kept
+    # for bit, in `keep`'s order, whichever rows are kept and whatever the
+    # stack (one control, whose kept rows all gather from it, three, or all five)
     sg, fields, xi0, _, controls = streamed_system(case)
+    values = controls.values[:batch]
     apply_F = BatchOperator(xi0, fields, sg, 1.0, 32)
-    batch, n = len(controls), xi0.dim
-    if ring_rows is not None:
-        monkeypatch.setattr(mildsolve.operator, "_RING_BYTES", 8 * batch * n * ring_rows)
-    states, rho = apply_F.fixed_point(controls.values)
+    n, size = xi0.dim, len(values) * 33
+    states, rho = apply_F.fixed_point(values)
     assert apply_F.bounded and np.isfinite(rho).all()
     rng = np.random.default_rng(11)
-    size = batch * 33
-    for keep in (np.sort(rng.choice(size, 40, replace=False)), np.arange(size),
-                 np.array([0, 32, size - 1]), np.array([], dtype=int)):
-        held, streamed = apply_F.fixed_point(controls.values, keep)
+    for keep in (np.sort(rng.choice(size, size * 8 // 33, replace=False)), np.arange(size),
+                 np.array([0, 32, size - 1]), rng.permutation(size)[:9],
+                 np.array([], dtype=int)):
+        held, streamed = apply_F.fixed_point(values, keep)
         assert held.shape == (len(keep), n)
         assert np.array_equal(held, states.reshape(-1, n)[keep])
         assert np.array_equal(streamed, rho)
 
 
 def test_streamed_pass_checks_every_row():
-    # x_2 = 2e308 leaves the floats at the last row, which no field reads, and
-    # the full pass's rho stays finite; the streamed pass reads inf for that
-    # control alone, whichever rows it keeps
-    sg, xi0 = diagonal_semigroup([0.0]), StateVector([1e308])
+    # x_2 = 2e308 leaves the floats at the last row, which no field reads:
+    # the full and the streamed loop read inf for that control alone,
+    # whichever rows the streamed one keeps (a zero generator would take the
+    # state-free kernel)
+    sg, xi0 = diagonal_semigroup([0.001]), StateVector([1e308])
     apply_F = BatchOperator(xi0, [constant_field([1e308])], sg, 1.0, 2)
     values = np.array([[[1.0, 1.0]], [[0.0, 0.0]]])
-    with np.errstate(over="ignore"):
-        states, rho = apply_F.fixed_point(values)
-        held, streamed = apply_F.fixed_point(values, np.array([0, 3]))
-    assert states[0, 2, 0] == np.inf and np.isfinite(rho).all()
-    assert streamed[0] == np.inf and streamed[1] == rho[1]
+    states, rho = apply_F.fixed_point(values)
+    held, streamed = apply_F.fixed_point(values, np.array([0, 3]))
+    assert states[0, 2, 0] == np.inf and rho[0] == np.inf and np.isfinite(rho[1])
+    assert np.array_equal(streamed, rho)
     assert np.array_equal(held, states.reshape(-1, 1)[[0, 3]])
 
 
@@ -694,6 +694,84 @@ def test_streamed_solve_of_a_non_finite_pass_raises_as_the_whole_one():
     assert np.isfinite(rho[0]) and rho[1] == np.inf
     with pytest.raises(RuntimeError, match=r"control #1: .*finite"):
         _solve_stack(xi0, controls, [nan_above], sg, cert, 1e-8, np.array([0, 5]))
+
+
+def non_finite_system(case):
+    """A forward pass (operator, control values) whose states leave the
+    floats for some controls: on the loop (a field that reads NaN past 1.5),
+    or on the state-free kernel under A = 0."""
+    if case == "nan":
+        nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0,
+                                eval_error=0.0)
+        apply_F = BatchOperator(StateVector([1.0]), [nan_above], diagonal_semigroup([0.0]),
+                                1.0, 16)
+        return apply_F, np.array([[[0.3] * 16], [[0.0] * 16], [[1.0] * 16]])
+    apply_F = BatchOperator(StateVector([0.5, 1e308]), [constant_field([0.0, 1e308])],
+                            diagonal_semigroup([0.0, 0.0]), 1.0, 8)
+    assert apply_F.state_free  # control 0 passes 1.79e308 at x_7, control 3 sums inf - inf
+    return apply_F, np.array([[[1.0] * 8], [[0.0] * 8], [[-0.5] * 8], [[8.0] * 4 + [-8.0] * 4]])
+
+
+@pytest.mark.parametrize("case", ["nan", "state_free"])
+def test_whole_and_streamed_passes_read_one_rho(case):
+    # with or without `keep`, every control reads the same rho, inf where a
+    # row leaves the floats, and the kept rows are the whole stack's (the
+    # loop's overflowing last row: `test_streamed_pass_checks_every_row`)
+    apply_F, values = non_finite_system(case)
+    states, rho = apply_F.fixed_point(values)
+    n, size = states.shape[2], states.shape[0] * states.shape[1]
+    finite = np.isfinite(states).all(axis=(1, 2))
+    assert not finite.all() and (rho[~finite] == np.inf).all() and np.isfinite(rho).any()
+    for keep in (np.arange(size), np.array([0, size - 1]), np.array([], dtype=int)):
+        held, streamed = apply_F.fixed_point(values, keep)
+        assert np.array_equal(streamed, rho)
+        assert np.array_equal(held, states.reshape(-1, n)[keep], equal_nan=True)
+
+
+def agreeing_kernels(case):
+    """One system on two kernels of `fixed_point`: diag(beta) x as a bilinear
+    field (product) and as a "custom" one (loop), or a constant field with
+    Lipschitz constant 0 (state-free) and 1e-12 (loop), under A = 0."""
+    if case == "product":
+        sg, xi0 = heat_semigroup(8), StateVector(np.linspace(0.2, -0.3, 8))
+        fast = bilinear_field(np.diag(np.linspace(-1.5, 2.0, 8)))
+        slow = dataclasses.replace(fast, kind="custom")
+    else:
+        sg, xi0 = diagonal_semigroup([0.0] * 3), StateVector([0.3, -0.2, 0.1])
+        fast = constant_field([0.4, -1.0, 0.2])
+        slow = dataclasses.replace(fast, lipschitz_L=1e-12)
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, max(fast.lipschitz_L, 1e-12), 1.0)
+    return sg, xi0, cert, fast, slow, sample_ball(1.0, 1.0, 1.0, 1, 64, 6, seed=12)
+
+
+@pytest.mark.parametrize("case", ["product", "state_free"])
+def test_kernels_agree_within_their_stage_zero_bounds(case):
+    sg, xi0, cert, fast, slow, controls = agreeing_kernels(case)
+    assert BatchOperator(xi0, [slow], sg, 1.0, 64).coupling is None
+    (x, bound, taken, _), (y, other, slow_taken, _) = (
+        _solve_stack(xi0, controls, [f], sg, cert, 1e-8) for f in (fast, slow))
+    assert (taken == 0).all() and (slow_taken == 0).all()
+    assert (vector_norm(x - y, 2).max(axis=1) <= bound + other).all()
+
+
+def test_streamed_loop_pass_holds_no_state_stack():
+    # a non-diagonal bilinear coupling takes the loop: 200 controls x 129
+    # grid times x 64 coordinates are a 13.2 MB stack, of which 200 rows are kept
+    sg = heat_semigroup(64)
+    f = bilinear_field(np.random.default_rng(8).standard_normal((64, 64)) / 8.0)
+    apply_F = BatchOperator(StateVector(np.full(64, 0.0025)), [f], sg, 1.0, 128)
+    values = sample_ball(1.0, 1.0, 1.0, 1, 128, 200, seed=4).values
+    keep = np.sort(np.random.default_rng(9).choice(200 * 129, 200, replace=False))
+    apply_F.fixed_point(values[:2], np.arange(4))  # warm up
+    assert apply_F.coupling is None and apply_F.bounded
+    tracemalloc.start()
+    try:
+        held, rho = apply_F.fixed_point(values, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held.shape == (200, 64) and np.isfinite(rho).all()
+    assert peak < 200 * 129 * 64 * 8 / 4
 
 
 def test_field_error_must_be_a_bound():
