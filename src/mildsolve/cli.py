@@ -45,10 +45,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-# Rounding slack of the convolution check, relative to the quadrature's size
-_QUADRATURE_ROUNDING = 1e-12
-
-
 def _metadata(cfg: RunConfig) -> dict:
     return {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": cfg.raw}
 
@@ -205,20 +201,13 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, args) -> int:
     conv = convolution_compactness_check(
         sample, half, fields, sg, max_controls=cfg.gamma["max_controls"])
     checked = time.perf_counter()
-    # each quadrature term lies within h |u_c| certified_bound of its table term
-    tolerance = (conv.max_l1_norm * half.certified_bound
-                 + _QUADRATURE_ROUNDING * conv.max_quadrature_norm)
     verification["convolution"] = {
         "n_controls": conv.n_controls,
         "max_coefficient": conv.max_coefficient,
         "max_reconstruction_error": conv.max_reconstruction_error,
-        "tolerance": tolerance,
-        "passed": bool(conv.max_reconstruction_error <= tolerance),
+        "tolerance": conv.tolerance,
+        "passed": True,  # a failed check raised VerificationError
     }
-    if not verification["convolution"]["passed"]:
-        raise VerificationError(
-            f"convolution reconstruction error {conv.max_reconstruction_error:.3e} "
-            f"exceeds {tolerance:.3e}")
     _write_json(out_dir / "gamma_verification.json",
                 {"verification": verification,
                  "metadata": {**_metadata(cfg), "solves": sample.solves,

@@ -195,9 +195,6 @@ def greedy_net(cloud: PointCloud, epsilon: float) -> NetReport:
 # dimensions, eps 0.1 to 0.01) b = 32, 128 and 256 took 1.07-1.11,
 # 0.99-1.03 and 1.10-1.24 of the time at b = 64 (process CPU, 2 x 15 runs).
 _BLOCK = 64
-# Floats in the buffer through which a block's centers lower the running
-# values: 64 KB, 128 rows at b = 64.
-_BUFFER = 8192
 
 
 class _ExactSweep:
@@ -272,23 +269,15 @@ class _GramSweep:
 
     def lower(self, x: np.ndarray, centers: np.ndarray) -> None:
         """Lower the running values x to the values to the live points
-        `centers`, a chunk of rows at a time through one buffer of `_BUFFER`
-        floats (the minimum over centers runs along contiguous rows); the
-        centers' own values read 0.  The rows' squared norms are added after
-        the minimum: rounding is monotone, so min_c fl(y_c + s) = fl(min_c y_c + s)
-        and the values are `values`' bit for bit."""
-        step = _BUFFER // len(centers)  # at most one block's centers
-        buf = np.empty(step * len(centers))
-        scaled, sq = -2.0 * self.points[centers], self.sq[centers, None]
-        for start in range(0, x.size, step):
-            rows = slice(start, start + step)
-            chunk = x[rows]
-            out = buf[:len(centers) * chunk.size].reshape(len(centers), chunk.size)
-            np.matmul(scaled, self.points[rows].T, out=out)
-            out += sq
-            least = out.min(axis=0)
-            least += self.sq[rows]
-            np.minimum(chunk, least, out=chunk)
+        `centers`, from one (centers, live) product and its minimum over the
+        centers; the centers' own values read 0.  The rows' squared norms are
+        added after the minimum: rounding is monotone, so min_c fl(y_c + s) =
+        fl(min_c y_c + s) and the values are `values`' bit for bit."""
+        out = np.matmul(-2.0 * self.points[centers], self.points.T)
+        out += self.sq[centers, None]
+        least = out.min(axis=0)
+        least += self.sq
+        np.minimum(x, least, out=x)
         x[centers] = 0.0
 
     def keep(self, mask: np.ndarray) -> None:

@@ -60,14 +60,13 @@ class VerificationError(RuntimeError):
 @dataclass(frozen=True)
 class ReachSetSample:
     """Monte-Carlo approximation of the reachable set up to time T under the
-    control ball of `cert`: B controls as one stack, their trajectories'
-    states on its grid, and those states, trajectory-major, in `endpoints`."""
+    control ball of `cert`: B controls as one stack and their trajectories'
+    states on its grid."""
 
     xi0: StateVector
     cert: ContractionCertificate
     controls: Control  # the (B, m, n_t) stack
     states: np.ndarray  # (B, n_t + 1, n), trajectory b at the grid times `times`
-    endpoints: PointCloud  # evaluation set of the trajectories
     # the applications of F that certified the solves, the controls the
     # forward pass's rounding bound certified alone and the largest bound
     solves: dict = field(default_factory=dict)
@@ -76,16 +75,13 @@ class ReachSetSample:
         self.cert.control_norm(self.controls)
         if self.states.shape[:2] != (len(self.controls), self.controls.n_t + 1):
             raise ValueError("a sample needs one trajectory per control, on its grid")
-        _check_starts(self.states[:, 0], self.xi0)
+        starts = self.states[:, 0]
+        if starts.shape[1:] != self.xi0.coords.shape or np.any(starts != self.xi0.coords):
+            raise ValueError("trajectory does not start at xi0")
 
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.cert.horizon_T, self.controls.n_t + 1)
-
-
-def _check_starts(starts: np.ndarray, xi0: StateVector) -> None:
-    if starts.shape[1:] != xi0.coords.shape or np.any(starts != xi0.coords):
-        raise ValueError("trajectory does not start at xi0")
 
 
 def _solve_record(bounds: np.ndarray, taken: np.ndarray) -> dict:
@@ -105,15 +101,14 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     `sample_ball`'s stack takes one forward pass, each trajectory certified
     within `tol` of its discrete fixed point (see `solve_batch`), and
     `ReachSetSample` checks it against the ball in one call.  The sample holds
-    that stack and the pass's (count, n_t + 1, n) states as they are, and the
-    endpoint cloud is the states reshaped, so each is held once.
+    that stack and the pass's (count, n_t + 1, n) states as they are, so each
+    is held once.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
     states, bounds, taken, _ = _solve_stack(xi0, controls, fields, sg, cert, tol)
-    return ReachSetSample(xi0, cert, controls, states, state_cloud(states, xi0.norm_kind),
-                          _solve_record(bounds, taken))
+    return ReachSetSample(xi0, cert, controls, states, _solve_record(bounds, taken))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,6 @@ def compactness_diagnostic(
         controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
         cert.control_norm(controls)
         states, bounds, taken, whole = _solve_stack(xi0, controls, fields, sg, cert, tol, keep)
-        _check_starts(states[keep % (n_t + 1) == 0], xi0)
         solves = {**_solve_record(bounds, taken), "held_rows": len(states), "full_stack": whole}
         sampled = time.perf_counter()
         cloud = state_cloud(states, norm_kind)
@@ -473,12 +467,14 @@ def _certified_bound(sg: Semigroup, table: GammaTable) -> float:
 
 
 def field_value_cloud(sample: ReachSetSample, fields: Sequence[VectorField]) -> PointCloud:
-    """Cloud of field values f(t_j, x(t_j)) over the whole sample (one channel), from
-    one field call on the endpoint stack: an identity field's cloud is that stack."""
+    """Cloud of field values f(t_j, x(t_j)) over the whole sample (one channel), in
+    the state norm of xi0, from one field call on the sample's states reshaped to
+    (B (n_t + 1), n): an identity field's cloud shares memory with those states."""
     if len(fields) != 1:
         raise ValueError("field-value cloud expects a single-channel system")
     times = np.tile(sample.times, len(sample.states))
-    return state_cloud(fields[0](times, sample.endpoints.points), sample.endpoints.norm_kind)
+    states = sample.states.reshape(-1, sample.states.shape[2])
+    return state_cloud(fields[0](times, states), sample.xi0.norm_kind)
 
 
 @dataclass(frozen=True)
@@ -490,7 +486,14 @@ class ConvolutionReport:
     max_l1_norm: float  # after normalization, <= 1
     max_reconstruction_error: float
     max_quadrature_norm: float  # largest |direct quadrature| over the grid times
+    tolerance: float  # the reconstruction error's bound, met by every checked control
     per_control: list = field(default_factory=list)
+
+
+# Rounding slack of the reconstruction tolerance, relative to the quadrature's
+# size, next to the 1e-12 a coefficient may exceed its control mass by; neither
+# allowance is derived from a rounding analysis yet
+_QUADRATURE_ROUNDING = 1e-12
 
 
 def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
@@ -505,11 +508,15 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
     (witnessing containment in the convex set spanned by the xi_ij).  Each
     quadrature term differs from its table term by at most h |u_c| times
     `gamma.certified_bound`, so the reconstruction error is at most |u|_1
-    times that bound, up to rounding on the quadrature's scale.
-    Controls are rescaled to |u|_1 <= 1 first.  At most `max_controls`
-    controls are checked; fewer than one would pass vacuously and raises.
-    F is applied once to the checked slices of the sample's two stacks, whose
-    field values are located in the table in one call.
+    times that bound, up to rounding on the quadrature's scale: the report's
+    `tolerance` is max_b |u_b|_1 `gamma.certified_bound` +
+    `_QUADRATURE_ROUNDING` max |quadrature|.  The check owns its verdict: a
+    coefficient above its control mass (+ 1e-12), or a largest reconstruction
+    error that is not <= `tolerance`, raises VerificationError, so a returned
+    report passed.  Controls are rescaled to |u|_1 <= 1 first.  At most
+    `max_controls` controls are checked; fewer than one would pass vacuously
+    and raises.  F is applied once to the checked slices of the sample's two
+    stacks, whose field values are located in the table in one call.
     """
     if len(fields) != 1:
         raise ValueError("reconstruction check expects a single-channel system")
@@ -548,5 +555,10 @@ def convolution_compactness_check(sample: ReachSetSample, gamma: GammaTable,
                             kind).max()
         per_control.append({"coeff": coeff, "error": float(error)})
     quadrature = float(vector_norm(direct[:, 1:], kind).max())
-    return ConvolutionReport(batch, max(entry["coeff"] for entry in per_control), float(u1.max()),
-                             max(entry["error"] for entry in per_control), quadrature, per_control)
+    mass, error = float(u1.max()), max(entry["error"] for entry in per_control)
+    tolerance = mass * gamma.certified_bound + _QUADRATURE_ROUNDING * quadrature
+    if not error <= tolerance:
+        raise VerificationError(
+            f"convolution reconstruction error {error:.3e} exceeds {tolerance:.3e}")
+    return ConvolutionReport(batch, max(entry["coeff"] for entry in per_control), mass, error,
+                             quadrature, tolerance, per_control)

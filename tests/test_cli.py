@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -781,6 +783,16 @@ class TestCounterexampleCommand:
         # one stack, F of the orbit, certified by its proved rounding bound alone
         assert report.applications == 0 and len(report.spike_indices) == 5
 
+    def test_closed_form_miss_exits_4_without_output(self, tmp_path, capsys, monkeypatch):
+        # a slack below 0 fails every spike, the first one (n = 1) named
+        monkeypatch.setattr(reachset, "_CLOSED_FORM_SLACK", -1.0)
+        cfg = write_config(tmp_path, {"counterexample": {"n_max": 16, "n_t": 64}})
+        out = tmp_path / "out"
+        assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 4
+        assert not (out / "counterexample.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: spike n=1 deviates from closed form by")
+
 
 class TestGammaCommand:
     def test_small_gamma_run(self, tmp_path):
@@ -837,6 +849,26 @@ class TestGammaCommand:
         assert tables_meta["timings"] == {key: meta["timings"][key]
                                           for key in ("sample_s", "tables_s")}
         assert tables_meta["counters"] == {**meta["counters"], "applications": 0}
+
+    def test_failed_reconstruction_exits_4_after_gamma_json(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # an eps / 2 table whose certified bound understates its error: the
+        # convolution check fails, after gamma.json and before the verification
+        tables = cli.gamma_tables
+
+        def understated(*args):
+            table, half = tables(*args)
+            return table, dataclasses.replace(half, certified_bound=0.0)
+
+        monkeypatch.setattr(cli, "gamma_tables", understated)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, heat_system(gamma={"eps": 0.2, "max_controls": 3}))
+        assert main(["gamma", "--config", cfg, "--out", str(out)]) == 4
+        assert (out / "gamma.json").exists()
+        assert not (out / "gamma_verification.json").exists()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"verification failure: convolution reconstruction error "
+                            r"\d\.\d{3}e[+-]\d\d exceeds \d\.\d{3}e[+-]\d\d\n", err)
 
     def test_two_fields_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -48,7 +48,7 @@ class TestSampleReachset:
         cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
         a = sample_reachset(xi0, 8, 3, [f], sg, cert, 64)
         b = sample_reachset(xi0, 8, 3, [f], sg, cert, 64)
-        assert np.array_equal(a.endpoints.points, b.endpoints.points)
+        assert np.array_equal(a.states.reshape(-1, 1), b.states.reshape(-1, 1))
 
     def test_scalar_bilinear_hoelder_envelope(self):
         # endpoints equal xi0 exp(int u); |int_0^t u| <= sqrt(t) |u|_2 <= r sqrt(T)
@@ -57,7 +57,7 @@ class TestSampleReachset:
         xi0 = StateVector([1.0])
         cert = certify(2.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         sample = sample_reachset(xi0, 40, 11, [f], sg, cert, 256)
-        vals = sample.endpoints.points[:, 0]
+        vals = sample.states.reshape(-1, 1)[:, 0]
         assert vals.max() <= math.exp(1.0) * (1 + 1e-6)
         assert vals.min() >= math.exp(-1.0) * (1 - 1e-6)
 
@@ -68,7 +68,7 @@ class TestSampleReachset:
         cert = certify(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
         sample = sample_reachset(xi0, 60, 5, [f], sg, cert, 128)
         radius = gronwall_radius(xi0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
-        assert np.abs(sample.endpoints.points - 1.0).max() < radius
+        assert np.abs(sample.states.reshape(-1, 1) - 1.0).max() < radius
 
     def test_zero_control_orbit_is_a_valid_sample(self):
         # the degenerate one-member sample is exactly the semigroup orbit
@@ -77,13 +77,13 @@ class TestSampleReachset:
         orbit = semigroup_orbit(sg, xi0, 1.0, 32)
         cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
         sample = hand_sample(xi0, cert, np.zeros((1, 1, 32)), orbit.states[None])
-        assert np.array_equal(sample.endpoints.points, orbit.states)
+        assert np.array_equal(sample.states.reshape(-1, 2), orbit.states)
         assert np.array_equal(sample.states[0], orbit.states)
         assert np.array_equal(sample.times, orbit.times)
 
     def test_states_are_held_once(self, monkeypatch):
-        # the sample holds the forward pass's own state array, the endpoint
-        # cloud shares it, and sampling peaks well below two copies of it
+        # the sample holds the forward pass's own state array, and sampling
+        # peaks well below two copies of it
         passes, solve_stack = [], reachset._solve_stack
 
         def recorded(*args):
@@ -101,8 +101,6 @@ class TestSampleReachset:
             tracemalloc.stop()
         assert sample.states is passes[-1][0]
         assert sample.states.shape == (50, 129, 64)
-        assert np.shares_memory(sample.endpoints.points, sample.states)
-        assert np.array_equal(sample.endpoints.points, sample.states.reshape(-1, 64))
         assert sample.controls.values.shape == (50, 1, 128)
         assert peak <= 1.6 * 50 * 129 * 64 * 8
 
@@ -137,6 +135,11 @@ class TestSampleReachset:
             hand_sample(xi0, certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0),
                         np.full((1, 1, 8), 5.0), orbit.states[None])
 
+    def test_tolerance_must_be_positive(self):
+        sg, fields, cert, xi0 = diagnostic_system(4)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            sample_reachset(xi0, 2, 1, fields, sg, cert, 16, tol=0)
+
     def test_one_trajectory_per_control_on_its_grid(self):
         sg = diagonal_semigroup([0.0])
         xi0 = StateVector([1.0])
@@ -149,8 +152,7 @@ class TestSampleReachset:
 
 def hand_sample(xi0, cert, values, states):
     """A sample of given (B, m, n_t) control values and (B, n_t + 1, n) states."""
-    return ReachSetSample(xi0, cert, Control(cert.horizon_T, values), states,
-                          state_cloud(states, xi0.norm_kind))
+    return ReachSetSample(xi0, cert, Control(cert.horizon_T, values), states)
 
 
 class TestCompactnessDiagnostic:
@@ -171,7 +173,7 @@ class TestCompactnessDiagnostic:
         rep = compactness_diagnostic([(sg, fields, cert)], eps_ladder=[0.05], count=50,
                                      seed=7, n_t=64, xi0_scale=1.0, cloud_budget=2000)
         sample = sample_reachset(xi0, 50, 7, fields, sg, cert, 64, tol=1e-4)
-        vals = sample.endpoints.points[:, 0]
+        vals = sample.states.reshape(-1, 1)[:, 0]
         diameter = vals.max() - vals.min()
         assert rep.rows[0]["n_reach"] <= math.ceil(diameter / 0.1) + 1
 
@@ -639,8 +641,8 @@ class TestBatchedEvaluation:
     def test_identity_field_cloud_is_the_endpoint_stack(self):
         _, f, sample = batched_case("identity")
         cloud = field_value_cloud(sample, [f])
-        assert np.shares_memory(cloud.points, sample.endpoints.points)
-        assert np.array_equal(cloud.points, sample.endpoints.points)
+        assert np.shares_memory(cloud.points, sample.states)
+        assert np.array_equal(cloud.points, sample.states.reshape(-1, sample.xi0.dim))
 
     @pytest.mark.parametrize("kind", BATCHED)
     def test_convolution_matches_one_control_at_a_time(self, kind):
@@ -707,6 +709,8 @@ class TestConvolutionCheck:
         report = convolution_compactness_check(sample, table, [f], sg)
         # each quadrature term is within h |u_c| certified_bound of its table term
         assert report.max_reconstruction_error <= report.max_l1_norm * table.certified_bound \
+            + 1e-12 * report.max_quadrature_norm
+        assert report.tolerance == report.max_l1_norm * table.certified_bound \
             + 1e-12 * report.max_quadrature_norm
         assert report.max_coefficient <= 1.0 + 1e-12
 

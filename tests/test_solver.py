@@ -754,6 +754,40 @@ def test_kernels_agree_within_their_stage_zero_bounds(case):
     assert (vector_norm(x - y, 2).max(axis=1) <= bound + other).all()
 
 
+@pytest.mark.parametrize("kernel", ["product", "state_free", "loop"])
+def test_kept_start_rows_are_xi0(kernel):
+    # every kernel makes row 0 of each control from the orbit's start, so a
+    # pass that keeps every control's t = 0 row holds xi0 bit for bit
+    if kernel == "state_free":
+        sg, xi0, _, f, _, controls = agreeing_kernels("state_free")
+        fields, n_t = [f], 64
+    else:
+        sg, fields, xi0, _, controls = streamed_system(
+            "diagonal" if kernel == "product" else "bilinear")
+        n_t = 32
+    apply_F = BatchOperator(xi0, fields, sg, 1.0, n_t)
+    assert (apply_F.coupling is not None, apply_F.state_free) \
+        == (kernel == "product", kernel == "state_free")
+    held, _ = apply_F.fixed_point(controls.values, np.arange(len(controls)) * (n_t + 1))
+    assert np.array_equal(held, np.tile(xi0.coords, (len(controls), 1)))
+
+
+def test_state_free_field_without_error_bound_takes_applications():
+    # L = 0 under A = 0 takes the state-free kernel; a field that declares
+    # no evaluation error proves no rho, so the applications certify it
+    sg, xi0 = diagonal_semigroup([0.0, 0.0]), StateVector([0.3, -0.2])
+    b = np.array([0.4, -1.0])
+    f = VectorField(lambda t, x: np.broadcast_to(b, np.shape(x)).copy(), 0.0, 0.0,
+                    float(np.linalg.norm(b)))
+    controls = sample_ball(1.0, 1.0, 1.0, 1, 32, 4, seed=6)
+    apply_F = BatchOperator(xi0, [f], sg, 1.0, 32)
+    assert apply_F.state_free and not apply_F.bounded
+    assert (apply_F.fixed_point(controls.values)[1] == np.inf).all()
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1e-12, 1.0)
+    results = solve_batch(xi0, controls, [f], sg, cert, tol=1e-8)
+    assert all(res.iterations >= 1 and res.a_posteriori_bound <= 1e-8 for res in results)
+
+
 def test_streamed_loop_pass_holds_no_state_stack():
     # a non-diagonal bilinear coupling takes the loop: 200 controls x 129
     # grid times x 64 coordinates are a 13.2 MB stack, of which 200 rows are kept
