@@ -6,9 +6,10 @@ explicit seeds and writes machine-readable CSV/JSON into the output directory
 settings as `cfg.<block>[key]`, typed and checked at load; `main` applies and
 checks ``--seed`` once.  Outputs are byte-identical across re-runs except for
 the timestamp inside the metadata key.  ``--threads`` is accepted for
-compatibility and has no effect.  Exit codes: 0 success, 2 config error (a
-bad or unknown setting, a bad system, or a control outside the certificate
-radius), 3 numeric/certification failure, 4 verification failure.
+compatibility and has no effect; BLAS threads follow OPENBLAS_NUM_THREADS.
+Exit codes: 0 success, 2 config error (a bad or unknown setting, a bad
+system, or a control outside the certificate radius), 3 numeric/certification
+failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .controls import control_from_csv, control_to_csv, sample_ball, stack_controls
+from .controls import control_from_csv, control_to_csv, lp_norm, sample_ball, stack_controls
 from .floatcsv import write_csv
-from .operator import ContractionCertificate, certify
+from .operator import CertificateRadiusError, ContractionCertificate, certify
 from .reachset import (
     VerificationError,
     compactness_diagnostic,
@@ -37,7 +38,7 @@ from .reachset import (
     gamma_tables,
     sample_reachset,
 )
-from .solver import CertificateRadiusError, NonFiniteIterateError, _solve_stack
+from .solver import NonFiniteIterateError, solve_batch
 from .spaces import Semigroup, VectorField
 
 EXIT_OK = 0
@@ -102,20 +103,19 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, args) -> int:
         stack = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields),
                             cfg.system["n_t"], 1, cfg.control["seed"])
         u = stack[0]
-    norm = cert.control_norm(u)
     start = time.perf_counter()
-    states, bounds, taken, _ = _solve_stack(xi0, stack, fields, sg, cert, cfg.solver["tol"])
+    result = solve_batch(xi0, stack, fields, sg, cert, cfg.solver["tol"])[0]
     solved = time.perf_counter()
-    iterations, bound = int(taken[0]), float(bounds[0])
+    iterations, bound = result.iterations, result.a_posteriori_bound
     written = _write_csv(out_dir / "trajectory.csv", ["t"] + [f"x{i}" for i in range(sg.dim)],
-                         np.column_stack([np.linspace(0.0, u.horizon_T, u.n_t + 1), states[0]]))
+                         np.column_stack([result.trajectory.times, result.trajectory.states]))
     written += control_to_csv(u, out_dir / "control.csv")
     wrote = time.perf_counter()
     _write_json(out_dir / "solve.json", {
         "iterations": iterations,
         "a_posteriori_bound": bound,
         "certificate": cert.to_dict(),
-        "control_lp_norm": norm,
+        "control_lp_norm": lp_norm(u, cert.p),
         "metadata": {**_metadata(cfg),
                      "timings": {"solve_s": solved - start, "write_s": wrote - solved},
                      # bytes of trajectory.csv and control.csv
@@ -247,8 +247,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override control.seed from the config")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="accepted for compatibility; has no effect "
-                              "(batch solves run single-threaded)")
+                         help="accepted for compatibility; has no effect (BLAS "
+                              "threads follow OPENBLAS_NUM_THREADS)")
         cmd.add_argument("--out", default="out", help="output directory")
         if name == "solve":
             cmd.add_argument("--control", default=None,

@@ -98,14 +98,12 @@ def sample_reachset(xi0: StateVector, count: int, seed: int, fields: Sequence[Ve
     """Draw `count` controls from the ball of `cert` (its p, radius and
     horizon), solve each, and collect all grid states.
 
-    `sample_ball`'s stack takes one forward pass, each trajectory certified
-    within `tol` of its discrete fixed point (see `solve_batch`), and
-    `ReachSetSample` checks it against the ball in one call.  The sample holds
-    that stack and the pass's (count, n_t + 1, n) states as they are, so each
-    is held once.
+    `sample_ball`'s stack is checked against the ball before the solve (by
+    `_solve_stack`) and takes one forward pass, each trajectory certified
+    within `tol` of its discrete fixed point (see `solve_batch`).  The sample
+    holds that stack and the pass's (count, n_t + 1, n) states as they are,
+    so each is held once.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     controls = sample_ball(cert.p, cert.radius_r, cert.horizon_T, len(fields), n_t, count, seed)
     states, bounds, taken, _ = _solve_stack(xi0, controls, fields, sg, cert, tol)
     return ReachSetSample(xi0, cert, controls, states, _solve_record(bounds, taken))
@@ -168,8 +166,8 @@ def compactness_diagnostic(
     None when none was).
 
     The sample is streamed: the subsample's row indices are drawn before
-    the solve, and the `sample_ball` stack, checked against the ball once,
-    goes to `_solve_stack` with them, so the forward pass holds only those
+    the solve, and the `sample_ball` stack goes to `_solve_stack`, which
+    checks it against the ball, with them, so the forward pass holds only those
     rows, unless its rounding bound leaves a control to the stages j >= 1,
     when the whole (count, n_t + 1, n) stack is solved and the rows are taken
     from it.  Either way the rows, and the sphere draw after them from the
@@ -196,7 +194,6 @@ def compactness_diagnostic(
                 if size > cloud_budget else np.arange(size))
         start = time.perf_counter()
         controls = sample_ball(p, r, T, len(fields), n_t, count, seed)
-        cert.control_norm(controls)
         states, bounds, taken, whole = _solve_stack(xi0, controls, fields, sg, cert, tol, keep)
         solves = {**_solve_record(bounds, taken), "held_rows": len(states), "full_stack": whole}
         sampled = time.perf_counter()
@@ -265,10 +262,6 @@ def counterexample_report(n_max: int, n_t: int) -> CounterexampleReport:
     bounded).
     """
     ks = [2 ** k for k in range(int(math.log2(n_max)) + 1) if 2 ** k <= n_max]
-    for n in ks:
-        if n_t % n != 0:
-            raise ValueError(f"n_t={n_t} must be divisible by every spike index (n={n})")
-
     sg = diagonal_semigroup([0.0])
     f_const = constant_field([1.0])
     xi0 = StateVector([0.0], 2)
@@ -276,7 +269,6 @@ def counterexample_report(n_max: int, n_t: int) -> CounterexampleReport:
 
     start = time.perf_counter()
     controls = stack_controls([spike_control(n, n_t) for n in ks])
-    cert.control_norm(controls)
     states, _, taken, _ = _solve_stack(xi0, controls, [f_const], sg, cert, 1e-12)
     closed = np.minimum(np.outer(ks, np.linspace(0.0, 1.0, n_t + 1)), 1.0)
     errors = np.abs(states[:, :, 0] - closed).max(axis=1)

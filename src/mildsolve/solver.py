@@ -17,12 +17,14 @@ reads none of its rates.  `picard_solve` iterates x_k = F^k x_0 from the
 constant trajectory at xi0 and returns x_k at the first k where this bound,
 y = x_0, is <= tol; it serves the library and the factorial-gap checks.
 Every other solve (`solve_batch`, reach-set samples, the CLI's `solve` and
-spike family) takes `_solve_stack`: it computes every control's x* in one
-causal forward pass (`BatchOperator.fixed_point`, the one entry to its three
-kernels: a cumulative product for diagonal couplings, F of the orbit for
-fields that do not read the state under A = 0, else a loop over the cells),
-returns that x as it is, and certifies it at the first stage j = 0, 1, ...
-where |x - F^j x|_sup plus the bound, y = x, is <= tol.  Stage 0 takes no
+spike family) takes `_solve_stack`, the one gate: `_check_controls` checks
+tol, the channels and the ball before any work, and no caller checks them
+again.  It computes every control's x* in one causal forward pass
+(`BatchOperator.fixed_point`, the one entry to its three kernels: a
+cumulative product for diagonal couplings, F of the orbit for fields that
+do not read the state under A = 0, else a loop over the cells), returns
+that x as it is, and certifies it at the first stage j = 0, 1, ... where
+|x - F^j x|_sup plus the bound, y = x, is <= tol.  Stage 0 takes no
 application: the pass's proved rounding bound rho >= |x - F x|_sup gives
 e^{mu T} e^c rho, which certifies a diagonal semigroup whose couplings are
 diagonal or whose fields declare their evaluation error, unless c is large.
@@ -37,13 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .controls import Control, lp_norm
 from .spaces import _EPS, _ETA, Semigroup, StateVector, VectorField, vector_norm
-from .operator import BatchOperator, CertificateRadiusError, ContractionCertificate, TrajectoryGrid
+from .operator import BatchOperator, ContractionCertificate, TrajectoryGrid
 
 _MAX_APPLICATIONS = 100_000
 # The stage applications run on chunks of controls whose (chunk, n_t + 1, n)
@@ -114,9 +116,12 @@ def _weighting(mu: float, times: np.ndarray) -> tuple[np.ndarray, float]:
     return np.exp(-mu * times), (math.nextafter(lift, math.inf) if lift > 1.0 else lift)
 
 
+def _control_failed(i: int, error: Exception) -> Exception:
+    return RuntimeError(f"solve failed for control #{i}: {error}")
+
+
 def _factorial_bases(apply_F: BatchOperator, xi0: StateVector, fields: Sequence[VectorField],
-                     cert: ContractionCertificate, l1_norms: np.ndarray, tol: float,
-                     fail: Callable[[int, Exception], Exception]) -> np.ndarray:
+                     cert: ContractionCertificate, l1_norms: np.ndarray, tol: float) -> np.ndarray:
     """Each control's c = M L |u|_1, rounded up, from its L^1 norm, after
     checking that its stopping rule ends within `_MAX_APPLICATIONS`.
 
@@ -124,8 +129,8 @@ def _factorial_bases(apply_F: BatchOperator, xi0: StateVector, fields: Sequence[
     e^{mu T} |u|_1 (alpha |xi0| + beta), the fields' largest growth
     constants, so e^{mu T} Q_cap(c) G <= tol stops `picard_solve` within the
     cap.  Both c and G grow with |u|_1, so the control of largest mass is
-    checked for all: if it fails, it raises ``fail(i, error)``, before any
-    application.
+    checked for all: if it fails, it raises RuntimeError with its index,
+    before any application.
     """
     bases = l1_norms * (cert.M * cert.L_bound * (1.0 + 16.0 * _EPS))
     i = int(np.argmax(l1_norms))
@@ -137,24 +142,21 @@ def _factorial_bases(apply_F: BatchOperator, xi0: StateVector, fields: Sequence[
         with np.errstate(over="ignore", invalid="ignore"):
             first_gap = displacement + cert.M * lift * l1_norms[i] * (alpha * xi0.norm() + beta)
             if lift * _tail(bases[i], _MAX_APPLICATIONS) * first_gap > tol:  # inf * 0 stops
-                raise fail(i, RuntimeError(_CAP_EXCEEDED))
+                raise _control_failed(i, RuntimeError(_CAP_EXCEEDED))
     return bases
 
 
 def _check_controls(controls: Control, fields: Sequence[VectorField],
-                    cert: ContractionCertificate, tol: float,
-                    fail: Callable[[int, Exception], Exception]) -> None:
-    """Check a control or a stack before any work: one channel per field and
-    membership of the certificate's ball, in one `cert.control_norm` call; a
-    failed check of control i raises ``fail(i, error)``."""
+                    cert: ContractionCertificate, tol: float) -> None:
+    """Check a control or a stack before any work: tol > 0 and one channel
+    per field (else ValueError), and membership of the certificate's ball in
+    one `cert.control_norm` call, whose `CertificateRadiusError` names the
+    first control outside."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if controls.channels != len(fields):
-        raise fail(0, ValueError("controls need one channel per field"))
-    try:
-        cert.control_norm(controls)
-    except CertificateRadiusError as error:
-        raise fail(error.index, error) from None
+        raise ValueError("controls need one channel per field")
+    cert.control_norm(controls)
 
 
 def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
@@ -168,11 +170,10 @@ def picard_solve(xi0: StateVector, u: Control, fields: Sequence[VectorField],
     0.  Raises `CertificateRadiusError` when u lies outside the certificate's
     ball (see `ContractionCertificate.control_norm`).
     """
-    _check_controls(u, fields, cert, tol, lambda i, error: error)
+    _check_controls(u, fields, cert, tol)
     kind = xi0.norm_kind
     apply_F = BatchOperator(xi0, fields, sg, u.horizon_T, u.n_t)
-    base = _factorial_bases(apply_F, xi0, fields, cert, np.atleast_1d(lp_norm(u, 1)), tol,
-                            lambda i, error: error)[0]
+    base = _factorial_bases(apply_F, xi0, fields, cert, np.atleast_1d(lp_norm(u, 1)), tol)[0]
     weight, lift = _weighting(cert.mu, apply_F.times)
     gaps: list[float] = []
     x = np.broadcast_to(xi0.coords, (1,) + apply_F.orbit.states.shape)
@@ -225,21 +226,17 @@ def _stage_bounds(apply_F: BatchOperator, states: np.ndarray, values: np.ndarray
     return bounds, taken
 
 
-def _control_failed(i: int, error: Exception) -> Exception:
-    return RuntimeError(f"solve failed for control #{i}: {error}")
-
-
 def _solve_stack(xi0: StateVector, stack: Control,
                  fields: Sequence[VectorField], sg: Semigroup, cert: ContractionCertificate,
                  tol: float, keep: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """The forward-pass states (B, n_t + 1, n) of a (B, m, n_t) control
-    stack with one channel per field, their sup-norm bounds, the
-    applications taken (module docstring) and whether the whole stack was
-    solved: 0 applications where e^{mu T} e^c rho certifies, else those of
-    `_stage_bounds`, run on the other controls only.  A failed rule or a
-    non-finite iterate raises RuntimeError with the control's index.  Ball
-    membership is the caller's check.
+    stack, their sup-norm bounds, the applications taken (module docstring)
+    and whether the whole stack was solved: 0 applications where e^{mu T}
+    e^c rho certifies, else those of `_stage_bounds`, run on the other
+    controls only.  `_check_controls` checks the stack before the operator
+    is built; a failed rule or a non-finite iterate raises RuntimeError with
+    the control's index.
 
     With `keep`, flat row indices of the stack (see
     `BatchOperator.fixed_point`), only those rows come back, as a
@@ -248,12 +245,10 @@ def _solve_stack(xi0: StateVector, stack: Control,
     operator proves no rho, the stack is solved whole, as without `keep`,
     and the rows are taken from it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    _check_controls(stack, fields, cert, tol)
     values = stack.values
     apply_F = BatchOperator(xi0, fields, sg, stack.horizon_T, stack.n_t)
-    bases = _factorial_bases(apply_F, xi0, fields, cert, lp_norm(stack, 1), tol,
-                             _control_failed)
+    bases = _factorial_bases(apply_F, xi0, fields, cert, lp_norm(stack, 1), tol)
     lift = _weighting(cert.mu, apply_F.times)[1]
 
     def stage_zero(rows):
@@ -298,10 +293,12 @@ def solve_batch(xi0: StateVector, controls: Control,
     applications its bound took, 0 for the pass's rounding bound, and
     `iterate_gaps` is empty.  The trajectories are row views of
     `_solve_stack`'s (B, n_t + 1, n) states, in stack order, and agree with
-    `picard_solve` up to rounding.  A failed check, or a bound that is not
-    <= `tol`, raises RuntimeError with the control's index.
+    `picard_solve` up to rounding.  Before any work, tol <= 0 or a wrong
+    channel count raises ValueError, and a control off the certificate's
+    horizon or ball `CertificateRadiusError` with its `index`; a rule past
+    the application cap, a non-finite iterate or a bound that is not <=
+    `tol` raises RuntimeError with the control's index.
     """
-    _check_controls(controls, fields, cert, tol, _control_failed)
     states, bounds, taken, _ = _solve_stack(xi0, controls, fields, sg, cert, tol)
     return [SolveResult(TrajectoryGrid(controls.horizon_T, x, xi0.norm_kind), [], int(n), cert,
                         float(bound))

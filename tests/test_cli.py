@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import mildsolve.config
+import mildsolve.operator
 import mildsolve.reachset as reachset
 from mildsolve import cli
 from mildsolve.cli import main
@@ -570,6 +571,34 @@ def test_overflowing_ball_controls_exit_3(tmp_path, capsys, command, p):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and "leave the floats" in err
+    assert not out.exists()
+
+
+def scaled(draw, factor):
+    """`draw` with every control it returns scaled by `factor`."""
+    def scaled_draw(*args, **kwargs):
+        u = draw(*args, **kwargs)
+        return dataclasses.replace(u, values=u.values * factor)
+    return scaled_draw
+
+
+@pytest.mark.parametrize("command", ["solve", "reachset", "counterexample", "gamma"])
+def test_controls_outside_the_ball_exit_2_before_any_forward_pass(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    # draws and spikes 1.5 times outside the ball: `_solve_stack`'s gate
+    # rejects the stack before `fixed_point` runs, whichever command drew it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forward pass ran")
+
+    monkeypatch.setattr(reachset, "sample_ball", scaled(reachset.sample_ball, 1.5))
+    monkeypatch.setattr(cli, "sample_ball", scaled(cli.sample_ball, 1.5))
+    monkeypatch.setattr(reachset, "spike_control", scaled(reachset.spike_control, 1.5))
+    monkeypatch.setattr(mildsolve.operator.BatchOperator, "fixed_point", refuse)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(REPO / "configs" / "heat.yaml"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "exceeds certificate radius" in err
     assert not out.exists()
 
 

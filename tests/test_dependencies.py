@@ -1,4 +1,5 @@
-"""The package imports no third-party module that pyproject.toml does not declare."""
+"""The package imports no third-party module that pyproject.toml does not
+declare, and the command line imports no private name of the package."""
 
 import ast
 import re
@@ -36,3 +37,12 @@ def test_third_party_imports_are_the_declared_dependencies():
     third_party = imported_modules() - set(sys.stdlib_module_names) - {"mildsolve"}
     assert declared_modules() == {"numpy", "yaml"}
     assert third_party == declared_modules()
+
+
+def test_cli_imports_no_private_name():
+    # the command layer reaches the library through its public names only
+    tree = ast.parse((REPO / "src" / "mildsolve" / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.split(".")[0] == "mildsolve")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -121,7 +121,7 @@ class TestPicardSolve:
         rows = []
         f = counted(bilinear_field([[1.0]]), rows)
         cert = certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(RuntimeError, match="application cap"):
+        with pytest.raises(RuntimeError, match=r"control #0: .*application cap"):
             picard_solve(StateVector([1.0]), constant_control(5e4, 16), [f],
                          diagonal_semigroup([0.0]), cert)
         assert rows == []
@@ -837,8 +837,9 @@ def test_solve_batch_attaches_control_index_on_error():
     xi0 = StateVector([1.0])
     cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
     controls = stack_controls([constant_control(0.5, 16), constant_control(3.0, 16)])
-    with pytest.raises(RuntimeError, match="control #1"):
+    with pytest.raises(CertificateRadiusError, match="radius") as raised:
         solve_batch(xi0, controls, [f], sg, cert)
+    assert raised.value.index == 1
 
 
 def test_control_off_the_certificate_horizon_rejected():
@@ -850,8 +851,9 @@ def test_control_off_the_certificate_horizon_rejected():
     u = constant_control(0.1, 64, T=100.0)
     with pytest.raises(CertificateRadiusError, match="horizon"):
         picard_solve(xi0, u, [f], sg, cert)
-    with pytest.raises(RuntimeError, match=r"control #0: .*horizon"):
+    with pytest.raises(CertificateRadiusError, match="horizon") as raised:
         solve_batch(xi0, stack_controls([u]), [f], sg, cert)
+    assert raised.value.index == 0
 
 
 def test_solve_batch_errors_name_the_control():
@@ -859,9 +861,14 @@ def test_solve_batch_errors_name_the_control():
     cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
     nan_above = VectorField(lambda t, x: np.where(x > 1.5, np.nan, x), 1.0, 1.0, 0.0)
     ok, zero = constant_control(0.5, 16), constant_control(0.0, 16)
+    # the gate's checks raise their own errors, the ball's naming its control
+    with pytest.raises(CertificateRadiusError, match="radius") as raised:
+        solve_batch(xi0, stack_controls([ok, constant_control(3.0, 16)]), [f], sg, cert)
+    assert raised.value.index == 1
+    with pytest.raises(ValueError, match="channel"):
+        solve_batch(xi0, stack_controls([constant_control(0.5, 16, channels=2)] * 2), [f], sg,
+                    cert)
     cases = [
-        ([ok, constant_control(3.0, 16)], [f], cert, 1e-8, r"control #1: .*radius"),
-        ([constant_control(0.5, 16, channels=2)] * 2, [f], cert, 1e-8, r"control #0: .*channel"),
         # c = 5e4 needs ~e c applications, past the cap; the zero control's c = 0
         ([zero, constant_control(5e4, 16), ok], [f],
          certify_hidden_contraction(5e4, 1.0, 0.0, 1.0, 1.0), 1e-8,
@@ -880,6 +887,24 @@ def test_solve_batch_errors_name_the_control():
                      [ok, constant_control(0.5, 16, channels=2)]):
         with pytest.raises(ValueError, match="one horizon and grid"):
             stack_controls(controls)
+
+
+def test_solve_stack_checks_its_stack_before_building_the_operator(monkeypatch):
+    # `_solve_stack` is the one gate: a zero tol or a control outside the
+    # ball raises before any operator exists
+    def refuse(*args):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(solver, "BatchOperator", refuse)
+    sg, f, xi0 = diagonal_semigroup([0.0]), bilinear_field([[1.0]]), StateVector([1.0])
+    cert = certify_hidden_contraction(1.0, 1.0, 0.0, 1.0, 1.0)
+    ok = stack_controls([constant_control(0.5, 16)])
+    with pytest.raises(ValueError, match="tol"):
+        _solve_stack(xi0, ok, [f], sg, cert, 0.0)
+    with pytest.raises(CertificateRadiusError, match="radius") as raised:
+        _solve_stack(xi0, stack_controls([constant_control(0.5, 16), constant_control(3.0, 16)]),
+                     [f], sg, cert, 1e-8)
+    assert raised.value.index == 1
 
 
 def test_zero_control_computes_one_application(monkeypatch):
